@@ -11,7 +11,8 @@ import argparse
 import json
 from pathlib import Path
 
-from matphi.fourier import search_lsi_counterexample, witness_payload
+from matphi.formats import witness_payload
+from matphi.fourier import search_lsi_counterexample
 
 
 def main():

@@ -10,7 +10,6 @@ every executed check passes; failing checks are named on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -18,15 +17,20 @@ import numpy as np
 
 from .errors import ConfigError, MatPhiError
 from .formats import (
+    boolean_function_to_obj,
     dump_json,
+    ensemble_to_obj,
+    json_text,
     kernel_from_obj,
+    kernel_to_obj,
     load_json,
     matrix_to_obj,
     product_model_to_obj,
+    witness_payload,
 )
-from .fourier import search_lsi_counterexample, witness_payload
-from .holevo import eta_phi
-from .report import SuiteReport, matrix_payload
+from .fourier import MatrixBooleanFunction, search_lsi_counterexample
+from .holevo import CQEnsemble, MarkovKernel, eta_phi
+from .report import SuiteReport
 from .sampling import (
     random_hermitian,
     random_kernel,
@@ -47,6 +51,9 @@ GENERATE_KINDS = (
     "boolean-function",
     "product-model",
 )
+# --trials counts trials for suites and eta, restarts for the LSI search.
+DEFAULT_TRIALS = 50
+DEFAULT_SEARCH_RESTARTS = 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="generate: instance kind; search: lsi-counterexample or eta",
     )
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=50)
+    parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--d", type=int, default=2)
     parser.add_argument("--n", type=int, default=3)
@@ -80,9 +87,13 @@ def _config_from_args(args) -> RunConfig:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("MATPHI_SEED", "42"))
+    trials = args.trials
+    if trials is None:
+        search = args.command == "search" and args.target == "lsi-counterexample"
+        trials = DEFAULT_SEARCH_RESTARTS if search else DEFAULT_TRIALS
     return RunConfig(
         seed=seed,
-        trials=args.trials,
+        trials=trials,
         tol=args.tol,
         d=args.d,
         n=args.n,
@@ -126,7 +137,7 @@ def _cmd_suite(suite: str, config: RunConfig) -> int:
     if config.fmt == "csv":
         _emit(_report_csv(report), config.out)
     else:
-        _emit(json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n", config.out)
+        _emit(json_text(report.to_dict()), config.out)
     failing = [r.check for r in report.reports if not r.passed]
     if failing:
         print("failing checks: " + ", ".join(sorted(failing)), file=sys.stderr)
@@ -143,38 +154,19 @@ def _cmd_generate(kind: str, config: RunConfig) -> int:
     elif kind == "psd":
         obj = matrix_to_obj(random_psd(rng, config.d))
     elif kind == "ensemble":
-        size = max(2, config.n)
-        probs = random_probability_vector(rng, size)
-        obj = {
-            "d": config.d,
-            "items": [
-                {"p": float(p), "rho": matrix_to_obj(random_density(rng, config.d))}
-                for p in probs
-            ],
-        }
+        probs = random_probability_vector(rng, max(2, config.n))
+        states = np.stack([random_density(rng, config.d) for _ in probs])
+        obj = ensemble_to_obj(CQEnsemble(probs, states))
     elif kind == "kernel":
         size = max(2, config.n)
-        obj = {"rows": [[float(x) for x in row] for row in random_kernel(rng, size, size)]}
+        obj = kernel_to_obj(MarkovKernel(random_kernel(rng, size, size)))
     elif kind == "boolean-function":
         table = random_boolean_function(rng, config.n, config.d)
-        obj = {
-            "n": config.n,
-            "d": config.d,
-            "points": [
-                {
-                    "x": format(x, f"0{config.n}b")[::-1] if config.n else "",
-                    "matrix": matrix_to_obj(m),
-                }
-                for x, m in enumerate(table)
-            ],
-        }
+        obj = boolean_function_to_obj(MatrixBooleanFunction(config.n, table))
     else:
         model = random_product_model(rng, config.d, config.n, arity=2)
         obj = product_model_to_obj(model, config.d)
-    if config.out:
-        dump_json(config.out, obj)
-    else:
-        sys.stdout.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    _emit(json_text(obj), config.out)
     return 0
 
 
@@ -192,23 +184,9 @@ def _cmd_eta(config: RunConfig, infile: str | None) -> int:
     elif isinstance(result.witness, np.ndarray):
         witness = [float(x) for x in result.witness]
     else:
-        witness = {
-            "d": result.witness.d,
-            "items": [
-                {"p": float(p), "rho": matrix_payload(rho)}
-                for p, rho in zip(result.witness.probs, result.witness.states)
-            ],
-        }
-    obj = {
-        "eta_hat": result.eta_hat,
-        "witness": witness,
-        "method": result.method,
-        "seed": result.seed,
-    }
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        witness = ensemble_to_obj(result.witness)
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        dump_json(config.out, {"eta_hat": result.eta_hat, "witness": witness, "seed": result.seed})
     print(f"eta_hat = {result.eta_hat:.6f}")
     return 0
 
@@ -218,9 +196,8 @@ def _cmd_search(target: str, config: RunConfig, infile: str | None) -> int:
         return _cmd_eta(config, infile)
     if target != "lsi-counterexample":
         raise ConfigError(f"unknown search kind {target!r}")
-    restarts = config.trials if config.trials != 50 else 20
     result = search_lsi_counterexample(
-        d=config.d, n=config.n, restarts=restarts, seed=config.seed
+        d=config.d, n=config.n, restarts=config.trials, seed=config.seed
     )
     payload = witness_payload(result)
     if config.out:

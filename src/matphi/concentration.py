@@ -20,6 +20,9 @@ from .linalg import (
     negative_part,
     normalized_trace,
     positive_part,
+    psd_power,
+    spectral_map,
+    tr_xlogx,
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from .report import CheckReport
@@ -118,13 +121,12 @@ def check_plus_identities(law: DiscreteRandomMatrix, q: int, seed: int | None = 
             out = out @ m
         return out
 
-    def abs_pow(m, k):
-        # |m|^q through the spectral absolute value, independent of the
-        # positive/negative split it is compared against
-        w, u = np.linalg.eigh(hermitian_part(m))
-        return (u * np.abs(w) ** k) @ u.conj().T
-
-    lhs1 = sum(p * abs_pow(v - mean, q) for p, v in zip(law.probs, law.values))
+    # |m|^q through the spectral absolute value, independent of the
+    # positive/negative split it is compared against
+    lhs1 = sum(
+        p * spectral_map(lambda s: np.abs(s) ** q, hermitian_part(v - mean))
+        for p, v in zip(law.probs, law.values)
+    )
     rhs1 = sum(
         p * (mat_pow(positive_part(v - mean), q) + mat_pow(negative_part(v - mean), q))
         for p, v in zip(law.probs, law.values)
@@ -139,7 +141,7 @@ def check_plus_identities(law: DiscreteRandomMatrix, q: int, seed: int | None = 
         for py, y in zip(law.probs, law.values):
             w = px * py
             diff = x - y
-            half_abs += 0.5 * w * abs_pow(diff, q)
+            half_abs += 0.5 * w * spectral_map(lambda s: np.abs(s) ** q, hermitian_part(diff))
             plus_q += w * mat_pow(positive_part(diff), q)
             minus_q += w * mat_pow(negative_part(diff), q)
             sq += 0.5 * w * (diff @ diff)
@@ -161,28 +163,39 @@ def check_plus_identities(law: DiscreteRandomMatrix, q: int, seed: int | None = 
     )
 
 
-def _fd_partial(model: MatrixInputModel, xs: tuple, i: int, e: np.ndarray, h: float) -> np.ndarray:
-    plus = list(xs)
-    minus = list(xs)
-    plus[i] = xs[i] + h * e
-    minus[i] = xs[i] - h * e
-    return (
-        np.asarray(model.evaluator(tuple(plus)), dtype=complex)
-        - np.asarray(model.evaluator(tuple(minus)), dtype=complex)
-    ) / (2.0 * h)
+def _as_matrix(v) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    return v.reshape(1, 1) if v.ndim == 0 else v
+
+
+def _fd_grad_sq(evaluator: Callable, x: np.ndarray, h: float) -> float:
+    """sum_i ||(f(x + h e_i) - f(x - h e_i)) / 2h||_2^2 at a real vector x."""
+    total = 0.0
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g = (_as_matrix(evaluator(xp)) - _as_matrix(evaluator(xm))) / (2 * h)
+        total += float(np.linalg.norm(g)) ** 2
+    return total
 
 
 def _directional_norm(
-    model: MatrixInputModel, xs: tuple, i: int, directions: int, rng: np.random.Generator
+    evaluator: Callable, xs: tuple, i: int, directions: int, rng: np.random.Generator, h: float
 ) -> float:
+    """Largest central-difference ||D_i f[xs](E)||_2 over random unit
+    Hermitian directions E, a lower bound on the induced norm."""
     d = xs[i].shape[0]
-    h = 1e-5
     best = 0.0
     for _ in range(directions):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        e = hermitian_part(g)
+        e = hermitian_part(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         e = e / float(np.linalg.norm(e))
-        deriv = _fd_partial(model, xs, i, e, h)
+        plus = list(xs)
+        minus = list(xs)
+        plus[i] = xs[i] + h * e
+        minus[i] = xs[i] - h * e
+        deriv = (_as_matrix(evaluator(tuple(plus))) - _as_matrix(evaluator(tuple(minus)))) / (2 * h)
         best = max(best, float(np.linalg.norm(deriv)))
     return best
 
@@ -246,7 +259,7 @@ def check_poincare(
             if derivative_mode == "analytic":
                 norm = float(model.partial_norm(xs, i))
             else:
-                norm = _directional_norm(model, xs, i, directions, dir_rng)
+                norm = _directional_norm(model.evaluator, xs, i, directions, dir_rng, 1e-5)
             bound += prob * norm**2
     tol = 1e-8 * (1.0 + abs(var) + abs(bound))
     gap = var - bound
@@ -350,48 +363,49 @@ def gue_clt_sample(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.tensordot(eps, y, axes=1) / np.sqrt(m)
 
 
-def _batched_moments(values: list, batches: int):
-    values = np.array(values, dtype=float)
-    per = len(values) // batches
-    cut = values[: per * batches].reshape(batches, per)
-    means = cut.mean(axis=1)
-    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(batches))
+def _batch_means(
+    draw: Callable, d: int, seed: int, label: str, samples: int, batches: int
+) -> list[dict]:
+    """Per-batch means of the named d x d matrices that ``draw(rng)``
+    returns, over samples // batches draws per batch with the batch's
+    generator rng_for(seed, label, batch)."""
+    per_batch = samples // batches
+    means = []
+    for b in range(batches):
+        rng = rng_for(seed, label, b)
+        sums: dict[str, np.ndarray] = {}
+        for _ in range(per_batch):
+            for key, m in draw(rng).items():
+                acc = sums.setdefault(key, np.zeros((d, d), dtype=complex))
+                acc += m
+        means.append({key: total / per_batch for key, total in sums.items()})
+    return means
 
 
-class _StatAccumulator:
-    """Per-batch accumulation of matrix moments for variance-style
-    statistics with batch-means standard errors."""
-
-    def __init__(self, d: int, batches: int):
-        self.d = d
-        self.batches = batches
-        self.reset()
-
-    def reset(self):
-        self.sums = []
-        self._new_batch()
-
-    def _new_batch(self):
-        self.current = {}
-        self.count = 0
-
-    def add(self, **matrices):
-        for key, m in matrices.items():
-            acc = self.current.setdefault(key, np.zeros((self.d, self.d), dtype=complex))
-            acc += m
-        self.count += 1
-
-    def close_batch(self):
-        self.sums.append({k: v / self.count for k, v in self.current.items()})
-        self._new_batch()
-
-    def batch_values(self, fn) -> np.ndarray:
-        return np.array([fn(batch) for batch in self.sums], dtype=float)
+def _mean_and_stderr(means: list[dict], fn: Callable[[dict], float]) -> tuple[float, float]:
+    """Batch-means estimate of a statistic and its standard error."""
+    values = np.array([fn(batch) for batch in means], dtype=float)
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
-def _mc_pass(lhs: float, rhs: float, se: float) -> bool:
+def _mc_report(
+    check: str, means: list[dict], lhs_of: Callable, rhs_of: Callable,
+    names=("lhs", "rhs"), details: dict | None = None, **fields,
+) -> CheckReport:
+    """lhs <= rhs between two batch-means estimates, passing within three
+    standard errors (the two sides' errors added)."""
+    lhs, lhs_se = _mean_and_stderr(means, lhs_of)
+    rhs, rhs_se = _mean_and_stderr(means, rhs_of)
+    se = lhs_se + rhs_se
     stderr_rel = se / max(abs(rhs), 1e-30)
-    return lhs <= rhs * (1.0 + 3.0 * stderr_rel) + 3.0 * se + 1e-12
+    return CheckReport(
+        check=check,
+        passed=lhs <= rhs * (1.0 + 3.0 * stderr_rel) + 3.0 * se + 1e-12,
+        max_gap=float(lhs - rhs),
+        stderr=se,
+        details={names[0]: lhs, names[1]: rhs, **(details or {})},
+        **fields,
+    )
 
 
 def check_gaussian_poincare(
@@ -417,104 +431,42 @@ def check_gaussian_poincare(
     otherwise from random-direction finite differences (a lower bound on
     the right side, flagged in the report)."""
     scalar_inputs = d1 == 1
-
-    def as_matrix(v):
-        v = np.asarray(v, dtype=complex)
-        return v.reshape(1, 1) if v.ndim == 0 else v
-
     if scalar_inputs:
         probe_point = np.zeros(n)
     else:
         probe_point = tuple(np.zeros((d1, d1), dtype=complex) for _ in range(n))
-    probe = as_matrix(evaluator(probe_point))
-    d = probe.shape[0]
+    d = _as_matrix(evaluator(probe_point)).shape[0]
 
-    def scalar_grad_sq(x, rng):
-        total = 0.0
-        for i in range(n):
+    def draw(rng):
+        if scalar_inputs:
+            x = rng.standard_normal(n)
             if partials is not None:
-                g = as_matrix(partials(x, i))
+                grad_sq = sum(
+                    float(np.linalg.norm(_as_matrix(partials(x, i)))) ** 2 for i in range(n)
+                )
             else:
-                xp = x.copy()
-                xm = x.copy()
-                xp[i] += fd_step
-                xm[i] -= fd_step
-                g = (as_matrix(evaluator(xp)) - as_matrix(evaluator(xm))) / (2 * fd_step)
-            total += float(np.linalg.norm(g)) ** 2
-        return total
-
-    def matrix_grad_sq(xs, rng):
-        total = 0.0
-        for i in range(n):
+                grad_sq = _fd_grad_sq(evaluator, x, fd_step)
+        else:
+            x = tuple(sample_gue(d1, rng) for _ in range(n))
             if partial_norm is not None:
-                total += float(partial_norm(xs, i)) ** 2
-                continue
-            best = 0.0
-            for _ in range(directions):
-                e = hermitian_part(
-                    rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
-                )
-                e = e / float(np.linalg.norm(e))
-                plus = list(xs)
-                minus = list(xs)
-                plus[i] = xs[i] + fd_step * e
-                minus[i] = xs[i] - fd_step * e
-                deriv = (as_matrix(evaluator(tuple(plus))) - as_matrix(evaluator(tuple(minus)))) / (
-                    2 * fd_step
-                )
-                best = max(best, float(np.linalg.norm(deriv)))
-            total += best**2
-        return total
-
-    acc = _StatAccumulator(d, batches)
-    per_batch = samples // batches
-    for b in range(batches):
-        rng = rng_for(seed, "gaussian-poincare", b)
-        for _ in range(per_batch):
-            if scalar_inputs:
-                x = rng.standard_normal(n)
-                grad_sq = scalar_grad_sq(x, rng)
-                z = as_matrix(evaluator(x))
+                grad_sq = sum(float(partial_norm(x, i)) ** 2 for i in range(n))
             else:
-                xs = tuple(sample_gue(d1, rng) for _ in range(n))
-                grad_sq = matrix_grad_sq(xs, rng)
-                z = as_matrix(evaluator(xs))
-            acc.add(z=z, z2=z @ z, grad=grad_sq * np.eye(d))
-        acc.close_batch()
+                grad_sq = sum(
+                    _directional_norm(evaluator, x, i, directions, rng, fd_step) ** 2
+                    for i in range(n)
+                )
+        z = _as_matrix(evaluator(x))
+        return {"z": z, "z2": z @ z, "grad": grad_sq * np.eye(d)}
 
-    def var_of(batch):
-        return normalized_trace(batch["z2"] - batch["z"] @ batch["z"])
-
-    var_vals = acc.batch_values(var_of)
-    bound_vals = acc.batch_values(lambda b: normalized_trace(b["grad"]))
-    var_mean, var_se = float(var_vals.mean()), float(var_vals.std(ddof=1) / np.sqrt(batches))
-    bound_mean, bound_se = float(bound_vals.mean()), float(
-        bound_vals.std(ddof=1) / np.sqrt(batches)
+    return _mc_report(
+        "gaussian-poincare",
+        _batch_means(draw, d, seed, "gaussian-poincare", samples, batches),
+        lambda b: normalized_trace(b["z2"] - b["z"] @ b["z"]),
+        lambda b: normalized_trace(b["grad"]),
+        names=("variance", "bound"),
+        details={"rhs_is_lower_bound": (not scalar_inputs) and partial_norm is None},
+        d=d, n=n, seed=seed, samples=(samples // batches) * batches,
     )
-    se = var_se + bound_se
-    passed = _mc_pass(var_mean, bound_mean, se)
-    return CheckReport(
-        check="gaussian-poincare",
-        passed=passed,
-        max_gap=float(var_mean - bound_mean),
-        d=d,
-        n=n,
-        seed=seed,
-        samples=per_batch * batches,
-        stderr=se,
-        details={
-            "variance": var_mean,
-            "bound": bound_mean,
-            "rhs_is_lower_bound": (not scalar_inputs) and partial_norm is None,
-        },
-    )
-
-
-def _entropy_xlogx(m: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    w = np.clip(w, 0.0, None)
-    pos = w > 1e-14
-    return float(np.sum(w[pos] * np.log(w[pos]))) / m.shape[0]
 
 
 def check_gaussian_sobolev(
@@ -530,35 +482,19 @@ def check_gaussian_sobolev(
     Gaussian inputs with generator u^{2/p}, p in (1, 2)."""
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
-    probe = np.asarray(evaluator(np.zeros(n)), dtype=complex)
-    d = probe.shape[0]
-    acc = _StatAccumulator(d, batches)
+    d = _as_matrix(evaluator(np.zeros(n))).shape[0]
 
-    def mat_p(m, expo):
-        w, u = np.linalg.eigh(hermitian_part(m))
-        w = np.clip(w, 0.0, None)
-        return (u * w**expo) @ u.conj().T
+    def draw(rng):
+        x = rng.standard_normal(n)
+        f = _as_matrix(evaluator(x))
+        grad_sq = _fd_grad_sq(evaluator, x, fd_step)
+        return {"f2": f @ f, "fp": psd_power(f, p), "grad": grad_sq * np.eye(d)}
 
-    per_batch = samples // batches
-    for b in range(batches):
-        rng = rng_for(seed, "gaussian-sobolev", b)
-        for _ in range(per_batch):
-            x = rng.standard_normal(n)
-            f = np.asarray(evaluator(x), dtype=complex)
-            grad_sq = 0.0
-            for i in range(n):
-                xp = x.copy()
-                xm = x.copy()
-                xp[i] += fd_step
-                xm[i] -= fd_step
-                g = (np.asarray(evaluator(xp)) - np.asarray(evaluator(xm))) / (2 * fd_step)
-                grad_sq += float(np.linalg.norm(g)) ** 2
-            acc.add(f2=f @ f, fp=mat_p(f, p), grad=grad_sq * np.eye(d))
-        acc.close_batch()
+    means = _batch_means(draw, d, seed, "gaussian-sobolev", samples, batches)
     dim_factor = d ** (1.0 - 2.0 / p)
 
     def lhs_of(batch):
-        return normalized_trace(batch["f2"]) - normalized_trace(mat_p(batch["fp"], 2.0 / p))
+        return normalized_trace(batch["f2"]) - normalized_trace(psd_power(batch["fp"], 2.0 / p))
 
     def rhs_of(batch):
         energy = normalized_trace(batch["grad"])
@@ -566,22 +502,9 @@ def check_gaussian_sobolev(
             1.0 - dim_factor
         )
 
-    lhs_vals = acc.batch_values(lhs_of)
-    rhs_vals = acc.batch_values(rhs_of)
-    lhs_mean, lhs_se = float(lhs_vals.mean()), float(lhs_vals.std(ddof=1) / np.sqrt(batches))
-    rhs_mean, rhs_se = float(rhs_vals.mean()), float(rhs_vals.std(ddof=1) / np.sqrt(batches))
-    se = lhs_se + rhs_se
-    passed = _mc_pass(lhs_mean, rhs_mean, se)
-    return CheckReport(
-        check="gaussian-sobolev",
-        passed=passed,
-        max_gap=float(lhs_mean - rhs_mean),
-        d=d,
-        n=n,
-        seed=seed,
-        samples=per_batch * batches,
-        stderr=se,
-        details={"lhs": lhs_mean, "rhs": rhs_mean, "p": p},
+    return _mc_report(
+        "gaussian-sobolev", means, lhs_of, rhs_of, details={"p": p},
+        d=d, n=n, seed=seed, samples=(samples // batches) * batches,
     )
 
 
@@ -595,50 +518,26 @@ def check_gaussian_logsobolev(
 ) -> CheckReport:
     """Monte Carlo log-Sobolev bound Ent(f^2) <= 2 sum_i E||D_i f||_2^2
     + log(d) tr E[f^2] for PSD-valued functions of Gaussian inputs."""
-    probe = np.asarray(evaluator(np.zeros(n)), dtype=complex)
-    d = probe.shape[0]
-    acc = _StatAccumulator(d, batches)
-    per_batch = samples // batches
-    for b in range(batches):
-        rng = rng_for(seed, "gaussian-logsobolev", b)
-        for _ in range(per_batch):
-            x = rng.standard_normal(n)
-            f = np.asarray(evaluator(x), dtype=complex)
-            f2 = f @ f
-            grad_sq = 0.0
-            for i in range(n):
-                xp = x.copy()
-                xm = x.copy()
-                xp[i] += fd_step
-                xm[i] -= fd_step
-                g = (np.asarray(evaluator(xp)) - np.asarray(evaluator(xm))) / (2 * fd_step)
-                grad_sq += float(np.linalg.norm(g)) ** 2
-            acc.add(f2=f2, ent=_entropy_xlogx(f2) * np.eye(d), grad=grad_sq * np.eye(d))
-        acc.close_batch()
+    d = _as_matrix(evaluator(np.zeros(n))).shape[0]
+
+    def draw(rng):
+        x = rng.standard_normal(n)
+        f = _as_matrix(evaluator(x))
+        f2 = f @ f
+        grad_sq = _fd_grad_sq(evaluator, x, fd_step)
+        return {"f2": f2, "ent": float(tr_xlogx(f2)) * np.eye(d), "grad": grad_sq * np.eye(d)}
+
+    means = _batch_means(draw, d, seed, "gaussian-logsobolev", samples, batches)
 
     def lhs_of(batch):
-        mean_f2 = batch["f2"]
-        return normalized_trace(batch["ent"]) - _entropy_xlogx(mean_f2)
+        return normalized_trace(batch["ent"]) - float(tr_xlogx(batch["f2"]))
 
     def rhs_of(batch):
         return 2.0 * normalized_trace(batch["grad"]) + np.log(d) * normalized_trace(
             batch["f2"]
         )
 
-    lhs_vals = acc.batch_values(lhs_of)
-    rhs_vals = acc.batch_values(rhs_of)
-    lhs_mean, lhs_se = float(lhs_vals.mean()), float(lhs_vals.std(ddof=1) / np.sqrt(batches))
-    rhs_mean, rhs_se = float(rhs_vals.mean()), float(rhs_vals.std(ddof=1) / np.sqrt(batches))
-    se = lhs_se + rhs_se
-    passed = _mc_pass(lhs_mean, rhs_mean, se)
-    return CheckReport(
-        check="gaussian-log-sobolev",
-        passed=passed,
-        max_gap=float(lhs_mean - rhs_mean),
-        d=d,
-        n=n,
-        seed=seed,
-        samples=per_batch * batches,
-        stderr=se,
-        details={"lhs": lhs_mean, "rhs": rhs_mean},
+    return _mc_report(
+        "gaussian-log-sobolev", means, lhs_of, rhs_of,
+        d=d, n=n, seed=seed, samples=(samples // batches) * batches,
     )

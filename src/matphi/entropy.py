@@ -21,11 +21,11 @@ from .frechet import (
     invert_superoperator,
     superoperator_of_derivative,
 )
-from .linalg import hermitian_part, normalized_trace
+from .linalg import eigenvalues, hermitian_part, normalized_trace
 from .models import DiscreteRandomMatrix, ProductModel
 from .phifun import PhiFunction
-from .report import CheckReport, matrix_payload
-from .sampling import random_hermitian, random_pd, random_psd, rng_for
+from .report import CheckReport, matrix_to_obj, sweep
+from .sampling import random_pd, random_psd
 
 
 def entropy_tolerance(*values: float) -> float:
@@ -117,39 +117,28 @@ def check_joint_convexity(
     label: str = "joint-convexity",
     tol_rel: float = 1e-8,
     max_witnesses: int = 5,
+    tol: float | None = None,
 ) -> CheckReport:
     """Falsifier for joint convexity of a bivariate matrix map: samples
-    argument pairs and mixing weights, reports any violating witnesses."""
-    violations = []
-    max_gap = -np.inf
-    for trial in range(trials):
-        rng = rng_for(seed, label, trial)
+    argument pairs and two mixing weights per trial, reports any violating
+    witnesses. ``tol``, when given, replaces the relative tolerance by an
+    absolute one."""
+
+    def body(rng, trial):
         (u1, v1), (u2, v2) = sampler(rng)
+        probes = []
         for t in (0.5, float(rng.uniform(0.05, 0.95))):
             lhs = t * map_fn(u1, v1) + (1.0 - t) * map_fn(u2, v2)
             rhs = map_fn(t * u1 + (1 - t) * u2, t * v1 + (1 - t) * v2)
-            gap = rhs - lhs
-            max_gap = max(max_gap, gap)
-            if gap > tol_rel * (1.0 + abs(lhs) + abs(rhs)):
-                if len(violations) < max_witnesses:
-                    violations.append(
-                        {
-                            "gap": float(gap),
-                            "t": t,
-                            "u1": matrix_payload(u1),
-                            "v1": matrix_payload(v1),
-                            "u2": matrix_payload(u2),
-                            "v2": matrix_payload(v2),
-                        }
-                    )
-    return CheckReport(
-        check=label,
-        passed=not violations,
-        max_gap=float(max_gap),
-        trials=trials,
-        seed=seed,
-        violations=violations,
-    )
+            gap, probe_tol = rhs - lhs, tol_rel * (1.0 + abs(lhs) + abs(rhs))
+            witness = None
+            if gap > probe_tol:
+                witness = {"t": t, "u1": matrix_to_obj(u1), "v1": matrix_to_obj(v1),
+                           "u2": matrix_to_obj(u2), "v2": matrix_to_obj(v2)}
+            probes.append((gap, probe_tol, witness))
+        return probes
+
+    return sweep(label, body, trials, seed, tol=tol, max_witnesses=max_witnesses)
 
 
 def check_char_a(
@@ -159,16 +148,16 @@ def check_char_a(
     seed: int = 0,
     tol_rel: float = 1e-8,
     max_witnesses: int = 5,
+    tol: float | None = None,
 ) -> CheckReport:
     """Midpoint operator concavity of X -> (D Psi[X])^{-1} on sampled
-    positive-definite pairs."""
+    positive-definite pairs. ``tol``, when given, replaces the relative
+    tolerance by an absolute one."""
     if phi.is_affine:
         raise DomainError("the concavity characterization needs a non-affine generator")
     psi = phi.psi()
-    violations = []
-    max_gap = -np.inf
-    for trial in range(trials):
-        rng = rng_for(seed, "char-a", trial)
+
+    def body(rng, trial):
         a = random_pd(rng, d)
         b = random_pd(rng, d)
         inv = {
@@ -176,29 +165,15 @@ def check_char_a(
             for key, m in (("a", a), ("b", b), ("mid", 0.5 * (a + b)))
         }
         diff = hermitian_part(inv["mid"] - 0.5 * (inv["a"] + inv["b"]))
-        lam = float(np.linalg.eigvalsh(diff)[0])
-        scale = 1.0 + max(float(np.linalg.norm(inv[k])) for k in inv)
-        gap = -lam
-        max_gap = max(max_gap, gap)
-        if lam < -tol_rel * scale:
-            if len(violations) < max_witnesses:
-                violations.append(
-                    {
-                        "gap": float(gap),
-                        "min_eigenvalue": lam,
-                        "a": matrix_payload(a),
-                        "b": matrix_payload(b),
-                    }
-                )
-    return CheckReport(
-        check="char-a",
-        passed=not violations,
-        max_gap=float(max_gap),
-        phi=phi.label,
-        d=d,
-        trials=trials,
-        seed=seed,
-        violations=violations,
+        lam = float(eigenvalues(diff)[0])
+        probe_tol = tol_rel * (1.0 + max(float(np.linalg.norm(inv[k])) for k in inv))
+        witness = None
+        if -lam > probe_tol:
+            witness = {"min_eigenvalue": lam, "a": matrix_to_obj(a), "b": matrix_to_obj(b)}
+        return -lam, probe_tol, witness
+
+    return sweep(
+        "char-a", body, trials, seed, tol=tol, max_witnesses=max_witnesses, phi=phi.label, d=d
     )
 
 
@@ -344,12 +319,3 @@ def bregman_pair_sampler(d: int, scale: float = 1.0):
 
     return sampler
 
-
-def hermitian_direction_sampler(d: int):
-    def sampler(rng: np.random.Generator):
-        return (
-            (random_pd(rng, d, floor=0.05), random_hermitian(rng, d)),
-            (random_pd(rng, d, floor=0.05), random_hermitian(rng, d)),
-        )
-
-    return sampler

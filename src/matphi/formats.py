@@ -1,6 +1,7 @@
 """Shared JSON file formats.
 
-Matrix: {"d": int, "re": [d*d floats row-major], "im": [d*d floats]}.
+Matrix: {"d": int, "re": [d*d floats row-major], "im": [d*d floats]}
+(the codec lives in ``report``, which the numeric modules import).
 Ensemble: {"d": int, "items": [{"p": float, "rho": matrix}]}.
 Kernel: {"rows": [[floats]]}.
 Boolean function: {"n": int, "d": int, "points": [{"x": bitstring, "matrix": matrix}]}
@@ -9,6 +10,8 @@ point must be present.
 Product model: {"n": int, "d": int, "input_probs": [[floats]],
 "values": [matrix]} with the joint index in mixed radix, first input
 varying slowest.
+LSI witness: a Boolean function plus "found", "objective", "entropy" and
+"energy".
 """
 
 from __future__ import annotations
@@ -19,25 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .fourier import MatrixBooleanFunction
+from .fourier import LsiSearchResult, MatrixBooleanFunction
 from .holevo import CQEnsemble, MarkovKernel
 from .models import FiniteLaw, ProductModel
-
-
-def matrix_to_obj(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "d": int(m.shape[0]),
-        "re": [float(x) for x in m.real.reshape(-1)],
-        "im": [float(x) for x in m.imag.reshape(-1)],
-    }
-
-
-def matrix_from_obj(obj: dict) -> np.ndarray:
-    d = int(obj["d"])
-    re = np.asarray(obj["re"], dtype=float).reshape(d, d)
-    im = np.asarray(obj["im"], dtype=float).reshape(d, d)
-    return re + 1j * im
+from .report import matrix_from_obj, matrix_to_obj
 
 
 def ensemble_to_obj(ens: CQEnsemble) -> dict:
@@ -83,6 +71,16 @@ def boolean_function_to_obj(f: MatrixBooleanFunction) -> dict:
     }
 
 
+def witness_payload(result: LsiSearchResult) -> dict:
+    return {
+        "found": result.found,
+        "objective": result.objective,
+        "entropy": result.entropy,
+        "energy": result.energy,
+        **boolean_function_to_obj(result.f),
+    }
+
+
 def boolean_function_from_obj(obj: dict) -> MatrixBooleanFunction:
     n = int(obj["n"])
     d = int(obj["d"])
@@ -120,9 +118,12 @@ def product_model_from_obj(obj: dict) -> ProductModel:
     return ProductModel.from_table(laws, table)
 
 
+def json_text(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
 def dump_json(path: str | Path, obj: dict) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(json_text(obj))
 
 
 def load_json(path: str | Path) -> dict:

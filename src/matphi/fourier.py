@@ -14,9 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import hermitian_part, normalized_trace, require_hermitian, schatten_norm
+from .linalg import (
+    eigenvalues,
+    hermitian_part,
+    normalized_trace,
+    psd_power,
+    require_hermitian,
+    schatten_norm,
+    spectral_map,
+    tr_xlogx,
+)
 from .models import DiscreteRandomMatrix, FiniteLaw, ProductModel
-from .report import CheckReport, matrix_payload
+from .report import CheckReport
 from .sampling import random_complex_gaussian, rng_for
 
 
@@ -46,11 +55,6 @@ class MatrixBooleanFunction:
     def constant(cls, n: int, value: np.ndarray) -> "MatrixBooleanFunction":
         value = np.asarray(value, dtype=complex)
         return cls(n, np.stack([value] * (2**n)))
-
-    def flip(self, i: int) -> "MatrixBooleanFunction":
-        """The table with the i-th input bit flipped everywhere."""
-        idx = np.arange(2**self.n) ^ (1 << i)
-        return MatrixBooleanFunction(self.n, self.table[idx])
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,28 @@ def dirichlet_energy_spectral(f: MatrixBooleanFunction) -> float:
     return total
 
 
+# Table kernels shared by the public functions and the LSI search, which
+# calls them once per step on a trusted table. Means are written as
+# sum / count: the same arithmetic as np.mean without its call overhead.
+
+def _square_entropy(table: np.ndarray) -> float:
+    k = table.shape[0]
+    f2 = np.einsum("kij,kjl->kil", table, table)
+    return float(tr_xlogx(f2).sum() / k) - float(tr_xlogx(f2.sum(axis=0) / k))
+
+
+def _flip_energy(table: np.ndarray, n: int) -> float:
+    k, d = table.shape[:2]
+    total = 0.0
+    for i in range(n):
+        diff = table - table[np.arange(k) ^ (1 << i)]
+        total += 0.25 * float(np.einsum("kij,kji->k", diff, diff).real.sum() / k) / d
+    return total
+
+
 def dirichlet_energy_flip(f: MatrixBooleanFunction) -> float:
     """(1/4) tr E sum_i (f(x) - f(x with bit i flipped))^2."""
-    total = 0.0
-    for i in range(f.n):
-        diff = f.table - f.flip(i).table
-        total += 0.25 * float(
-            np.mean(np.einsum("kij,kji->k", diff, diff).real)
-        ) / f.d
-    return total
+    return _flip_energy(f.table, f.n)
 
 
 def uniform_cube_model(f: MatrixBooleanFunction) -> ProductModel:
@@ -192,30 +209,15 @@ def check_bonami_beckner(f: MatrixBooleanFunction, p: float) -> CheckReport:
     )
 
 
-def _mat_power(m: np.ndarray, expo: float) -> np.ndarray:
-    w, u = np.linalg.eigh(hermitian_part(m))
-    w = np.clip(w, 0.0, None)
-    return (u * w**expo) @ u.conj().T
-
-
 def _require_psd_table(f: MatrixBooleanFunction) -> None:
-    for m in f.table:
-        if float(np.linalg.eigvalsh(m)[0]) < -1e-9 * f.d:
-            raise DomainError("the entropy inequalities need PSD-valued tables")
+    if np.any(eigenvalues(f.table)[:, 0] < -1e-9 * f.d):
+        raise DomainError("the entropy inequalities need PSD-valued tables")
 
 
 def entropy_of_square(f: MatrixBooleanFunction) -> float:
     """Ent(f^2) = tr E[f^2 log f^2] - tr[(E f^2) log(E f^2)], natural log,
     zero eigenvalues contributing zero."""
-    f2 = np.einsum("kij,kjl->kil", f.table, f.table)
-    mean_f2 = np.mean(f2, axis=0)
-
-    def tr_xlogx(m):
-        w = np.clip(np.linalg.eigvalsh(hermitian_part(m)), 0.0, None)
-        pos = w > 1e-14
-        return float(np.sum(w[pos] * np.log(w[pos]))) / m.shape[0]
-
-    return float(np.mean([tr_xlogx(m) for m in f2])) - tr_xlogx(mean_f2)
+    return _square_entropy(f.table)
 
 
 def check_phi_sobolev(f: MatrixBooleanFunction, p: float) -> CheckReport:
@@ -225,8 +227,8 @@ def check_phi_sobolev(f: MatrixBooleanFunction, p: float) -> CheckReport:
         raise DomainError(f"p must lie in (1, 2), got {p}")
     _require_psd_table(f)
     f2_mean = np.mean(np.einsum("kij,kjl->kil", f.table, f.table), axis=0)
-    fp_mean = np.mean(np.stack([_mat_power(m, p) for m in f.table]), axis=0)
-    lhs = normalized_trace(f2_mean) - normalized_trace(_mat_power(fp_mean, 2.0 / p))
+    fp_mean = np.mean(psd_power(f.table, p), axis=0)
+    lhs = normalized_trace(f2_mean) - normalized_trace(psd_power(fp_mean, 2.0 / p))
     energy = dirichlet_energy(f, cross_check=False)
     dim_factor = f.d ** (1.0 - 2.0 / p)
     rhs = (2.0 - p) * energy * dim_factor + normalized_trace(f2_mean) * (1.0 - dim_factor)
@@ -263,8 +265,8 @@ def check_log_sobolev(f: MatrixBooleanFunction) -> CheckReport:
 def p_variance(law: DiscreteRandomMatrix, p: float) -> np.ndarray:
     """Matrix-valued p-variance E[Z^2] - (E[Z^p])^{2/p}."""
     second = law.expect(lambda v: v @ v)
-    p_mean = law.expect(lambda v: _mat_power(v, p))
-    return hermitian_part(second - _mat_power(p_mean, 2.0 / p))
+    p_mean = law.expect(lambda v: psd_power(v, p))
+    return hermitian_part(second - psd_power(p_mean, 2.0 / p))
 
 
 def check_p_variance_limit(
@@ -275,17 +277,13 @@ def check_p_variance_limit(
     """Richardson-extrapolated Var_p / (2 - p) against its closed-form
     limit (1/2) E[Z^2 log Z^2] - (1/2) E[Z^2] log E[Z^2], with residuals
     required to shrink linearly in 2 - p."""
-    for v in law.values:
-        if float(np.linalg.eigvalsh(v)[0]) <= 1e-13:
-            raise DomainError("p-variance limit needs strictly positive support values")
-
-    def logm(m):
-        w, u = np.linalg.eigh(hermitian_part(m))
-        return (u * np.log(w)) @ u.conj().T
+    if np.any(eigenvalues(law.values)[:, 0] <= 1e-13):
+        raise DomainError("p-variance limit needs strictly positive support values")
 
     second = law.expect(lambda v: v @ v)
     limit = hermitian_part(
-        0.5 * law.expect(lambda v: (v @ v) @ logm(v @ v)) - 0.5 * second @ logm(second)
+        0.5 * law.expect(lambda v: (v @ v) @ spectral_map(np.log, hermitian_part(v @ v)))
+        - 0.5 * second @ spectral_map(np.log, hermitian_part(second))
     )
     scaled = [p_variance(law, p) / (2.0 - p) for p in ps]
     eps = np.array([2.0 - p for p in ps])
@@ -323,49 +321,9 @@ class LsiSearchResult:
     objective: float
 
 
-def _raw_flip_energy(table: np.ndarray, n: int) -> float:
-    d = table.shape[1]
-    total = 0.0
-    for i in range(n):
-        idx = np.arange(2**n) ^ (1 << i)
-        diff = table - table[idx]
-        total += 0.25 * float(np.mean(np.einsum("kij,kji->k", diff, diff).real)) / d
-    return total
-
-
-def _raw_entropy_of_square(table: np.ndarray) -> float:
-    d = table.shape[1]
-    if d == 1:
-        v2 = np.abs(table[:, 0, 0]) ** 2
-        pos = v2 > 1e-14
-        first = float(np.mean(np.where(pos, v2 * np.log(np.where(pos, v2, 1.0)), 0.0)))
-        m = float(np.mean(v2))
-        return first - (m * np.log(m) if m > 1e-14 else 0.0)
-    f2 = np.einsum("kij,kjl->kil", table, table)
-    w = np.clip(np.linalg.eigvalsh(0.5 * (f2 + np.conj(np.transpose(f2, (0, 2, 1))))), 0.0, None)
-    pos = w > 1e-14
-    first = float(np.mean(np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=1))) / d
-    mean_f2 = hermitian_part(np.mean(f2, axis=0))
-    wm = np.clip(np.linalg.eigvalsh(mean_f2), 0.0, None)
-    posm = wm > 1e-14
-    second = float(np.sum(wm[posm] * np.log(wm[posm]))) / d
-    return first - second
-
-
 def _lsi_objective(table: np.ndarray, n: int) -> float:
-    if table.shape[1] == 1:
-        v = np.abs(table[:, 0, 0])
-        v2 = v**2
-        pos = v2 > 1e-14
-        first = float(np.mean(np.where(pos, v2 * np.log(np.where(pos, v2, 1.0)), 0.0)))
-        m = float(np.mean(v2))
-        ent = first - (m * np.log(m) if m > 1e-14 else 0.0)
-        energy = 0.0
-        for i in range(n):
-            idx = np.arange(2**n) ^ (1 << i)
-            energy += 0.25 * float(np.mean((v - v[idx]) ** 2))
-        return ent - 2.0 * energy
-    return _raw_entropy_of_square(table) - 2.0 * _raw_flip_energy(table, n)
+    """Ent(f^2) - 2 E(f) straight from a trusted table."""
+    return _square_entropy(table) - 2.0 * _flip_energy(table, n)
 
 
 def search_lsi_counterexample(
@@ -454,17 +412,3 @@ def search_lsi_counterexample(
         objective=objective,
     )
 
-
-def witness_payload(result: LsiSearchResult) -> dict:
-    return {
-        "found": result.found,
-        "objective": result.objective,
-        "entropy": result.entropy,
-        "energy": result.energy,
-        "n": result.f.n,
-        "d": result.f.d,
-        "points": [
-            {"x": format(x, f"0{result.f.n}b")[::-1] if result.f.n else "", "matrix": matrix_payload(m)}
-            for x, m in enumerate(result.f.table)
-        ],
-    }

@@ -23,7 +23,7 @@ from .errors import (
     SupportError,
 )
 from .entropy import phi_entropy
-from .linalg import hermitian_part, require_hermitian, spectral_decompose, spectral_tolerance
+from .linalg import eigenvalues, hermitian_part, require_hermitian, spectral_map, spectral_tolerance
 from .models import DiscreteRandomMatrix
 from .phifun import PhiFunction
 from .report import CheckReport
@@ -54,7 +54,7 @@ class CQEnsemble:
         checked = []
         for rho in states:
             rho = require_hermitian(rho)
-            w = np.linalg.eigvalsh(rho)
+            w = eigenvalues(rho)
             if w[0] < -tol:
                 raise ValueError(f"state has negative eigenvalue {w[0]:.3e}")
             if abs(float(np.trace(rho).real) - 1.0) > tol:
@@ -174,11 +174,14 @@ def evolve_ensemble(ens: CQEnsemble, kernel: MarkovKernel) -> CQEnsemble:
 
 
 def _support_log(m: np.ndarray, cutoff: float = SUPPORT_CUTOFF):
-    w, u = spectral_decompose(m)
-    keep = w > cutoff
-    logw = np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0)
-    log_m = hermitian_part((u * logw) @ u.conj().T)
-    projector = hermitian_part((u * keep.astype(float)) @ u.conj().T)
+    """log m on the support of m (eigenvalues above the cutoff) and the
+    projector onto that support, from one decomposition."""
+
+    def log_and_support(w):
+        keep = w > cutoff
+        return np.stack([np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0), keep])
+
+    log_m, projector = hermitian_part(spectral_map(log_and_support, require_hermitian(m)))
     return log_m, projector
 
 
@@ -239,7 +242,6 @@ def check_data_processing(ens: CQEnsemble, kernel: MarkovKernel) -> CheckReport:
 class EtaResult:
     eta_hat: float
     witness: object
-    method: str
     seed: int
 
 
@@ -297,7 +299,6 @@ def eta_phi(
     require_admissible(mu, kernel)
     best = 0.0
     best_witness = None
-    method = "grid+hill-climb"
 
     if d == 1:
         pushed = kernel_push(mu, kernel)
@@ -381,12 +382,10 @@ def eta_phi(
                 best, best_witness = current, states_of(gs)
 
     eta_hat = min(max(best, 0.0), 1.0 + 1e-9)
-    if best_witness is not None and not isinstance(best_witness, np.ndarray):
-        best_witness = np.asarray(best_witness)
     witness = best_witness
     if d > 1 and witness is not None:
         witness = CQEnsemble(mu, witness)
-    return EtaResult(eta_hat=eta_hat, witness=witness, method=method, seed=seed)
+    return EtaResult(eta_hat=eta_hat, witness=witness, seed=seed)
 
 
 def classical_sdpi_ratio(mu: np.ndarray, kernel: MarkovKernel, nu: np.ndarray) -> float | None:

@@ -5,6 +5,11 @@ validate hermiticity where it matters and return fresh arrays.
 Logarithms are natural throughout, eigenvalues come back ascending, and
 PSD-intended inputs get their tiny negative eigenvalues (within the
 spectral tolerance) clamped to zero.
+
+The numeric core (``hermitian_part``, ``eigenvalues``, ``spectral_map``,
+``psd_power``, ``tr_xlogx``) works on stacks of shape ``(..., d, d)`` and
+trusts its input; validation belongs to the public entry points that call
+it.
 """
 
 from __future__ import annotations
@@ -33,8 +38,51 @@ def spectral_tolerance(d: int) -> float:
 
 
 def hermitian_part(a) -> np.ndarray:
+    """(A + A†) / 2 for each matrix of a (..., d, d) stack."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def eigenvalues(a) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a Hermitian (..., d, d) stack.
+
+    A 1 x 1 stack reads its real diagonal, which is exactly what LAPACK
+    returns, without the per-call cost of LAPACK.
+    """
+    a = np.asarray(a)
+    if a.shape[-1] == 1:
+        return a[..., 0].real.copy()
+    return np.linalg.eigvalsh(a)
+
+
+def spectral_map(fn: Callable[[np.ndarray], np.ndarray], a) -> np.ndarray:
+    """U diag(fn(w)) U† for each matrix A = U diag(w) U† of a Hermitian
+    (..., d, d) stack; the result is not hermitized.
+
+    ``fn`` may return several spectra stacked on new leading axes; they
+    all share the one decomposition.
+    """
+    w, u = np.linalg.eigh(a)
+    fw = np.asarray(fn(w), dtype=float)
+    return (u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def psd_power(a, expo: float) -> np.ndarray:
+    """A^expo for each matrix of a (..., d, d) stack, eigenvalues clamped
+    at zero; the result is not hermitized."""
+    return spectral_map(lambda w: np.clip(w, 0.0, None) ** expo, hermitian_part(a))
+
+
+def tr_xlogx(a) -> np.ndarray:
+    """(1/d) tr[A log A] for each matrix of a PSD (..., d, d) stack.
+
+    Eigenvalues are clamped at zero and those at or below 1e-14 contribute
+    nothing (0 log 0 = 0).
+    """
+    w = np.maximum(eigenvalues(hermitian_part(a)), 0.0)
+    pos = w > 1e-14
+    terms = np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0)
+    return terms.sum(axis=-1) / w.shape[-1]
 
 
 def require_hermitian(a, tol: float | None = None) -> np.ndarray:
@@ -76,7 +124,7 @@ class SpectralInterval:
         anything further outside raises SpectrumOutOfDomain.
         """
         w = np.asarray(w, dtype=float)
-        tol = spectral_tolerance(w.size)
+        tol = spectral_tolerance(w.shape[-1])
         bad = (w < self.lo - tol) | (w > self.hi + tol)
         if np.any(bad):
             raise SpectrumOutOfDomain(
@@ -88,7 +136,6 @@ class SpectralInterval:
 
 REALS = SpectralInterval()
 NONNEGATIVE = SpectralInterval(0.0, np.inf)
-UNIT_INTERVAL = SpectralInterval(0.0, 1.0)
 
 
 def apply_standard_function(
@@ -97,11 +144,11 @@ def apply_standard_function(
     domain: SpectralInterval | None = None,
 ) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum."""
-    w, u = spectral_decompose(a)
-    if domain is not None:
-        w = domain.admit(w)
-    fw = np.asarray(fn(w), dtype=float)
-    return hermitian_part((u * fw) @ u.conj().T)
+
+    def on_domain(w):
+        return fn(w if domain is None else domain.admit(w))
+
+    return hermitian_part(spectral_map(on_domain, require_hermitian(a)))
 
 
 def normalized_trace(a) -> float:
@@ -117,7 +164,7 @@ def schatten_norm(a, p: float, normalized: bool = False) -> float:
     averages instead of summing before the 1/p power."""
     if p < 1:
         raise InvalidExponent(f"Schatten exponent must be >= 1, got {p}")
-    w = np.abs(np.linalg.eigvalsh(require_hermitian(a)))
+    w = np.abs(eigenvalues(require_hermitian(a)))
     powsum = float(np.sum(w**p))
     if normalized:
         powsum /= w.size
@@ -126,8 +173,7 @@ def schatten_norm(a, p: float, normalized: bool = False) -> float:
 
 def positive_part(a) -> np.ndarray:
     """Spectral projection onto nonnegative eigenvalues, (A)_+."""
-    w, u = spectral_decompose(a)
-    return hermitian_part((u * np.clip(w, 0.0, None)) @ u.conj().T)
+    return hermitian_part(spectral_map(lambda w: np.clip(w, 0.0, None), require_hermitian(a)))
 
 
 def negative_part(a) -> np.ndarray:

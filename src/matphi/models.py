@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge
-from .linalg import hermitian_part, require_hermitian, spectral_tolerance
+from .linalg import eigenvalues, hermitian_part, require_hermitian, spectral_tolerance
 
 MAX_ENUMERATION = 10**6
 
@@ -71,9 +71,6 @@ class DiscreteRandomMatrix:
         for p, v in zip(self.probs, self.values):
             acc += p * np.asarray(fn(v), dtype=complex)
         return acc
-
-    def map_values(self, fn: Callable[[np.ndarray], np.ndarray]) -> "DiscreteRandomMatrix":
-        return DiscreteRandomMatrix(self.probs, np.stack([fn(v) for v in self.values]))
 
     def scaled(self, c: float) -> "DiscreteRandomMatrix":
         return DiscreteRandomMatrix(self.probs, c * self.values)
@@ -200,7 +197,7 @@ class ProductModel:
 
 def _check_unit_interval(x: np.ndarray) -> None:
     x = require_hermitian(x)
-    w = np.linalg.eigvalsh(x)
+    w = eigenvalues(x)
     tol = spectral_tolerance(x.shape[0])
     if w[0] < -tol or w[-1] > 1.0 + tol:
         raise ValueError(
@@ -214,12 +211,9 @@ class MatrixInputModel(ProductModel):
 
     ``partial_norm(xs, i)``, when supplied, returns the exact induced norm
     of the i-th partial derivative of the evaluator at the tuple ``xs``.
-    ``partial_derivative(xs, i, e)`` exposes the analytic directional
-    derivative when available.
     """
 
     partial_norm: Callable[[tuple, int], float] | None = None
-    partial_derivative: Callable[[tuple, int, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         super().__post_init__()

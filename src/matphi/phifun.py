@@ -19,8 +19,7 @@ from .linalg import (
     NONNEGATIVE,
     REALS,
     SpectralInterval,
-    hermitian_part,
-    spectral_decompose,
+    apply_standard_function,
 )
 
 
@@ -55,10 +54,7 @@ class ScalarFunction:
 
     def apply(self, a) -> np.ndarray:
         """Standard matrix function f(A) via the spectral decomposition."""
-        w, u = spectral_decompose(a)
-        w = self.admit(w)
-        fw = np.asarray(self.fn(w), dtype=float)
-        return hermitian_part((u * fw) @ u.conj().T)
+        return apply_standard_function(lambda w: self.fn(self.admit(w)), a)
 
 
 def _xlogx(x):

@@ -1,22 +1,34 @@
-"""Structured results for individual checks and whole suite runs."""
+"""Structured results for individual checks and whole suite runs, the
+seeded sweep that produces most of them, and the matrix JSON codec their
+witnesses use."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
+
+from .sampling import rng_for
 
 ARTIFACT_VERSION = "0.1.0"
 
 
-def matrix_payload(m: np.ndarray) -> dict:
+def matrix_to_obj(m: np.ndarray) -> dict:
+    """{"d": int, "re": [d*d floats row-major], "im": [d*d floats]}."""
     m = np.asarray(m, dtype=complex)
     return {
-        "d": m.shape[0],
+        "d": int(m.shape[0]),
         "re": [float(x) for x in m.real.reshape(-1)],
         "im": [float(x) for x in m.imag.reshape(-1)],
     }
+
+
+def matrix_from_obj(obj: dict) -> np.ndarray:
+    d = int(obj["d"])
+    re = np.asarray(obj["re"], dtype=float).reshape(d, d)
+    im = np.asarray(obj["im"], dtype=float).reshape(d, d)
+    return re + 1j * im
 
 
 @dataclass
@@ -87,3 +99,42 @@ class SuiteReport:
         config.pop("out", None)
         out["config"] = config
         return out
+
+
+def sweep(
+    label: str,
+    body: Callable,
+    trials: int,
+    seed: int,
+    tol: float | None = None,
+    max_witnesses: int = 5,
+    **fields,
+) -> CheckReport:
+    """Run ``body(rng, trial)`` once per trial with ``rng = rng_for(seed,
+    label, trial)``.
+
+    The body returns a ``(gap, tol, witness_dict | None)`` triple, or a
+    list of triples when it probes several instances per trial. A gap
+    above its tolerance is a violation, recorded with its gap and trial
+    index; ``tol``, when given, replaces every body tolerance. Further
+    keyword arguments become fields of the report.
+    """
+    violations = []
+    max_gap = -np.inf
+    for trial in range(trials):
+        outcomes = body(rng_for(seed, label, trial), trial)
+        if isinstance(outcomes, tuple):
+            outcomes = [outcomes]
+        for gap, probe_tol, witness in outcomes:
+            max_gap = max(max_gap, gap)
+            if gap > (probe_tol if tol is None else tol) and len(violations) < max_witnesses:
+                violations.append({**(witness or {}), "gap": float(gap), "trial": trial})
+    return CheckReport(
+        check=label,
+        passed=not violations,
+        max_gap=float(max_gap),
+        trials=trials,
+        seed=seed,
+        violations=violations,
+        **fields,
+    )

@@ -113,7 +113,3 @@ def random_boolean_function(
     if psd:
         return np.stack([random_psd(rng, d) for _ in range(count)])
     return np.stack([random_hermitian(rng, d) for _ in range(count)])
-
-
-def random_cq_states(rng: np.random.Generator, nx: int, d: int) -> np.ndarray:
-    return np.stack([random_density(rng, d) for _ in range(nx)])

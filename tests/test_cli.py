@@ -174,12 +174,47 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
 
 
 def test_tol_override_plumbs_through():
-    # an absurdly loose override lets the cube control pass char-d
+    # an absurdly loose override lets the cube control pass char-a..char-e
     strict = run_suite(RunConfig(seed=1, trials=10, d=1, phi="cube"), "characterizations")
     loose = run_suite(
         RunConfig(seed=1, trials=10, d=1, phi="cube", tol=1e9), "characterizations"
     )
-    strict_d = next(r for r in strict.reports if r.check == "char-e")
-    loose_d = next(r for r in loose.reports if r.check == "char-e")
-    assert not strict_d.passed
-    assert loose_d.passed
+    strict_e = next(r for r in strict.reports if r.check == "char-e")
+    loose_e = next(r for r in loose.reports if r.check == "char-e")
+    assert not strict_e.passed
+    assert loose_e.passed
+    strict_by_name = {r.check: r for r in strict.reports}
+    loose_by_name = {r.check: r for r in loose.reports}
+    for name in ("char-a", "char-b", "char-c", "char-d"):
+        assert not strict_by_name[name].passed
+        assert loose_by_name[name].passed, name
+        assert not loose_by_name[name].violations
+
+
+@pytest.mark.parametrize("phi", ["affine:2,1", "power:1"])
+def test_affine_generator_skips_char_a(tmp_path, phi):
+    out = tmp_path / "affine.json"
+    code = _run(["characterizations", "--phi", phi, "--trials", "3", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["skipped"] == ["char-a"]
+    assert "char-a" not in {r["check"] for r in report["reports"]}
+    assert report["pass"] is True
+
+
+def test_search_trials_sets_restarts(monkeypatch):
+    import matphi.cli
+
+    seen = []
+    real = matphi.cli.search_lsi_counterexample
+
+    def spy(**kwargs):
+        seen.append(kwargs["restarts"])
+        return real(**{**kwargs, "restarts": 1})
+
+    monkeypatch.setattr(matphi.cli, "search_lsi_counterexample", spy)
+    base = ["search", "lsi-counterexample", "--d", "1", "--n", "1", "--seed", "0"]
+    assert _run(base + ["--trials", "50"]) == 0
+    assert _run(base + ["--trials", "7"]) == 0
+    assert _run(base) == 0
+    assert seen == [50, 7, 20]

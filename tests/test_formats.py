@@ -15,8 +15,9 @@ from matphi.formats import (
     matrix_to_obj,
     product_model_from_obj,
     product_model_to_obj,
+    witness_payload,
 )
-from matphi.fourier import MatrixBooleanFunction
+from matphi.fourier import MatrixBooleanFunction, search_lsi_counterexample
 from matphi.holevo import MarkovKernel, random_ensemble
 from matphi.sampling import random_boolean_function, random_hermitian, random_product_model, rng_for
 
@@ -83,3 +84,12 @@ def test_product_model_round_trip():
     for (p1, o1), (p2, o2) in zip(model.iter_joint(), back.iter_joint()):
         assert p1 == pytest.approx(p2)
         assert np.max(np.abs(model.evaluator(o1) - back.evaluator(o2))) < 1e-15
+
+
+def test_witness_is_boolean_function_plus_search_fields():
+    result = search_lsi_counterexample(d=2, n=1, restarts=1, steps=20, seed=0)
+    obj = witness_payload(result)
+    assert set(obj) == {"n", "d", "points", "found", "objective", "entropy", "energy"}
+    assert obj["objective"] == result.objective
+    back = boolean_function_from_obj(obj)
+    assert np.array_equal(back.table, result.f.table)

@@ -23,6 +23,7 @@ from matphi.fourier import (
     noise_operator,
     p_variance,
     parseval_check,
+    _lsi_objective,
     search_lsi_counterexample,
     uniform_cube_model,
 )
@@ -258,6 +259,15 @@ def test_lsi_search_scalar_stays_tight():
     result = search_lsi_counterexample(d=1, n=1, restarts=300, steps=200, seed=0)
     assert not result.found
     assert result.objective <= 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lsi_objective_equals_reported_objective(d, n):
+    # the search climbs on exactly the objective its re-verification reports
+    for index in range(10):
+        f = _random_function(22, n, d, psd=True, index=index)
+        assert _lsi_objective(f.table, n) == entropy_of_square(f) - 2.0 * dirichlet_energy_flip(f)
 
 
 def test_lsi_search_constant_start_objective_zero():

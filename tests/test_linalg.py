@@ -15,12 +15,17 @@ from matphi.linalg import (
     NONNEGATIVE,
     SpectralInterval,
     apply_standard_function,
+    eigenvalues,
+    hermitian_part,
     loewner_leq,
     negative_part,
     normalized_trace,
     positive_part,
+    psd_power,
     schatten_norm,
     spectral_decompose,
+    spectral_map,
+    tr_xlogx,
 )
 from matphi.sampling import random_hermitian, random_psd, random_unitary, rng_for
 
@@ -177,3 +182,28 @@ def test_basis_invariance_of_norms():
 def test_spectral_interval_validation():
     with pytest.raises(ValueError):
         SpectralInterval(2.0, 1.0)
+
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_helpers_match_per_matrix(d):
+    # the (..., d, d) core gives each matrix of a stack exactly its own
+    # result; at d = 1 the eigenvalue shortcut must equal LAPACK's answer
+    rng = rng_for(13, "linalg-stack", d)
+    k = 5
+    g = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    herm = hermitian_part(g)
+    psd = np.stack([random_psd(rng, d) for _ in range(k)])
+    psd[0] = 0.0  # zero eigenvalues contribute 0 log 0 = 0
+    assert np.array_equal(herm, np.stack([0.5 * (m + m.conj().T) for m in g]))
+    assert np.array_equal(eigenvalues(herm), np.stack([np.linalg.eigvalsh(m) for m in herm]))
+    assert np.array_equal(spectral_map(np.exp, herm), np.stack([spectral_map(np.exp, m) for m in herm]))
+    assert np.array_equal(psd_power(psd, 1.5), np.stack([psd_power(m, 1.5) for m in psd]))
+    assert np.array_equal(tr_xlogx(psd), np.array([tr_xlogx(m) for m in psd]))
+    assert tr_xlogx(psd)[0] == 0.0
+    w = np.linalg.eigvalsh(psd[1:])
+    assert np.allclose(tr_xlogx(psd[1:]), np.sum(w * np.log(w), axis=1) / d, rtol=1e-13, atol=0.0)
+    # several spectra from one decomposition
+    both = spectral_map(lambda w: np.stack([w, w**2]), herm)
+    assert np.array_equal(both[0], spectral_map(lambda w: w, herm))
+    assert np.array_equal(both[1], spectral_map(lambda w: w**2, herm))
