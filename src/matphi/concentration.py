@@ -29,6 +29,8 @@ from .report import CheckReport
 from .sampling import rng_for
 
 FORM_AGREEMENT_TOL = 1e-10
+MC_BATCHES = 10  # batch means give the Gaussian checks their standard errors
+FD_STEP = 1e-5  # central-difference step of the derivative estimates
 
 
 def variance(law: DiscreteRandomMatrix) -> float:
@@ -88,7 +90,7 @@ def efron_stein_quantity(model: ProductModel) -> float:
     return form_replace
 
 
-def check_efron_stein(model: ProductModel, seed: int | None = None) -> CheckReport:
+def check_efron_stein(model: ProductModel) -> CheckReport:
     """Var(Z) <= E(Z) by exact enumeration."""
     law = model.to_law()
     var = variance(law)
@@ -99,14 +101,14 @@ def check_efron_stein(model: ProductModel, seed: int | None = None) -> CheckRepo
         check="efron-stein",
         passed=gap <= tol,
         max_gap=float(gap),
+        tol=tol,
         d=law.d,
         n=model.n,
-        seed=seed,
         details={"variance": var, "bound": bound},
     )
 
 
-def check_plus_identities(law: DiscreteRandomMatrix, q: int, seed: int | None = None) -> CheckReport:
+def check_plus_identities(law: DiscreteRandomMatrix, q: int) -> CheckReport:
     """Moment identities splitting |X - E X|^q and |X - Y|^q into their
     positive and negative spectral parts (Y an independent copy), plus the
     halved-square identity; all verified entrywise by enumeration."""
@@ -151,14 +153,14 @@ def check_plus_identities(law: DiscreteRandomMatrix, q: int, seed: int | None = 
     centered_sq = sum(p * (v - mean) @ (v - mean) for p, v in zip(law.probs, law.values))
     dev3 = float(np.max(np.abs(centered_sq - sq)))
 
-    scale = 1.0 + float(np.max(np.abs(law.values))) ** q
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(law.values))) ** q)
     max_dev = max(dev1, dev2, dev3)
     return CheckReport(
         check="plus-identities",
-        passed=max_dev <= 1e-10 * scale,
+        passed=max_dev <= tol,
         max_gap=max_dev,
+        tol=tol,
         d=d,
-        seed=seed,
         details={"q": q, "centered": dev1, "paired": dev2, "halved_square": dev3},
     )
 
@@ -168,24 +170,24 @@ def _as_matrix(v) -> np.ndarray:
     return v.reshape(1, 1) if v.ndim == 0 else v
 
 
-def _fd_grad_sq(evaluator: Callable, x: np.ndarray, h: float) -> float:
-    """sum_i ||(f(x + h e_i) - f(x - h e_i)) / 2h||_2^2 at a real vector x."""
+def _fd_grad_sq(evaluator: Callable, x: np.ndarray) -> float:
+    """sum_i ||(f(x + h e_i) - f(x - h e_i)) / 2h||_2^2 at a real x, h = FD_STEP."""
     total = 0.0
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g = (_as_matrix(evaluator(xp)) - _as_matrix(evaluator(xm))) / (2 * h)
+        xp[i] += FD_STEP
+        xm[i] -= FD_STEP
+        g = (_as_matrix(evaluator(xp)) - _as_matrix(evaluator(xm))) / (2 * FD_STEP)
         total += float(np.linalg.norm(g)) ** 2
     return total
 
 
 def _directional_norm(
-    evaluator: Callable, xs: tuple, i: int, directions: int, rng: np.random.Generator, h: float
+    evaluator: Callable, xs: tuple, i: int, directions: int, rng: np.random.Generator
 ) -> float:
-    """Largest central-difference ||D_i f[xs](E)||_2 over random unit
-    Hermitian directions E, a lower bound on the induced norm."""
+    """Largest central-difference (step FD_STEP) ||D_i f[xs](E)||_2 over
+    random unit Hermitian directions E, a lower bound on the induced norm."""
     d = xs[i].shape[0]
     best = 0.0
     for _ in range(directions):
@@ -193,10 +195,10 @@ def _directional_norm(
         e = e / float(np.linalg.norm(e))
         plus = list(xs)
         minus = list(xs)
-        plus[i] = xs[i] + h * e
-        minus[i] = xs[i] - h * e
-        deriv = (_as_matrix(evaluator(tuple(plus))) - _as_matrix(evaluator(tuple(minus)))) / (2 * h)
-        best = max(best, float(np.linalg.norm(deriv)))
+        plus[i] = xs[i] + FD_STEP * e
+        minus[i] = xs[i] - FD_STEP * e
+        deriv = _as_matrix(evaluator(tuple(plus))) - _as_matrix(evaluator(tuple(minus)))
+        best = max(best, float(np.linalg.norm(deriv / (2 * FD_STEP))))
     return best
 
 
@@ -259,7 +261,7 @@ def check_poincare(
             if derivative_mode == "analytic":
                 norm = float(model.partial_norm(xs, i))
             else:
-                norm = _directional_norm(model.evaluator, xs, i, directions, dir_rng, 1e-5)
+                norm = _directional_norm(model.evaluator, xs, i, directions, dir_rng)
             bound += prob * norm**2
     tol = 1e-8 * (1.0 + abs(var) + abs(bound))
     gap = var - bound
@@ -267,6 +269,7 @@ def check_poincare(
         check="poincare",
         passed=gap <= tol,
         max_gap=float(gap),
+        tol=tol,
         d=law.d,
         n=model.n,
         seed=seed,
@@ -281,7 +284,6 @@ def check_poincare(
 def check_poincare_commuting(
     laws: Sequence[FiniteLaw],
     f: MultivariateScalarFunction,
-    seed: int | None = None,
 ) -> CheckReport:
     """Poincare bound for multivariate standard functions of commuting
     inputs, using the sup norm of the partial divided-difference tables."""
@@ -301,26 +303,22 @@ def check_poincare_commuting(
         check="poincare-commuting",
         passed=gap <= tol,
         max_gap=float(gap),
+        tol=tol,
         d=law.d,
         n=len(laws),
-        seed=seed,
         details={"variance": var, "bound": bound},
     )
 
 
-def lipschitz_report(
-    laws: Sequence[FiniteLaw],
-    f: MultivariateScalarFunction,
-    grid_density: int = 16,
-    max_evaluations: int = 10**6,
-) -> dict:
+def lipschitz_report(laws: Sequence[FiniteLaw], f: MultivariateScalarFunction) -> dict:
     """Variance of f over the model vs a grid estimate of the l1-Lipschitz
-    constant. The constant is a lower bound of the true one and no
+    constant, from 16 points per axis (fewer once the grid would pass 10^6
+    points). The constant is a lower bound of the true one and no
     universal comparison constant is attempted, so only the ratio is
     reported."""
     n = f.n
-    density = grid_density
-    while density**n > max_evaluations and density > 2:
+    density = 16
+    while density**n > 10**6 and density > 2:
         density -= 1
     axes = [np.linspace(0.0, 1.0, density) for _ in range(n)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
@@ -363,15 +361,13 @@ def gue_clt_sample(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.tensordot(eps, y, axes=1) / np.sqrt(m)
 
 
-def _batch_means(
-    draw: Callable, d: int, seed: int, label: str, samples: int, batches: int
-) -> list[dict]:
+def _batch_means(draw: Callable, d: int, seed: int, label: str, samples: int) -> list[dict]:
     """Per-batch means of the named d x d matrices that ``draw(rng)``
-    returns, over samples // batches draws per batch with the batch's
+    returns, over samples // MC_BATCHES draws per batch with the batch's
     generator rng_for(seed, label, batch)."""
-    per_batch = samples // batches
+    per_batch = samples // MC_BATCHES
     means = []
-    for b in range(batches):
+    for b in range(MC_BATCHES):
         rng = rng_for(seed, label, b)
         sums: dict[str, np.ndarray] = {}
         for _ in range(per_batch):
@@ -417,8 +413,6 @@ def check_gaussian_poincare(
     partial_norm: Callable | None = None,
     d1: int = 1,
     directions: int = 20,
-    fd_step: float = 1e-5,
-    batches: int = 10,
 ) -> CheckReport:
     """Monte Carlo variance bound Var(L(X)) <= sum_i E ||D_i L||_2^2
     within three standard errors.
@@ -445,14 +439,14 @@ def check_gaussian_poincare(
                     float(np.linalg.norm(_as_matrix(partials(x, i)))) ** 2 for i in range(n)
                 )
             else:
-                grad_sq = _fd_grad_sq(evaluator, x, fd_step)
+                grad_sq = _fd_grad_sq(evaluator, x)
         else:
             x = tuple(sample_gue(d1, rng) for _ in range(n))
             if partial_norm is not None:
                 grad_sq = sum(float(partial_norm(x, i)) ** 2 for i in range(n))
             else:
                 grad_sq = sum(
-                    _directional_norm(evaluator, x, i, directions, rng, fd_step) ** 2
+                    _directional_norm(evaluator, x, i, directions, rng) ** 2
                     for i in range(n)
                 )
         z = _as_matrix(evaluator(x))
@@ -460,12 +454,12 @@ def check_gaussian_poincare(
 
     return _mc_report(
         "gaussian-poincare",
-        _batch_means(draw, d, seed, "gaussian-poincare", samples, batches),
+        _batch_means(draw, d, seed, "gaussian-poincare", samples),
         lambda b: normalized_trace(b["z2"] - b["z"] @ b["z"]),
         lambda b: normalized_trace(b["grad"]),
         names=("variance", "bound"),
         details={"rhs_is_lower_bound": (not scalar_inputs) and partial_norm is None},
-        d=d, n=n, seed=seed, samples=(samples // batches) * batches,
+        d=d, n=n, seed=seed, samples=(samples // MC_BATCHES) * MC_BATCHES,
     )
 
 
@@ -475,8 +469,6 @@ def check_gaussian_sobolev(
     n: int,
     samples: int = 100_000,
     seed: int = 0,
-    fd_step: float = 1e-5,
-    batches: int = 10,
 ) -> CheckReport:
     """Monte Carlo interpolation-entropy bound for PSD-valued functions of
     Gaussian inputs with generator u^{2/p}, p in (1, 2)."""
@@ -487,10 +479,10 @@ def check_gaussian_sobolev(
     def draw(rng):
         x = rng.standard_normal(n)
         f = _as_matrix(evaluator(x))
-        grad_sq = _fd_grad_sq(evaluator, x, fd_step)
+        grad_sq = _fd_grad_sq(evaluator, x)
         return {"f2": f @ f, "fp": psd_power(f, p), "grad": grad_sq * np.eye(d)}
 
-    means = _batch_means(draw, d, seed, "gaussian-sobolev", samples, batches)
+    means = _batch_means(draw, d, seed, "gaussian-sobolev", samples)
     dim_factor = d ** (1.0 - 2.0 / p)
 
     def lhs_of(batch):
@@ -504,7 +496,7 @@ def check_gaussian_sobolev(
 
     return _mc_report(
         "gaussian-sobolev", means, lhs_of, rhs_of, details={"p": p},
-        d=d, n=n, seed=seed, samples=(samples // batches) * batches,
+        d=d, n=n, seed=seed, samples=(samples // MC_BATCHES) * MC_BATCHES,
     )
 
 
@@ -513,8 +505,6 @@ def check_gaussian_logsobolev(
     n: int,
     samples: int = 100_000,
     seed: int = 0,
-    fd_step: float = 1e-5,
-    batches: int = 10,
 ) -> CheckReport:
     """Monte Carlo log-Sobolev bound Ent(f^2) <= 2 sum_i E||D_i f||_2^2
     + log(d) tr E[f^2] for PSD-valued functions of Gaussian inputs."""
@@ -524,10 +514,10 @@ def check_gaussian_logsobolev(
         x = rng.standard_normal(n)
         f = _as_matrix(evaluator(x))
         f2 = f @ f
-        grad_sq = _fd_grad_sq(evaluator, x, fd_step)
+        grad_sq = _fd_grad_sq(evaluator, x)
         return {"f2": f2, "ent": float(tr_xlogx(f2)) * np.eye(d), "grad": grad_sq * np.eye(d)}
 
-    means = _batch_means(draw, d, seed, "gaussian-logsobolev", samples, batches)
+    means = _batch_means(draw, d, seed, "gaussian-logsobolev", samples)
 
     def lhs_of(batch):
         return normalized_trace(batch["ent"]) - float(tr_xlogx(batch["f2"]))
@@ -539,5 +529,5 @@ def check_gaussian_logsobolev(
 
     return _mc_report(
         "gaussian-log-sobolev", means, lhs_of, rhs_of,
-        d=d, n=n, seed=seed, samples=(samples // batches) * batches,
+        d=d, n=n, seed=seed, samples=(samples // MC_BATCHES) * MC_BATCHES,
     )

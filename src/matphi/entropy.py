@@ -67,9 +67,7 @@ def conditional_phi_entropy(
     )
 
 
-def check_subadditivity(
-    phi: PhiFunction, model: ProductModel, seed: int | None = None
-) -> CheckReport:
+def check_subadditivity(phi: PhiFunction, model: ProductModel) -> CheckReport:
     """Whole-entropy vs summed conditional entropies, by exact enumeration."""
     law = model.to_law()
     lhs = phi_entropy(phi, law)
@@ -80,10 +78,10 @@ def check_subadditivity(
         check="subadditivity",
         passed=gap <= tol,
         max_gap=float(gap),
+        tol=tol,
         phi=phi.label,
         d=law.d,
         n=model.n,
-        seed=seed,
         details={"lhs": lhs, "rhs": rhs},
     )
 
@@ -115,8 +113,6 @@ def check_joint_convexity(
     trials: int,
     seed: int = 0,
     label: str = "joint-convexity",
-    tol_rel: float = 1e-8,
-    max_witnesses: int = 5,
     tol: float | None = None,
 ) -> CheckReport:
     """Falsifier for joint convexity of a bivariate matrix map: samples
@@ -130,7 +126,7 @@ def check_joint_convexity(
         for t in (0.5, float(rng.uniform(0.05, 0.95))):
             lhs = t * map_fn(u1, v1) + (1.0 - t) * map_fn(u2, v2)
             rhs = map_fn(t * u1 + (1 - t) * u2, t * v1 + (1 - t) * v2)
-            gap, probe_tol = rhs - lhs, tol_rel * (1.0 + abs(lhs) + abs(rhs))
+            gap, probe_tol = rhs - lhs, 1e-8 * (1.0 + abs(lhs) + abs(rhs))
             witness = None
             if gap > probe_tol:
                 witness = {"t": t, "u1": matrix_to_obj(u1), "v1": matrix_to_obj(v1),
@@ -138,7 +134,7 @@ def check_joint_convexity(
             probes.append((gap, probe_tol, witness))
         return probes
 
-    return sweep(label, body, trials, seed, tol=tol, max_witnesses=max_witnesses)
+    return sweep(label, body, trials, seed, tol=tol)
 
 
 def check_char_a(
@@ -146,8 +142,6 @@ def check_char_a(
     trials: int,
     d: int,
     seed: int = 0,
-    tol_rel: float = 1e-8,
-    max_witnesses: int = 5,
     tol: float | None = None,
 ) -> CheckReport:
     """Midpoint operator concavity of X -> (D Psi[X])^{-1} on sampled
@@ -166,32 +160,27 @@ def check_char_a(
         }
         diff = hermitian_part(inv["mid"] - 0.5 * (inv["a"] + inv["b"]))
         lam = float(eigenvalues(diff)[0])
-        probe_tol = tol_rel * (1.0 + max(float(np.linalg.norm(inv[k])) for k in inv))
+        probe_tol = 1e-8 * (1.0 + max(float(np.linalg.norm(inv[k])) for k in inv))
         witness = None
         if -lam > probe_tol:
             witness = {"min_eigenvalue": lam, "a": matrix_to_obj(a), "b": matrix_to_obj(b)}
         return -lam, probe_tol, witness
 
-    return sweep(
-        "char-a", body, trials, seed, tol=tol, max_witnesses=max_witnesses, phi=phi.label, d=d
-    )
+    return sweep("char-a", body, trials, seed, tol=tol, phi=phi.label, d=d)
 
 
 @dataclass(frozen=True)
 class CharEResult:
     lhs: float
     rhs: float
-    holds: bool
+    tol: float
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs >= self.rhs - self.tol
 
 
-def check_char_e(
-    phi: PhiFunction,
-    a,
-    h,
-    k,
-    fd_step: float | None = None,
-    tol_rel: float = 1e-6,
-) -> CharEResult:
+def check_char_e(phi: PhiFunction, a, h, k) -> CharEResult:
     """Fourth-order trace inequality equivalent to class membership.
 
     lhs = Tr[h T^{-1} D^3Psi[A](k, k, T^{-1} h)]
@@ -199,17 +188,17 @@ def check_char_e(
 
     with T = D Psi[A]. The third derivative is taken by central
     differences of the exact second derivative along k, which bounds the
-    attainable accuracy; at d = 1 everything reduces to
+    attainable accuracy and sets the 1e-6 relative tolerance ``tol``; at
+    d = 1 everything reduces to
     Phi'''' k^2 h^2 / Phi''^2 >= 2 Phi'''^2 k^2 h^2 / Phi''^3.
     """
     if phi.is_affine:
-        return CharEResult(0.0, 0.0, True)
+        return CharEResult(0.0, 0.0, 1e-6)
     psi = phi.psi()
     a = np.asarray(a, dtype=complex)
     h = np.asarray(h, dtype=complex)
     k = np.asarray(k, dtype=complex)
-    if fd_step is None:
-        fd_step = 1e-4 * (1.0 + float(np.linalg.norm(a)))
+    fd_step = 1e-4 * (1.0 + float(np.linalg.norm(a)))
     t_inv = invert_superoperator(superoperator_of_derivative(psi, a))
     tinv_h = apply_superoperator(t_inv, h)
 
@@ -223,8 +212,7 @@ def check_char_e(
     inner = apply_superoperator(t_inv, frechet_second(psi, a, k, tinv_h))
     rhs_mat = apply_superoperator(t_inv, frechet_second(psi, a, k, inner))
     rhs = 2.0 * float(np.trace(h @ rhs_mat).real)
-    tol = tol_rel * (1.0 + abs(lhs) + abs(rhs))
-    return CharEResult(lhs, rhs, lhs >= rhs - tol)
+    return CharEResult(lhs, rhs, 1e-6 * (1.0 + abs(lhs) + abs(rhs)))
 
 
 def duality_lower_bound(
@@ -242,9 +230,7 @@ def duality_lower_bound(
     return acc + phi_entropy(phi, t_law)
 
 
-def check_char_g(
-    phi: PhiFunction, model: ProductModel, seed: int | None = None
-) -> CheckReport:
+def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
     """Conditional Jensen inequality: averaging the conditional entropy
     over the first input dominates the entropy of the partial average."""
     if model.n != 2:
@@ -272,9 +258,9 @@ def check_char_g(
         check="char-g",
         passed=gap <= tol,
         max_gap=float(gap),
+        tol=tol,
         phi=phi.label,
         n=2,
-        seed=seed,
         details={"lhs": cond, "rhs": rhs},
     )
 
@@ -284,7 +270,6 @@ def check_char_h(
     z1: DiscreteRandomMatrix,
     z2: DiscreteRandomMatrix,
     t: float,
-    seed: int | None = None,
 ) -> CheckReport:
     """Convexity of the entropy functional along shared-index couplings."""
     if not 0.0 <= t <= 1.0:
@@ -300,21 +285,21 @@ def check_char_h(
         check="char-h",
         passed=gap <= tol,
         max_gap=float(gap),
+        tol=tol,
         phi=phi.label,
         d=z1.d,
-        seed=seed,
         details={"lhs": lhs, "rhs": rhs, "t": t},
     )
 
 
-def bregman_pair_sampler(d: int, scale: float = 1.0):
+def bregman_pair_sampler(d: int):
     """Sampler of ((u1, v1), (u2, v2)) with PSD u and PSD v, suitable for
     the convexity falsifiers of the three trace maps."""
 
     def sampler(rng: np.random.Generator):
         return (
-            (random_pd(rng, d, floor=0.05), scale * random_psd(rng, d)),
-            (random_pd(rng, d, floor=0.05), scale * random_psd(rng, d)),
+            (random_pd(rng, d, floor=0.05), random_psd(rng, d)),
+            (random_pd(rng, d, floor=0.05), random_psd(rng, d)),
         )
 
     return sampler

@@ -28,6 +28,11 @@ from .models import DiscreteRandomMatrix, FiniteLaw, ProductModel
 from .report import CheckReport
 from .sampling import random_complex_gaussian, rng_for
 
+P_VARIANCE_PS = (1.9, 1.99, 1.999)  # exponents extrapolated toward p = 2
+P_VARIANCE_TOL = 1e-4
+LSI_STEP0 = 0.1  # largest hill-climbing step of the LSI search
+LSI_THRESHOLD = 1e-6  # objective above which a table is a counterexample
+
 
 def _popcounts(n: int) -> np.ndarray:
     return np.array([bin(s).count("1") for s in range(2**n)])
@@ -107,11 +112,12 @@ def parseval_check(f: MatrixBooleanFunction) -> CheckReport:
     lhs = np.mean(np.einsum("kij,kjl->kil", f.table, f.table), axis=0)
     rhs = np.einsum("kij,kjl->il", coeffs, coeffs)
     dev = float(np.max(np.abs(lhs - rhs)))
-    scale = 1.0 + float(np.max(np.abs(f.table))) ** 2
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(f.table))) ** 2)
     return CheckReport(
         check="parseval",
-        passed=dev <= 1e-10 * scale,
+        passed=dev <= tol,
         max_gap=dev,
+        tol=tol,
         d=f.d,
         n=f.n,
     )
@@ -201,8 +207,9 @@ def check_bonami_beckner(f: MatrixBooleanFunction, p: float) -> CheckReport:
     tol = 1e-10 * (1.0 + lhs + rhs)
     return CheckReport(
         check="bonami-beckner",
-        passed=lhs <= rhs + tol,
+        passed=lhs - rhs <= tol,
         max_gap=float(lhs - rhs),
+        tol=tol,
         d=f.d,
         n=f.n,
         details={"lhs": lhs, "rhs": rhs, "p": p},
@@ -235,8 +242,9 @@ def check_phi_sobolev(f: MatrixBooleanFunction, p: float) -> CheckReport:
     tol = 1e-10 * (1.0 + abs(lhs) + abs(rhs))
     return CheckReport(
         check="phi-sobolev",
-        passed=lhs <= rhs + tol,
+        passed=lhs - rhs <= tol,
         max_gap=float(lhs - rhs),
+        tol=tol,
         d=f.d,
         n=f.n,
         details={"lhs": lhs, "rhs": rhs, "p": p},
@@ -254,8 +262,9 @@ def check_log_sobolev(f: MatrixBooleanFunction) -> CheckReport:
     tol = 1e-10 * (1.0 + abs(ent) + abs(rhs))
     return CheckReport(
         check="log-sobolev",
-        passed=ent <= rhs + tol,
+        passed=ent - rhs <= tol,
         max_gap=float(ent - rhs),
+        tol=tol,
         d=f.d,
         n=f.n,
         details={"entropy": ent, "energy": energy, "rhs": rhs},
@@ -269,11 +278,7 @@ def p_variance(law: DiscreteRandomMatrix, p: float) -> np.ndarray:
     return hermitian_part(second - psd_power(p_mean, 2.0 / p))
 
 
-def check_p_variance_limit(
-    law: DiscreteRandomMatrix,
-    ps: tuple[float, ...] = (1.9, 1.99, 1.999),
-    tol: float = 1e-4,
-) -> CheckReport:
+def check_p_variance_limit(law: DiscreteRandomMatrix) -> CheckReport:
     """Richardson-extrapolated Var_p / (2 - p) against its closed-form
     limit (1/2) E[Z^2 log Z^2] - (1/2) E[Z^2] log E[Z^2], with residuals
     required to shrink linearly in 2 - p."""
@@ -285,8 +290,8 @@ def check_p_variance_limit(
         0.5 * law.expect(lambda v: (v @ v) @ spectral_map(np.log, hermitian_part(v @ v)))
         - 0.5 * second @ spectral_map(np.log, hermitian_part(second))
     )
-    scaled = [p_variance(law, p) / (2.0 - p) for p in ps]
-    eps = np.array([2.0 - p for p in ps])
+    scaled = [p_variance(law, p) / (2.0 - p) for p in P_VARIANCE_PS]
+    eps = np.array([2.0 - p for p in P_VARIANCE_PS])
     extrapolated = scaled[-1] + (scaled[-1] - scaled[-2]) * (
         eps[-1] / (eps[-2] - eps[-1])
     )
@@ -299,11 +304,11 @@ def check_p_variance_limit(
         expected = e_next / e_prev
         if r_next / r_prev > 3.0 * expected:
             shrink_ok = False
-    passed = dev < tol and shrink_ok
     return CheckReport(
         check="p-variance-limit",
-        passed=passed,
+        passed=dev < P_VARIANCE_TOL and shrink_ok,
         max_gap=dev,
+        tol=P_VARIANCE_TOL,
         d=law.d,
         details={
             "residuals": [float(r) for r in residuals],
@@ -332,8 +337,6 @@ def search_lsi_counterexample(
     restarts: int = 20,
     steps: int = 300,
     seed: int = 0,
-    step0: float = 0.1,
-    threshold: float = 1e-6,
 ) -> LsiSearchResult:
     """Random-restart hill climbing on Ent(f^2) - 2 E(f) over PSD-valued
     tables parameterized as G†G per point.
@@ -383,7 +386,7 @@ def search_lsi_counterexample(
         rng = rng_for(seed, "lsi-search", restart)
         g = start_table(rng, restart % 3)
         current = _lsi_objective(table_of(g), n)
-        step = step0
+        step = LSI_STEP0
         for _ in range(steps):
             k = int(rng.integers(points))
             proposal = g.copy()
@@ -391,7 +394,7 @@ def search_lsi_counterexample(
             cand = _lsi_objective(table_of(proposal), n)
             if cand > current:
                 g, current = proposal, cand
-                step = min(2.0 * step, step0)
+                step = min(2.0 * step, LSI_STEP0)
             else:
                 step *= 0.5
                 if step < 1e-7:
@@ -405,7 +408,7 @@ def search_lsi_counterexample(
     energy = dirichlet_energy_flip(f)
     objective = ent - 2.0 * energy
     return LsiSearchResult(
-        found=objective > threshold,
+        found=objective > LSI_THRESHOLD,
         f=f,
         entropy=ent,
         energy=energy,

@@ -131,13 +131,13 @@ def apply_superoperator(t: np.ndarray, x) -> np.ndarray:
     return unvec(np.asarray(t, dtype=complex) @ vec(x))
 
 
-def invert_superoperator(t: np.ndarray, cond_max: float = COND_MAX) -> np.ndarray:
+def invert_superoperator(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=complex)
     s = np.linalg.svd(t, compute_uv=False)
     smallest = float(s[-1])
-    if smallest <= 0 or float(s[0]) / smallest > cond_max:
+    if smallest <= 0 or float(s[0]) / smallest > COND_MAX:
         raise SingularSuperoperator(
-            f"superoperator condition number above {cond_max:.1e}",
+            f"superoperator condition number above {COND_MAX:.1e}",
             smallest_singular_value=smallest,
         )
     inv = np.linalg.inv(t)
@@ -146,12 +146,10 @@ def invert_superoperator(t: np.ndarray, cond_max: float = COND_MAX) -> np.ndarra
     return inv
 
 
-def frechet_norm(sf: ScalarFunction, a, p: int = 2) -> float:
+def frechet_norm(sf: ScalarFunction, a) -> float:
     """Induced norm sup ||Df[A](E)||_2 / ||E||_2, i.e. the absolute
     condition number; equals the largest singular value of the
     materialized superoperator."""
-    if p != 2:
-        raise ValueError("only the Schatten-2 induced norm is implemented")
     t = superoperator_of_derivative(sf, a)
     return float(np.linalg.svd(t, compute_uv=False)[0])
 
@@ -165,30 +163,26 @@ class MultivariateScalarFunction:
     partial: Callable[[int, np.ndarray], float]
 
 
-def commuting_eigensystem(
-    xs: Sequence[np.ndarray], tol_comm: float | None = None, mix_seed: int = 7
-) -> tuple[np.ndarray, np.ndarray]:
+def commuting_eigensystem(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneously diagonalize a commuting Hermitian tuple.
 
     Returns (lambdas, u) with lambdas[i, k] the k-th joint eigenvalue of
-    xs[i]. Degeneracies are split by diagonalizing a random-coefficient
-    combination of the tuple.
+    xs[i]. Commutators above 1e-8 d in norm raise; degeneracies are split
+    by diagonalizing a random-coefficient combination of the tuple.
     """
     xs = [require_hermitian(x) for x in xs]
     d = xs[0].shape[0]
-    if tol_comm is None:
-        tol_comm = 1e-8 * d
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
             comm = xs[i] @ xs[j] - xs[j] @ xs[i]
             norm = float(np.linalg.norm(comm))
-            if norm > tol_comm:
+            if norm > 1e-8 * d:
                 raise NotCommuting(
                     f"inputs {i} and {j} fail to commute (||[X_i, X_j]||_2 = {norm:.3e})",
                     pair=(i, j),
                     commutator_norm=norm,
                 )
-    rng = np.random.default_rng(mix_seed)
+    rng = np.random.default_rng(7)
     scale = max(float(np.max(np.abs(x))) for x in xs) + 1.0
     for _ in range(4):
         coeffs = 1.0 + rng.random(len(xs))
@@ -242,25 +236,24 @@ def multivariate_partial_frechet(
     xs: Sequence[np.ndarray],
     i: int,
     e,
-    tol_comm: float | None = None,
 ) -> np.ndarray:
     """Partial derivative of a multivariate standard matrix function with
     respect to the i-th input, as a Schur multiplier in the common
     eigenbasis. Reduces to frechet_derivative when n = 1."""
     if not 0 <= i < mf.n:
         raise IndexError(f"coordinate {i} out of range for n={mf.n}")
-    lambdas, u = commuting_eigensystem(xs, tol_comm=tol_comm)
+    lambdas, u = commuting_eigensystem(xs)
     table = multivariate_dd_table(mf, lambdas, i)
     et = u.conj().T @ require_hermitian(e) @ u
     return hermitian_part(u @ (table * et) @ u.conj().T)
 
 
-def inverse_map_derivatives(g_at_a, dg, d2g, cond_max: float = COND_MAX):
+def inverse_map_derivatives(g_at_a, dg, d2g):
     """First and second derivatives of X -> X^{-1} composed with a map G,
     given G(A), DG[A](h), and D^2 G[A](h, h)."""
     g = np.asarray(g_at_a, dtype=complex)
     s = np.linalg.svd(g, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > cond_max:
+    if s[-1] <= 0 or s[0] / s[-1] > COND_MAX:
         raise SingularMatrix("G(A) is numerically singular")
     ginv = np.linalg.inv(g)
     dg = np.asarray(dg, dtype=complex)
@@ -274,12 +267,12 @@ def _fd_scale(a: np.ndarray) -> float:
     return 1.0 + float(np.linalg.norm(a))
 
 
-def fd_frechet(apply_fn: Callable[[np.ndarray], np.ndarray], a, e, h: float | None = None) -> np.ndarray:
-    """Central finite-difference directional derivative of a matrix map."""
+def fd_frechet(apply_fn: Callable[[np.ndarray], np.ndarray], a, e) -> np.ndarray:
+    """Central finite-difference directional derivative of a matrix map,
+    with step 1e-5 (1 + ||A||_2)."""
     a = np.asarray(a, dtype=complex)
     e = np.asarray(e, dtype=complex)
-    if h is None:
-        h = 1e-5 * _fd_scale(a)
+    h = 1e-5 * _fd_scale(a)
     return (apply_fn(a + h * e) - apply_fn(a - h * e)) / (2.0 * h)
 
 
@@ -289,10 +282,9 @@ def fd_frechet_second(
     e1,
     e2,
     h: float | None = None,
-    richardson: bool = True,
 ) -> np.ndarray:
-    """Second directional derivative by central differences; mixed
-    directions via polarization, optionally Richardson-extrapolated."""
+    """Second directional derivative by central differences at steps h and
+    h/2, Richardson-extrapolated; mixed directions via polarization."""
     a = np.asarray(a, dtype=complex)
     e1 = np.asarray(e1, dtype=complex)
     e2 = np.asarray(e2, dtype=complex)
@@ -309,8 +301,4 @@ def fd_frechet_second(
         minus = second_along(e1 - e2, step)
         return 0.25 * (plus - minus)
 
-    if not richardson:
-        return mixed(h)
-    coarse = mixed(h)
-    fine = mixed(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return (4.0 * mixed(h / 2.0) - mixed(h)) / 3.0

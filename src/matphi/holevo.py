@@ -173,21 +173,22 @@ def evolve_ensemble(ens: CQEnsemble, kernel: MarkovKernel) -> CQEnsemble:
     return out
 
 
-def _support_log(m: np.ndarray, cutoff: float = SUPPORT_CUTOFF):
-    """log m on the support of m (eigenvalues above the cutoff) and the
-    projector onto that support, from one decomposition."""
+def _support_log(m: np.ndarray):
+    """log m on the support of a Hermitian m (eigenvalues above
+    SUPPORT_CUTOFF) and the projector onto that support, from one
+    decomposition."""
 
     def log_and_support(w):
-        keep = w > cutoff
+        keep = w > SUPPORT_CUTOFF
         return np.stack([np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0), keep])
 
-    log_m, projector = hermitian_part(spectral_map(log_and_support, require_hermitian(m)))
+    log_m, projector = hermitian_part(spectral_map(log_and_support, m))
     return log_m, projector
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr rho (log rho - log sigma) in nats, on the support of sigma."""
-    rho = require_hermitian(rho)
+    rho, sigma = require_hermitian(rho), require_hermitian(sigma)
     log_rho, _ = _support_log(rho)
     log_sigma, projector = _support_log(sigma)
     outside = float(np.trace(rho @ (np.eye(rho.shape[0]) - projector)).real)
@@ -231,8 +232,9 @@ def check_data_processing(ens: CQEnsemble, kernel: MarkovKernel) -> CheckReport:
     tol = 1e-9 * (1.0 + chi_in)
     return CheckReport(
         check="data-processing",
-        passed=chi_out <= chi_in + tol,
+        passed=chi_out - chi_in <= tol,
         max_gap=float(chi_out - chi_in),
+        tol=tol,
         d=ens.d,
         details={"chi_in": chi_in, "chi_out": chi_out},
     )
@@ -410,7 +412,6 @@ def check_law_total_variance(
     probs: np.ndarray,
     values: np.ndarray,
     labels: Sequence,
-    seed: int | None = None,
 ) -> CheckReport:
     """Exact conditional decomposition H(Z) = E_Y H(Z|Y) + H(E[Z|Y]) for a
     finite joint law of (Z, Y)."""
@@ -429,13 +430,14 @@ def check_law_total_variance(
         mean_pairs.append((py, cond_law.mean()))
     outer = phi_entropy(phi, DiscreteRandomMatrix.from_pairs(mean_pairs))
     dev = abs(total - (cond_term + outer))
+    tol = 1e-10 * (1.0 + abs(total))
     return CheckReport(
         check="law-total-variance",
-        passed=dev <= 1e-10 * (1.0 + abs(total)),
+        passed=dev <= tol,
         max_gap=float(dev),
+        tol=tol,
         phi=phi.label,
         d=law.d,
-        seed=seed,
         details={"total": total, "conditional": cond_term, "outer": outer},
     )
 
@@ -445,7 +447,6 @@ def check_functional_sdpi(
     kernel: MarkovKernel,
     states: np.ndarray,
     c: float,
-    seed: int | None = None,
 ) -> CheckReport:
     """Given a contraction constant c in [0, 1), verify both
     H[f(X)] <= (1 - c)^{-1} E_Y H[f(X)|Y] and the chained inequality
@@ -466,12 +467,13 @@ def check_functional_sdpi(
     tol = 1e-9 * (1.0 + h_total)
     functional_ok = h_total <= cond / (1.0 - c) + tol
     chain_ok = h_evolved <= c * h_total + tol
+    gap = float(max(h_total - cond / (1.0 - c), h_evolved - c * h_total))
     return CheckReport(
         check="functional-sdpi",
-        passed=functional_ok and chain_ok,
-        max_gap=float(max(h_total - cond / (1.0 - c), h_evolved - c * h_total)),
+        passed=gap <= tol,
+        max_gap=gap,
+        tol=tol,
         d=ens.d,
-        seed=seed,
         details={
             "h_total": h_total,
             "conditional": cond,

@@ -85,24 +85,21 @@ def tr_xlogx(a) -> np.ndarray:
     return terms.sum(axis=-1) / w.shape[-1]
 
 
-def require_hermitian(a, tol: float | None = None) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """Validate and return the (exactly) hermitized copy of ``a``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
-    if tol is None:
-        tol = hermiticity_tolerance(a)
+    tol = hermiticity_tolerance(a)
     dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if dev > tol:
         raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds tolerance {tol:.3e}")
     return hermitian_part(a)
 
 
-def spectral_decompose(a, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def spectral_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector unitary with A = U diag(w) U†."""
-    a = require_hermitian(a, tol)
-    w, u = np.linalg.eigh(a)
-    return w, u
+    return np.linalg.eigh(require_hermitian(a))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ import numpy as np
 from .sampling import rng_for
 
 ARTIFACT_VERSION = "0.1.0"
+# Violations a sweep records; any positive cap keeps "no witness recorded"
+# equivalent to "no gap above its tolerance".
+MAX_WITNESSES = 5
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:
@@ -36,6 +39,8 @@ class CheckReport:
     check: str
     passed: bool
     max_gap: float = 0.0
+    # the tolerance max_gap was judged against; kept out of to_dict
+    tol: float | None = None
     phi: str | None = None
     d: int | None = None
     n: int | None = None
@@ -107,14 +112,14 @@ def sweep(
     trials: int,
     seed: int,
     tol: float | None = None,
-    max_witnesses: int = 5,
     **fields,
 ) -> CheckReport:
     """Run ``body(rng, trial)`` once per trial with ``rng = rng_for(seed,
     label, trial)``.
 
-    The body returns a ``(gap, tol, witness_dict | None)`` triple, or a
-    list of triples when it probes several instances per trial. A gap
+    The body returns a ``(gap, tol, witness_dict | None)`` triple, a
+    list of triples when it probes several instances per trial, or a
+    CheckReport, read as ``(max_gap, tol, None)``. A gap
     above its tolerance is a violation, recorded with its gap and trial
     index; ``tol``, when given, replaces every body tolerance. Further
     keyword arguments become fields of the report.
@@ -123,11 +128,13 @@ def sweep(
     max_gap = -np.inf
     for trial in range(trials):
         outcomes = body(rng_for(seed, label, trial), trial)
+        if isinstance(outcomes, CheckReport):
+            outcomes = (outcomes.max_gap, outcomes.tol, None)
         if isinstance(outcomes, tuple):
             outcomes = [outcomes]
         for gap, probe_tol, witness in outcomes:
             max_gap = max(max_gap, gap)
-            if gap > (probe_tol if tol is None else tol) and len(violations) < max_witnesses:
+            if gap > (probe_tol if tol is None else tol) and len(violations) < MAX_WITNESSES:
                 violations.append({**(witness or {}), "gap": float(gap), "trial": trial})
     return CheckReport(
         check=label,

@@ -27,9 +27,8 @@ def random_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
-    g = random_complex_gaussian(rng, (d, d))
-    return scale * hermitian_part(g)
+def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
+    return hermitian_part(random_complex_gaussian(rng, (d, d)))
 
 
 def random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -37,20 +36,15 @@ def random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return h / float(np.linalg.norm(h))
 
 
-def random_psd(
-    rng: np.random.Generator,
-    d: int,
-    eps: float = PSD_EIGEN_FLOOR,
-    norm_cap: float = PSD_NORM_CAP,
-) -> np.ndarray:
-    """G†G + eps*I with complex Gaussian G, rescaled so the Schatten-2
-    norm stays below the cap; keeps spectra and superoperator inversions
-    well conditioned."""
+def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
+    """G†G + PSD_EIGEN_FLOOR*I with complex Gaussian G, rescaled so the
+    Schatten-2 norm stays below PSD_NORM_CAP; keeps spectra and
+    superoperator inversions well conditioned."""
     g = random_complex_gaussian(rng, (d, d))
-    m = hermitian_part(g.conj().T @ g) + eps * np.eye(d)
+    m = hermitian_part(g.conj().T @ g) + PSD_EIGEN_FLOOR * np.eye(d)
     norm = float(np.linalg.norm(m))
-    if norm > norm_cap:
-        m = m * (norm_cap / norm) + eps * np.eye(d)
+    if norm > PSD_NORM_CAP:
+        m = m * (PSD_NORM_CAP / norm) + PSD_EIGEN_FLOOR * np.eye(d)
     return m
 
 
@@ -68,8 +62,8 @@ def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     return m / float(np.trace(m).real)
 
 
-def random_probability_vector(rng: np.random.Generator, k: int, floor: float = 0.05) -> np.ndarray:
-    v = rng.random(k) + floor
+def random_probability_vector(rng: np.random.Generator, k: int) -> np.ndarray:
+    v = rng.random(k) + 0.05
     return v / v.sum()
 
 

@@ -140,6 +140,15 @@ def test_eta_requires_input():
     assert _run(["eta"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["5", "0"])
+def test_samples_below_batch_count_is_config_error(capsys, samples):
+    # the Gaussian checks split --samples into 10 Monte Carlo batches
+    assert _run(["gaussian", "--samples", samples, "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: samples must be at least 10")
+    assert err.count("\n") == 1
+
+
 def test_run_suite_determinism_across_jobs():
     base = dict(seed=42, trials=3, samples=1500, d=2, n=3)
     serial = run_suite(RunConfig(jobs=1, **base), "all")

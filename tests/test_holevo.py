@@ -121,6 +121,15 @@ def test_relative_entropy_support_error():
         relative_entropy(rho, sigma)
 
 
+def test_relative_entropy_rejects_non_hermitian_sigma():
+    from matphi.errors import NotHermitian
+
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    sigma = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        relative_entropy(rho, sigma)
+
+
 def test_data_processing_identity_and_constant():
     ens = _qubit_pair()
     rep = check_data_processing(ens, MarkovKernel.identity(2))
