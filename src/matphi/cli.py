@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "target",
         nargs="?",
         default=None,
-        help="generate: instance kind; search: lsi-counterexample or eta",
+        help="generate: instance kind; search: lsi-counterexample",
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
@@ -191,9 +191,7 @@ def _cmd_eta(config: RunConfig, infile: str | None) -> int:
     return 0
 
 
-def _cmd_search(target: str, config: RunConfig, infile: str | None) -> int:
-    if target == "eta":
-        return _cmd_eta(config, infile)
+def _cmd_search(target: str, config: RunConfig) -> int:
     if target != "lsi-counterexample":
         raise ConfigError(f"unknown search kind {target!r}")
     result = search_lsi_counterexample(
@@ -221,8 +219,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_generate(args.target, config)
         if command == "search":
             if not args.target:
-                raise ConfigError("search needs a kind: lsi-counterexample or eta")
-            return _cmd_search(args.target, config, args.infile)
+                raise ConfigError("search needs a kind: lsi-counterexample")
+            return _cmd_search(args.target, config)
         if command == "eta":
             return _cmd_eta(config, args.infile)
         return _cmd_suite(command, config)

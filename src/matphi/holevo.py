@@ -188,9 +188,12 @@ def _support_log(m: np.ndarray):
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr rho (log rho - log sigma) in nats, on the support of sigma."""
-    rho, sigma = require_hermitian(rho), require_hermitian(sigma)
-    log_rho, _ = _support_log(rho)
-    log_sigma, projector = _support_log(sigma)
+    return _relative_entropy(require_hermitian(rho), require_hermitian(sigma))
+
+
+def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """relative_entropy of two exactly Hermitian matrices, unchecked."""
+    (log_rho, log_sigma), (_, projector) = _support_log(np.stack([rho, sigma]))
     outside = float(np.trace(rho @ (np.eye(rho.shape[0]) - projector)).real)
     if outside > 1e-9:
         raise SupportError(
@@ -207,7 +210,7 @@ def holevo_chi(ens: CQEnsemble, cross_check: bool = True) -> float:
     for p, rho in zip(ens.probs, ens.states):
         if p <= 0:
             continue
-        chi += p * relative_entropy(rho, rho_bar)
+        chi += p * _relative_entropy(rho, rho_bar)
     chi = max(chi, 0.0)
     if cross_check:
         dual = ens.d * phi_entropy(XLOGX, ens.as_law())

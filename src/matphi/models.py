@@ -112,13 +112,12 @@ class ProductModel:
 
     laws: tuple[FiniteLaw, ...]
     evaluator: Callable[[tuple], np.ndarray]
-    max_enumeration: int = MAX_ENUMERATION
 
     def __post_init__(self):
         object.__setattr__(self, "laws", tuple(self.laws))
-        if self.joint_size > self.max_enumeration:
+        if self.joint_size > MAX_ENUMERATION:
             raise EnumerationTooLarge(
-                f"joint support size {self.joint_size} exceeds {self.max_enumeration}"
+                f"joint support size {self.joint_size} exceeds {MAX_ENUMERATION}"
             )
 
     @property

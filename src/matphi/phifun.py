@@ -168,9 +168,6 @@ class PhiFunction:
             return _power_term(coeff, float(1 - order))
         raise ConfigError(f"unknown phi kind {self.kind!r}")
 
-    def value(self, x):
-        return self._derivative_fn(0)(x)
-
     def d1(self, x):
         return self._derivative_fn(1)(x)
 
@@ -222,10 +219,6 @@ class PhiFunction:
             domain=domain,
             strict_lo=strict,
         )
-
-    def apply(self, a) -> np.ndarray:
-        """Phi(A) as a standard matrix function."""
-        return self.scalar().apply(a)
 
 
 IDENTITY = ScalarFunction(

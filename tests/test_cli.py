@@ -227,3 +227,20 @@ def test_search_trials_sets_restarts(monkeypatch):
     assert _run(base + ["--trials", "7"]) == 0
     assert _run(base) == 0
     assert seen == [50, 7, 20]
+
+
+def test_search_eta_is_unknown_kind(tmp_path, capsys):
+    kernel_file = tmp_path / "kernel.json"
+    kernel_file.write_text(json.dumps({"rows": [[1.0, 0.0], [0.0, 1.0]]}))
+    assert _run(["search", "eta", "--in", str(kernel_file), "--d", "2", "--trials", "3"]) == 2
+    assert "unknown search kind 'eta'" in capsys.readouterr().err
+
+
+def test_matphi_runs_without_scipy():
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from matphi.cli import main\n"
+        "sys.exit(main(['gaussian', '--trials', '1', '--samples', '200']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Resampling quantity forms, variance bounds, Gaussian ensembles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from matphi.frechet import MultivariateScalarFunction
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from matphi.phifun import PhiFunction
 from matphi.sampling import random_law, random_product_model, random_psd, rng_for
+from matphi.suites import _ks_statistic
 
 
 def _rademacher_model(n, fn):
@@ -400,3 +403,32 @@ def test_gaussian_poincare_gue_inputs_fd_directions():
     assert rep.details["rhs_is_lower_bound"]
     # the direction search under-estimates at most the true norm 1
     assert rep.details["bound"] <= 1.0 + 1e-6
+
+
+def _ks_samples(rng, size):
+    """Continuous draws or draws from a few values, so ties occur."""
+    if rng.random() < 0.5:
+        return rng.standard_normal(size)
+    return rng.integers(0, 5, size).astype(float)
+
+
+def test_ks_statistic_is_exact_fraction():
+    rng = rng_for(5, "ks", 0)
+    for _ in range(200):
+        a = _ks_samples(rng, int(rng.integers(1, 40)))
+        b = _ks_samples(rng, int(rng.integers(1, 40)))
+        brute = max(
+            abs(Fraction(int(np.sum(a <= x)), a.size) - Fraction(int(np.sum(b <= x)), b.size))
+            for x in np.concatenate([a, b])
+        )
+        assert _ks_statistic(a, b) == float(brute)
+
+
+def test_ks_statistic_matches_scipy_bitwise():
+    stats = pytest.importorskip("scipy.stats")
+    rng = rng_for(5, "ks", 1)
+    sizes = [tuple(rng.integers(1, 400, 2)) for _ in range(300)]
+    sizes += [(10, 10), (200, 200), (1000, 1000), (10000, 10000)]
+    for n_a, n_b in sizes:
+        a, b = _ks_samples(rng, int(n_a)), _ks_samples(rng, int(n_b))
+        assert _ks_statistic(a, b) == float(stats.ks_2samp(a, b).statistic)
