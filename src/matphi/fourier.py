@@ -170,21 +170,20 @@ def uniform_cube_model(f: MatrixBooleanFunction) -> ProductModel:
     return ProductModel(tuple(laws), evaluator)
 
 
-def dirichlet_energy(f: MatrixBooleanFunction, cross_check: bool = True) -> float:
+def dirichlet_energy(f: MatrixBooleanFunction) -> float:
     """The Dirichlet energy of f; the spectral and flip forms are exact
     rewritings of the resampling quantity over fair bits, so disagreement
     raises."""
-    spectral = dirichlet_energy_spectral(f)
-    if cross_check:
-        from .concentration import efron_stein_quantity
+    from .concentration import efron_stein_quantity
 
-        flip = dirichlet_energy_flip(f)
-        resampled = efron_stein_quantity(uniform_cube_model(f))
-        scale = 1.0 + abs(spectral)
-        if abs(spectral - flip) > 1e-10 * scale or abs(spectral - resampled) > 1e-10 * scale:
-            raise DomainError(
-                f"Dirichlet energy forms disagree: {spectral!r} {flip!r} {resampled!r}"
-            )
+    spectral = dirichlet_energy_spectral(f)
+    flip = dirichlet_energy_flip(f)
+    resampled = efron_stein_quantity(uniform_cube_model(f))
+    scale = 1.0 + abs(spectral)
+    if abs(spectral - flip) > 1e-10 * scale or abs(spectral - resampled) > 1e-10 * scale:
+        raise DomainError(
+            f"Dirichlet energy forms disagree: {spectral!r} {flip!r} {resampled!r}"
+        )
     return spectral
 
 
@@ -236,7 +235,7 @@ def check_phi_sobolev(f: MatrixBooleanFunction, p: float) -> CheckReport:
     f2_mean = np.mean(np.einsum("kij,kjl->kil", f.table, f.table), axis=0)
     fp_mean = np.mean(psd_power(f.table, p), axis=0)
     lhs = normalized_trace(f2_mean) - normalized_trace(psd_power(fp_mean, 2.0 / p))
-    energy = dirichlet_energy(f, cross_check=False)
+    energy = dirichlet_energy_spectral(f)
     dim_factor = f.d ** (1.0 - 2.0 / p)
     rhs = (2.0 - p) * energy * dim_factor + normalized_trace(f2_mean) * (1.0 - dim_factor)
     tol = 1e-10 * (1.0 + abs(lhs) + abs(rhs))
@@ -256,7 +255,7 @@ def check_log_sobolev(f: MatrixBooleanFunction) -> CheckReport:
     Ent(f^2) <= 2 E(f) + log(d) tr E[f^2]."""
     _require_psd_table(f)
     ent = entropy_of_square(f)
-    energy = dirichlet_energy(f, cross_check=False)
+    energy = dirichlet_energy_spectral(f)
     f2_mean = np.mean(np.einsum("kij,kjl->kil", f.table, f.table), axis=0)
     rhs = 2.0 * energy + np.log(f.d) * normalized_trace(f2_mean)
     tol = 1e-10 * (1.0 + abs(ent) + abs(rhs))

@@ -20,63 +20,58 @@ from .phifun import ScalarFunction
 COND_MAX = 1e12
 
 
-def _dd_tol(a: float, b: float) -> float:
-    return 1e-7 * (1.0 + abs(a) + abs(b))
-
-
-def _dd1(sf: ScalarFunction, a: float, b: float) -> float:
-    if abs(a - b) < _dd_tol(a, b):
-        return float(sf.d1(np.array([0.5 * (a + b)]))[0])
-    fa = float(sf.fn(np.array([a]))[0])
-    fb = float(sf.fn(np.array([b]))[0])
-    return (fa - fb) / (a - b)
-
-
-def _dd2(sf: ScalarFunction, a: float, b: float, c: float) -> float:
-    # Divided differences are symmetric in their arguments, so pick the
-    # permutation with the widest outer pair before recursing.
-    arrangements = ((a, b, c), (b, a, c), (a, c, b))
-    x, y, z = max(arrangements, key=lambda t: abs(t[0] - t[2]))
-    if abs(x - z) < _dd_tol(x, z):
-        mid = (a + b + c) / 3.0
-        return 0.5 * float(sf.d2(np.array([mid]))[0])
-    return (_dd1(sf, x, y) - _dd1(sf, y, z)) / (x - z)
+def _confluent(x, y):
+    """Where nodes x and y are too close for a difference quotient, so the
+    divided difference takes its derivative limit instead."""
+    return abs(x - y) < 1e-7 * (1.0 + abs(x) + abs(y))
 
 
 def divided_difference(sf: ScalarFunction, nodes: Sequence[float], order: int = 1) -> float:
     """f^[order] at the given nodes, with confluent nodes handled by the
     derivative limits f'(a) and f''(a)/2."""
-    nodes = [float(t) for t in nodes]
-    sf.admit(np.array(nodes))
+    nodes = np.array([float(t) for t in nodes])
+    sf.admit(nodes)
     if order == 1:
-        if len(nodes) != 2:
+        if nodes.size != 2:
             raise ValueError("order-1 divided difference takes two nodes")
-        return _dd1(sf, nodes[0], nodes[1])
+        return float(dd1_table(sf, nodes)[0, 1])
     if order == 2:
-        if len(nodes) != 3:
+        if nodes.size != 3:
             raise ValueError("order-2 divided difference takes three nodes")
-        return _dd2(sf, nodes[0], nodes[1], nodes[2])
+        return float(dd2_table(sf, nodes)[0, 1, 2])
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
 def dd1_table(sf: ScalarFunction, w: np.ndarray) -> np.ndarray:
+    """f[w_i, w_j] over one spectrum."""
     w = np.asarray(w, dtype=float)
-    d = w.size
-    table = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            table[i, j] = _dd1(sf, w[i], w[j])
+    a, b = w[:, None], w[None, :]
+    conf = _confluent(a, b)
+    f = sf.fn(w)
+    table = (f[:, None] - f[None, :]) / np.where(conf, 1.0, a - b)
+    table[conf] = sf.d1((0.5 * (a + b))[conf])
     return table
 
 
 def dd2_table(sf: ScalarFunction, w: np.ndarray) -> np.ndarray:
+    """f[w_i, w_k, w_j] over one spectrum.
+
+    Divided differences are symmetric in their nodes, so each entry
+    recurses through its widest outer pair (the first of equal widths, in
+    the order (i, j), (k, j), (i, k)).
+    """
     w = np.asarray(w, dtype=float)
-    d = w.size
-    table = np.empty((d, d, d))
-    for i in range(d):
-        for k in range(d):
-            for j in range(d):
-                table[i, k, j] = _dd2(sf, w[i], w[k], w[j])
+    t1 = dd1_table(sf, w)
+    i, k, j = np.indices((w.size,) * 3)
+    w_ij, w_kj, w_ik = abs(w[i] - w[j]), abs(w[k] - w[j]), abs(w[i] - w[k])
+    outer_ik = w_ik > np.maximum(w_ij, w_kj)
+    outer_kj = ~outer_ik & (w_kj > w_ij)
+    x = np.where(outer_kj, k, i)
+    y = np.where(outer_ik, j, np.where(outer_kj, i, k))
+    z = np.where(outer_ik, k, j)
+    conf = _confluent(w[x], w[z])
+    table = (t1[x, y] - t1[y, z]) / np.where(conf, 1.0, w[x] - w[z])
+    table[conf] = 0.5 * sf.d2(((w[i] + w[k] + w[j]) / 3.0)[conf])
     return table
 
 
@@ -215,7 +210,7 @@ def multivariate_dd_table(
         xk = lambdas[:, k].copy()
         for ell in range(d):
             ti, tj = lambdas[i, k], lambdas[i, ell]
-            if abs(ti - tj) < _dd_tol(ti, tj):
+            if _confluent(ti, tj):
                 table[k, ell] = mf.partial(i, xk)
             else:
                 ymod = xk.copy()

@@ -188,29 +188,29 @@ def _support_log(m: np.ndarray):
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr rho (log rho - log sigma) in nats, on the support of sigma."""
-    return _relative_entropy(require_hermitian(rho), require_hermitian(sigma))
+    return float(_relative_entropy(require_hermitian(rho)[None], require_hermitian(sigma))[0])
 
 
-def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """relative_entropy of two exactly Hermitian matrices, unchecked."""
-    (log_rho, log_sigma), (_, projector) = _support_log(np.stack([rho, sigma]))
-    outside = float(np.trace(rho @ (np.eye(rho.shape[0]) - projector)).real)
-    if outside > 1e-9:
+def _relative_entropy(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """relative_entropy of each state of an exactly Hermitian (k, d, d)
+    stack against one exactly Hermitian reference, unchecked."""
+    logs, supports = _support_log(np.concatenate([rhos, sigma[None]]))
+    outside = np.trace(rhos @ (np.eye(sigma.shape[0]) - supports[-1]), axis1=-2, axis2=-1).real
+    bad = outside > 1e-9
+    if np.any(bad):
         raise SupportError(
-            f"state carries weight {outside:.3e} outside the reference support"
+            f"state carries weight {outside[np.argmax(bad)]:.3e} outside the reference support"
         )
-    return float(np.trace(rho @ (log_rho - log_sigma)).real)
+    return np.trace(rhos @ (logs[:-1] - logs[-1]), axis1=-2, axis2=-1).real
 
 
 def holevo_chi(ens: CQEnsemble, cross_check: bool = True) -> float:
     """chi = sum_x mu(x) S(rho_x || rho_bar), cross-checked against
     d * H_{x log x} of the ensemble as a random matrix."""
-    rho_bar = ens.average_state()
+    keep = ens.probs > 0
     chi = 0.0
-    for p, rho in zip(ens.probs, ens.states):
-        if p <= 0:
-            continue
-        chi += p * _relative_entropy(rho, rho_bar)
+    for p, s in zip(ens.probs[keep], _relative_entropy(ens.states[keep], ens.average_state())):
+        chi += p * s
     chi = max(chi, 0.0)
     if cross_check:
         dual = ens.d * phi_entropy(XLOGX, ens.as_law())

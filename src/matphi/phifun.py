@@ -37,7 +37,6 @@ class ScalarFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray] | None = None
     d2: Callable[[np.ndarray], np.ndarray] | None = None
-    d3: Callable[[np.ndarray], np.ndarray] | None = None
     domain: SpectralInterval = field(default=REALS)
     strict_lo: bool = False
 
@@ -196,7 +195,6 @@ class PhiFunction:
             fn=self._derivative_fn(0),
             d1=self._derivative_fn(1),
             d2=self._derivative_fn(2),
-            d3=self._derivative_fn(3),
             domain=domain,
         )
 
@@ -215,7 +213,6 @@ class PhiFunction:
             fn=self._derivative_fn(1),
             d1=self._derivative_fn(2),
             d2=self._derivative_fn(3),
-            d3=self._derivative_fn(4),
             domain=domain,
             strict_lo=strict,
         )
@@ -226,7 +223,6 @@ IDENTITY = ScalarFunction(
     fn=lambda x: np.asarray(x, dtype=float),
     d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    d3=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
 )
 
 SQUARE = PhiFunction.power(2.0).scalar()

@@ -729,83 +729,61 @@ def check_functional_sdpi_sweep(config: RunConfig) -> CheckReport:
     return report
 
 
-CHECKS = {
-    "char-a": check_char_a,
-    "char-b": check_char_b,
-    "char-c": check_char_c,
-    "char-d": check_char_d,
-    "char-e": check_char_e,
-    "char-f": check_char_f,
-    "char-g": check_char_g,
-    "char-h": check_char_h,
-    "char-i": check_char_i,
-    "char-j": check_char_j,
-    "efron-stein": check_efron_stein_sweep,
-    "efron-stein-forms": check_efron_stein_forms,
-    "plus-identities": check_plus_identities_sweep,
-    "poincare-linear": check_poincare_linear,
-    "poincare-square-sum": check_poincare_square_sum,
-    "poincare-commuting": check_poincare_commuting_sweep,
-    "lipschitz-ratio": check_lipschitz_ratio,
-    "gue-moments": check_gue_moments,
-    "gue-ks": check_gue_ks,
-    "gaussian-poincare-additive": check_gaussian_poincare_additive,
-    "gaussian-poincare-square": check_gaussian_poincare_square,
-    "gaussian-sobolev-exp": check_gaussian_sobolev_exp,
-    "gaussian-log-sobolev-poly": check_gaussian_logsobolev_poly,
-    "fourier-round-trip": check_fourier_round_trip,
-    "parseval": check_parseval_sweep,
-    "dirichlet-identity": check_dirichlet_identity,
-    "noise-composition": check_noise_composition,
-    "bonami-beckner": check_bonami_beckner_sweep,
-    "phi-sobolev": check_phi_sobolev_sweep,
-    "log-sobolev": check_log_sobolev_sweep,
-    "p-variance-limit": check_p_variance_sweep,
-    "data-processing": check_data_processing_sweep,
-    "law-total-variance": check_law_total_variance_sweep,
-    "holevo-dual-path": check_holevo_dual_path,
-    "average-state": check_average_state,
-    "eta-bounds": check_eta_bounds,
-    "functional-sdpi": check_functional_sdpi_sweep,
-}
-
 SUITES = {
-    "characterizations": [f"char-{c}" for c in "abcdefghij"],
-    "efron-stein": ["efron-stein", "efron-stein-forms", "plus-identities"],
-    "poincare": [
-        "poincare-linear",
-        "poincare-square-sum",
-        "poincare-commuting",
-        "lipschitz-ratio",
-    ],
-    "gaussian": [
-        "gue-moments",
-        "gue-ks",
-        "gaussian-poincare-additive",
-        "gaussian-poincare-square",
-        "gaussian-sobolev-exp",
-        "gaussian-log-sobolev-poly",
-    ],
-    "fourier": [
-        "fourier-round-trip",
-        "parseval",
-        "dirichlet-identity",
-        "noise-composition",
-    ],
-    "sobolev": ["bonami-beckner", "phi-sobolev", "log-sobolev", "p-variance-limit"],
-    "holevo": [
-        "data-processing",
-        "law-total-variance",
-        "holevo-dual-path",
-        "average-state",
-        "eta-bounds",
-        "functional-sdpi",
-    ],
+    "characterizations": {
+        "char-a": check_char_a,
+        "char-b": check_char_b,
+        "char-c": check_char_c,
+        "char-d": check_char_d,
+        "char-e": check_char_e,
+        "char-f": check_char_f,
+        "char-g": check_char_g,
+        "char-h": check_char_h,
+        "char-i": check_char_i,
+        "char-j": check_char_j,
+    },
+    "efron-stein": {
+        "efron-stein": check_efron_stein_sweep,
+        "efron-stein-forms": check_efron_stein_forms,
+        "plus-identities": check_plus_identities_sweep,
+    },
+    "poincare": {
+        "poincare-linear": check_poincare_linear,
+        "poincare-square-sum": check_poincare_square_sum,
+        "poincare-commuting": check_poincare_commuting_sweep,
+        "lipschitz-ratio": check_lipschitz_ratio,
+    },
+    "gaussian": {
+        "gue-moments": check_gue_moments,
+        "gue-ks": check_gue_ks,
+        "gaussian-poincare-additive": check_gaussian_poincare_additive,
+        "gaussian-poincare-square": check_gaussian_poincare_square,
+        "gaussian-sobolev-exp": check_gaussian_sobolev_exp,
+        "gaussian-log-sobolev-poly": check_gaussian_logsobolev_poly,
+    },
+    "fourier": {
+        "fourier-round-trip": check_fourier_round_trip,
+        "parseval": check_parseval_sweep,
+        "dirichlet-identity": check_dirichlet_identity,
+        "noise-composition": check_noise_composition,
+    },
+    "sobolev": {
+        "bonami-beckner": check_bonami_beckner_sweep,
+        "phi-sobolev": check_phi_sobolev_sweep,
+        "log-sobolev": check_log_sobolev_sweep,
+        "p-variance-limit": check_p_variance_sweep,
+    },
+    "holevo": {
+        "data-processing": check_data_processing_sweep,
+        "law-total-variance": check_law_total_variance_sweep,
+        "holevo-dual-path": check_holevo_dual_path,
+        "average-state": check_average_state,
+        "eta-bounds": check_eta_bounds,
+        "functional-sdpi": check_functional_sdpi_sweep,
+    },
 }
-SUITES["all"] = [name for suite in (
-    "characterizations", "efron-stein", "poincare", "gaussian",
-    "fourier", "sobolev", "holevo",
-) for name in SUITES[suite]]
+SUITES["all"] = {name: check for suite in SUITES.values() for name, check in suite.items()}
+CHECKS = SUITES["all"]
 
 SUITE_ALIASES = {"entropy": "characterizations"}
 

@@ -1,5 +1,7 @@
 """Divided differences, derivative Schur multipliers, superoperators."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from matphi.frechet import (
     MultivariateScalarFunction,
     apply_superoperator,
     commuting_eigensystem,
+    dd1_table,
+    dd2_table,
     divided_difference,
     fd_frechet,
     fd_frechet_second,
@@ -71,6 +75,78 @@ def test_divided_difference_symmetry(a, b):
 def test_divided_difference_domain():
     with pytest.raises(DomainError):
         divided_difference(XLOGX.scalar(), (1.0, -2.0))
+
+
+GENERATORS = ["power:1", "power:1.2", "power:1.5", "power:2", "xlogx", "cube", "affine:2,1"]
+SCALAR_FUNCTIONS = [
+    sf for g in GENERATORS for sf in (PhiFunction.parse(g).scalar(), PhiFunction.parse(g).psi())
+]
+AXIS_ORDERS = list(itertools.permutations(range(3)))
+
+
+def _oracle_tables(name, w):
+    """First and second divided-difference tables of the named Phi (or of
+    its Psi = Phi', name "d(...)") at 50 digits, by the plain recursion."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    psi = name.startswith("d(")
+    gen = PhiFunction.parse(name[2:-1] if psi else name)
+    if gen.kind == "xlogx":
+        f = (lambda x: mpmath.log(x) + 1) if psi else (lambda x: x * mpmath.log(x))
+    elif gen.kind == "affine":
+        f = (lambda x: mpmath.mpf(gen.a)) if psi else (lambda x: gen.a * x + gen.b)
+    else:
+        p = mpmath.mpf(3 if gen.kind == "cube" else gen.p)
+        f = (lambda x: p * x ** (p - 1)) if psi else (lambda x: x**p)
+    x = [mpmath.mpf(float(t)) for t in w]
+    d = len(x)
+    t1 = [[(f(x[i]) - f(x[j])) / (x[i] - x[j]) if i != j else None for j in range(d)]
+          for i in range(d)]
+    t2 = {
+        (i, k, j): (t1[i][k] - t1[k][j]) / (x[i] - x[j])
+        for i, k, j in itertools.permutations(range(d), 3)
+    }
+    return t1, t2
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_dd_tables_symmetric_and_confluent(d):
+    rng = rng_for(21, "dd-tables", d)
+    for sf in SCALAR_FUNCTIONS:
+        distinct = rng.uniform(0.1, 3.0, d)
+        repeated = distinct.copy()
+        repeated[rng.integers(0, d, size=d // 2)] = repeated[-1]
+        if d > 1:
+            repeated[-2] = repeated[-1]
+        for w in (distinct, repeated):
+            t1, t2 = dd1_table(sf, w), dd2_table(sf, w)
+            assert np.array_equal(t1, t1.T)
+            for axes in AXIS_ORDERS:
+                assert np.array_equal(t2, t2.transpose(axes))
+        if d > 1:
+            lam = repeated[-1]
+            assert t1[-1, -2] == sf.d1(np.array([lam]))[0]
+            for idx in itertools.product((-1, -2), repeat=3):
+                assert t2[idx] == pytest.approx(0.5 * sf.d2(np.array([lam]))[0], rel=1e-12)
+        clustered = distinct.copy()
+        clustered[: max(1, d - 1)] = rng.uniform(0.1, 3.0) + 1e-9 * rng.random(max(1, d - 1))
+        t1, t2 = dd1_table(sf, clustered), dd2_table(sf, clustered)
+        np.testing.assert_allclose(t1.T, t1, rtol=1e-14, atol=0.0)
+        for axes in AXIS_ORDERS:
+            np.testing.assert_allclose(t2.transpose(axes), t2, rtol=1e-14, atol=0.0)
+
+    # away from confluence, the tables match a 50-digit oracle
+    for sf in SCALAR_FUNCTIONS:
+        w = np.sort(rng.uniform(0.1, 3.0, d))
+        if d > 1 and np.min(np.diff(w)) < 1e-2:
+            w = np.linspace(0.1, 3.0, d)
+        want1, want2 = _oracle_tables(sf.name, w)
+        t1, t2 = dd1_table(sf, w), dd2_table(sf, w)
+        for (i, j), got in np.ndenumerate(t1):
+            if i != j:
+                assert abs(got - float(want1[i][j])) <= 1e-10 * max(abs(float(want1[i][j])), 1.0)
+        for (i, k, j), want in want2.items():
+            assert abs(t2[i, k, j] - float(want)) <= 1e-10 * max(abs(float(want)), 1.0)
 
 
 def test_frechet_square_identity():
