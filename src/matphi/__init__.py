@@ -20,7 +20,6 @@ from .concentration import (
     efron_stein_forms,
     efron_stein_quantity,
     gue_clt_sample,
-    lipschitz_report,
     sample_gue,
     variance,
 )
@@ -54,7 +53,6 @@ from .fourier import (
 )
 from .frechet import (
     MultivariateScalarFunction,
-    divided_difference,
     frechet_derivative,
     frechet_norm,
     frechet_second,

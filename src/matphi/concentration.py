@@ -310,32 +310,6 @@ def check_poincare_commuting(
     )
 
 
-def lipschitz_report(laws: Sequence[FiniteLaw], f: MultivariateScalarFunction) -> dict:
-    """Variance of f over the model vs a grid estimate of the l1-Lipschitz
-    constant, from 16 points per axis (fewer once the grid would pass 10^6
-    points). The constant is a lower bound of the true one and no
-    universal comparison constant is attempted, so only the ratio is
-    reported."""
-    n = f.n
-    density = 16
-    while density**n > 10**6 and density > 2:
-        density -= 1
-    axes = [np.linspace(0.0, 1.0, density) for _ in range(n)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    values = np.array([f.fn(x) for x in grid])
-    lipschitz = 0.0
-    for a in range(len(grid)):
-        diffs = np.abs(values[a + 1 :] - values[a])
-        dists = np.sum(np.abs(grid[a + 1 :] - grid[a]), axis=1)
-        keep = dists > 0
-        if np.any(keep):
-            lipschitz = max(lipschitz, float(np.max(diffs[keep] / dists[keep])))
-    model = ProductModel(tuple(laws), lambda xs: multivariate_apply(f, xs))
-    var = variance(model.to_law())
-    ratio = var / lipschitz**2 if lipschitz > 0 else 0.0
-    return {"variance": var, "lipschitz_const": lipschitz, "ratio": ratio}
-
-
 def sample_gue(d: int, rng: np.random.Generator) -> np.ndarray:
     """One Gaussian-ensemble Hermitian matrix: real standard normal on
     the diagonal, unit-variance complex normal off the diagonal."""

@@ -23,7 +23,7 @@ from .frechet import (
 )
 from .linalg import eigenvalues, hermitian_part, normalized_trace
 from .models import DiscreteRandomMatrix, ProductModel
-from .phifun import PhiFunction
+from .phifun import PhiFunction, ScalarFunction
 from .report import CheckReport, matrix_to_obj, sweep
 from .sampling import random_pd, random_psd
 
@@ -107,66 +107,74 @@ def bregman_maps(phi: PhiFunction, u, v) -> tuple[float, float, float]:
     return a_val, b_val, c_val
 
 
+def joint_convexity_probes(
+    map_fn: Callable[[np.ndarray, np.ndarray], float],
+    pairs: tuple,
+    rng: np.random.Generator,
+) -> list[tuple[float, float, dict | None]]:
+    """Joint-convexity probes of a bivariate matrix map at the argument
+    pairs ((u1, v1), (u2, v2)), mixed at 1/2 and at a weight drawn from
+    ``rng``: one ``(gap, tol, witness)`` triple per mixing weight."""
+    (u1, v1), (u2, v2) = pairs
+    probes = []
+    for t in (0.5, float(rng.uniform(0.05, 0.95))):
+        lhs = t * map_fn(u1, v1) + (1.0 - t) * map_fn(u2, v2)
+        rhs = map_fn(t * u1 + (1 - t) * u2, t * v1 + (1 - t) * v2)
+        gap, probe_tol = rhs - lhs, 1e-8 * (1.0 + abs(lhs) + abs(rhs))
+        witness = None
+        if gap > probe_tol:
+            witness = {"t": t, "u1": matrix_to_obj(u1), "v1": matrix_to_obj(v1),
+                       "u2": matrix_to_obj(u2), "v2": matrix_to_obj(v2)}
+        probes.append((gap, probe_tol, witness))
+    return probes
+
+
 def check_joint_convexity(
     map_fn: Callable[[np.ndarray, np.ndarray], float],
     sampler: Callable[[np.random.Generator], tuple],
     trials: int,
     seed: int = 0,
     label: str = "joint-convexity",
-    tol: float | None = None,
 ) -> CheckReport:
     """Falsifier for joint convexity of a bivariate matrix map: samples
     argument pairs and two mixing weights per trial, reports any violating
-    witnesses. ``tol``, when given, replaces the relative tolerance by an
-    absolute one."""
-
-    def body(rng, trial):
-        (u1, v1), (u2, v2) = sampler(rng)
-        probes = []
-        for t in (0.5, float(rng.uniform(0.05, 0.95))):
-            lhs = t * map_fn(u1, v1) + (1.0 - t) * map_fn(u2, v2)
-            rhs = map_fn(t * u1 + (1 - t) * u2, t * v1 + (1 - t) * v2)
-            gap, probe_tol = rhs - lhs, 1e-8 * (1.0 + abs(lhs) + abs(rhs))
-            witness = None
-            if gap > probe_tol:
-                witness = {"t": t, "u1": matrix_to_obj(u1), "v1": matrix_to_obj(v1),
-                           "u2": matrix_to_obj(u2), "v2": matrix_to_obj(v2)}
-            probes.append((gap, probe_tol, witness))
-        return probes
-
-    return sweep(label, body, trials, seed, tol=tol)
+    witnesses."""
+    return sweep(
+        label, lambda rng, trial: joint_convexity_probes(map_fn, sampler(rng), rng),
+        trials, seed,
+    )
 
 
-def check_char_a(
-    phi: PhiFunction,
-    trials: int,
-    d: int,
-    seed: int = 0,
-    tol: float | None = None,
-) -> CheckReport:
+def char_a_probe(
+    psi: ScalarFunction, d: int, rng: np.random.Generator
+) -> tuple[float, float, dict | None]:
+    """One midpoint-concavity probe of X -> (D Psi[X])^{-1} at a sampled
+    positive-definite pair, as a ``(gap, tol, witness)`` triple."""
+    a = random_pd(rng, d)
+    b = random_pd(rng, d)
+    inv = {
+        key: invert_superoperator(superoperator_of_derivative(psi, m))
+        for key, m in (("a", a), ("b", b), ("mid", 0.5 * (a + b)))
+    }
+    diff = hermitian_part(inv["mid"] - 0.5 * (inv["a"] + inv["b"]))
+    lam = float(eigenvalues(diff)[0])
+    probe_tol = 1e-8 * (1.0 + max(float(np.linalg.norm(inv[k])) for k in inv))
+    witness = None
+    if -lam > probe_tol:
+        witness = {"min_eigenvalue": lam, "a": matrix_to_obj(a), "b": matrix_to_obj(b)}
+    return -lam, probe_tol, witness
+
+
+def check_char_a(phi: PhiFunction, trials: int, d: int, seed: int = 0) -> CheckReport:
     """Midpoint operator concavity of X -> (D Psi[X])^{-1} on sampled
-    positive-definite pairs. ``tol``, when given, replaces the relative
-    tolerance by an absolute one."""
+    positive-definite pairs."""
     if phi.is_affine:
         raise DomainError("the concavity characterization needs a non-affine generator")
     psi = phi.psi()
-
-    def body(rng, trial):
-        a = random_pd(rng, d)
-        b = random_pd(rng, d)
-        inv = {
-            key: invert_superoperator(superoperator_of_derivative(psi, m))
-            for key, m in (("a", a), ("b", b), ("mid", 0.5 * (a + b)))
-        }
-        diff = hermitian_part(inv["mid"] - 0.5 * (inv["a"] + inv["b"]))
-        lam = float(eigenvalues(diff)[0])
-        probe_tol = 1e-8 * (1.0 + max(float(np.linalg.norm(inv[k])) for k in inv))
-        witness = None
-        if -lam > probe_tol:
-            witness = {"min_eigenvalue": lam, "a": matrix_to_obj(a), "b": matrix_to_obj(b)}
-        return -lam, probe_tol, witness
-
-    return sweep("char-a", body, trials, seed, tol=tol, phi=phi.label, d=d)
+    return sweep(
+        "char-a", lambda rng, trial: char_a_probe(psi, d, rng), trials, seed,
+        phi=phi.label, d=d,
+    )
 
 
 @dataclass(frozen=True)

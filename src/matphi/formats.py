@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .fourier import LsiSearchResult, MatrixBooleanFunction
 from .holevo import CQEnsemble, MarkovKernel
 from .models import FiniteLaw, ProductModel
@@ -52,8 +52,11 @@ def kernel_to_obj(kernel: MarkovKernel, mu: np.ndarray | None = None) -> dict:
 
 
 def kernel_from_obj(obj: dict) -> tuple[MarkovKernel, np.ndarray | None]:
-    kernel = MarkovKernel(np.asarray(obj["rows"], dtype=float))
-    mu = np.asarray(obj["mu"], dtype=float) if "mu" in obj else None
+    try:
+        kernel = MarkovKernel(np.asarray(obj["rows"], dtype=float))
+        mu = np.asarray(obj["mu"], dtype=float) if "mu" in obj else None
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+        raise ConfigError(f"bad kernel object: {type(exc).__name__} {exc}") from exc
     return kernel, mu
 
 
@@ -127,4 +130,7 @@ def dump_json(path: str | Path, obj: dict) -> None:
 
 
 def load_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc

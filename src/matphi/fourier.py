@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import (
+    _require_hermitian_stack,
     eigenvalues,
     hermitian_part,
     normalized_trace,
     psd_power,
-    require_hermitian,
     schatten_norm,
     spectral_map,
     tr_xlogx,
@@ -49,7 +49,7 @@ class MatrixBooleanFunction:
         table = np.asarray(self.table, dtype=complex)
         if table.ndim != 3 or table.shape[0] != 2**self.n:
             raise ValueError(f"table must have shape (2^{self.n}, d, d), got {table.shape}")
-        table = np.stack([require_hermitian(m) for m in table])
+        table = _require_hermitian_stack(table)
         object.__setattr__(self, "table", table)
 
     @property

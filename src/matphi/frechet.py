@@ -26,22 +26,6 @@ def _confluent(x, y):
     return abs(x - y) < 1e-7 * (1.0 + abs(x) + abs(y))
 
 
-def divided_difference(sf: ScalarFunction, nodes: Sequence[float], order: int = 1) -> float:
-    """f^[order] at the given nodes, with confluent nodes handled by the
-    derivative limits f'(a) and f''(a)/2."""
-    nodes = np.array([float(t) for t in nodes])
-    sf.admit(nodes)
-    if order == 1:
-        if nodes.size != 2:
-            raise ValueError("order-1 divided difference takes two nodes")
-        return float(dd1_table(sf, nodes)[0, 1])
-    if order == 2:
-        if nodes.size != 3:
-            raise ValueError("order-2 divided difference takes three nodes")
-        return float(dd2_table(sf, nodes)[0, 1, 2])
-    raise ValueError(f"order must be 1 or 2, got {order}")
-
-
 def dd1_table(sf: ScalarFunction, w: np.ndarray) -> np.ndarray:
     """f[w_i, w_j] over one spectrum."""
     w = np.asarray(w, dtype=float)

@@ -23,7 +23,14 @@ from .errors import (
     SupportError,
 )
 from .entropy import phi_entropy
-from .linalg import eigenvalues, hermitian_part, require_hermitian, spectral_map, spectral_tolerance
+from .linalg import (
+    _require_hermitian_stack,
+    eigenvalues,
+    hermitian_part,
+    require_hermitian,
+    spectral_map,
+    spectral_tolerance,
+)
 from .models import DiscreteRandomMatrix
 from .phifun import PhiFunction
 from .report import CheckReport
@@ -50,18 +57,18 @@ class CQEnsemble:
             raise DimensionMismatch("label law and state count disagree")
         if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError("label probabilities must be nonnegative and sum to 1")
+        states = _require_hermitian_stack(states)
         tol = spectral_tolerance(states.shape[1])
-        checked = []
-        for rho in states:
-            rho = require_hermitian(rho)
-            w = eigenvalues(rho)
-            if w[0] < -tol:
-                raise ValueError(f"state has negative eigenvalue {w[0]:.3e}")
-            if abs(float(np.trace(rho).real) - 1.0) > tol:
-                raise ValueError(f"state trace {np.trace(rho).real!r} is not 1")
-            checked.append(rho)
+        lowest = eigenvalues(states)[:, 0]
+        negative = lowest < -tol
+        if np.any(negative):
+            raise ValueError(f"state has negative eigenvalue {lowest[np.argmax(negative)]:.3e}")
+        traces = np.trace(states, axis1=1, axis2=2).real
+        off = np.abs(traces - 1.0) > tol
+        if np.any(off):
+            raise ValueError(f"state trace {traces[np.argmax(off)]!r} is not 1")
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", np.stack(checked))
+        object.__setattr__(self, "states", states)
 
     @property
     def d(self) -> int:

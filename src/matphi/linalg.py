@@ -27,12 +27,6 @@ from .errors import (
 )
 
 
-def hermiticity_tolerance(a: np.ndarray) -> float:
-    """Scale-aware tolerance below which a matrix counts as Hermitian."""
-    sup = float(np.max(np.abs(a))) if a.size else 0.0
-    return 1e-10 * (1.0 + sup)
-
-
 def spectral_tolerance(d: int) -> float:
     return 1e-9 * d
 
@@ -85,16 +79,27 @@ def tr_xlogx(a) -> np.ndarray:
     return terms.sum(axis=-1) / w.shape[-1]
 
 
+def _require_hermitian_stack(a: np.ndarray) -> np.ndarray:
+    """Validate each matrix of a complex (..., d, d) stack against its own
+    scale-aware tolerance 1e-10 (1 + max|A_k|) and return the (exactly)
+    hermitized copy; the first offending matrix names the deviation."""
+    tol = 1e-10 * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
+    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    bad = dev > tol
+    if bad.any():
+        k = np.argmax(bad)
+        raise NotHermitian(
+            f"hermiticity deviation {dev.flat[k]:.3e} exceeds tolerance {tol.flat[k]:.3e}"
+        )
+    return hermitian_part(a)
+
+
 def require_hermitian(a) -> np.ndarray:
     """Validate and return the (exactly) hermitized copy of ``a``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
-    tol = hermiticity_tolerance(a)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol:
-        raise NotHermitian(f"hermiticity deviation {dev:.3e} exceeds tolerance {tol:.3e}")
-    return hermitian_part(a)
+    return _require_hermitian_stack(a)
 
 
 def spectral_decompose(a) -> tuple[np.ndarray, np.ndarray]:

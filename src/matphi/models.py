@@ -13,7 +13,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge
-from .linalg import eigenvalues, hermitian_part, require_hermitian, spectral_tolerance
+from .linalg import (
+    _require_hermitian_stack,
+    eigenvalues,
+    hermitian_part,
+    require_hermitian,
+    spectral_tolerance,
+)
 
 MAX_ENUMERATION = 10**6
 
@@ -41,7 +47,7 @@ class DiscreteRandomMatrix:
             raise ValueError("support probabilities must be strictly positive")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        values = np.stack([require_hermitian(v) for v in values])
+        values = _require_hermitian_stack(values)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "values", values)
 

@@ -140,6 +140,37 @@ def test_eta_requires_input():
     assert _run(["eta"]) == 2
 
 
+@pytest.mark.parametrize("text", ["{bad json", None, '{"foo": 1}'], ids=["malformed", "missing", "no-rows"])
+def test_eta_bad_input_is_config_error(tmp_path, capsys, text):
+    kernel_file = tmp_path / "kernel.json"
+    if text is not None:
+        kernel_file.write_text(text)
+    assert _run(["eta", "--in", str(kernel_file), "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_nonnegative(capsys, tol):
+    assert _run(["characterizations", "--phi", "cube", "--d", "1", "--trials", "1", "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tol must be finite and nonnegative")
+    assert err.count("\n") == 1
+
+
+def test_reports_state_effective_dimensions(tmp_path):
+    # d clamps to 3 and n to [1, 3]; plus-identities draws no n
+    out = tmp_path / "es.json"
+    assert _run(["efron-stein", "--d", "6", "--n", "9", "--trials", "2", "--out", str(out)]) == 0
+    ran = {r["check"]: (r["d"], r["n"]) for r in json.loads(out.read_text())["reports"]}
+    assert ran == {
+        "efron-stein": (3, 3),
+        "efron-stein-forms": (3, 3),
+        "plus-identities": (3, None),
+    }
+
+
 @pytest.mark.parametrize("samples", ["5", "0"])
 def test_samples_below_batch_count_is_config_error(capsys, samples):
     # the Gaussian checks split --samples into 10 Monte Carlo batches
@@ -198,6 +229,15 @@ def test_tol_override_plumbs_through():
         assert not strict_by_name[name].passed
         assert loose_by_name[name].passed, name
         assert not loose_by_name[name].violations
+    # the override reaches every sweep check of the whole suite
+    everything = run_suite(
+        RunConfig(seed=1, trials=3, d=1, phi="cube", samples=500, tol=1e9), "all"
+    )
+    # sweeps report the configured trials, one-shot checks a single one
+    sweeps = [r for r in everything.reports if r.trials == 3]
+    assert len(sweeps) == 29
+    for rep in sweeps:
+        assert rep.passed and not rep.violations, rep.check
 
 
 @pytest.mark.parametrize("phi", ["affine:2,1", "power:1"])

@@ -16,7 +16,6 @@ from matphi.concentration import (
     efron_stein_forms,
     efron_stein_quantity,
     gue_clt_sample,
-    lipschitz_report,
     sample_gue,
     variance,
 )
@@ -227,43 +226,6 @@ def test_poincare_commuting_scalar_reduction():
     rep = check_poincare_commuting(laws, f)
     assert rep.details["variance"] == pytest.approx(0.5)
     assert rep.details["bound"] == pytest.approx(2.0)
-
-
-def test_lipschitz_report_constant_and_coordinate():
-    laws = (
-        FiniteLaw(np.array([0.5, 0.5]), (np.zeros((1, 1)), np.ones((1, 1)))),
-    )
-    const = MultivariateScalarFunction(n=1, fn=lambda x: 1.0, partial=lambda i, x: 0.0)
-    out = lipschitz_report(laws, const)
-    assert out["ratio"] == 0.0
-    coord = MultivariateScalarFunction(
-        n=1, fn=lambda x: float(x[0]), partial=lambda i, x: 1.0
-    )
-    out = lipschitz_report(laws, coord)
-    assert out["lipschitz_const"] == pytest.approx(1.0)
-    assert out["variance"] == pytest.approx(0.25)
-    assert out["ratio"] <= 0.25 + 1e-12
-
-
-def test_lipschitz_report_absolute_difference():
-    rng = rng_for(41, "lipschitz", 0)
-    laws = tuple(
-        FiniteLaw(
-            np.array([0.5, 0.5]),
-            (
-                np.diag(rng.uniform(0, 1, 2)).astype(complex),
-                np.diag(rng.uniform(0, 1, 2)).astype(complex),
-            ),
-        )
-        for _ in range(2)
-    )
-    f = MultivariateScalarFunction(
-        n=2,
-        fn=lambda x: float(abs(x[0] - x[1])),
-        partial=lambda i, x: float(np.sign(x[i] - x[1 - i])),
-    )
-    out = lipschitz_report(laws, f)
-    assert np.isfinite(out["ratio"])
 
 
 def test_gue_sample_moments():

@@ -11,6 +11,8 @@ from matphi.errors import (
     NotHermitian,
     SpectrumOutOfDomain,
 )
+from matphi.fourier import MatrixBooleanFunction
+from matphi.holevo import CQEnsemble
 from matphi.linalg import (
     NONNEGATIVE,
     SpectralInterval,
@@ -27,6 +29,7 @@ from matphi.linalg import (
     spectral_map,
     tr_xlogx,
 )
+from matphi.models import DiscreteRandomMatrix
 from matphi.sampling import random_hermitian, random_psd, random_unitary, rng_for
 
 
@@ -52,6 +55,27 @@ def test_spectral_reconstruction_random():
 def test_spectral_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _slightly_skew_unit_and_big():
+    skew = np.array([[0.5, 1e-9], [0.0, 0.5]], dtype=complex)
+    big = 1e3 * np.eye(2, dtype=complex)
+    return np.stack([skew, big])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda stack: DiscreteRandomMatrix(np.array([0.5, 0.5]), stack),
+        lambda stack: MatrixBooleanFunction(1, stack),
+        lambda stack: CQEnsemble(np.array([0.5, 0.5]), stack),
+    ],
+    ids=["law", "boolean-function", "ensemble"],
+)
+def test_stack_validation_keeps_each_matrix_tolerance(build):
+    # a stack-wide sup would scale the unit matrix's tolerance by 1e3 and excuse it
+    with pytest.raises(NotHermitian):
+        build(_slightly_skew_unit_and_big())
 
 
 def test_standard_function_identity_and_square():
