@@ -15,6 +15,7 @@ import numpy as np
 from .errors import MatPhiError, SeparateConvexityViolated
 from .frechet import MultivariateScalarFunction, commuting_eigensystem, multivariate_dd_table, multivariate_apply
 from .linalg import (
+    eigenvalues,
     hermitian_part,
     loewner_leq,
     negative_part,
@@ -36,8 +37,7 @@ FD_STEP = 1e-5  # central-difference step of the derivative estimates
 def variance(law: DiscreteRandomMatrix) -> float:
     """tr[E Z^2 - (E Z)^2]."""
     mean = law.mean()
-    second = law.expect(lambda v: v @ v)
-    return normalized_trace(second - mean @ mean)
+    return normalized_trace(law.expect(law.values @ law.values) - mean @ mean)
 
 
 def _matrix(model: ProductModel, outcome: tuple) -> np.ndarray:
@@ -46,31 +46,22 @@ def _matrix(model: ProductModel, outcome: tuple) -> np.ndarray:
 
 def efron_stein_forms(model: ProductModel) -> tuple[float, float, float]:
     """The three equivalent enumerated forms of the resampling quantity:
-    half replacement square, conditional variance, and positive part."""
-    form_replace = 0.0
-    form_condvar = 0.0
-    form_plus = 0.0
+    half replacement square, conditional variance, and positive part.
+    Each slice's pair differences Z_k - Z_l form one (s, s, d, d) stack."""
+    forms = np.zeros(3)
     for i in range(model.n):
-        law_i = model.laws[i]
         for p_minus, partial in model.iter_minus(i):
-            values = []
-            for outcome in law_i.outcomes:
-                point = list(partial)
-                point[i] = outcome
-                values.append(_matrix(model, tuple(point)))
-            probs = law_i.probs
-            mean_i = sum(p * v for p, v in zip(probs, values))
-            for pk, zk in zip(probs, values):
-                form_condvar += p_minus * pk * normalized_trace(
-                    (zk - mean_i) @ (zk - mean_i)
-                )
-                for pl, zl in zip(probs, values):
-                    diff = zk - zl
-                    w = p_minus * pk * pl
-                    form_replace += 0.5 * w * normalized_trace(diff @ diff)
-                    plus = positive_part(diff)
-                    form_plus += w * normalized_trace(plus @ plus)
-    return form_replace, form_condvar, form_plus
+            law = model.slice_law(i, partial)
+            centered = law.values - law.mean()
+            diff = law.values[:, None] - law.values[None, :]
+            pair_w = np.outer(law.probs, law.probs)
+            plus = np.clip(eigenvalues(diff), 0.0, None)
+            forms += p_minus / law.d * np.array([
+                0.5 * np.sum(pair_w * np.einsum("klij,klji->kl", diff, diff).real),
+                law.expect(np.einsum("kij,kji->k", centered, centered).real),
+                np.sum(pair_w * np.sum(plus**2, axis=-1)),
+            ])
+    return tuple(float(x) for x in forms)
 
 
 def efron_stein_quantity(model: ProductModel) -> float:
@@ -114,44 +105,27 @@ def check_plus_identities(law: DiscreteRandomMatrix, q: int) -> CheckReport:
     halved-square identity; all verified entrywise by enumeration."""
     if q not in (1, 2, 3):
         raise ValueError(f"q must be 1, 2 or 3, got {q}")
-    mean = law.mean()
-    d = law.d
+    centered = law.values - law.mean()
+    diff = law.values[:, None] - law.values[None, :]
+    pair_w = np.outer(law.probs, law.probs)
 
-    def mat_pow(m, k):
-        out = np.eye(d, dtype=complex)
-        for _ in range(k):
-            out = out @ m
-        return out
+    def abs_q(m):
+        # |m|^q through the spectral absolute value, independent of the
+        # positive/negative split it is compared against
+        return spectral_map(lambda s: np.abs(s) ** q, m)
 
-    # |m|^q through the spectral absolute value, independent of the
-    # positive/negative split it is compared against
-    lhs1 = sum(
-        p * spectral_map(lambda s: np.abs(s) ** q, hermitian_part(v - mean))
-        for p, v in zip(law.probs, law.values)
-    )
-    rhs1 = sum(
-        p * (mat_pow(positive_part(v - mean), q) + mat_pow(negative_part(v - mean), q))
-        for p, v in zip(law.probs, law.values)
-    )
-    dev1 = float(np.max(np.abs(lhs1 - rhs1)))
+    def pow_q(part, m):
+        return np.linalg.matrix_power(part(m), q)
 
-    half_abs = np.zeros((d, d), dtype=complex)
-    plus_q = np.zeros((d, d), dtype=complex)
-    minus_q = np.zeros((d, d), dtype=complex)
-    sq = np.zeros((d, d), dtype=complex)
-    for px, x in zip(law.probs, law.values):
-        for py, y in zip(law.probs, law.values):
-            w = px * py
-            diff = x - y
-            half_abs += 0.5 * w * spectral_map(lambda s: np.abs(s) ** q, hermitian_part(diff))
-            plus_q += w * mat_pow(positive_part(diff), q)
-            minus_q += w * mat_pow(negative_part(diff), q)
-            sq += 0.5 * w * (diff @ diff)
+    split = pow_q(positive_part, centered) + pow_q(negative_part, centered)
+    dev1 = float(np.max(np.abs(law.expect(abs_q(centered) - split))))
+    half_abs = 0.5 * np.tensordot(pair_w, abs_q(diff), axes=2)
     dev2 = max(
-        float(np.max(np.abs(half_abs - plus_q))), float(np.max(np.abs(half_abs - minus_q)))
+        float(np.max(np.abs(half_abs - np.tensordot(pair_w, pow_q(part, diff), axes=2))))
+        for part in (positive_part, negative_part)
     )
-    centered_sq = sum(p * (v - mean) @ (v - mean) for p, v in zip(law.probs, law.values))
-    dev3 = float(np.max(np.abs(centered_sq - sq)))
+    sq = 0.5 * np.tensordot(pair_w, diff @ diff, axes=2)
+    dev3 = float(np.max(np.abs(law.expect(centered @ centered) - sq)))
 
     tol = 1e-10 * (1.0 + float(np.max(np.abs(law.values))) ** q)
     max_dev = max(dev1, dev2, dev3)
@@ -160,7 +134,7 @@ def check_plus_identities(law: DiscreteRandomMatrix, q: int) -> CheckReport:
         passed=max_dev <= tol,
         max_gap=max_dev,
         tol=tol,
-        d=d,
+        d=law.d,
         details={"q": q, "centered": dev1, "paired": dev2, "halved_square": dev3},
     )
 

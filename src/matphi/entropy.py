@@ -36,8 +36,9 @@ def phi_entropy(phi: PhiFunction, law: DiscreteRandomMatrix) -> float:
     """tr[E Phi(Z) - Phi(E Z)]; nonnegative for convex Phi, zero on
     single-point laws."""
     scalar = phi.scalar()
-    expected = law.expect(scalar.apply)
-    return normalized_trace(expected - scalar.apply(law.mean()))
+    w = scalar.admit(eigenvalues(np.concatenate([law.values, law.mean()[None]])))
+    traces = scalar.fn(w).mean(axis=-1)
+    return float(law.expect(traces[:-1]) - traces[-1])
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class ConditionalEntropyTable:
 
     probs: np.ndarray
     entropies: np.ndarray
-    assignments: tuple
 
     @property
     def expectation(self) -> float:
@@ -56,15 +56,11 @@ class ConditionalEntropyTable:
 def conditional_phi_entropy(
     phi: PhiFunction, model: ProductModel, i: int
 ) -> ConditionalEntropyTable:
-    probs, entropies, assignments = [], [], []
+    probs, entropies = [], []
     for p_minus, partial in model.iter_minus(i):
-        law = model.slice_law(i, partial)
         probs.append(p_minus)
-        entropies.append(phi_entropy(phi, law))
-        assignments.append(partial)
-    return ConditionalEntropyTable(
-        np.array(probs), np.array(entropies), tuple(assignments)
-    )
+        entropies.append(phi_entropy(phi, model.slice_law(i, partial)))
+    return ConditionalEntropyTable(np.array(probs), np.array(entropies))
 
 
 def check_subadditivity(phi: PhiFunction, model: ProductModel) -> CheckReport:
@@ -230,12 +226,9 @@ def duality_lower_bound(
     over couplings sharing the support index; exact equality at T = Z."""
     if z_law.size != t_law.size or not np.allclose(z_law.probs, t_law.probs, atol=1e-12):
         raise DomainError("duality bound needs Z and T coupled on the same index law")
-    psi = phi.psi()
-    psi_mean = psi.apply(t_law.mean())
-    acc = 0.0
-    for p, z, t in zip(z_law.probs, z_law.values, t_law.values):
-        acc += p * normalized_trace((psi.apply(t) - psi_mean) @ (z - t))
-    return acc + phi_entropy(phi, t_law)
+    psi_t = phi.psi().apply(np.concatenate([t_law.values, t_law.mean()[None]]))
+    terms = np.einsum("kij,kji->k", psi_t[:-1] - psi_t[-1], z_law.values - t_law.values)
+    return float(z_law.expect(terms.real)) / z_law.d + phi_entropy(phi, t_law)
 
 
 def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
@@ -244,21 +237,13 @@ def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
     if model.n != 2:
         raise DomainError("the conditional-Jensen check uses two-input models")
     law0, law1 = model.laws
-    cond = 0.0
-    for p0, x0 in zip(law0.probs, law0.outcomes):
-        slice_values = np.stack(
-            [np.asarray(model.evaluator((x0, x1)), dtype=complex) for x1 in law1.outcomes]
-        )
-        cond += p0 * phi_entropy(phi, DiscreteRandomMatrix(law1.probs, slice_values))
-    averaged = np.stack(
-        [
-            sum(
-                p0 * np.asarray(model.evaluator((x0, x1)), dtype=complex)
-                for p0, x0 in zip(law0.probs, law0.outcomes)
-            )
-            for x1 in law1.outcomes
-        ]
-    )
+    joint = model.to_law()
+    # the joint index runs in mixed radix, first input slowest
+    values = joint.values.reshape(law0.size, law1.size, joint.d, joint.d)
+    cond = float(law0.probs @ [
+        phi_entropy(phi, DiscreteRandomMatrix(law1.probs, row)) for row in values
+    ])
+    averaged = np.tensordot(law0.probs, values, axes=1)
     rhs = phi_entropy(phi, DiscreteRandomMatrix(law1.probs, averaged))
     tol = entropy_tolerance(cond, rhs)
     gap = rhs - cond

@@ -3,7 +3,7 @@
 Matrix: {"d": int, "re": [d*d floats row-major], "im": [d*d floats]}
 (the codec lives in ``report``, which the numeric modules import).
 Ensemble: {"d": int, "items": [{"p": float, "rho": matrix}]}.
-Kernel: {"rows": [[floats]]}.
+Kernel: {"rows": [[floats]], "mu"?: [probability over the kernel's inputs]}.
 Boolean function: {"n": int, "d": int, "points": [{"x": bitstring, "matrix": matrix}]}
 with the i-th character of the bitstring holding coordinate i; every
 point must be present.
@@ -57,6 +57,13 @@ def kernel_from_obj(obj: dict) -> tuple[MarkovKernel, np.ndarray | None]:
         mu = np.asarray(obj["mu"], dtype=float) if "mu" in obj else None
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad kernel object: {type(exc).__name__} {exc}") from exc
+    # NaN and infinite entries fail the sign or the sum; a zero entry is
+    # left to the admissibility check
+    size = kernel.input_size
+    if mu is not None and not (
+        mu.shape == (size,) and np.all(mu >= 0) and abs(mu.sum() - 1.0) <= 1e-12
+    ):
+        raise ConfigError(f"mu must be a probability vector of size {size}, got {mu.tolist()}")
     return kernel, mu
 
 

@@ -126,11 +126,8 @@ def parseval_check(f: MatrixBooleanFunction) -> CheckReport:
 def dirichlet_energy_spectral(f: MatrixBooleanFunction) -> float:
     """sum_S |S| tr coeffs(S)^2."""
     coeffs = fourier_transform(f).coeffs
-    sizes = _popcounts(f.n)
-    total = 0.0
-    for s, c in zip(sizes, coeffs):
-        total += s * normalized_trace(c @ c)
-    return total
+    traces = np.einsum("kij,kji->k", coeffs, coeffs).real
+    return float(_popcounts(f.n) @ traces) / f.d
 
 
 # Table kernels shared by the public functions and the LSI search, which
@@ -194,15 +191,9 @@ def check_bonami_beckner(f: MatrixBooleanFunction, p: float) -> CheckReport:
     if not 1.0 <= p <= 2.0:
         raise DomainError(f"exponent must lie in [1, 2], got {p}")
     coeffs = fourier_transform(f).coeffs
-    sizes = _popcounts(f.n)
-    lhs_sq = 0.0
-    for s, c in zip(sizes, coeffs):
-        lhs_sq += (p - 1.0) ** int(s) * schatten_norm(c, p, normalized=True) ** 2
-    lhs = float(np.sqrt(lhs_sq))
-    rhs_pow = float(
-        np.mean([schatten_norm(m, p, normalized=True) ** p for m in f.table])
-    )
-    rhs = rhs_pow ** (1.0 / p)
+    weights = (p - 1.0) ** _popcounts(f.n)
+    lhs = float(np.sqrt(weights @ schatten_norm(coeffs, p, normalized=True) ** 2))
+    rhs = float(np.mean(schatten_norm(f.table, p, normalized=True) ** p)) ** (1.0 / p)
     tol = 1e-10 * (1.0 + lhs + rhs)
     return CheckReport(
         check="bonami-beckner",
@@ -272,8 +263,8 @@ def check_log_sobolev(f: MatrixBooleanFunction) -> CheckReport:
 
 def p_variance(law: DiscreteRandomMatrix, p: float) -> np.ndarray:
     """Matrix-valued p-variance E[Z^2] - (E[Z^p])^{2/p}."""
-    second = law.expect(lambda v: v @ v)
-    p_mean = law.expect(lambda v: psd_power(v, p))
+    second = law.expect(law.values @ law.values)
+    p_mean = law.expect(psd_power(law.values, p))
     return hermitian_part(second - psd_power(p_mean, 2.0 / p))
 
 
@@ -284,9 +275,10 @@ def check_p_variance_limit(law: DiscreteRandomMatrix) -> CheckReport:
     if np.any(eigenvalues(law.values)[:, 0] <= 1e-13):
         raise DomainError("p-variance limit needs strictly positive support values")
 
-    second = law.expect(lambda v: v @ v)
+    squares = law.values @ law.values
+    second = law.expect(squares)
     limit = hermitian_part(
-        0.5 * law.expect(lambda v: (v @ v) @ spectral_map(np.log, hermitian_part(v @ v)))
+        0.5 * law.expect(squares @ spectral_map(np.log, hermitian_part(squares)))
         - 0.5 * second @ spectral_map(np.log, hermitian_part(second))
     )
     scaled = [p_variance(law, p) / (2.0 - p) for p in P_VARIANCE_PS]

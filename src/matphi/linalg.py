@@ -79,10 +79,13 @@ def tr_xlogx(a) -> np.ndarray:
     return terms.sum(axis=-1) / w.shape[-1]
 
 
-def _require_hermitian_stack(a: np.ndarray) -> np.ndarray:
-    """Validate each matrix of a complex (..., d, d) stack against its own
+def _require_hermitian_stack(a) -> np.ndarray:
+    """Validate each matrix of a (..., d, d) stack against its own
     scale-aware tolerance 1e-10 (1 + max|A_k|) and return the (exactly)
     hermitized copy; the first offending matrix names the deviation."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NotHermitian(f"expected square matrices, got shape {a.shape}")
     tol = 1e-10 * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
     dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     bad = dev > tol
@@ -97,7 +100,7 @@ def _require_hermitian_stack(a: np.ndarray) -> np.ndarray:
 def require_hermitian(a) -> np.ndarray:
     """Validate and return the (exactly) hermitized copy of ``a``."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
     return _require_hermitian_stack(a)
 
@@ -145,12 +148,13 @@ def apply_standard_function(
     a,
     domain: SpectralInterval | None = None,
 ) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum."""
+    """Apply a scalar function to a Hermitian matrix, or to each matrix of
+    a (..., d, d) stack, through its spectrum."""
 
     def on_domain(w):
         return fn(w if domain is None else domain.admit(w))
 
-    return hermitian_part(spectral_map(on_domain, require_hermitian(a)))
+    return hermitian_part(spectral_map(on_domain, _require_hermitian_stack(a)))
 
 
 def normalized_trace(a) -> float:
@@ -161,25 +165,28 @@ def normalized_trace(a) -> float:
     return float(np.trace(a).real) / a.shape[0]
 
 
-def schatten_norm(a, p: float, normalized: bool = False) -> float:
-    """Schatten p-norm of a Hermitian matrix; the normalized variant
-    averages instead of summing before the 1/p power."""
+def schatten_norm(a, p: float, normalized: bool = False) -> float | np.ndarray:
+    """Schatten p-norm of a Hermitian matrix, or of each matrix of a
+    (..., d, d) stack; the normalized variant averages instead of summing
+    before the 1/p power."""
     if p < 1:
         raise InvalidExponent(f"Schatten exponent must be >= 1, got {p}")
-    w = np.abs(eigenvalues(require_hermitian(a)))
-    powsum = float(np.sum(w**p))
+    w = np.abs(eigenvalues(_require_hermitian_stack(a)))
+    # a kept axis sends one matrix through the array power a stack takes
+    powsum = np.sum(w**p, axis=-1, keepdims=True)
     if normalized:
-        powsum /= w.size
-    return powsum ** (1.0 / p)
+        powsum = powsum / w.shape[-1]
+    return (powsum ** (1.0 / p))[..., 0]
 
 
 def positive_part(a) -> np.ndarray:
-    """Spectral projection onto nonnegative eigenvalues, (A)_+."""
-    return hermitian_part(spectral_map(lambda w: np.clip(w, 0.0, None), require_hermitian(a)))
+    """Spectral projection onto nonnegative eigenvalues, (A)_+, of a
+    Hermitian matrix or of each matrix of a (..., d, d) stack."""
+    return apply_standard_function(lambda w: np.clip(w, 0.0, None), a)
 
 
 def negative_part(a) -> np.ndarray:
-    """(A)_- = (-A)_+, so that A = (A)_+ - (A)_-."""
+    """(A)_- = (-A)_+, so that A = (A)_+ - (A)_-, matrix by matrix."""
     return positive_part(-np.asarray(a, dtype=complex))
 
 

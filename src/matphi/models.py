@@ -70,13 +70,11 @@ class DiscreteRandomMatrix:
         return self.values.shape[1]
 
     def mean(self) -> np.ndarray:
-        return hermitian_part(np.tensordot(self.probs, self.values, axes=1))
+        return hermitian_part(self.expect(self.values))
 
-    def expect(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        acc = np.zeros((self.d, self.d), dtype=complex)
-        for p, v in zip(self.probs, self.values):
-            acc += p * np.asarray(fn(v), dtype=complex)
-        return acc
+    def expect(self, stack) -> np.ndarray:
+        """sum_k p_k stack[k] over a (K, ...) stack of per-value quantities."""
+        return np.tensordot(self.probs, stack, axes=1)
 
     def scaled(self, c: float) -> "DiscreteRandomMatrix":
         return DiscreteRandomMatrix(self.probs, c * self.values)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from matphi import fourier
 from matphi.cli import main
 from matphi.formats import (
     boolean_function_from_obj,
@@ -140,7 +141,18 @@ def test_eta_requires_input():
     assert _run(["eta"]) == 2
 
 
-@pytest.mark.parametrize("text", ["{bad json", None, '{"foo": 1}'], ids=["malformed", "missing", "no-rows"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{bad json",
+        None,
+        '{"foo": 1}',
+        '{"rows": [[0.5, 0.5], [0.5, 0.5]], "mu": [0.5, 0.6]}',
+        '{"rows": [[1, 0], [0, 1]], "mu": [1]}',
+        '{"rows": [[1, 0], [0, 1]], "mu": [1.5, -0.5]}',
+    ],
+    ids=["malformed", "missing", "no-rows", "mu-sum", "mu-size", "mu-negative"],
+)
 def test_eta_bad_input_is_config_error(tmp_path, capsys, text):
     kernel_file = tmp_path / "kernel.json"
     if text is not None:
@@ -149,6 +161,37 @@ def test_eta_bad_input_is_config_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+def test_eta_mu_with_zero_entry_is_not_admissible(tmp_path, capsys):
+    # a valid probability vector that vanishes somewhere is a numerical error
+    kernel_file = tmp_path / "kernel.json"
+    kernel_file.write_text('{"rows": [[1, 0], [0, 1]], "mu": [1, 0]}')
+    assert _run(["eta", "--in", str(kernel_file), "--trials", "1"]) == 3
+    assert "input law vanishes" in capsys.readouterr().err
+
+
+def test_p_variance_limit_reports_its_deviation(tmp_path):
+    # the worst extrapolation error over the trials, not 0.0 for a pass
+    out = tmp_path / "sobolev.json"
+    assert _run(["sobolev", "--seed", "42", "--out", str(out)]) == 0
+    reports = {r["check"]: r for r in json.loads(out.read_text())["reports"]}
+    assert 0.0 < reports["p-variance-limit"]["max_gap"] < 1e-4
+
+
+def test_p_variance_limit_shrink_failure_is_a_violation(monkeypatch):
+    real = fourier.check_p_variance_limit
+
+    def without_shrink(law):
+        rep = real(law)
+        rep.details["linear_shrink"] = False
+        return rep
+
+    monkeypatch.setattr(fourier, "check_p_variance_limit", without_shrink)
+    rep = SUITES["sobolev"]["p-variance-limit"]("p-variance-limit", RunConfig(trials=2))
+    assert not rep.passed
+    assert [v["trial"] for v in rep.violations] == [0, 1]
+    assert all(len(v["residuals"]) == 3 and 0.0 < v["gap"] < 1e-4 for v in rep.violations)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.linalg import matrix_power
 
 from matphi.concentration import (
     check_efron_stein,
@@ -22,6 +23,7 @@ from matphi.concentration import (
 from matphi.entropy import phi_entropy
 from matphi.errors import SeparateConvexityViolated
 from matphi.frechet import MultivariateScalarFunction
+from matphi.linalg import normalized_trace, positive_part
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from matphi.phifun import PhiFunction
 from matphi.sampling import random_law, random_product_model, random_psd, rng_for
@@ -59,6 +61,25 @@ def test_efron_stein_forms_agree_random():
         f1, f2, f3 = efron_stein_forms(model)
         assert abs(f1 - f2) < 1e-10 * (1 + abs(f1))
         assert abs(f1 - f3) < 1e-10 * (1 + abs(f1))
+
+
+def test_efron_stein_forms_match_per_pair_reference():
+    # the stacked forms against the per-pair loop they replaced; the sums
+    # run in another order, so they agree to rounding, not bit for bit
+    for trial in range(6):
+        rng = rng_for(43, "efron-reference", trial)
+        model = random_product_model(rng, 1 + trial % 3, 1 + trial % 3, arity=3, psd=False)
+        ref = np.zeros(3)
+        for i in range(model.n):
+            for p_minus, partial in model.iter_minus(i):
+                law = model.slice_law(i, partial)
+                for pk, zk in zip(law.probs, law.values):
+                    ref[1] += p_minus * pk * normalized_trace(matrix_power(zk - law.mean(), 2))
+                    for pl, zl in zip(law.probs, law.values):
+                        w = p_minus * pk * pl
+                        ref[0] += 0.5 * w * normalized_trace(matrix_power(zk - zl, 2))
+                        ref[2] += w * normalized_trace(matrix_power(positive_part(zk - zl), 2))
+        assert np.allclose(efron_stein_forms(model), ref, rtol=1e-12, atol=0.0)
 
 
 def test_efron_stein_sweep():

@@ -21,6 +21,7 @@ from matphi.entropy import (
 )
 from matphi.errors import DomainError
 from matphi.frechet import frechet_second
+from matphi.linalg import normalized_trace
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, ProductModel
 from matphi.phifun import PhiFunction
 from matphi.sampling import (
@@ -35,6 +36,21 @@ XLOGX = PhiFunction.xlogx()
 SQUARE = PhiFunction.power(2)
 CUBE = PhiFunction.cube()
 IN_CLASS = [PhiFunction.power(1.2), PhiFunction.power(1.5), SQUARE, XLOGX]
+
+
+@pytest.mark.parametrize(
+    "phi", [XLOGX, PhiFunction.power(1.5), PhiFunction.affine(2, 1), CUBE], ids=lambda phi: phi.label
+)
+def test_phi_entropy_matches_standard_function_reference(phi):
+    # tr E Phi(Z) - tr Phi(E Z) from one spectrum per value against the
+    # standard matrix functions it replaced, to rounding
+    scalar = phi.scalar()
+    for trial in range(6):
+        law = random_law(rng_for(44, "phi-entropy-reference", trial), 1 + trial % 4, 3)
+        ref = sum(
+            p * normalized_trace(scalar.apply(v)) for p, v in zip(law.probs, law.values)
+        ) - normalized_trace(scalar.apply(law.mean()))
+        assert phi_entropy(phi, law) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_entropy_constant_law_is_zero():

@@ -24,6 +24,7 @@ from matphi.linalg import (
     normalized_trace,
     positive_part,
     psd_power,
+    require_hermitian,
     schatten_norm,
     spectral_decompose,
     spectral_map,
@@ -231,3 +232,27 @@ def test_stacked_helpers_match_per_matrix(d):
     both = spectral_map(lambda w: np.stack([w, w**2]), herm)
     assert np.array_equal(both[0], spectral_map(lambda w: w, herm))
     assert np.array_equal(both[1], spectral_map(lambda w: w**2, herm))
+    # the stack-capable entry points validate and act matrix by matrix
+    assert np.array_equal(positive_part(herm), np.stack([positive_part(m) for m in herm]))
+    assert np.array_equal(negative_part(herm), np.stack([negative_part(m) for m in herm]))
+    for p in (1.0, 1.5, 3.0):
+        for normalized in (False, True):
+            assert np.array_equal(
+                schatten_norm(herm, p, normalized),
+                [schatten_norm(m, p, normalized) for m in herm],
+            )
+    assert np.array_equal(
+        apply_standard_function(np.sqrt, psd, NONNEGATIVE),
+        np.stack([apply_standard_function(np.sqrt, m, NONNEGATIVE) for m in psd]),
+    )
+    # a law expectation over a (K, ...) stack of per-value quantities;
+    # dyadic weights and integer entries make every summation order exact
+    ints = np.round(4.0 * herm.real[:4]) + 1j * np.round(4.0 * herm.imag[:4])
+    law = DiscreteRandomMatrix(np.array([0.5, 0.25, 0.125, 0.125]), ints)
+    parts = (ints, ints @ ints)
+    per_matrix = [sum(p * m for p, m in zip(law.probs, part)) for part in parts]
+    assert np.array_equal(law.expect(np.stack(parts, axis=1)), np.stack(per_matrix))
+    assert np.array_equal(law.expect(ints @ ints), per_matrix[1])
+    assert np.array_equal(law.mean(), per_matrix[0])
+    with pytest.raises(NotHermitian):
+        require_hermitian(herm)

@@ -1,0 +1,226 @@
+"""Metamorphic oracles for the exact checks.
+
+Every quantity below uses the normalized trace, so it has exact
+symmetries that need no second implementation:
+
+- unitary conjugation Z -> U Z U† leaves it unchanged;
+- tensoring Z -> Z ⊗ I_k leaves it unchanged (the log-Sobolev defect
+  log d becomes log(dk));
+- a block-diagonal direct sum of two instances on the same law gives the
+  two blocks' values averaged with weights d_1 and d_2.
+
+The relations are asserted on the quantities themselves to 1e-12
+relative, and the verdict of every check used must not move.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matphi.concentration import check_efron_stein, check_plus_identities, efron_stein_forms
+from matphi.entropy import duality_lower_bound, phi_entropy
+from matphi.fourier import (
+    MatrixBooleanFunction,
+    check_bonami_beckner,
+    check_log_sobolev,
+    check_p_variance_limit,
+    dirichlet_energy_flip,
+    dirichlet_energy_spectral,
+    p_variance,
+)
+from matphi.holevo import CQEnsemble, holevo_chi, random_ensemble
+from matphi.models import DiscreteRandomMatrix, ProductModel
+from matphi.phifun import PhiFunction
+from matphi.sampling import (
+    random_boolean_function,
+    random_law,
+    random_product_model,
+    random_unitary,
+    rng_for,
+)
+
+REL = 1e-12
+GENERATORS = (PhiFunction.xlogx(), PhiFunction.power(1.5))
+CASES = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def _close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= REL * (1.0 + np.max(np.abs(want))), (got, want)
+
+
+def _conj(stack, u):
+    return u @ stack @ u.conj().T
+
+
+def _tensor(stack, k):
+    return np.kron(stack, np.eye(k))
+
+
+def _dsum(a, b):
+    d1, d2 = a.shape[-1], b.shape[-1]
+    out = np.zeros(a.shape[:-2] + (d1 + d2, d1 + d2), dtype=complex)
+    out[..., :d1, :d1] = a
+    out[..., d1:, d1:] = b
+    return out
+
+
+def _averaged(q1, q2, d1, d2):
+    return (d1 * np.asarray(q1) + d2 * np.asarray(q2)) / (d1 + d2)
+
+
+def _maps(rng, d, k):
+    """Conjugation by a random unitary and tensoring with I_k, as
+    (name, map on a (..., d, d) stack) pairs."""
+    u = random_unitary(rng, d)
+    return [("unitary", lambda s: _conj(s, u)), ("tensor", lambda s: _tensor(s, k))]
+
+
+dims = st.integers(min_value=1, max_value=5)
+seeds = st.integers(min_value=0, max_value=10**6)
+ks = st.integers(min_value=2, max_value=3)
+
+
+def _law_quantities(law: DiscreteRandomMatrix, coupled: DiscreteRandomMatrix) -> dict:
+    out = {}
+    for phi in GENERATORS:
+        out[f"H[{phi.label}]"] = phi_entropy(phi, law)
+        out[f"duality[{phi.label}]"] = duality_lower_bound(phi, law, coupled)
+    return out
+
+
+def _law_verdicts(law: DiscreteRandomMatrix) -> tuple:
+    return (
+        check_p_variance_limit(law).passed,
+        *(check_plus_identities(law, q).passed for q in (1, 2, 3)),
+    )
+
+
+@CASES
+@given(seeds, dims, dims, ks)
+def test_law_quantities_metamorphic(seed, d, d2, k):
+    rng = rng_for(seed, "metamorphic-law", 0)
+    law = random_law(rng, d, 3, psd=True, pd_floor=0.2)
+    coupled = random_law(rng, d, 3, psd=True, pd_floor=0.2)
+    coupled = DiscreteRandomMatrix(law.probs, coupled.values)
+    base = _law_quantities(law, coupled)
+    pvar = p_variance(law, 1.5)
+    verdicts = _law_verdicts(law)
+    for name, fmap in _maps(rng, d, k):
+        mapped = DiscreteRandomMatrix(law.probs, fmap(law.values))
+        mapped_coupled = DiscreteRandomMatrix(law.probs, fmap(coupled.values))
+        for key, value in _law_quantities(mapped, mapped_coupled).items():
+            _close(value, base[key])
+        _close(p_variance(mapped, 1.5), fmap(pvar[None])[0])
+        assert _law_verdicts(mapped) == verdicts, name
+
+    other = random_law(rng, d2, 3, psd=True, pd_floor=0.2).values
+    other_coupled = random_law(rng, d2, 3, psd=True, pd_floor=0.2).values
+    law2 = DiscreteRandomMatrix(law.probs, other)
+    base2 = _law_quantities(law2, DiscreteRandomMatrix(law.probs, other_coupled))
+    summed = DiscreteRandomMatrix(law.probs, _dsum(law.values, other))
+    summed_coupled = DiscreteRandomMatrix(law.probs, _dsum(coupled.values, other_coupled))
+    for key, value in _law_quantities(summed, summed_coupled).items():
+        _close(value, _averaged(base[key], base2[key], d, d2))
+    _close(p_variance(summed, 1.5), _dsum(pvar, p_variance(law2, 1.5)))
+    assert _law_verdicts(summed) == tuple(
+        a and b for a, b in zip(verdicts, _law_verdicts(law2))
+    )
+
+
+def _table_of(model: ProductModel) -> np.ndarray:
+    return np.stack([model.evaluator(outcome) for _, outcome in model.iter_joint()])
+
+
+def _model_quantities(model: ProductModel) -> tuple[dict, bool]:
+    rep = check_efron_stein(model)
+    forms = efron_stein_forms(model)
+    values = {"replace": forms[0], "condvar": forms[1], "plus": forms[2],
+              "variance": rep.details["variance"], "bound": rep.details["bound"]}
+    return values, rep.passed
+
+
+@CASES
+@given(seeds, dims, dims, ks, st.integers(min_value=1, max_value=3))
+def test_efron_stein_metamorphic(seed, d, d2, k, n):
+    rng = rng_for(seed, "metamorphic-model", 0)
+    model = random_product_model(rng, d, n, arity=2, psd=False)
+    table = _table_of(model)
+    base, passed = _model_quantities(model)
+    for name, fmap in _maps(rng, d, k):
+        mapped, mapped_passed = _model_quantities(ProductModel.from_table(model.laws, fmap(table)))
+        assert mapped_passed == passed, name
+        for key, value in mapped.items():
+            _close(value, base[key])
+
+    other = _table_of(random_product_model(rng, d2, n, arity=2, psd=False))
+    base2, passed2 = _model_quantities(ProductModel.from_table(model.laws, other))
+    summed, summed_passed = _model_quantities(
+        ProductModel.from_table(model.laws, _dsum(table, other))
+    )
+    assert summed_passed == (passed and passed2)
+    for key, value in summed.items():
+        _close(value, _averaged(base[key], base2[key], d, d2))
+
+
+def _cube_quantities(f: MatrixBooleanFunction, p: float) -> tuple[dict, tuple]:
+    bb = check_bonami_beckner(f, p)
+    lsi = check_log_sobolev(f)
+    values = {
+        "spectral": dirichlet_energy_spectral(f),
+        "flip": dirichlet_energy_flip(f),
+        "bb_lhs": bb.details["lhs"],
+        "bb_rhs": bb.details["rhs"],
+        "entropy": lsi.details["entropy"],
+        "energy": lsi.details["energy"],
+        "lsi_rhs": lsi.details["rhs"],
+        "f2": float(np.mean(np.einsum("kij,kji->k", f.table, f.table).real)) / f.d,
+    }
+    return values, (bb.passed, lsi.passed)
+
+
+@CASES
+@given(seeds, dims, dims, ks, st.integers(min_value=0, max_value=3),
+       st.sampled_from([1.0, 1.25, 1.5, 2.0]))
+def test_cube_metamorphic(seed, d, d2, k, n, p):
+    rng = rng_for(seed, "metamorphic-cube", 0)
+    table = random_boolean_function(rng, n, d, psd=True)
+    base, verdicts = _cube_quantities(MatrixBooleanFunction(n, table), p)
+    for name, fmap in _maps(rng, d, k):
+        mapped, mapped_verdicts = _cube_quantities(MatrixBooleanFunction(n, fmap(table)), p)
+        assert mapped_verdicts == verdicts, name
+        shift = np.log(k) * base["f2"] if name == "tensor" else 0.0
+        for key, value in mapped.items():
+            _close(value, base[key] + (shift if key == "lsi_rhs" else 0.0))
+
+    other = random_boolean_function(rng, n, d2, psd=True)
+    base2, verdicts2 = _cube_quantities(MatrixBooleanFunction(n, other), p)
+    summed, summed_verdicts = _cube_quantities(MatrixBooleanFunction(n, _dsum(table, other)), p)
+    assert summed_verdicts == tuple(a and b for a, b in zip(verdicts, verdicts2))
+    for key in ("spectral", "flip", "entropy", "energy", "f2"):
+        _close(summed[key], _averaged(base[key], base2[key], d, d2))
+    # Bonami-Beckner: the rhs^p is an average of normalized Schatten p-th
+    # powers; for f ⊕ c f both sides scale by ((1 + c^p) / 2)^(1/p)
+    _close(summed["bb_rhs"] ** p, _averaged(base["bb_rhs"] ** p, base2["bb_rhs"] ** p, d, d2))
+    c = 0.5
+    scaled, scaled_verdicts = _cube_quantities(MatrixBooleanFunction(n, _dsum(table, c * table)), p)
+    assert scaled_verdicts == verdicts
+    factor = ((1.0 + c**p) / 2.0) ** (1.0 / p)
+    _close(scaled["bb_lhs"], factor * base["bb_lhs"])
+    _close(scaled["bb_rhs"], factor * base["bb_rhs"])
+
+
+@CASES
+@given(seeds, dims, dims, ks, st.floats(min_value=0.1, max_value=0.9))
+def test_holevo_chi_metamorphic(seed, d, d2, k, t):
+    rng = rng_for(seed, "metamorphic-holevo", 0)
+    ens = random_ensemble(rng, 3, d)
+    chi = holevo_chi(ens)
+    u = random_unitary(rng, d)
+    _close(holevo_chi(CQEnsemble(ens.probs, _conj(ens.states, u))), chi)
+    _close(holevo_chi(CQEnsemble(ens.probs, _tensor(ens.states, k) / k)), chi)
+    # the t : 1 - t mixture of two ensembles on orthogonal blocks
+    other = random_ensemble(rng, 3, d2).states
+    chi2 = holevo_chi(CQEnsemble(ens.probs, other))
+    summed = CQEnsemble(ens.probs, _dsum(t * ens.states, (1.0 - t) * other))
+    _close(holevo_chi(summed), t * chi + (1.0 - t) * chi2)
