@@ -10,6 +10,7 @@ every executed check passes; failing checks are named on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -30,6 +31,7 @@ from .formats import (
 )
 from .fourier import MatrixBooleanFunction, search_lsi_counterexample
 from .holevo import CQEnsemble, MarkovKernel, eta_phi
+from .models import MAX_ENUMERATION
 from .report import SuiteReport
 from .sampling import (
     random_hermitian,
@@ -148,6 +150,8 @@ def _cmd_suite(suite: str, config: RunConfig) -> int:
 def _cmd_generate(kind: str, config: RunConfig) -> int:
     if kind not in GENERATE_KINDS:
         raise ConfigError(f"unknown instance kind {kind!r}; choose from {GENERATE_KINDS}")
+    if kind in ("boolean-function", "product-model") and config.n > math.log2(MAX_ENUMERATION):
+        raise ConfigError(f"{kind} with n = {config.n} has 2^n values, above {MAX_ENUMERATION}")
     rng = rng_for(config.seed, f"generate-{kind}", 0)
     if kind == "hermitian":
         obj = matrix_to_obj(random_hermitian(rng, config.d))

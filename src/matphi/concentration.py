@@ -32,6 +32,7 @@ from .sampling import rng_for
 FORM_AGREEMENT_TOL = 1e-10
 MC_BATCHES = 10  # batch means give the Gaussian checks their standard errors
 FD_STEP = 1e-5  # central-difference step of the derivative estimates
+CLT_BLOCK_SIGNS = 2**17  # Rademacher signs per generator call (1 MB of int64)
 
 
 def variance(law: DiscreteRandomMatrix) -> float:
@@ -144,36 +145,44 @@ def _as_matrix(v) -> np.ndarray:
     return v.reshape(1, 1) if v.ndim == 0 else v
 
 
-def _fd_grad_sq(evaluator: Callable, x: np.ndarray) -> float:
-    """sum_i ||(f(x + h e_i) - f(x - h e_i)) / 2h||_2^2 at a real x, h = FD_STEP."""
-    total = 0.0
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += FD_STEP
-        xm[i] -= FD_STEP
-        g = (_as_matrix(evaluator(xp)) - _as_matrix(evaluator(xm))) / (2 * FD_STEP)
-        total += float(np.linalg.norm(g)) ** 2
-    return total
+def _values(fn: Callable, points) -> np.ndarray:
+    """The stack of the caller's per-point values fn(x), each as a matrix."""
+    return np.stack([_as_matrix(fn(x)) for x in points])
 
 
-def _directional_norm(
-    evaluator: Callable, xs: tuple, i: int, directions: int, rng: np.random.Generator
-) -> float:
+def _sq_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm summed over all but the leading axis."""
+    return np.sum(np.abs(stack) ** 2, axis=tuple(range(1, stack.ndim)))
+
+
+def _fd_grad_sq(evaluator: Callable, xs: np.ndarray) -> np.ndarray:
+    """sum_i ||(f(x + h e_i) - f(x - h e_i)) / 2h||_2^2 at each real point
+    x of an (m, n) stack, h = FD_STEP."""
+    m, n = xs.shape
+    step = FD_STEP * np.eye(n)
+    shifted = np.stack([xs[:, None] + step, xs[:, None] - step], axis=1)
+    f = _values(evaluator, shifted.reshape(-1, n))
+    f = f.reshape(m, 2, n, *f.shape[1:])
+    return _sq_norms((f[:, 0] - f[:, 1]) / (2 * FD_STEP))
+
+
+def _unit_directions(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray:
+    """Random Hermitian d x d directions of unit Frobenius norm on the
+    leading axes ``shape``, each read as a real then an imaginary block."""
+    g = rng.standard_normal((*shape, 2, d, d))
+    e = hermitian_part(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    return e / np.linalg.norm(e, axis=(-2, -1), keepdims=True)
+
+
+def _directional_norm(evaluator: Callable, xs: tuple, i: int, directions: np.ndarray) -> float:
     """Largest central-difference (step FD_STEP) ||D_i f[xs](E)||_2 over
-    random unit Hermitian directions E, a lower bound on the induced norm."""
-    d = xs[i].shape[0]
-    best = 0.0
-    for _ in range(directions):
-        e = hermitian_part(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        e = e / float(np.linalg.norm(e))
-        plus = list(xs)
-        minus = list(xs)
-        plus[i] = xs[i] + FD_STEP * e
-        minus[i] = xs[i] - FD_STEP * e
-        deriv = _as_matrix(evaluator(tuple(plus))) - _as_matrix(evaluator(tuple(minus)))
-        best = max(best, float(np.linalg.norm(deriv / (2 * FD_STEP))))
-    return best
+    the unit Hermitian directions E, a lower bound on the induced norm."""
+
+    def at(shift):
+        return _as_matrix(evaluator(xs[:i] + (xs[i] + shift,) + xs[i + 1:]))
+
+    derivs = (at(FD_STEP * e) - at(-FD_STEP * e) for e in directions)
+    return max((float(np.linalg.norm(g / (2 * FD_STEP))) for g in derivs), default=0.0)
 
 
 def _spot_check_convexity(
@@ -235,7 +244,8 @@ def check_poincare(
             if derivative_mode == "analytic":
                 norm = float(model.partial_norm(xs, i))
             else:
-                norm = _directional_norm(model.evaluator, xs, i, directions, dir_rng)
+                units = _unit_directions(dir_rng, (directions,), xs[i].shape[0])
+                norm = _directional_norm(model.evaluator, xs, i, units)
             bound += prob * norm**2
     tol = 1e-8 * (1.0 + abs(var) + abs(bound))
     gap = var - bound
@@ -284,63 +294,56 @@ def check_poincare_commuting(
     )
 
 
-def sample_gue(d: int, rng: np.random.Generator) -> np.ndarray:
-    """One Gaussian-ensemble Hermitian matrix: real standard normal on
-    the diagonal, unit-variance complex normal off the diagonal."""
-    diag = rng.standard_normal(d)
-    off = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    m = np.zeros((d, d), dtype=complex)
-    iu = np.triu_indices(d, k=1)
-    m[iu] = off[iu]
-    m = m + m.conj().T
-    m[np.diag_indices(d)] = diag
+def sample_gue(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, d, d) stack of Gaussian-ensemble Hermitian matrices: real
+    standard normal on the diagonal, unit-variance complex normal off the
+    diagonal. One (count, d + 2 d^2) draw gives each matrix its diagonal,
+    then the real and the imaginary part of its off-diagonal block."""
+    g = rng.standard_normal((count, d + 2 * d * d))
+    re, im = np.moveaxis(g[:, d:].reshape(count, 2, d, d), 1, 0)
+    upper = np.triu((re + 1j * im) / np.sqrt(2.0), k=1)
+    m = upper + upper.conj().swapaxes(-1, -2)
+    m[:, np.arange(d), np.arange(d)] = g[:, :d]
     return m
 
 
-def gue_clt_sample(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Rademacher central-limit construction converging to the Gaussian
-    ensemble: S = m^{-1/2} sum_j eps_j Y_j with
-    Y_j = ((W_j + i W_j') + (W_j + i W_j')†) / 2 for Rademacher W, W'."""
-    w = rng.integers(0, 2, size=(m, d, d)) * 2 - 1
-    wp = rng.integers(0, 2, size=(m, d, d)) * 2 - 1
-    eps = rng.integers(0, 2, size=m) * 2 - 1
-    g = w + 1j * wp
-    y = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
-    return np.tensordot(eps, y, axes=1) / np.sqrt(m)
+def gue_clt_sample(d: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, d, d) stack of the Rademacher central-limit construction
+    converging to the Gaussian ensemble: S = m^{-1/2} sum_j eps_j Y_j with
+    Y_j = ((W_j + i W_j') + (W_j + i W_j')†) / 2 for Rademacher W, W'.
+
+    Each draw reads W, then W', then eps; the signs come in blocks of
+    whole draws of at most CLT_BLOCK_SIGNS signs per generator call. The
+    sums A + i B = sum_j eps_j (W_j + i W_j') are exact integers, so
+    (A + i B + (A + i B)†) / 2 is the sum of the Y_j bit for bit."""
+    per_draw = m * (2 * d * d + 1)
+    block = max(1, CLT_BLOCK_SIGNS // per_draw)
+    out = np.empty((count, d, d), dtype=complex)
+    for start in range(0, count, block):
+        k = min(block, count - start)
+        signs = rng.integers(0, 2, size=(k, per_draw)) * 2 - 1
+        w = signs[:, : 2 * m * d * d].reshape(k, 2, m, d, d)
+        a, b = np.einsum("kj,kwjab->wkab", signs[:, 2 * m * d * d:], w)
+        s = a + 1j * b
+        out[start:start + k] = 0.5 * (s + s.conj().swapaxes(-1, -2)) / np.sqrt(m)
+    return out
 
 
-def _batch_means(draw: Callable, d: int, seed: int, label: str, samples: int) -> list[dict]:
-    """Per-batch means of the named d x d matrices that ``draw(rng)``
-    returns, over samples // MC_BATCHES draws per batch with the batch's
-    generator rng_for(seed, label, batch)."""
-    per_batch = samples // MC_BATCHES
-    means = []
-    for b in range(MC_BATCHES):
-        rng = rng_for(seed, label, b)
-        sums: dict[str, np.ndarray] = {}
-        for _ in range(per_batch):
-            for key, m in draw(rng).items():
-                acc = sums.setdefault(key, np.zeros((d, d), dtype=complex))
-                acc += m
-        means.append({key: total / per_batch for key, total in sums.items()})
-    return means
-
-
-def _mean_and_stderr(means: list[dict], fn: Callable[[dict], float]) -> tuple[float, float]:
-    """Batch-means estimate of a statistic and its standard error."""
-    values = np.array([fn(batch) for batch in means], dtype=float)
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values)))
+def _batch_pairs(statistic: Callable, seed: int, label: str, samples: int) -> list:
+    """``statistic(rng, samples // MC_BATCHES)``, one batch's (lhs, rhs),
+    for each batch with its generator rng_for(seed, label, batch)."""
+    return [statistic(rng_for(seed, label, b), samples // MC_BATCHES) for b in range(MC_BATCHES)]
 
 
 def _mc_report(
-    check: str, means: list[dict], lhs_of: Callable, rhs_of: Callable,
-    names=("lhs", "rhs"), details: dict | None = None, **fields,
+    check: str, pairs: list, names=("lhs", "rhs"), details: dict | None = None, **fields,
 ) -> CheckReport:
-    """lhs <= rhs between two batch-means estimates, passing within three
-    standard errors (the two sides' errors added)."""
-    lhs, lhs_se = _mean_and_stderr(means, lhs_of)
-    rhs, rhs_se = _mean_and_stderr(means, rhs_of)
-    se = lhs_se + rhs_se
+    """lhs <= rhs between the batch-means estimates of per-batch (lhs, rhs)
+    pairs, passing within three standard errors (the two sides' errors
+    added)."""
+    sides = np.array(pairs, dtype=float).T
+    lhs, rhs = (float(side.mean()) for side in sides)
+    se = sum(float(side.std(ddof=1) / np.sqrt(len(side))) for side in sides)
     stderr_rel = se / max(abs(rhs), 1e-30)
     return CheckReport(
         check=check,
@@ -371,7 +374,8 @@ def check_gaussian_poincare(
     n independent Gaussian-ensemble matrices passed as a tuple;
     the derivative norms come from ``partial_norm(xs, i)`` when supplied,
     otherwise from random-direction finite differences (a lower bound on
-    the right side, flagged in the report)."""
+    the right side, flagged in the report), drawn after the batch's
+    inputs."""
     scalar_inputs = d1 == 1
     if scalar_inputs:
         probe_point = np.zeros(n)
@@ -379,32 +383,33 @@ def check_gaussian_poincare(
         probe_point = tuple(np.zeros((d1, d1), dtype=complex) for _ in range(n))
     d = _as_matrix(evaluator(probe_point)).shape[0]
 
-    def draw(rng):
+    def statistic(rng, count):
         if scalar_inputs:
-            x = rng.standard_normal(n)
+            points = rng.standard_normal((count, n))
             if partials is not None:
-                grad_sq = sum(
-                    float(np.linalg.norm(_as_matrix(partials(x, i)))) ** 2 for i in range(n)
-                )
+                grad_sq = _sq_norms(np.array(
+                    [[_as_matrix(partials(x, i)) for i in range(n)] for x in points]
+                ))
             else:
-                grad_sq = _fd_grad_sq(evaluator, x)
+                grad_sq = _fd_grad_sq(evaluator, points)
         else:
-            x = tuple(sample_gue(d1, rng) for _ in range(n))
+            points = [tuple(x) for x in sample_gue(d1, count * n, rng).reshape(count, n, d1, d1)]
             if partial_norm is not None:
-                grad_sq = sum(float(partial_norm(x, i)) ** 2 for i in range(n))
+                norms = [[partial_norm(x, i) for i in range(n)] for x in points]
             else:
-                grad_sq = sum(
-                    _directional_norm(evaluator, x, i, directions, rng) ** 2
-                    for i in range(n)
-                )
-        z = _as_matrix(evaluator(x))
-        return {"z": z, "z2": z @ z, "grad": grad_sq * np.eye(d)}
+                units = _unit_directions(rng, (count, n, directions), d1)
+                norms = [
+                    [_directional_norm(evaluator, x, i, units[k, i]) for i in range(n)]
+                    for k, x in enumerate(points)
+                ]
+            grad_sq = np.sum(np.array(norms, dtype=float) ** 2, axis=1)
+        z = _values(evaluator, points)
+        mean = z.mean(axis=0)
+        return normalized_trace((z @ z).mean(axis=0) - mean @ mean), float(grad_sq.mean())
 
     return _mc_report(
         "gaussian-poincare",
-        _batch_means(draw, d, seed, "gaussian-poincare", samples),
-        lambda b: normalized_trace(b["z2"] - b["z"] @ b["z"]),
-        lambda b: normalized_trace(b["grad"]),
+        _batch_pairs(statistic, seed, "gaussian-poincare", samples),
         names=("variance", "bound"),
         details={"rhs_is_lower_bound": (not scalar_inputs) and partial_norm is None},
         d=d, n=n, seed=seed, samples=(samples // MC_BATCHES) * MC_BATCHES,
@@ -423,28 +428,20 @@ def check_gaussian_sobolev(
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
     d = _as_matrix(evaluator(np.zeros(n))).shape[0]
-
-    def draw(rng):
-        x = rng.standard_normal(n)
-        f = _as_matrix(evaluator(x))
-        grad_sq = _fd_grad_sq(evaluator, x)
-        return {"f2": f @ f, "fp": psd_power(f, p), "grad": grad_sq * np.eye(d)}
-
-    means = _batch_means(draw, d, seed, "gaussian-sobolev", samples)
     dim_factor = d ** (1.0 - 2.0 / p)
 
-    def lhs_of(batch):
-        return normalized_trace(batch["f2"]) - normalized_trace(psd_power(batch["fp"], 2.0 / p))
-
-    def rhs_of(batch):
-        energy = normalized_trace(batch["grad"])
-        return (2.0 - p) * energy * dim_factor + normalized_trace(batch["f2"]) * (
-            1.0 - dim_factor
-        )
+    def statistic(rng, count):
+        xs = rng.standard_normal((count, n))
+        f = _values(evaluator, xs)
+        f2 = normalized_trace((f @ f).mean(axis=0))
+        fp = psd_power(f, p).mean(axis=0)
+        energy = float(_fd_grad_sq(evaluator, xs).mean())
+        lhs = f2 - normalized_trace(psd_power(fp, 2.0 / p))
+        return lhs, (2.0 - p) * energy * dim_factor + f2 * (1.0 - dim_factor)
 
     return _mc_report(
-        "gaussian-sobolev", means, lhs_of, rhs_of, details={"p": p},
-        d=d, n=n, seed=seed, samples=(samples // MC_BATCHES) * MC_BATCHES,
+        "gaussian-sobolev", _batch_pairs(statistic, seed, "gaussian-sobolev", samples),
+        details={"p": p}, d=d, n=n, seed=seed, samples=(samples // MC_BATCHES) * MC_BATCHES,
     )
 
 
@@ -458,24 +455,16 @@ def check_gaussian_logsobolev(
     + log(d) tr E[f^2] for PSD-valued functions of Gaussian inputs."""
     d = _as_matrix(evaluator(np.zeros(n))).shape[0]
 
-    def draw(rng):
-        x = rng.standard_normal(n)
-        f = _as_matrix(evaluator(x))
-        f2 = f @ f
-        grad_sq = _fd_grad_sq(evaluator, x)
-        return {"f2": f2, "ent": float(tr_xlogx(f2)) * np.eye(d), "grad": grad_sq * np.eye(d)}
-
-    means = _batch_means(draw, d, seed, "gaussian-logsobolev", samples)
-
-    def lhs_of(batch):
-        return normalized_trace(batch["ent"]) - float(tr_xlogx(batch["f2"]))
-
-    def rhs_of(batch):
-        return 2.0 * normalized_trace(batch["grad"]) + np.log(d) * normalized_trace(
-            batch["f2"]
-        )
+    def statistic(rng, count):
+        xs = rng.standard_normal((count, n))
+        f = _values(evaluator, xs)
+        squares = f @ f
+        f2 = squares.mean(axis=0)
+        lhs = float(tr_xlogx(squares).mean()) - float(tr_xlogx(f2))
+        energy = float(_fd_grad_sq(evaluator, xs).mean())
+        return lhs, 2.0 * energy + np.log(d) * normalized_trace(f2)
 
     return _mc_report(
-        "gaussian-log-sobolev", means, lhs_of, rhs_of,
+        "gaussian-log-sobolev", _batch_pairs(statistic, seed, "gaussian-logsobolev", samples),
         d=d, n=n, seed=seed, samples=(samples // MC_BATCHES) * MC_BATCHES,
     )

@@ -55,7 +55,7 @@ def kernel_from_obj(obj: dict) -> tuple[MarkovKernel, np.ndarray | None]:
     try:
         kernel = MarkovKernel(np.asarray(obj["rows"], dtype=float))
         mu = np.asarray(obj["mu"], dtype=float) if "mu" in obj else None
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ConfigError(f"bad kernel object: {type(exc).__name__} {exc}") from exc
     # NaN and infinite entries fail the sign or the sum; a zero entry is
     # left to the admissibility check

@@ -286,8 +286,9 @@ def check_p_variance_limit(law: DiscreteRandomMatrix) -> CheckReport:
     extrapolated = scaled[-1] + (scaled[-1] - scaled[-2]) * (
         eps[-1] / (eps[-2] - eps[-1])
     )
-    dev = float(np.linalg.norm(extrapolated - limit))
-    residuals = np.array([float(np.linalg.norm(s - limit)) for s in scaled])
+    # spectral norms, unchanged by unitary conjugation and by Z -> Z ⊗ I_k
+    errors = hermitian_part(np.stack([extrapolated, *scaled]) - limit)
+    dev, *residuals = (float(r) for r in np.max(np.abs(eigenvalues(errors)), axis=-1))
     shrink_ok = True
     for r_prev, r_next, e_prev, e_next in zip(residuals, residuals[1:], eps, eps[1:]):
         if r_prev < 1e-12:
@@ -302,7 +303,7 @@ def check_p_variance_limit(law: DiscreteRandomMatrix) -> CheckReport:
         tol=P_VARIANCE_TOL,
         d=law.d,
         details={
-            "residuals": [float(r) for r in residuals],
+            "residuals": residuals,
             "linear_shrink": shrink_ok,
         },
     )

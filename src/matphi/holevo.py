@@ -99,9 +99,11 @@ class MarkovKernel:
             raise DimensionMismatch(f"kernel rows must be a matrix, got shape {rows.shape}")
         if np.any(rows < 0):
             raise ValueError("kernel entries must be nonnegative")
-        sums = rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
-            raise ValueError(f"kernel rows must sum to 1, got {sums}")
+        off = np.abs(rows.sum(axis=1) - 1.0)
+        if not np.all(off <= 1e-12):  # a NaN sum fails too
+            worst = int(np.argmax(off))
+            total = float(rows[worst].sum())
+            raise ValueError(f"kernel rows must sum to 1, row {worst} sums to {total}")
         object.__setattr__(self, "rows", rows)
 
     @property

@@ -74,6 +74,17 @@ def _power_term(coeff: float, expo: float):
     return term
 
 
+def _parameter(text: str, descriptor: str) -> float:
+    """A finite number of a phi descriptor."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"phi parameter {text!r} is not a finite number in {descriptor!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PhiFunction:
     """Entropy generator Phi with derivatives up to fourth order.
@@ -114,12 +125,12 @@ class PhiFunction:
         if text in ("cube", "x3"):
             return cls.cube()
         if text.startswith("power:"):
-            return cls.power(float(text.split(":", 1)[1]))
+            return cls.power(_parameter(text.split(":", 1)[1], text))
         if text.startswith("affine:"):
             parts = text.split(":", 1)[1].split(",")
             if len(parts) != 2:
                 raise ConfigError(f"affine descriptor needs two parameters: {text!r}")
-            return cls.affine(float(parts[0]), float(parts[1]))
+            return cls.affine(*(_parameter(part, text) for part in parts))
         raise ConfigError(f"unknown phi descriptor {text!r}")
 
     @property

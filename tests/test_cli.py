@@ -1,11 +1,15 @@
 """Command-line harness: suites, generation, searches, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matphi import fourier
 from matphi.cli import main
@@ -107,6 +111,84 @@ def test_generate_all_kinds(tmp_path):
         loader(load_json(out))
 
 
+@pytest.mark.parametrize("kind", ["product-model", "boolean-function"])
+def test_generate_refuses_exponential_tables(capsys, kind):
+    # 2^40 values would be drawn one by one; the bound is checked first
+    assert _run(["generate", kind, "--n", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {kind} with n = 40 has 2^n values")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["all", "--phi", "power:abc"],
+        ["characterizations", "--phi", "affine:1,x"],
+        ["all", "--phi", "power:"],
+    ],
+)
+def test_malformed_phi_number_is_config_error(capsys, args):
+    assert _run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: phi parameter ")
+    assert err.count("\n") == 1
+
+
+def _run_quietly(args) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = _run(args)
+    return code, err.getvalue()
+
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=16,
+)
+_numbers = st.integers() | st.floats()
+_rows = st.lists(st.lists(_numbers, min_size=1, max_size=3), min_size=1, max_size=3)
+_stochastic = st.lists(
+    st.lists(st.floats(0.05, 1.0), min_size=2, max_size=3), min_size=1, max_size=3
+).map(lambda rows: [[x / sum(row) for x in row] for row in rows])
+
+
+@FUZZ
+@given(
+    st.text()
+    | st.tuples(st.sampled_from(["power:", "affine:", "affine:1,", "xlogx", "cube"]), st.text())
+    .map("".join)
+)
+def test_fuzzed_phi_is_accepted_or_a_config_error(text):
+    code, err = _run_quietly(["generate", "hermitian", "--d", "1", f"--phi={text}"])
+    assert (code, err) == (0, "") or (code == 2 and err.startswith("config error: ")), (code, err)
+    assert err.count("\n") <= 1
+
+
+@FUZZ
+@given(
+    _json
+    | st.fixed_dictionaries(
+        {"rows": _rows | _stochastic}, optional={"mu": _json | st.lists(_numbers)}
+    )
+    | st.fixed_dictionaries({"rows": _stochastic})
+)
+def test_fuzzed_eta_input_is_accepted_or_a_config_error(tmp_path_factory, obj):
+    kernel_file = tmp_path_factory.mktemp("eta") / "kernel.json"
+    kernel_file.write_text(json.dumps(obj))
+    code, err = _run_quietly(["eta", "--in", str(kernel_file), "--d", "1", "--trials", "1"])
+    # a probability vector with a zero entry is the one documented numerical error
+    vanishing = code == 3 and err.startswith("error: input law vanishes")
+    assert (code, err) == (0, "") or (code == 2 and err.startswith("config error: ")) or vanishing
+    assert err.count("\n") <= 1, err
+    if code == 0:
+        assert np.all(np.isfinite(np.asarray(obj["rows"], dtype=float)))
+
+
 def test_search_lsi_counterexample(tmp_path, capsys):
     out = tmp_path / "witness.json"
     code = _run([
@@ -150,8 +232,12 @@ def test_eta_requires_input():
         '{"rows": [[0.5, 0.5], [0.5, 0.5]], "mu": [0.5, 0.6]}',
         '{"rows": [[1, 0], [0, 1]], "mu": [1]}',
         '{"rows": [[1, 0], [0, 1]], "mu": [1.5, -0.5]}',
+        '{"rows": [[1%s]]}' % ("0" * 400),
+        json.dumps({"rows": [[0.5, 0.5]] * 29 + [[0.5, 0.6]]}),
+        '{"rows": [[NaN, 1.0], [0.5, 0.5]]}',
     ],
-    ids=["malformed", "missing", "no-rows", "mu-sum", "mu-size", "mu-negative"],
+    ids=["malformed", "missing", "no-rows", "mu-sum", "mu-size", "mu-negative", "huge-int",
+         "long-kernel", "nan-entry"],
 )
 def test_eta_bad_input_is_config_error(tmp_path, capsys, text):
     kernel_file = tmp_path / "kernel.json"

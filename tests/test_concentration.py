@@ -7,6 +7,8 @@ import pytest
 from numpy.linalg import matrix_power
 
 from matphi.concentration import (
+    FD_STEP,
+    MC_BATCHES,
     check_efron_stein,
     check_gaussian_logsobolev,
     check_gaussian_poincare,
@@ -251,7 +253,7 @@ def test_poincare_commuting_scalar_reduction():
 
 def test_gue_sample_moments():
     rng = rng_for(41, "gue", 0)
-    draws = np.stack([sample_gue(3, rng) for _ in range(4000)])
+    draws = sample_gue(3, 4000, rng)
     assert np.max(np.abs(draws - np.conj(np.transpose(draws, (0, 2, 1))))) < 1e-12
     # diagonal variance 1, off-diagonal complex variance 1
     assert np.var(draws[:, 0, 0].real) == pytest.approx(1.0, abs=0.1)
@@ -260,7 +262,7 @@ def test_gue_sample_moments():
 
 def test_gue_clt_lattice_at_m1():
     rng = rng_for(41, "gue", 1)
-    s = gue_clt_sample(2, 1, rng)
+    s = gue_clt_sample(2, 1, 1, rng)[0]
     # single-term construction lives on a half-integer lattice
     assert np.allclose(2 * s.real, np.round(2 * s.real), atol=1e-12)
     assert np.allclose(2 * s.imag, np.round(2 * s.imag), atol=1e-12)
@@ -268,13 +270,13 @@ def test_gue_clt_lattice_at_m1():
 
 def test_gue_clt_scalar_variance():
     rng = rng_for(41, "gue", 2)
-    vals = np.array([gue_clt_sample(1, 64, rng)[0, 0].real for _ in range(10000)])
+    vals = gue_clt_sample(1, 64, 10000, rng)[:, 0, 0].real
     assert 0.95 <= float(vals.var()) <= 1.05
 
 
 def test_gue_clt_cross_correlations():
     rng = rng_for(41, "gue", 3)
-    draws = np.stack([gue_clt_sample(3, 256, rng) for _ in range(4000)])
+    draws = gue_clt_sample(3, 256, 4000, rng)
     entries = np.stack(
         [
             draws[:, 0, 0].real,
@@ -286,6 +288,95 @@ def test_gue_clt_cross_correlations():
     corr = np.corrcoef(entries)
     off = corr[~np.eye(4, dtype=bool)]
     assert np.max(np.abs(off)) < 0.05
+
+
+def _sample_gue_per_draw(d, rng):
+    """One Gaussian-ensemble draw, as the per-draw sampler made it."""
+    diag = rng.standard_normal(d)
+    off = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+    m = np.zeros((d, d), dtype=complex)
+    iu = np.triu_indices(d, k=1)
+    m[iu] = off[iu]
+    m = m + m.conj().T
+    m[np.diag_indices(d)] = diag
+    return m
+
+
+def _gue_clt_per_draw(d, m, rng):
+    """One central-limit draw, as the per-draw sampler made it."""
+    w = rng.integers(0, 2, size=(m, d, d)) * 2 - 1
+    wp = rng.integers(0, 2, size=(m, d, d)) * 2 - 1
+    eps = rng.integers(0, 2, size=m) * 2 - 1
+    g = w + 1j * wp
+    y = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
+    return np.tensordot(eps, y, axes=1) / np.sqrt(m)
+
+
+# counts that span several sign blocks, and one that fits in a block
+@pytest.mark.parametrize("d, m, count", [(1, 64, 1500), (2, 256, 300), (3, 256, 60), (2, 1, 40)])
+def test_stacked_gue_samplers_keep_the_per_draw_streams(d, m, count):
+    want_rng, rng = rng_for(11, "streams", d), rng_for(11, "streams", d)
+    want_clt = np.stack([_gue_clt_per_draw(d, m, want_rng) for _ in range(count)])
+    want_gue = np.stack([_sample_gue_per_draw(d, want_rng) for _ in range(count)])
+    # drawn one after the other, so each must also consume exactly its share
+    assert np.array_equal(gue_clt_sample(d, m, count, rng), want_clt)
+    assert np.array_equal(sample_gue(d, count, rng), want_gue)
+
+
+def _per_draw_points(seed, label, samples, draw):
+    """Every batch's inputs, drawn one point per call as the per-draw loop did."""
+    points = []
+    for b in range(MC_BATCHES):
+        rng = rng_for(seed, label, b)
+        points += [draw(rng) for _ in range(samples // MC_BATCHES)]
+    return points
+
+
+def _key(x):
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize(
+    "check, label, options",
+    [
+        (check_gaussian_poincare, "gaussian-poincare", {"partials": lambda x, i: 1.0}),
+        (check_gaussian_poincare, "gaussian-poincare", {}),
+        (check_gaussian_sobolev, "gaussian-sobolev", {"p": 1.5}),
+        (check_gaussian_logsobolev, "gaussian-logsobolev", {}),
+    ],
+)
+def test_scalar_gaussian_checks_keep_the_per_draw_inputs(check, label, options):
+    n, samples, seed = 2, 70, 13
+    seen = []
+
+    def evaluator(x):
+        seen.append(_key(x))
+        return np.diag([1.0 + np.exp(x[0] / 4.0), 1.0 + x[1] ** 2]).astype(complex)
+
+    check(evaluator, n=n, samples=samples, seed=seed, **options)
+    draws = _per_draw_points(seed, label, samples, lambda rng: rng.standard_normal(n))
+    want = [np.zeros(n)] + draws
+    if "partials" not in options:
+        want += [x + s * FD_STEP * e for x in draws for s in (1, -1) for e in np.eye(n)]
+    assert sorted(seen) == sorted(_key(x) for x in want)
+
+
+def test_gaussian_poincare_matrix_inputs_keep_the_per_draw_inputs():
+    n, d1, samples, seed = 2, 2, 50, 17
+    seen = []
+
+    def evaluator(xs):
+        seen.append(_key(xs))
+        return xs[0] @ xs[0] + xs[1]
+
+    check_gaussian_poincare(
+        evaluator, n=n, d1=d1, samples=samples, seed=seed, partial_norm=lambda xs, i: 1.0
+    )
+    draws = _per_draw_points(
+        seed, "gaussian-poincare", samples,
+        lambda rng: [_sample_gue_per_draw(d1, rng) for _ in range(n)],
+    )
+    assert seen == [_key(x) for x in [np.zeros((n, d1, d1))] + draws]
 
 
 def test_gaussian_poincare_constant():

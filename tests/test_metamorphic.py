@@ -224,3 +224,15 @@ def test_holevo_chi_metamorphic(seed, d, d2, k, t):
     chi2 = holevo_chi(CQEnsemble(ens.probs, other))
     summed = CQEnsemble(ens.probs, _dsum(t * ens.states, (1.0 - t) * other))
     _close(holevo_chi(summed), t * chi + (1.0 - t) * chi2)
+
+
+@CASES
+@given(seeds, dims, st.sampled_from([2, 3, 20]))
+def test_p_variance_limit_deviation_is_embedding_invariant(seed, d, k):
+    # the spectral norm of the extrapolation error does not see Z -> Z ⊗ I_k;
+    # what moves is rounding in the Richardson step
+    law = random_law(rng_for(seed, "metamorphic-p-variance", 0), d, 2, psd=True, pd_floor=0.2)
+    base = check_p_variance_limit(law)
+    embedded = check_p_variance_limit(DiscreteRandomMatrix(law.probs, _tensor(law.values, k)))
+    assert abs(embedded.max_gap - base.max_gap) <= 1e-3 * base.max_gap
+    assert embedded.passed == base.passed
