@@ -147,11 +147,16 @@ def _cmd_suite(suite: str, config: RunConfig) -> int:
     return 0
 
 
+def _require_enumerable(what: str, n: int) -> None:
+    if n > math.log2(MAX_ENUMERATION):
+        raise ConfigError(f"{what} with n = {n} has 2^n values, above {MAX_ENUMERATION}")
+
+
 def _cmd_generate(kind: str, config: RunConfig) -> int:
     if kind not in GENERATE_KINDS:
         raise ConfigError(f"unknown instance kind {kind!r}; choose from {GENERATE_KINDS}")
-    if kind in ("boolean-function", "product-model") and config.n > math.log2(MAX_ENUMERATION):
-        raise ConfigError(f"{kind} with n = {config.n} has 2^n values, above {MAX_ENUMERATION}")
+    if kind in ("boolean-function", "product-model"):
+        _require_enumerable(kind, config.n)
     rng = rng_for(config.seed, f"generate-{kind}", 0)
     if kind == "hermitian":
         obj = matrix_to_obj(random_hermitian(rng, config.d))
@@ -198,16 +203,15 @@ def _cmd_eta(config: RunConfig, infile: str | None) -> int:
 def _cmd_search(target: str, config: RunConfig) -> int:
     if target != "lsi-counterexample":
         raise ConfigError(f"unknown search kind {target!r}")
+    _require_enumerable(target, config.n)
     result = search_lsi_counterexample(
         d=config.d, n=config.n, restarts=config.trials, seed=config.seed
     )
     payload = witness_payload(result)
     if config.out:
         dump_json(config.out, payload)
-    if result.found:
-        print(f"found: objective = {result.objective:.6e}")
-    else:
-        print(f"not found: best objective = {result.objective:.6e}")
+    verdict = "found: objective" if result.found else "not found: best objective"
+    print(f"{verdict} = {result.objective:.6e}, log_d = {payload['log_d']:.6e}")
     return 0
 
 

@@ -10,13 +10,16 @@ point must be present.
 Product model: {"n": int, "d": int, "input_probs": [[floats]],
 "values": [matrix]} with the joint index in mixed radix, first input
 varying slowest.
-LSI witness: a Boolean function plus "found", "objective", "entropy" and
-"energy".
+LSI witness: a Boolean function plus "found", "objective", "entropy",
+"energy" and "log_d" = log(d), the defect the defective log-Sobolev bound
+allows (tables are normalized to tr E f^2 = 1, so "objective" is the
+measured defect and stays at most "log_d").
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +90,7 @@ def witness_payload(result: LsiSearchResult) -> dict:
         "objective": result.objective,
         "entropy": result.entropy,
         "energy": result.energy,
+        "log_d": math.log(result.f.d),
         **boolean_function_to_obj(result.f),
     }
 

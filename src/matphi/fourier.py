@@ -32,6 +32,7 @@ P_VARIANCE_PS = (1.9, 1.99, 1.999)  # exponents extrapolated toward p = 2
 P_VARIANCE_TOL = 1e-4
 LSI_STEP0 = 0.1  # largest hill-climbing step of the LSI search
 LSI_THRESHOLD = 1e-6  # objective above which a table is a counterexample
+LSI_BLOCK_ENTRIES = 2**16  # complex table entries in one lock-step block of restarts
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -130,28 +131,32 @@ def dirichlet_energy_spectral(f: MatrixBooleanFunction) -> float:
     return float(_popcounts(f.n) @ traces) / f.d
 
 
-# Table kernels shared by the public functions and the LSI search, which
-# calls them once per step on a trusted table. Means are written as
-# sum / count: the same arithmetic as np.mean without its call overhead.
+# Table kernels shared by the public functions and the LSI search. They
+# take (..., 2^n, d, d) stacks of trusted tables and return one value per
+# table; the search evaluates all of its live restarts in one call. Means
+# are written as sum / count: the same arithmetic as np.mean without its
+# call overhead.
 
-def _square_entropy(table: np.ndarray) -> float:
-    k = table.shape[0]
-    f2 = np.einsum("kij,kjl->kil", table, table)
-    return float(tr_xlogx(f2).sum() / k) - float(tr_xlogx(f2.sum(axis=0) / k))
+def _square_entropy(table: np.ndarray) -> np.ndarray:
+    k = table.shape[-3]
+    f2 = np.einsum("...ij,...jl->...il", table, table)
+    # the k squares and their mean share one spectral call
+    terms = tr_xlogx(np.concatenate([f2, f2.sum(axis=-3, keepdims=True) / k], axis=-3))
+    return terms[..., :k].sum(axis=-1) / k - terms[..., k]
 
 
-def _flip_energy(table: np.ndarray, n: int) -> float:
-    k, d = table.shape[:2]
-    total = 0.0
+def _flip_energy(table: np.ndarray, n: int) -> np.ndarray:
+    k, d = table.shape[-3:-1]
+    total = np.zeros(table.shape[:-3])
     for i in range(n):
-        diff = table - table[np.arange(k) ^ (1 << i)]
-        total += 0.25 * float(np.einsum("kij,kji->k", diff, diff).real.sum() / k) / d
+        diff = table - table[..., np.arange(k) ^ (1 << i), :, :]
+        total = total + 0.25 * (np.einsum("...ij,...ji->...", diff, diff).real.sum(axis=-1) / k) / d
     return total
 
 
 def dirichlet_energy_flip(f: MatrixBooleanFunction) -> float:
     """(1/4) tr E sum_i (f(x) - f(x with bit i flipped))^2."""
-    return _flip_energy(f.table, f.n)
+    return float(_flip_energy(f.table, f.n))
 
 
 def uniform_cube_model(f: MatrixBooleanFunction) -> ProductModel:
@@ -214,7 +219,7 @@ def _require_psd_table(f: MatrixBooleanFunction) -> None:
 def entropy_of_square(f: MatrixBooleanFunction) -> float:
     """Ent(f^2) = tr E[f^2 log f^2] - tr[(E f^2) log(E f^2)], natural log,
     zero eigenvalues contributing zero."""
-    return _square_entropy(f.table)
+    return float(_square_entropy(f.table))
 
 
 def check_phi_sobolev(f: MatrixBooleanFunction, p: float) -> CheckReport:
@@ -318,9 +323,18 @@ class LsiSearchResult:
     objective: float
 
 
-def _lsi_objective(table: np.ndarray, n: int) -> float:
-    """Ent(f^2) - 2 E(f) straight from a trusted table."""
+def _lsi_objective(table: np.ndarray, n: int) -> np.ndarray:
+    """Ent(f^2) - 2 E(f) of each trusted table of a (..., 2^n, d, d) stack."""
     return _square_entropy(table) - 2.0 * _flip_energy(table, n)
+
+
+def _table_of(g: np.ndarray) -> np.ndarray:
+    """The PSD tables G†G + 1e-12 I of a (..., 2^n, d, d) stack of
+    factors, each scaled to tr E f^2 = 1."""
+    d = g.shape[-1]
+    ms = np.einsum("...ji,...jl->...il", g.conj(), g) + 1e-12 * np.eye(d)
+    norm = np.sqrt(np.mean(np.einsum("...ij,...ji->...", ms, ms).real, axis=-1) / d)
+    return ms / np.maximum(norm, 1e-30)[..., None, None, None]
 
 
 def search_lsi_counterexample(
@@ -333,6 +347,12 @@ def search_lsi_counterexample(
     """Random-restart hill climbing on Ent(f^2) - 2 E(f) over PSD-valued
     tables parameterized as G†G per point.
 
+    Restart r draws from its own generator rng_for(seed, "lsi-search", r)
+    and keeps its own step size and early stop. The restarts advance in
+    lock-step, in blocks of at most LSI_BLOCK_ENTRIES table entries: each
+    step evaluates every live restart's proposal in one stacked call, and
+    the result is bit-identical to running the restarts one after another.
+
     The tight scalar bound makes the objective nonpositive at d = 1; for
     d >= 2 nearly-aligned low-rank tables violate it, and every candidate
     maximum is re-verified from the raw table before being reported.
@@ -342,12 +362,6 @@ def search_lsi_counterexample(
     points = 2**n
     best_obj = -np.inf
     best_table = None
-
-    def table_of(g):
-        ms = np.einsum("kji,kjl->kil", g.conj(), g)
-        ms = ms + 1e-12 * np.eye(d)
-        norm = np.sqrt(np.mean(np.einsum("kij,kji->k", ms, ms).real) / d)
-        return ms / max(norm, 1e-30)
 
     def low_rank(rng):
         return np.outer(
@@ -374,26 +388,37 @@ def search_lsi_counterexample(
         g0, g1 = np.outer(w0, u0), np.outer(w1, u1)
         return np.stack([g1 if (x >> j) & 1 else g0 for x in range(points)])
 
-    for restart in range(restarts):
-        rng = rng_for(seed, "lsi-search", restart)
-        g = start_table(rng, restart % 3)
-        current = _lsi_objective(table_of(g), n)
-        step = LSI_STEP0
+    block = max(1, LSI_BLOCK_ENTRIES // (points * d * d))
+    for first in range(0, restarts, block):
+        ids = range(first, min(first + block, restarts))
+        rngs = [rng_for(seed, "lsi-search", r) for r in ids]
+        g = np.stack([start_table(rng, r % 3) for r, rng in zip(ids, rngs)])
+        tables = _table_of(g)
+        current = _lsi_objective(tables, n)
+        step = np.full(len(rngs), LSI_STEP0)
+        live = np.arange(len(rngs))
         for _ in range(steps):
-            k = int(rng.integers(points))
-            proposal = g.copy()
-            proposal[k] = g[k] + step * random_complex_gaussian(rng, (d, d))
-            cand = _lsi_objective(table_of(proposal), n)
-            if cand > current:
-                g, current = proposal, cand
-                step = min(2.0 * step, LSI_STEP0)
-            else:
-                step *= 0.5
-                if step < 1e-7:
-                    break
-        if current > best_obj:
-            best_obj = current
-            best_table = table_of(g)
+            if not live.size:
+                break
+            # per generator: the point, then the real and imaginary noise
+            live_rngs = [rngs[r] for r in live.tolist()]
+            ks = np.array([rng.integers(points) for rng in live_rngs])
+            z = np.array([rng.standard_normal((2, d, d)) for rng in live_rngs])
+            rows = np.arange(live.size)
+            proposal = g[live]
+            proposal[rows, ks] = g[live, ks] + step[live, None, None] * (z[:, 0] + 1j * z[:, 1])
+            cand_tables = _table_of(proposal)
+            cand = _lsi_objective(cand_tables, n)
+            up = cand > current[live]
+            won = live[up]
+            g[won], tables[won], current[won] = proposal[up], cand_tables[up], cand[up]
+            step[won] = np.minimum(2.0 * step[won], LSI_STEP0)
+            step[live[~up]] *= 0.5
+            live = live[step[live] >= 1e-7]
+        # the first maximum, as a strict > scan in restart order keeps
+        i = int(np.argmax(current))
+        if current[i] > best_obj:
+            best_obj, best_table = current[i], tables[i]
 
     f = MatrixBooleanFunction(n, best_table)
     ent = entropy_of_square(f)

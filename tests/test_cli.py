@@ -120,6 +120,14 @@ def test_generate_refuses_exponential_tables(capsys, kind):
     assert err.count("\n") == 1
 
 
+def test_search_refuses_exponential_tables(capsys, monkeypatch):
+    # the search would draw a 2^40-point start table; the bound is checked first
+    monkeypatch.setattr("matphi.cli.search_lsi_counterexample", None)
+    assert _run(["search", "lsi-counterexample", "--n", "40", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: lsi-counterexample with n = 40 has 2^n values, above 1000000\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -196,10 +204,12 @@ def test_search_lsi_counterexample(tmp_path, capsys):
         "--trials", "10", "--out", str(out),
     ])
     assert code == 0
-    assert "found" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
     witness = json.loads(out.read_text())
     assert witness["found"] is True
     assert witness["objective"] > 1e-6
+    assert witness["log_d"] == np.log(2)
+    assert stdout == f"found: objective = {witness['objective']:.6e}, log_d = 6.931472e-01\n"
 
 
 def test_search_lsi_scalar_not_found(tmp_path, capsys):

@@ -89,7 +89,8 @@ def test_product_model_round_trip():
 def test_witness_is_boolean_function_plus_search_fields():
     result = search_lsi_counterexample(d=2, n=1, restarts=1, steps=20, seed=0)
     obj = witness_payload(result)
-    assert set(obj) == {"n", "d", "points", "found", "objective", "entropy", "energy"}
+    assert set(obj) == {"n", "d", "points", "found", "objective", "entropy", "energy", "log_d"}
     assert obj["objective"] == result.objective
+    assert obj["log_d"] == np.log(2)
     back = boolean_function_from_obj(obj)
     assert np.array_equal(back.table, result.f.table)

@@ -1,11 +1,14 @@
 """Walsh transforms, hypercontractive inequalities, and the tight-bound
 counterexample search."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matphi.fourier
 from matphi.errors import DomainError
 from matphi.fourier import (
     FourierTable,
@@ -259,6 +262,55 @@ def test_lsi_search_scalar_stays_tight():
     result = search_lsi_counterexample(d=1, n=1, restarts=300, steps=200, seed=0)
     assert not result.found
     assert result.objective <= 1e-9
+
+
+# (d, n, restarts, steps, seed) -> objective, entropy, energy and the
+# sha256 of the witness table bytes, as the restart-by-restart search
+# reported them; the lock-step search must reproduce them bit for bit.
+LSI_SEARCH_PINS = {
+    (2, 1, 20, 300, 0): (
+        "0.021210315729113402", "0.1165494979760231", "0.04766959112345485",
+        "19077fa1186e0e5ebf78bd84c08a5e245ba79f4533bf00d898616bccab113480",
+    ),
+    (2, 3, 20, 300, 1): (
+        "0.018698924466243966", "0.11676452058874454", "0.049032798061250285",
+        "f290f16302fff023a7bf0184e723b39f82ff6cb00446a0c948081ba0844683f6",
+    ),
+    (3, 2, 10, 300, 2): (
+        "0.03734035184127005", "0.17310976424131674", "0.06788470620002335",
+        "80a9cc135813bb166ff3462854ea09eecb4b62c599957e5963e69c697dcc26f8",
+    ),
+    (1, 1, 300, 200, 0): (
+        "1.1102310893130115e-16", "5.571663213823952e-11", "2.7858260557565294e-11",
+        "388905fd620d93b5cf5bd83fa6a5af759bedf7860c71c62f89edc11696f60806",
+    ),
+    (2, 0, 5, 50, 0): (
+        "0.0", "0.0", "0.0",
+        "82ad3cee96ec3f6d8d7cd9a54f9264c4f059ddef28cfddc92adbd832e2b40feb",
+    ),
+}
+
+
+def _search_pin(config):
+    d, n, restarts, steps, seed = config
+    result = search_lsi_counterexample(d=d, n=n, restarts=restarts, steps=steps, seed=seed)
+    return (
+        repr(result.objective), repr(result.entropy), repr(result.energy),
+        hashlib.sha256(result.f.table.tobytes()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("config", sorted(LSI_SEARCH_PINS))
+def test_lsi_search_is_bit_identical(config):
+    assert _search_pin(config) == LSI_SEARCH_PINS[config]
+
+
+@pytest.mark.parametrize("config", [(2, 1, 20, 300, 0), (1, 1, 300, 200, 0)])
+def test_lsi_search_blocks_are_bit_identical(monkeypatch, config):
+    # a budget of 3 restarts' tables splits the restarts over many blocks
+    d, n = config[:2]
+    monkeypatch.setattr(matphi.fourier, "LSI_BLOCK_ENTRIES", 3 * 2**n * d * d)
+    assert _search_pin(config) == LSI_SEARCH_PINS[config]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
