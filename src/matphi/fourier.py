@@ -400,7 +400,9 @@ def search_lsi_counterexample(
         for _ in range(steps):
             if not live.size:
                 break
-            # per generator: the point, then the real and imaginary noise
+            # each restart's stream: the point, then one (2, d, d) normal
+            # draw, which reads the same values as random_complex_gaussian's
+            # real and imaginary (d, d) draws
             live_rngs = [rngs[r] for r in live.tolist()]
             ks = np.array([rng.integers(points) for rng in live_rngs])
             z = np.array([rng.standard_normal((2, d, d)) for rng in live_rngs])
