@@ -27,7 +27,7 @@ from .linalg import (
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from .report import CheckReport
-from .sampling import rng_for
+from .sampling import random_hermitian, rng_for
 
 FORM_AGREEMENT_TOL = 1e-10
 MC_BATCHES = 10  # batch means give the Gaussian checks their standard errors
@@ -48,20 +48,20 @@ def _matrix(model: ProductModel, outcome: tuple) -> np.ndarray:
 def efron_stein_forms(model: ProductModel) -> tuple[float, float, float]:
     """The three equivalent enumerated forms of the resampling quantity:
     half replacement square, conditional variance, and positive part.
-    Each slice's pair differences Z_k - Z_l form one (s, s, d, d) stack."""
+    All pair differences Z_k - Z_l of an input's slices form one
+    (rest, s, s, d, d) stack."""
     forms = np.zeros(3)
     for i in range(model.n):
-        for p_minus, partial in model.iter_minus(i):
-            law = model.slice_law(i, partial)
-            centered = law.values - law.mean()
-            diff = law.values[:, None] - law.values[None, :]
-            pair_w = np.outer(law.probs, law.probs)
-            plus = np.clip(eigenvalues(diff), 0.0, None)
-            forms += p_minus / law.d * np.array([
-                0.5 * np.sum(pair_w * np.einsum("klij,klji->kl", diff, diff).real),
-                law.expect(np.einsum("kij,kji->k", centered, centered).real),
-                np.sum(pair_w * np.sum(plus**2, axis=-1)),
-            ])
+        weights, probs, values = model.slices(i)
+        centered = values - hermitian_part(np.tensordot(probs, values, axes=(0, 1)))[:, None]
+        diff = values[:, :, None] - values[:, None, :]
+        pair_w = np.outer(probs, probs)
+        plus = np.clip(eigenvalues(diff), 0.0, None)
+        forms += weights @ np.stack([
+            0.5 * np.einsum("kl,rklij,rklji->r", pair_w, diff, diff).real,
+            np.einsum("k,rkij,rkji->r", probs, centered, centered).real,
+            np.einsum("kl,rkl->r", pair_w, np.sum(plus**2, axis=-1)),
+        ], axis=1) / values.shape[-1]
     return tuple(float(x) for x in forms)
 
 
@@ -169,8 +169,7 @@ def _fd_grad_sq(evaluator: Callable, xs: np.ndarray) -> np.ndarray:
 def _unit_directions(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray:
     """Random Hermitian d x d directions of unit Frobenius norm on the
     leading axes ``shape``, each read as a real then an imaginary block."""
-    g = rng.standard_normal((*shape, 2, d, d))
-    e = hermitian_part(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    e = random_hermitian(rng, d, shape)
     return e / np.linalg.norm(e, axis=(-2, -1), keepdims=True)
 
 

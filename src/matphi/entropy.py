@@ -35,10 +35,16 @@ def entropy_tolerance(*values: float) -> float:
 def phi_entropy(phi: PhiFunction, law: DiscreteRandomMatrix) -> float:
     """tr[E Phi(Z) - Phi(E Z)]; nonnegative for convex Phi, zero on
     single-point laws."""
+    return float(_phi_entropies(phi, law.probs, law.values, law.mean()))
+
+
+def _phi_entropies(phi: PhiFunction, probs, values, means) -> np.ndarray:
+    """tr[E Phi(Z) - Phi(E Z)] of each law over the (..., s, d, d) values
+    with probabilities (s,) and means (..., d, d), from one spectrum call."""
     scalar = phi.scalar()
-    w = scalar.admit(eigenvalues(np.concatenate([law.values, law.mean()[None]])))
+    w = scalar.admit(eigenvalues(np.concatenate([values, means[..., None, :, :]], axis=-3)))
     traces = scalar.fn(w).mean(axis=-1)
-    return float(law.expect(traces[:-1]) - traces[-1])
+    return np.tensordot(traces[..., :-1], probs, axes=1) - traces[..., -1]
 
 
 @dataclass(frozen=True)
@@ -56,11 +62,9 @@ class ConditionalEntropyTable:
 def conditional_phi_entropy(
     phi: PhiFunction, model: ProductModel, i: int
 ) -> ConditionalEntropyTable:
-    probs, entropies = [], []
-    for p_minus, partial in model.iter_minus(i):
-        probs.append(p_minus)
-        entropies.append(phi_entropy(phi, model.slice_law(i, partial)))
-    return ConditionalEntropyTable(np.array(probs), np.array(entropies))
+    weights, probs, values = model.slices(i)
+    means = hermitian_part(np.tensordot(probs, values, axes=(0, 1)))
+    return ConditionalEntropyTable(weights, _phi_entropies(phi, probs, values, means))
 
 
 def check_subadditivity(phi: PhiFunction, model: ProductModel) -> CheckReport:
@@ -236,15 +240,10 @@ def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
     over the first input dominates the entropy of the partial average."""
     if model.n != 2:
         raise DomainError("the conditional-Jensen check uses two-input models")
-    law0, law1 = model.laws
-    joint = model.to_law()
-    # the joint index runs in mixed radix, first input slowest
-    values = joint.values.reshape(law0.size, law1.size, joint.d, joint.d)
-    cond = float(law0.probs @ [
-        phi_entropy(phi, DiscreteRandomMatrix(law1.probs, row)) for row in values
-    ])
-    averaged = np.tensordot(law0.probs, values, axes=1)
-    rhs = phi_entropy(phi, DiscreteRandomMatrix(law1.probs, averaged))
+    # row x_1 of the table is the law of Z(x_1, .); rows weigh by the first input
+    weights, probs, rows = model.slices(1)
+    cond = conditional_phi_entropy(phi, model, 1).expectation
+    rhs = phi_entropy(phi, DiscreteRandomMatrix(probs, np.tensordot(weights, rows, axes=1)))
     tol = entropy_tolerance(cond, rhs)
     gap = rhs - cond
     return CheckReport(

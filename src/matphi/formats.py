@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError, MatPhiError
 from .fourier import LsiSearchResult, MatrixBooleanFunction
 from .holevo import CQEnsemble, MarkovKernel
-from .models import FiniteLaw, ProductModel
+from .models import MAX_ENUMERATION, FiniteLaw, ProductModel
 from .report import matrix_from_obj, matrix_to_obj
 
 
@@ -41,10 +42,28 @@ def ensemble_to_obj(ens: CQEnsemble) -> dict:
     }
 
 
+@contextmanager
+def _loading(what: str):
+    """Report whatever a malformed object raises while it is read as one
+    ConfigError naming the object kind."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, MatPhiError) as exc:
+        raise ConfigError(f"bad {what} object: {type(exc).__name__} {exc}") from exc
+
+
+def _matrices(objs, d) -> np.ndarray:
+    """The (k, d, d) stack of k >= 1 matrix objects of the declared d."""
+    stack = np.stack([matrix_from_obj(m) for m in objs])
+    if stack.shape[1] != int(d):
+        raise ValueError(f"{stack.shape[1]} x {stack.shape[1]} matrices for d = {d}")
+    return stack
+
+
 def ensemble_from_obj(obj: dict) -> CQEnsemble:
-    probs = np.array([item["p"] for item in obj["items"]], dtype=float)
-    states = np.stack([matrix_from_obj(item["rho"]) for item in obj["items"]])
-    return CQEnsemble(probs, states)
+    with _loading("ensemble"):
+        probs = np.array([item["p"] for item in obj["items"]], dtype=float)
+        return CQEnsemble(probs, _matrices([item["rho"] for item in obj["items"]], obj["d"]))
 
 
 def kernel_to_obj(kernel: MarkovKernel, mu: np.ndarray | None = None) -> dict:
@@ -55,11 +74,9 @@ def kernel_to_obj(kernel: MarkovKernel, mu: np.ndarray | None = None) -> dict:
 
 
 def kernel_from_obj(obj: dict) -> tuple[MarkovKernel, np.ndarray | None]:
-    try:
+    with _loading("kernel"):
         kernel = MarkovKernel(np.asarray(obj["rows"], dtype=float))
         mu = np.asarray(obj["mu"], dtype=float) if "mu" in obj else None
-    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
-        raise ConfigError(f"bad kernel object: {type(exc).__name__} {exc}") from exc
     # NaN and infinite entries fail the sign or the sum; a zero entry is
     # left to the admissibility check
     size = kernel.input_size
@@ -96,40 +113,41 @@ def witness_payload(result: LsiSearchResult) -> dict:
 
 
 def boolean_function_from_obj(obj: dict) -> MatrixBooleanFunction:
-    n = int(obj["n"])
-    d = int(obj["d"])
-    table = np.zeros((2**n, d, d), dtype=complex)
-    seen = set()
-    for point in obj["points"]:
-        bits = point["x"]
-        if len(bits) != n or any(c not in "01" for c in bits):
-            raise ConfigError(f"bad bitstring {bits!r} for n={n}")
-        idx = sum(1 << i for i, c in enumerate(bits) if c == "1")
-        table[idx] = matrix_from_obj(point["matrix"])
-        seen.add(idx)
-    if len(seen) != 2**n:
-        raise ConfigError(f"function table is missing {2**n - len(seen)} points")
-    return MatrixBooleanFunction(n, table)
+    with _loading("Boolean function"):
+        n = int(obj["n"])
+        if not 0 <= n <= math.log2(MAX_ENUMERATION):
+            raise ValueError(f"n = {n} is outside 0..{int(math.log2(MAX_ENUMERATION))}")
+        matrices = {}
+        for point in obj["points"]:
+            bits = point["x"]
+            if not isinstance(bits, str) or len(bits) != n or any(c not in "01" for c in bits):
+                raise ValueError(f"bad bitstring {bits!r} for n={n}")
+            matrices[sum(1 << i for i, c in enumerate(bits) if c == "1")] = point["matrix"]
+        if len(matrices) != 2**n:
+            raise ValueError(f"function table is missing {2**n - len(matrices)} points")
+        return MatrixBooleanFunction(n, _matrices([matrices[x] for x in range(2**n)], obj["d"]))
 
 
 def product_model_to_obj(model: ProductModel, d: int) -> dict:
-    values = [matrix_to_obj(np.asarray(model.evaluator(outcome), dtype=complex))
-              for _, outcome in model.iter_joint()]
     return {
         "n": model.n,
         "d": d,
         "input_probs": [[float(p) for p in law.probs] for law in model.laws],
-        "values": values,
+        "values": [matrix_to_obj(m) for m in model.to_law().values],
     }
 
 
 def product_model_from_obj(obj: dict) -> ProductModel:
-    laws = [
-        FiniteLaw(np.asarray(probs, dtype=float), tuple(range(len(probs))))
-        for probs in obj["input_probs"]
-    ]
-    table = np.stack([matrix_from_obj(v) for v in obj["values"]])
-    return ProductModel.from_table(laws, table)
+    with _loading("product model"):
+        laws = [
+            FiniteLaw(np.asarray(probs, dtype=float), tuple(range(len(probs))))
+            for probs in obj["input_probs"]
+        ]
+        model = ProductModel.from_table(laws, _matrices(obj["values"], obj["d"]))
+        if len(obj["values"]) != model.joint_size:
+            raise ValueError(f"{len(obj['values'])} values for {model.joint_size} joint outcomes")
+        model.to_law()  # validates every value and the joint law once, at the boundary
+        return model
 
 
 def json_text(obj: dict) -> str:

@@ -161,15 +161,8 @@ def dirichlet_energy_flip(f: MatrixBooleanFunction) -> float:
 
 def uniform_cube_model(f: MatrixBooleanFunction) -> ProductModel:
     """The function as a product model of n fair bits."""
-    laws = [FiniteLaw.uniform((0, 1)) for _ in range(f.n)]
-
-    def evaluator(bits):
-        idx = 0
-        for i, b in enumerate(bits):
-            idx |= int(b) << i
-        return f.table[idx]
-
-    return ProductModel(tuple(laws), evaluator)
+    laws = tuple(FiniteLaw.uniform((0, 1)) for _ in range(f.n))
+    return ProductModel(laws, lambda bits: f.table[sum(int(b) << i for i, b in enumerate(bits))])
 
 
 def dirichlet_energy(f: MatrixBooleanFunction) -> float:

@@ -55,7 +55,7 @@ class CQEnsemble:
             raise DimensionMismatch(f"states must be (|X|, d, d), got {states.shape}")
         if probs.shape != (states.shape[0],):
             raise DimensionMismatch("label law and state count disagree")
-        if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-12:
+        if np.any(probs < 0) or not abs(float(probs.sum()) - 1.0) <= 1e-12:
             raise ValueError("label probabilities must be nonnegative and sum to 1")
         states = _require_hermitian_stack(states)
         tol = spectral_tolerance(states.shape[1])

@@ -7,7 +7,9 @@ model is guarded so nothing above desk scale is attempted.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -45,7 +47,7 @@ class DiscreteRandomMatrix:
             raise DimensionMismatch("probabilities and values disagree in length")
         if np.any(probs <= 0):
             raise ValueError("support probabilities must be strictly positive")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
+        if not abs(float(probs.sum()) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
         values = _require_hermitian_stack(values)
         object.__setattr__(self, "probs", probs)
@@ -94,7 +96,7 @@ class FiniteLaw:
             raise DimensionMismatch("probabilities and outcomes disagree in length")
         if np.any(probs <= 0):
             raise ValueError("input probabilities must be strictly positive")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
+        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"input probabilities sum to {probs.sum()!r}, not 1")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
@@ -136,45 +138,35 @@ class ProductModel:
         return size
 
     def iter_joint(self) -> Iterator[tuple[float, tuple]]:
-        index_ranges = [range(law.size) for law in self.laws]
-        for idx in itertools.product(*index_ranges):
-            prob = 1.0
-            outcome = []
-            for law, k in zip(self.laws, idx):
-                prob *= float(law.probs[k])
-                outcome.append(law.outcomes[k])
-            yield prob, tuple(outcome)
+        for idx in itertools.product(*(range(law.size) for law in self.laws)):
+            prob = math.prod(float(law.probs[k]) for law, k in zip(self.laws, idx))
+            yield prob, tuple(law.outcomes[k] for law, k in zip(self.laws, idx))
 
-    def iter_minus(self, i: int) -> Iterator[tuple[float, tuple]]:
-        """Assignments of all inputs except the i-th, with probabilities."""
+    @cached_property
+    def _joint(self) -> tuple[np.ndarray, np.ndarray]:
+        """Probabilities (K,) and validated values (K, d, d) of the joint
+        law, from one enumeration and one evaluator call per outcome."""
+        joint = list(self.iter_joint())
+        values = np.stack([np.asarray(self.evaluator(x), dtype=complex) for _, x in joint])
+        return np.array([p for p, _ in joint]), _require_hermitian_stack(values)
+
+    def slices(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The joint table cut along the i-th input: the weights (rest,)
+        of the other inputs' assignments (first input slowest), the i-th
+        input's probabilities (s_i,) and the values (rest, s_i, d, d) of
+        Z as the i-th input varies with the others pinned."""
         if not 0 <= i < self.n:
             raise IndexError(f"input index {i} out of range for n={self.n}")
-        others = [j for j in range(self.n) if j != i]
-        index_ranges = [range(self.laws[j].size) for j in others]
-        for idx in itertools.product(*index_ranges):
-            prob = 1.0
-            assignment = {}
-            for j, k in zip(others, idx):
-                prob *= float(self.laws[j].probs[k])
-                assignment[j] = self.laws[j].outcomes[k]
-            yield prob, tuple(assignment.get(j) for j in range(self.n))
-
-    def slice_law(self, i: int, partial: tuple) -> DiscreteRandomMatrix:
-        """Law of Z as the i-th input varies with the others pinned."""
-        law = self.laws[i]
-        values = []
-        for outcome in law.outcomes:
-            point = list(partial)
-            point[i] = outcome
-            values.append(np.asarray(self.evaluator(tuple(point)), dtype=complex))
-        return DiscreteRandomMatrix(law.probs, np.stack(values))
+        weights = np.ones(())
+        for law in self.laws[:i] + self.laws[i + 1:]:
+            weights = np.multiply.outer(weights, law.probs)
+        values = self._joint[1]
+        table = values.reshape(*(law.size for law in self.laws), *values.shape[1:])
+        table = np.moveaxis(table, i, self.n - 1)
+        return weights.ravel(), self.laws[i].probs, table.reshape(-1, *table.shape[self.n - 1:])
 
     def to_law(self) -> DiscreteRandomMatrix:
-        probs, values = [], []
-        for p, outcome in self.iter_joint():
-            probs.append(p)
-            values.append(np.asarray(self.evaluator(outcome), dtype=complex))
-        return DiscreteRandomMatrix(np.array(probs), np.stack(values))
+        return DiscreteRandomMatrix(*self._joint)
 
     @classmethod
     def from_table(
@@ -198,16 +190,6 @@ class ProductModel:
         return cls(laws, evaluator)
 
 
-def _check_unit_interval(x: np.ndarray) -> None:
-    x = require_hermitian(x)
-    w = eigenvalues(x)
-    tol = spectral_tolerance(x.shape[0])
-    if w[0] < -tol or w[-1] > 1.0 + tol:
-        raise ValueError(
-            f"matrix outcome spectrum [{w[0]:.3e}, {w[-1]:.3e}] leaves [0, 1]"
-        )
-
-
 @dataclass(frozen=True)
 class MatrixInputModel(ProductModel):
     """Product model whose inputs are matrices in the interval [0, I].
@@ -222,4 +204,9 @@ class MatrixInputModel(ProductModel):
         super().__post_init__()
         for law in self.laws:
             for outcome in law.outcomes:
-                _check_unit_interval(np.asarray(outcome, dtype=complex))
+                w = eigenvalues(require_hermitian(outcome))
+                tol = spectral_tolerance(w.size)
+                if w[0] < -tol or w[-1] > 1.0 + tol:
+                    raise ValueError(
+                        f"matrix outcome spectrum [{w[0]:.3e}, {w[-1]:.3e}] leaves [0, 1]"
+                    )

@@ -31,6 +31,8 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     d = int(obj["d"])
     re = np.asarray(obj["re"], dtype=float).reshape(d, d)
     im = np.asarray(obj["im"], dtype=float).reshape(d, d)
+    if d < 1 or not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError(f"a matrix needs d >= 1 (got {d}) and finite entries")
     return re + 1j * im
 
 

@@ -27,8 +27,12 @@ def random_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    return hermitian_part(random_complex_gaussian(rng, (d, d)))
+def random_hermitian(rng: np.random.Generator, d: int, shape: tuple = ()) -> np.ndarray:
+    """Hermitian part of a complex Gaussian d x d matrix, or a stack of
+    them on the leading axes ``shape``; each matrix reads a real then an
+    imaginary block, the stream of one call per matrix."""
+    g = rng.standard_normal((*shape, 2, d, d))
+    return hermitian_part(g[..., 0, :, :] + 1j * g[..., 1, :, :])
 
 
 def random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -72,15 +76,19 @@ def random_kernel(rng: np.random.Generator, nx: int, ny: int) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def _random_table(rng: np.random.Generator, d: int, count: int, psd: bool) -> np.ndarray:
+    """count PSD values, one draw each, or count Hermitian ones in one draw."""
+    if psd:
+        return np.stack([random_psd(rng, d) for _ in range(count)])
+    return random_hermitian(rng, d, (count,))
+
+
 def random_law(
     rng: np.random.Generator, d: int, size: int, psd: bool = True, pd_floor: float = 0.0
 ) -> DiscreteRandomMatrix:
     probs = random_probability_vector(rng, size)
-    if psd:
-        values = np.stack([random_psd(rng, d) + pd_floor * np.eye(d) for _ in range(size)])
-    else:
-        values = np.stack([random_hermitian(rng, d) for _ in range(size)])
-    return DiscreteRandomMatrix(probs, values)
+    values = _random_table(rng, d, size, psd)
+    return DiscreteRandomMatrix(probs, values + pd_floor * np.eye(d) if psd else values)
 
 
 def random_product_model(
@@ -91,19 +99,11 @@ def random_product_model(
         FiniteLaw(random_probability_vector(rng, arity), tuple(range(arity)))
         for _ in range(n)
     ]
-    total = arity**n
-    if psd:
-        table = np.stack([random_psd(rng, d) for _ in range(total)])
-    else:
-        table = np.stack([random_hermitian(rng, d) for _ in range(total)])
-    return ProductModel.from_table(laws, table)
+    return ProductModel.from_table(laws, _random_table(rng, d, arity**n, psd))
 
 
 def random_boolean_function(
     rng: np.random.Generator, n: int, d: int, psd: bool = True
 ) -> np.ndarray:
     """Table of 2^n Hermitian (or PSD) values for a cube function."""
-    count = 2**n
-    if psd:
-        return np.stack([random_psd(rng, d) for _ in range(count)])
-    return np.stack([random_hermitian(rng, d) for _ in range(count)])
+    return _random_table(rng, d, 2**n, psd)

@@ -1,6 +1,7 @@
 """Command-line harness: suites, generation, searches, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -109,6 +110,16 @@ def test_generate_all_kinds(tmp_path):
         code = _run(["generate", kind, "--d", "2", "--n", "2", "--seed", "5", "--out", str(out)])
         assert code == 0
         loader(load_json(out))
+
+
+def test_generate_product_model_bytes_are_pinned(tmp_path):
+    # serialised from the joint-table view; the bytes are those the
+    # per-outcome evaluator loop wrote
+    out = tmp_path / "model.json"
+    assert _run(["generate", "product-model", "--n", "3", "--d", "2", "--seed", "1",
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "0e5e73b23947d291c87b25478e8ece18c4a52e19953073bf33453c0b892d2fa1"
 
 
 @pytest.mark.parametrize("kind", ["product-model", "boolean-function"])

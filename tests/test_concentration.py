@@ -1,5 +1,6 @@
 """Resampling quantity forms, variance bounds, Gaussian ensembles."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -25,10 +26,18 @@ from matphi.concentration import (
 from matphi.entropy import phi_entropy
 from matphi.errors import SeparateConvexityViolated
 from matphi.frechet import MultivariateScalarFunction
-from matphi.linalg import normalized_trace, positive_part
+from matphi.linalg import hermitian_part, normalized_trace, positive_part
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from matphi.phifun import PhiFunction
-from matphi.sampling import random_law, random_product_model, random_psd, rng_for
+from matphi.sampling import (
+    random_boolean_function,
+    random_hermitian,
+    random_law,
+    random_probability_vector,
+    random_product_model,
+    random_psd,
+    rng_for,
+)
 from matphi.suites import _ks_statistic
 
 
@@ -65,16 +74,38 @@ def test_efron_stein_forms_agree_random():
         assert abs(f1 - f3) < 1e-10 * (1 + abs(f1))
 
 
+def _slice_laws(model, i):
+    """(weight, law) of each slice of the i-th input, the other inputs
+    pinned first input slowest, one evaluator call per point."""
+    others = [j for j in range(model.n) if j != i]
+    for idx in itertools.product(*(range(model.laws[j].size) for j in others)):
+        weight, point = 1.0, [None] * model.n
+        for j, k in zip(others, idx):
+            weight *= model.laws[j].probs[k]
+            point[j] = model.laws[j].outcomes[k]
+        values = []
+        for outcome in model.laws[i].outcomes:
+            point[i] = outcome
+            values.append(model.evaluator(tuple(point)))
+        yield weight, DiscreteRandomMatrix(model.laws[i].probs, np.stack(values))
+
+
 def test_efron_stein_forms_match_per_pair_reference():
-    # the stacked forms against the per-pair loop they replaced; the sums
-    # run in another order, so they agree to rounding, not bit for bit
-    for trial in range(6):
-        rng = rng_for(43, "efron-reference", trial)
-        model = random_product_model(rng, 1 + trial % 3, 1 + trial % 3, arity=3, psd=False)
+    # the stacked forms against a per-slice, per-pair loop; the sums run
+    # in another order, so they agree to rounding, not bit for bit
+    models = [
+        random_product_model(rng_for(43, "efron-reference", trial), 1 + trial % 3,
+                             1 + trial % 3, arity=3, psd=False)
+        for trial in range(6)
+    ]
+    for d, arities in ((1, (2, 3, 1)), (2, (4, 1, 2)), (3, (2, 3))):
+        rng = rng_for(43, "efron-reference-mixed", d)
+        laws = [FiniteLaw(random_probability_vector(rng, a), tuple(range(a))) for a in arities]
+        models.append(ProductModel.from_table(laws, random_hermitian(rng, d, (np.prod(arities),))))
+    for model in models:
         ref = np.zeros(3)
         for i in range(model.n):
-            for p_minus, partial in model.iter_minus(i):
-                law = model.slice_law(i, partial)
+            for p_minus, law in _slice_laws(model, i):
                 for pk, zk in zip(law.probs, law.values):
                     ref[1] += p_minus * pk * normalized_trace(matrix_power(zk - law.mean(), 2))
                     for pl, zl in zip(law.probs, law.values):
@@ -321,6 +352,34 @@ def test_stacked_gue_samplers_keep_the_per_draw_streams(d, m, count):
     # drawn one after the other, so each must also consume exactly its share
     assert np.array_equal(gue_clt_sample(d, m, count, rng), want_clt)
     assert np.array_equal(sample_gue(d, count, rng), want_gue)
+
+
+def _hermitian_per_matrix(d, rng):
+    """One Hermitian draw, as the per-matrix generators made it."""
+    return hermitian_part(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_stacked_hermitian_tables_keep_the_per_matrix_stream(d):
+    for n in (0, 1, 3, 6):
+        want_rng, rng = rng_for(12, "hermitian-stream", n), rng_for(12, "hermitian-stream", n)
+        count = 2**n
+
+        def per_matrix():
+            return np.stack([_hermitian_per_matrix(d, want_rng) for _ in range(count)])
+
+        assert np.array_equal(random_hermitian(rng, d), _hermitian_per_matrix(d, want_rng))
+        assert np.array_equal(random_boolean_function(rng, n, d, psd=False), per_matrix())
+        want_probs = [random_probability_vector(want_rng, 2) for _ in range(n)]
+        model = random_product_model(rng, d, n, arity=2, psd=False)
+        assert [law.probs.tolist() for law in model.laws] == [p.tolist() for p in want_probs]
+        assert np.array_equal(model.to_law().values, per_matrix())
+        want_probs = random_probability_vector(want_rng, count)
+        law = random_law(rng, d, count, psd=False)
+        assert np.array_equal(law.probs, want_probs)
+        assert np.array_equal(law.values, per_matrix())
+        # each generator consumed exactly its share of the stream
+        assert rng.random() == want_rng.random()
 
 
 def _per_draw_points(seed, label, samples, draw):

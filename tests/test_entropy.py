@@ -1,6 +1,8 @@
 """Entropy functional values, conditional tables, and the equivalent
 convexity characterizations with their negative controls."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from matphi.phifun import PhiFunction
 from matphi.sampling import (
     random_law,
     random_pd,
+    random_probability_vector,
     random_product_model,
     random_psd,
     rng_for,
@@ -117,6 +120,39 @@ def test_conditional_entropy_rademacher_sum():
     )
     table = conditional_phi_entropy(SQUARE, model, 0)
     assert np.allclose(table.entropies, 1.0)
+
+
+def _mixed_model(rng, d, arities):
+    laws = [FiniteLaw(random_probability_vector(rng, a), tuple(range(a))) for a in arities]
+    table = np.stack([random_psd(rng, d) for _ in range(int(np.prod(arities)))])
+    return ProductModel.from_table(laws, table)
+
+
+@pytest.mark.parametrize("arities", [(3, 3, 3), (2, 3, 1, 4), (4, 1, 2)])
+@pytest.mark.parametrize("phi", [XLOGX, PhiFunction.power(1.5)], ids=lambda phi: phi.label)
+def test_conditional_entropy_matches_per_slice_reference(arities, phi):
+    # the stacked table against one law per slice, the other inputs pinned
+    # first input slowest and one evaluator call per point
+    for d in (1, 2, 3):
+        model = _mixed_model(rng_for(31, f"entropy-slices-{arities}", d), d, arities)
+        for i in range(model.n):
+            others = [j for j in range(model.n) if j != i]
+            ref_probs, ref_entropies = [], []
+            for idx in itertools.product(*(range(arities[j]) for j in others)):
+                weight, point = 1.0, [None] * model.n
+                for j, k in zip(others, idx):
+                    weight *= model.laws[j].probs[k]
+                    point[j] = model.laws[j].outcomes[k]
+                values = []
+                for outcome in model.laws[i].outcomes:
+                    point[i] = outcome
+                    values.append(model.evaluator(tuple(point)))
+                law = DiscreteRandomMatrix(model.laws[i].probs, np.stack(values))
+                ref_probs.append(weight)
+                ref_entropies.append(phi_entropy(phi, law))
+            table = conditional_phi_entropy(phi, model, i)
+            assert np.array_equal(table.probs, ref_probs)
+            assert np.allclose(table.entropies, ref_entropies, rtol=1e-12, atol=0.0)
 
 
 def test_subadditivity_constant():

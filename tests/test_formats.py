@@ -1,7 +1,11 @@
 """JSON file format round trips and rejection of malformed inputs."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matphi.errors import ConfigError
 from matphi.formats import (
@@ -19,6 +23,7 @@ from matphi.formats import (
 )
 from matphi.fourier import MatrixBooleanFunction, search_lsi_counterexample
 from matphi.holevo import MarkovKernel, random_ensemble
+from matphi.models import ProductModel
 from matphi.sampling import random_boolean_function, random_hermitian, random_product_model, rng_for
 
 
@@ -94,3 +99,95 @@ def test_witness_is_boolean_function_plus_search_fields():
     assert obj["log_d"] == np.log(2)
     back = boolean_function_from_obj(obj)
     assert np.array_equal(back.table, result.f.table)
+
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+_leaf = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([-1, 0, 1, 2, 3, 20, 10**400, "1"])
+)
+_json = st.recursive(
+    _leaf,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=16,
+)
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a JSON object, the object itself first."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, valid):
+    """A valid object with one to three entries replaced by any JSON value
+    or deleted."""
+    obj = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        if not path:
+            return draw(_json)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_json)
+        elif isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.pop(path[-1])
+    return obj
+
+
+_rng = rng_for(61, "formats-fuzz", 0)
+VALID = {
+    "ensemble": (ensemble_from_obj, ensemble_to_obj(random_ensemble(_rng, 3, 2))),
+    "boolean-function": (
+        boolean_function_from_obj,
+        boolean_function_to_obj(MatrixBooleanFunction(2, random_boolean_function(_rng, 2, 2))),
+    ),
+    "product-model": (
+        product_model_from_obj,
+        product_model_to_obj(random_product_model(_rng, 2, 2, arity=2), 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALID))
+def test_fuzzed_objects_load_or_raise_config_error(kind):
+    load, valid = VALID[kind]
+
+    @FUZZ
+    @given(_json | _mutated(valid))
+    def loads_or_config_error(obj):
+        try:
+            loaded = load(obj)
+        except ConfigError:
+            return
+        if isinstance(loaded, ProductModel):
+            loaded = loaded.to_law()
+        for array in vars(loaded).values():
+            if isinstance(array, np.ndarray):
+                assert np.all(np.isfinite(array)), obj
+
+    loads_or_config_error()
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), None])
+@pytest.mark.parametrize("kind", sorted(VALID))
+def test_non_finite_matrix_entry_is_a_config_error(kind, entry):
+    load, valid = VALID[kind]
+    for path in _paths(valid):
+        if path[-1:] in (("re",), ("im",)):
+            obj = copy.deepcopy(valid)
+            parent = obj
+            for key in path:
+                parent = parent[key]
+            parent[-1] = entry
+            with pytest.raises(ConfigError):
+                load(obj)

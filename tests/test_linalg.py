@@ -30,7 +30,7 @@ from matphi.linalg import (
     spectral_map,
     tr_xlogx,
 )
-from matphi.models import DiscreteRandomMatrix
+from matphi.models import DiscreteRandomMatrix, FiniteLaw
 from matphi.sampling import random_hermitian, random_psd, random_unitary, rng_for
 
 
@@ -77,6 +77,16 @@ def test_stack_validation_keeps_each_matrix_tolerance(build):
     # a stack-wide sup would scale the unit matrix's tolerance by 1e3 and excuse it
     with pytest.raises(NotHermitian):
         build(_slightly_skew_unit_and_big())
+
+
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [0.5, np.nan]])
+def test_probabilities_must_not_be_nan(probs):
+    with pytest.raises(ValueError):
+        DiscreteRandomMatrix(np.array(probs), np.stack([np.eye(2)] * 2))
+    with pytest.raises(ValueError):
+        FiniteLaw(np.array(probs), (0, 1))
+    with pytest.raises(ValueError):
+        CQEnsemble(np.array(probs), np.stack([np.eye(2) / 2] * 2))
 
 
 def test_standard_function_identity_and_square():

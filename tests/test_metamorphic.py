@@ -18,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matphi.concentration import check_efron_stein, check_plus_identities, efron_stein_forms
-from matphi.entropy import duality_lower_bound, phi_entropy
+from matphi.entropy import (
+    check_char_g,
+    check_subadditivity,
+    conditional_phi_entropy,
+    duality_lower_bound,
+    phi_entropy,
+)
 from matphi.fourier import (
     MatrixBooleanFunction,
     check_bonami_beckner,
@@ -159,6 +165,49 @@ def test_efron_stein_metamorphic(seed, d, d2, k, n):
         ProductModel.from_table(model.laws, _dsum(table, other))
     )
     assert summed_passed == (passed and passed2)
+    for key, value in summed.items():
+        _close(value, _averaged(base[key], base2[key], d, d2))
+
+
+def _entropy_model_quantities(model: ProductModel) -> tuple[dict, tuple]:
+    values, verdicts = {}, []
+    for phi in GENERATORS:
+        sub = check_subadditivity(phi, model)
+        values[f"sub_lhs[{phi.label}]"] = sub.details["lhs"]
+        values[f"sub_rhs[{phi.label}]"] = sub.details["rhs"]
+        verdicts.append(sub.passed)
+        for i in range(model.n):
+            values[f"cond_{i}[{phi.label}]"] = conditional_phi_entropy(phi, model, i).expectation
+        if model.n == 2:
+            char_g = check_char_g(phi, model)
+            values[f"g_lhs[{phi.label}]"] = char_g.details["lhs"]
+            values[f"g_rhs[{phi.label}]"] = char_g.details["rhs"]
+            verdicts.append(char_g.passed)
+    return values, tuple(verdicts)
+
+
+@CASES
+@given(seeds, dims, dims, ks, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=2, max_value=3))
+def test_conditional_entropy_metamorphic(seed, d, d2, k, n, arity):
+    rng = rng_for(seed, "metamorphic-entropy", 0)
+    model = random_product_model(rng, d, n, arity=arity)
+    table = _table_of(model)
+    base, verdicts = _entropy_model_quantities(model)
+    for name, fmap in _maps(rng, d, k):
+        mapped, mapped_verdicts = _entropy_model_quantities(
+            ProductModel.from_table(model.laws, fmap(table))
+        )
+        assert mapped_verdicts == verdicts, name
+        for key, value in mapped.items():
+            _close(value, base[key])
+
+    other = _table_of(random_product_model(rng, d2, n, arity=arity))
+    base2, verdicts2 = _entropy_model_quantities(ProductModel.from_table(model.laws, other))
+    summed, summed_verdicts = _entropy_model_quantities(
+        ProductModel.from_table(model.laws, _dsum(table, other))
+    )
+    assert summed_verdicts == tuple(a and b for a, b in zip(verdicts, verdicts2))
     for key, value in summed.items():
         _close(value, _averaged(base[key], base2[key], d, d2))
 
