@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MatPhiError, SeparateConvexityViolated
+from .fourier import _log_sobolev_sides, _phi_sobolev_sides
 from .frechet import MultivariateScalarFunction, commuting_eigensystem, multivariate_dd_table, multivariate_apply
 from .linalg import (
     eigenvalues,
@@ -21,9 +22,7 @@ from .linalg import (
     negative_part,
     normalized_trace,
     positive_part,
-    psd_power,
     spectral_map,
-    tr_xlogx,
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from .report import CheckReport
@@ -150,22 +149,6 @@ def _values(fn: Callable, points) -> np.ndarray:
     return np.stack([_as_matrix(fn(x)) for x in points])
 
 
-def _sq_norms(stack: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm summed over all but the leading axis."""
-    return np.sum(np.abs(stack) ** 2, axis=tuple(range(1, stack.ndim)))
-
-
-def _fd_grad_sq(evaluator: Callable, xs: np.ndarray) -> np.ndarray:
-    """sum_i ||(f(x + h e_i) - f(x - h e_i)) / 2h||_2^2 at each real point
-    x of an (m, n) stack, h = FD_STEP."""
-    m, n = xs.shape
-    step = FD_STEP * np.eye(n)
-    shifted = np.stack([xs[:, None] + step, xs[:, None] - step], axis=1)
-    f = _values(evaluator, shifted.reshape(-1, n))
-    f = f.reshape(m, 2, n, *f.shape[1:])
-    return _sq_norms((f[:, 0] - f[:, 1]) / (2 * FD_STEP))
-
-
 def _unit_directions(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray:
     """Random Hermitian d x d directions of unit Frobenius norm on the
     leading axes ``shape``, each read as a real then an imaginary block."""
@@ -173,15 +156,40 @@ def _unit_directions(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarr
     return e / np.linalg.norm(e, axis=(-2, -1), keepdims=True)
 
 
-def _directional_norm(evaluator: Callable, xs: tuple, i: int, directions: np.ndarray) -> float:
-    """Largest central-difference (step FD_STEP) ||D_i f[xs](E)||_2 over
-    the unit Hermitian directions E, a lower bound on the induced norm."""
+def _energy(
+    evaluator: Callable, points, n: int, partial: Callable | None = None,
+    rng: np.random.Generator | None = None, directions: int = 0,
+) -> np.ndarray:
+    """||D_i f||_2^2 at each of m points and each coordinate i < n, an
+    (m, n) array.
 
-    def at(shift):
-        return _as_matrix(evaluator(xs[:i] + (xs[i] + shift,) + xs[i + 1:]))
-
-    derivs = (at(FD_STEP * e) - at(-FD_STEP * e) for e in directions)
-    return max((float(np.linalg.norm(g / (2 * FD_STEP))) for g in derivs), default=0.0)
+    ``partial(x, i)`` gives the exact derivative, or its norm, when
+    supplied. Otherwise central differences of step FD_STEP stand in:
+    along the coordinates of an (m, n) stack of real points, or, at
+    tuples of matrices, as the largest difference over ``directions``
+    unit Hermitian directions drawn from ``rng`` per point and
+    coordinate, a lower bound on the induced norm."""
+    if partial is not None:
+        derivs = np.array([_as_matrix(partial(x, i)) for x in points for i in range(n)])
+        return np.sum(np.abs(derivs) ** 2, axis=(-2, -1)).reshape(-1, n)
+    if isinstance(points, np.ndarray):
+        step = FD_STEP * np.eye(n)
+        shifted = np.stack([points[:, None] + step, points[:, None] - step], axis=2).reshape(-1, n)
+    else:
+        shifted = [
+            x[:i] + (x[i] + s * FD_STEP * e,) + x[i + 1:]
+            for x in points
+            for i in range(n)
+            for e in _unit_directions(rng, (directions,), x[i].shape[0])
+            for s in (1, -1)
+        ]
+    if not len(shifted):
+        return np.zeros((len(points), n))
+    # (point, coordinate, direction, sign) values; real points have one direction
+    f = _values(evaluator, shifted)
+    f = f.reshape(len(points), n, -1, 2, *f.shape[1:])
+    sq = np.sum(np.abs((f[:, :, :, 0] - f[:, :, :, 1]) / (2 * FD_STEP)) ** 2, axis=(-2, -1))
+    return sq.max(axis=-1)
 
 
 def _spot_check_convexity(
@@ -213,9 +221,37 @@ def _spot_check_convexity(
             )
 
 
+def _poincare_report(
+    check: str, model: ProductModel, partial: Callable | None,
+    rng: np.random.Generator | None = None, directions: int = 0, details: dict | None = None,
+    **fields,
+) -> CheckReport:
+    """Var(Z) <= sum_i E ||D_i Z||_2^2 by exact enumeration of the model,
+    each outcome's energy from ``_energy``."""
+    law = model.to_law()
+    var = variance(law)
+    probs, outcomes = zip(*model.iter_joint())
+    points = [tuple(np.asarray(x, dtype=complex) for x in xs) for xs in outcomes]
+    terms = np.array(probs)[:, None] * _energy(
+        model.evaluator, points, model.n, partial, rng, directions
+    )
+    bound = float(np.cumsum(terms)[-1])  # strictly in enumeration order; np.sum pairs terms
+    tol = 1e-8 * (1.0 + abs(var) + abs(bound))
+    gap = var - bound
+    return CheckReport(
+        check=check,
+        passed=gap <= tol,
+        max_gap=float(gap),
+        tol=tol,
+        d=law.d,
+        n=model.n,
+        details={"variance": var, "bound": bound, **(details or {})},
+        **fields,
+    )
+
+
 def check_poincare(
     model: MatrixInputModel,
-    derivative_mode: str = "analytic",
     directions: int = 200,
     spot_check_probes: int = 50,
     seed: int = 0,
@@ -223,44 +259,15 @@ def check_poincare(
     """Variance against summed squared derivative norms for separately
     convex evaluators of matrix inputs in [0, I].
 
-    In finite-difference mode the norms are random-direction lower bounds,
-    so the reported right side under-estimates the true bound (flagged in
-    the report details)."""
-    if derivative_mode not in ("analytic", "finite_difference"):
-        raise ValueError(f"unknown derivative mode {derivative_mode!r}")
-    if derivative_mode == "analytic" and model.partial_norm is None:
-        raise ValueError("analytic mode needs the model to expose partial_norm")
-    rng = rng_for(seed, "poincare-spot", 0)
+    The norms come from the model's ``partial_norm``. A model without one
+    gets random-direction finite differences instead; those are lower
+    bounds, so the reported right side under-estimates the true bound
+    (flagged in the report details)."""
     if spot_check_probes:
-        _spot_check_convexity(model, spot_check_probes, rng)
-    law = model.to_law()
-    var = variance(law)
-    bound = 0.0
-    dir_rng = rng_for(seed, "poincare-directions", 0)
-    for prob, outcome in model.iter_joint():
-        xs = tuple(np.asarray(x, dtype=complex) for x in outcome)
-        for i in range(model.n):
-            if derivative_mode == "analytic":
-                norm = float(model.partial_norm(xs, i))
-            else:
-                units = _unit_directions(dir_rng, (directions,), xs[i].shape[0])
-                norm = _directional_norm(model.evaluator, xs, i, units)
-            bound += prob * norm**2
-    tol = 1e-8 * (1.0 + abs(var) + abs(bound))
-    gap = var - bound
-    return CheckReport(
-        check="poincare",
-        passed=gap <= tol,
-        max_gap=float(gap),
-        tol=tol,
-        d=law.d,
-        n=model.n,
-        seed=seed,
-        details={
-            "variance": var,
-            "bound": bound,
-            "rhs_is_lower_bound": derivative_mode == "finite_difference",
-        },
+        _spot_check_convexity(model, spot_check_probes, rng_for(seed, "poincare-spot", 0))
+    return _poincare_report(
+        "poincare", model, model.partial_norm, rng_for(seed, "poincare-directions", 0),
+        directions, details={"rhs_is_lower_bound": model.partial_norm is None}, seed=seed,
     )
 
 
@@ -270,27 +277,12 @@ def check_poincare_commuting(
 ) -> CheckReport:
     """Poincare bound for multivariate standard functions of commuting
     inputs, using the sup norm of the partial divided-difference tables."""
+
+    def sup_norm(xs, i):
+        return np.max(np.abs(multivariate_dd_table(f, commuting_eigensystem(xs)[0], i)))
+
     model = ProductModel(tuple(laws), lambda xs: multivariate_apply(f, xs))
-    law = model.to_law()
-    var = variance(law)
-    bound = 0.0
-    for prob, outcome in model.iter_joint():
-        xs = [np.asarray(x, dtype=complex) for x in outcome]
-        lambdas, _ = commuting_eigensystem(xs)
-        for i in range(f.n):
-            table = multivariate_dd_table(f, lambdas, i)
-            bound += prob * float(np.max(np.abs(table))) ** 2
-    tol = 1e-8 * (1.0 + abs(var) + abs(bound))
-    gap = var - bound
-    return CheckReport(
-        check="poincare-commuting",
-        passed=gap <= tol,
-        max_gap=float(gap),
-        tol=tol,
-        d=law.d,
-        n=len(laws),
-        details={"variance": var, "bound": bound},
-    )
+    return _poincare_report("poincare-commuting", model, sup_norm)
 
 
 def sample_gue(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -328,19 +320,18 @@ def gue_clt_sample(d: int, m: int, count: int, rng: np.random.Generator) -> np.n
     return out
 
 
-def _batch_pairs(statistic: Callable, seed: int, label: str, samples: int) -> list:
-    """``statistic(rng, samples // MC_BATCHES)``, one batch's (lhs, rhs),
-    for each batch with its generator rng_for(seed, label, batch)."""
-    return [statistic(rng_for(seed, label, b), samples // MC_BATCHES) for b in range(MC_BATCHES)]
-
-
-def _mc_report(
-    check: str, pairs: list, names=("lhs", "rhs"), details: dict | None = None, **fields,
+def _batch_means(
+    check: str, label: str, statistic: Callable, seed: int, samples: int,
+    names=("lhs", "rhs"), details: dict | None = None, **fields,
 ) -> CheckReport:
-    """lhs <= rhs between the batch-means estimates of per-batch (lhs, rhs)
-    pairs, passing within three standard errors (the two sides' errors
-    added)."""
-    sides = np.array(pairs, dtype=float).T
+    """lhs <= rhs between batch means. ``statistic(rng, samples //
+    MC_BATCHES)`` gives one batch's (lhs, rhs) with rng = rng_for(seed,
+    label, batch), and the check passes within three standard errors (the
+    two sides' errors added)."""
+    count = samples // MC_BATCHES
+    sides = np.array(
+        [statistic(rng_for(seed, label, b), count) for b in range(MC_BATCHES)], dtype=float
+    ).T
     lhs, rhs = (float(side.mean()) for side in sides)
     se = sum(float(side.std(ddof=1) / np.sqrt(len(side))) for side in sides)
     stderr_rel = se / max(abs(rhs), 1e-30)
@@ -348,6 +339,8 @@ def _mc_report(
         check=check,
         passed=lhs <= rhs * (1.0 + 3.0 * stderr_rel) + 3.0 * se + 1e-12,
         max_gap=float(lhs - rhs),
+        seed=seed,
+        samples=count * MC_BATCHES,
         stderr=se,
         details={names[0]: lhs, names[1]: rhs, **(details or {})},
         **fields,
@@ -376,42 +369,26 @@ def check_gaussian_poincare(
     the right side, flagged in the report), drawn after the batch's
     inputs."""
     scalar_inputs = d1 == 1
-    if scalar_inputs:
-        probe_point = np.zeros(n)
-    else:
-        probe_point = tuple(np.zeros((d1, d1), dtype=complex) for _ in range(n))
+    probe_point = np.zeros(n) if scalar_inputs else tuple(np.zeros((n, d1, d1), dtype=complex))
     d = _as_matrix(evaluator(probe_point)).shape[0]
+    partial = partials if scalar_inputs else partial_norm
 
     def statistic(rng, count):
         if scalar_inputs:
             points = rng.standard_normal((count, n))
-            if partials is not None:
-                grad_sq = _sq_norms(np.array(
-                    [[_as_matrix(partials(x, i)) for i in range(n)] for x in points]
-                ))
-            else:
-                grad_sq = _fd_grad_sq(evaluator, points)
         else:
             points = [tuple(x) for x in sample_gue(d1, count * n, rng).reshape(count, n, d1, d1)]
-            if partial_norm is not None:
-                norms = [[partial_norm(x, i) for i in range(n)] for x in points]
-            else:
-                units = _unit_directions(rng, (count, n, directions), d1)
-                norms = [
-                    [_directional_norm(evaluator, x, i, units[k, i]) for i in range(n)]
-                    for k, x in enumerate(points)
-                ]
-            grad_sq = np.sum(np.array(norms, dtype=float) ** 2, axis=1)
+        energy = _energy(evaluator, points, n, partial, rng, directions)
         z = _values(evaluator, points)
         mean = z.mean(axis=0)
-        return normalized_trace((z @ z).mean(axis=0) - mean @ mean), float(grad_sq.mean())
+        var = normalized_trace((z @ z).mean(axis=0) - mean @ mean)
+        return var, float(energy.sum(axis=1).mean())
 
-    return _mc_report(
-        "gaussian-poincare",
-        _batch_pairs(statistic, seed, "gaussian-poincare", samples),
+    return _batch_means(
+        "gaussian-poincare", "gaussian-poincare", statistic, seed, samples,
         names=("variance", "bound"),
         details={"rhs_is_lower_bound": (not scalar_inputs) and partial_norm is None},
-        d=d, n=n, seed=seed, samples=(samples // MC_BATCHES) * MC_BATCHES,
+        d=d, n=n,
     )
 
 
@@ -426,21 +403,15 @@ def check_gaussian_sobolev(
     Gaussian inputs with generator u^{2/p}, p in (1, 2)."""
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
-    d = _as_matrix(evaluator(np.zeros(n))).shape[0]
-    dim_factor = d ** (1.0 - 2.0 / p)
 
     def statistic(rng, count):
         xs = rng.standard_normal((count, n))
-        f = _values(evaluator, xs)
-        f2 = normalized_trace((f @ f).mean(axis=0))
-        fp = psd_power(f, p).mean(axis=0)
-        energy = float(_fd_grad_sq(evaluator, xs).mean())
-        lhs = f2 - normalized_trace(psd_power(fp, 2.0 / p))
-        return lhs, (2.0 - p) * energy * dim_factor + f2 * (1.0 - dim_factor)
+        energy = float(_energy(evaluator, xs, n).sum(axis=1).mean())
+        return _phi_sobolev_sides(_values(evaluator, xs), energy, p)
 
-    return _mc_report(
-        "gaussian-sobolev", _batch_pairs(statistic, seed, "gaussian-sobolev", samples),
-        details={"p": p}, d=d, n=n, seed=seed, samples=(samples // MC_BATCHES) * MC_BATCHES,
+    return _batch_means(
+        "gaussian-sobolev", "gaussian-sobolev", statistic, seed, samples,
+        details={"p": p}, d=_as_matrix(evaluator(np.zeros(n))).shape[0], n=n,
     )
 
 
@@ -452,18 +423,13 @@ def check_gaussian_logsobolev(
 ) -> CheckReport:
     """Monte Carlo log-Sobolev bound Ent(f^2) <= 2 sum_i E||D_i f||_2^2
     + log(d) tr E[f^2] for PSD-valued functions of Gaussian inputs."""
-    d = _as_matrix(evaluator(np.zeros(n))).shape[0]
 
     def statistic(rng, count):
         xs = rng.standard_normal((count, n))
-        f = _values(evaluator, xs)
-        squares = f @ f
-        f2 = squares.mean(axis=0)
-        lhs = float(tr_xlogx(squares).mean()) - float(tr_xlogx(f2))
-        energy = float(_fd_grad_sq(evaluator, xs).mean())
-        return lhs, 2.0 * energy + np.log(d) * normalized_trace(f2)
+        energy = float(_energy(evaluator, xs, n).sum(axis=1).mean())
+        return _log_sobolev_sides(_values(evaluator, xs), energy)
 
-    return _mc_report(
-        "gaussian-log-sobolev", _batch_pairs(statistic, seed, "gaussian-logsobolev", samples),
-        d=d, n=n, seed=seed, samples=(samples // MC_BATCHES) * MC_BATCHES,
+    return _batch_means(
+        "gaussian-log-sobolev", "gaussian-logsobolev", statistic, seed, samples,
+        d=_as_matrix(evaluator(np.zeros(n))).shape[0], n=n,
     )

@@ -215,18 +215,31 @@ def entropy_of_square(f: MatrixBooleanFunction) -> float:
     return float(_square_entropy(f.table))
 
 
+def _phi_sobolev_sides(values: np.ndarray, energy: float, p: float) -> tuple[float, float]:
+    """Both sides of H(f^p) <= (2-p) E(f) d^{1-2/p} + tr E[f^2] (1 - d^{1-2/p})
+    for a (k, d, d) stack of equally likely PSD values and an energy."""
+    f2_mean = np.mean(np.einsum("kij,kjl->kil", values, values), axis=0)
+    fp_mean = np.mean(psd_power(values, p), axis=0)
+    lhs = normalized_trace(f2_mean) - normalized_trace(psd_power(fp_mean, 2.0 / p))
+    dim_factor = values.shape[-1] ** (1.0 - 2.0 / p)
+    return lhs, (2.0 - p) * energy * dim_factor + normalized_trace(f2_mean) * (1.0 - dim_factor)
+
+
+def _log_sobolev_sides(values: np.ndarray, energy: float) -> tuple[float, float]:
+    """Both sides of Ent(f^2) <= 2 E(f) + log(d) tr E[f^2] for a (k, d, d)
+    stack of equally likely PSD values and an energy."""
+    f2_mean = np.mean(np.einsum("kij,kjl->kil", values, values), axis=0)
+    rhs = 2.0 * energy + np.log(values.shape[-1]) * normalized_trace(f2_mean)
+    return float(_square_entropy(values)), rhs
+
+
 def check_phi_sobolev(f: MatrixBooleanFunction, p: float) -> CheckReport:
     """Interpolation entropy bound with generator u^{2/p} on fair bits:
     H(f^p) <= (2-p) E(f) d^{1-2/p} + tr E[f^2] (1 - d^{1-2/p})."""
     if not 1.0 < p < 2.0:
         raise DomainError(f"p must lie in (1, 2), got {p}")
     _require_psd_table(f)
-    f2_mean = np.mean(np.einsum("kij,kjl->kil", f.table, f.table), axis=0)
-    fp_mean = np.mean(psd_power(f.table, p), axis=0)
-    lhs = normalized_trace(f2_mean) - normalized_trace(psd_power(fp_mean, 2.0 / p))
-    energy = dirichlet_energy_spectral(f)
-    dim_factor = f.d ** (1.0 - 2.0 / p)
-    rhs = (2.0 - p) * energy * dim_factor + normalized_trace(f2_mean) * (1.0 - dim_factor)
+    lhs, rhs = _phi_sobolev_sides(f.table, dirichlet_energy_spectral(f), p)
     tol = 1e-10 * (1.0 + abs(lhs) + abs(rhs))
     return CheckReport(
         check="phi-sobolev",
@@ -243,10 +256,8 @@ def check_log_sobolev(f: MatrixBooleanFunction) -> CheckReport:
     """Defective log-Sobolev bound on fair bits:
     Ent(f^2) <= 2 E(f) + log(d) tr E[f^2]."""
     _require_psd_table(f)
-    ent = entropy_of_square(f)
     energy = dirichlet_energy_spectral(f)
-    f2_mean = np.mean(np.einsum("kij,kjl->kil", f.table, f.table), axis=0)
-    rhs = 2.0 * energy + np.log(f.d) * normalized_trace(f2_mean)
+    ent, rhs = _log_sobolev_sides(f.table, energy)
     tol = 1e-10 * (1.0 + abs(ent) + abs(rhs))
     return CheckReport(
         check="log-sobolev",

@@ -148,7 +148,12 @@ class ProductModel:
         law, from one enumeration and one evaluator call per outcome."""
         joint = list(self.iter_joint())
         values = np.stack([np.asarray(self.evaluator(x), dtype=complex) for _, x in joint])
-        return np.array([p for p, _ in joint]), _require_hermitian_stack(values)
+        probs = np.array([p for p, _ in joint])
+        # n inputs, each within 1e-12 of summing to 1, can put the joint law
+        # n times as far off; a joint within 1e-12 keeps its probabilities
+        if abs(float(probs.sum()) - 1.0) > 1e-12:
+            probs = probs / probs.sum()
+        return probs, _require_hermitian_stack(values)
 
     def slices(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The joint table cut along the i-th input: the weights (rest,)

@@ -156,18 +156,12 @@ class PhiFunction:
             if order == 1:
                 return lambda x: np.full_like(np.asarray(x, dtype=float), self.a)
             return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind == "power":
+        if self.kind in ("power", "cube"):
+            p = 3.0 if self.kind == "cube" else self.p
             coeff = 1.0
             for j in range(order):
-                coeff *= self.p - j
-            return _power_term(coeff, self.p - order)
-        if self.kind == "cube":
-            coeff = 1.0
-            for j in range(order):
-                coeff *= 3.0 - j
-            if order > 3:
-                return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-            return _power_term(coeff, 3.0 - order)
+                coeff *= p - j
+            return _power_term(coeff, p - order)
         if self.kind == "xlogx":
             if order == 0:
                 return _xlogx

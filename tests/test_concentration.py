@@ -23,7 +23,7 @@ from matphi.concentration import (
     sample_gue,
     variance,
 )
-from matphi.entropy import phi_entropy
+from matphi.entropy import check_subadditivity, phi_entropy
 from matphi.errors import SeparateConvexityViolated
 from matphi.frechet import MultivariateScalarFunction
 from matphi.linalg import hermitian_part, normalized_trace, positive_part
@@ -205,11 +205,40 @@ def test_poincare_finite_difference_mode():
         for _ in range(2)
     )
     model = MatrixInputModel(laws, lambda xs: xs[0] + 0.5 * xs[1])
-    rep = check_poincare(
-        model, derivative_mode="finite_difference", directions=40, seed=3
-    )
+    rep = check_poincare(model, directions=40, seed=3)
     assert rep.details["rhs_is_lower_bound"]
     assert rep.passed
+
+
+def test_finite_difference_bounds_keep_their_values():
+    # direction draws and central differences, pinned to recorded values
+    rng = rng_for(41, "poincare", 2)
+    laws = tuple(
+        FiniteLaw(np.array([0.5, 0.5]), (_contraction(rng, 2), _contraction(rng, 2)))
+        for _ in range(2)
+    )
+    model = MatrixInputModel(laws, lambda xs: xs[0] @ xs[0] + 0.5 * xs[1])
+    rep = check_poincare(model, directions=40, spot_check_probes=0, seed=3)
+    assert rep.details["rhs_is_lower_bound"]
+    assert rep.details["bound"] == pytest.approx(3.7483991690122958, rel=1e-12)
+    rep = check_gaussian_poincare(
+        lambda xs: xs[0] @ xs[0] + xs[1], n=2, d1=2, samples=200, seed=9, directions=10
+    )
+    assert rep.details["rhs_is_lower_bound"]
+    assert rep.details["bound"] == pytest.approx(11.860136293375923, rel=1e-12)
+
+
+def test_joint_law_of_valid_inputs_is_valid():
+    # each input sums to 1 + 0.9e-12, the joint law to about 1 + 2.7e-12
+    law = FiniteLaw(np.array([0.5, 0.5 + 0.9e-12]), (0.2 * np.eye(2), 0.7 * np.eye(2)))
+    model = MatrixInputModel((law,) * 3, lambda xs: sum(xs), partial_norm=lambda xs, i: 1.0)
+    assert abs(model.to_law().probs.sum() - 1.0) <= 1e-12
+    assert check_efron_stein(model).passed
+    assert check_subadditivity(PhiFunction.xlogx(), model).passed
+    assert check_poincare(model, spot_check_probes=0).passed
+    # joints that already sum to 1 within 1e-12 keep their probabilities
+    seeded = random_product_model(rng_for(41, "joint", 0), 2, 3, arity=3, psd=True)
+    assert np.array_equal(seeded.to_law().probs, [p for p, _ in seeded.iter_joint()])
 
 
 def test_poincare_spot_check_catches_concave():
@@ -222,7 +251,7 @@ def test_poincare_spot_check_catches_concave():
     )
     model = MatrixInputModel(laws, lambda xs: np.sqrt(xs[0] + 0.01))
     with pytest.raises(SeparateConvexityViolated):
-        check_poincare(model, derivative_mode="finite_difference", spot_check_probes=200, seed=5)
+        check_poincare(model, spot_check_probes=200, seed=5)
 
 
 def test_poincare_commuting_linear_bound():
