@@ -40,10 +40,6 @@ def variance(law: DiscreteRandomMatrix) -> float:
     return normalized_trace(law.expect(law.values @ law.values) - mean @ mean)
 
 
-def _matrix(model: ProductModel, outcome: tuple) -> np.ndarray:
-    return np.asarray(model.evaluator(outcome), dtype=complex)
-
-
 def efron_stein_forms(model: ProductModel) -> tuple[float, float, float]:
     """The three equivalent enumerated forms of the resampling quantity:
     half replacement square, conditional variance, and positive part.
@@ -169,27 +165,31 @@ def _energy(
     tuples of matrices, as the largest difference over ``directions``
     unit Hermitian directions drawn from ``rng`` per point and
     coordinate, a lower bound on the induced norm."""
+    if n == 0 or not len(points):
+        return np.zeros((len(points), n))
     if partial is not None:
         derivs = np.array([_as_matrix(partial(x, i)) for x in points for i in range(n)])
         return np.sum(np.abs(derivs) ** 2, axis=(-2, -1)).reshape(-1, n)
+
+    def central(shifted, m):
+        # (point, coordinate, direction, sign) values; real points have one direction
+        if not len(shifted):
+            return np.zeros((m, n))
+        f = _values(evaluator, shifted)
+        f = f.reshape(m, n, -1, 2, *f.shape[1:])
+        sq = np.sum(np.abs((f[:, :, :, 0] - f[:, :, :, 1]) / (2 * FD_STEP)) ** 2, axis=(-2, -1))
+        return sq.max(axis=-1)
+
     if isinstance(points, np.ndarray):
-        step = FD_STEP * np.eye(n)
-        shifted = np.stack([points[:, None] + step, points[:, None] - step], axis=2).reshape(-1, n)
-    else:
-        shifted = [
-            x[:i] + (x[i] + s * FD_STEP * e,) + x[i + 1:]
-            for x in points
-            for i in range(n)
-            for e in _unit_directions(rng, (directions,), x[i].shape[0])
-            for s in (1, -1)
-        ]
-    if not len(shifted):
-        return np.zeros((len(points), n))
-    # (point, coordinate, direction, sign) values; real points have one direction
-    f = _values(evaluator, shifted)
-    f = f.reshape(len(points), n, -1, 2, *f.shape[1:])
-    sq = np.sum(np.abs((f[:, :, :, 0] - f[:, :, :, 1]) / (2 * FD_STEP)) ** 2, axis=(-2, -1))
-    return sq.max(axis=-1)
+        steps = FD_STEP * np.eye(n)[:, None] * np.array([[1.0], [-1.0]])  # (coordinate, sign, n)
+        return central((points[:, None, None] + steps).reshape(-1, n), len(points))
+    # matrix tuples one point at a time, so one point's shifts are held at once
+    return np.concatenate([central([
+        x[:i] + (x[i] + s * FD_STEP * e,) + x[i + 1:]
+        for i in range(n)
+        for e in _unit_directions(rng, (directions,), x[i].shape[0])
+        for s in (1, -1)
+    ], 1) for x in points])
 
 
 def _spot_check_convexity(
@@ -205,14 +205,12 @@ def _spot_check_convexity(
         )
         a_idx, b_idx = rng.choice(law.size, size=2, replace=False)
         xa, xb = law.outcomes[a_idx], law.outcomes[b_idx]
-        pa = list(point)
-        pb = list(point)
-        pmid = list(point)
-        pa[i] = xa
-        pb[i] = xb
-        pmid[i] = 0.5 * (np.asarray(xa) + np.asarray(xb))
-        mid_val = _matrix(model, tuple(pmid))
-        avg_val = 0.5 * (_matrix(model, tuple(pa)) + _matrix(model, tuple(pb)))
+
+        def at(x):
+            return _as_matrix(model.evaluator(point[:i] + (x,) + point[i + 1:]))
+
+        mid_val = at(0.5 * (np.asarray(xa) + np.asarray(xb)))
+        avg_val = 0.5 * (at(xa) + at(xb))
         check = loewner_leq(mid_val, avg_val, tol=1e-8 * (1 + float(np.max(np.abs(avg_val)))))
         if not check.holds:
             raise SeparateConvexityViolated(
@@ -235,7 +233,7 @@ def _poincare_report(
     terms = np.array(probs)[:, None] * _energy(
         model.evaluator, points, model.n, partial, rng, directions
     )
-    bound = float(np.cumsum(terms)[-1])  # strictly in enumeration order; np.sum pairs terms
+    bound = float(np.cumsum(np.append(0.0, terms))[-1])  # in enumeration order; np.sum pairs
     tol = 1e-8 * (1.0 + abs(var) + abs(bound))
     gap = var - bound
     return CheckReport(
@@ -263,8 +261,7 @@ def check_poincare(
     gets random-direction finite differences instead; those are lower
     bounds, so the reported right side under-estimates the true bound
     (flagged in the report details)."""
-    if spot_check_probes:
-        _spot_check_convexity(model, spot_check_probes, rng_for(seed, "poincare-spot", 0))
+    _spot_check_convexity(model, spot_check_probes, rng_for(seed, "poincare-spot", 0))
     return _poincare_report(
         "poincare", model, model.partial_norm, rng_for(seed, "poincare-directions", 0),
         directions, details={"rhs_is_lower_bound": model.partial_norm is None}, seed=seed,
@@ -278,8 +275,12 @@ def check_poincare_commuting(
     """Poincare bound for multivariate standard functions of commuting
     inputs, using the sup norm of the partial divided-difference tables."""
 
+    last = [None, None]  # _energy asks for every coordinate of a point in turn
+
     def sup_norm(xs, i):
-        return np.max(np.abs(multivariate_dd_table(f, commuting_eigensystem(xs)[0], i)))
+        if xs is not last[0]:
+            last[:] = xs, commuting_eigensystem(xs)[0]
+        return np.max(np.abs(multivariate_dd_table(f, last[1], i)))
 
     model = ProductModel(tuple(laws), lambda xs: multivariate_apply(f, xs))
     return _poincare_report("poincare-commuting", model, sup_norm)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
+from matphi import concentration
 from matphi.concentration import (
     FD_STEP,
     MC_BATCHES,
@@ -25,7 +26,7 @@ from matphi.concentration import (
 )
 from matphi.entropy import check_subadditivity, phi_entropy
 from matphi.errors import SeparateConvexityViolated
-from matphi.frechet import MultivariateScalarFunction
+from matphi.frechet import MultivariateScalarFunction, multivariate_dd_table
 from matphi.linalg import hermitian_part, normalized_trace, positive_part
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from matphi.phifun import PhiFunction
@@ -295,6 +296,40 @@ def test_poincare_commuting_squares_sweep():
             for _ in range(2)
         )
         assert check_poincare_commuting(laws, f).passed
+
+
+def test_poincare_commuting_diagonalizes_each_outcome_once(monkeypatch):
+    # one eigensystem per joint outcome serves every coordinate's table
+    f = MultivariateScalarFunction(
+        n=3, fn=lambda x: float(np.sum(x**2)), partial=lambda i, x: float(2 * x[i])
+    )
+    rng = rng_for(41, "poincare-comm-once", 0)
+    laws = tuple(
+        FiniteLaw(np.array([0.3, 0.7]), tuple(np.diag(rng.uniform(0, 1, 2)) for _ in range(2)))
+        for _ in range(3)
+    )
+    eigensystem = concentration.commuting_eigensystem
+    calls = []
+    monkeypatch.setattr(
+        concentration, "commuting_eigensystem", lambda xs: calls.append(1) or eigensystem(xs)
+    )
+    rep = check_poincare_commuting(laws, f)
+    assert len(calls) == 8
+    bound = 0.0
+    for prob, outcome in ProductModel(laws, lambda xs: 0.0).iter_joint():
+        lambdas = eigensystem([np.asarray(x, dtype=complex) for x in outcome])[0]
+        for i in range(3):
+            bound += prob * float(np.max(np.abs(multivariate_dd_table(f, lambdas, i)))) ** 2
+    assert rep.details["bound"] == pytest.approx(bound, rel=1e-14)
+
+
+def test_poincare_bounds_without_inputs_are_zero():
+    model = MatrixInputModel((), lambda xs: 0.5 * np.eye(2), partial_norm=lambda xs, i: 1.0)
+    assert check_poincare(model, spot_check_probes=0).details["bound"] == 0.0
+    rep = check_gaussian_poincare(
+        lambda x: np.eye(2), n=0, samples=100, partials=lambda x, i: np.eye(2)
+    )
+    assert rep.passed and rep.details["bound"] == 0.0
 
 
 def test_poincare_commuting_scalar_reduction():
