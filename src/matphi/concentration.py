@@ -195,7 +195,7 @@ def _energy(
 def _spot_check_convexity(
     model: MatrixInputModel, probes: int, rng: np.random.Generator
 ) -> None:
-    for _ in range(probes):
+    for _ in range(probes if model.n else 0):
         i = int(rng.integers(model.n))
         law = model.laws[i]
         if law.size < 2:
@@ -329,6 +329,8 @@ def _batch_means(
     MC_BATCHES)`` gives one batch's (lhs, rhs) with rng = rng_for(seed,
     label, batch), and the check passes within three standard errors (the
     two sides' errors added)."""
+    if samples < MC_BATCHES:
+        raise ValueError(f"samples must be at least MC_BATCHES = {MC_BATCHES}, got {samples}")
     count = samples // MC_BATCHES
     sides = np.array(
         [statistic(rng_for(seed, label, b), count) for b in range(MC_BATCHES)], dtype=float

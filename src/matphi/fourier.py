@@ -76,16 +76,14 @@ class FourierTable:
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """In-place-style Walsh-Hadamard butterflies along axis 0."""
+    """Walsh-Hadamard butterflies along axis 0, one reshaped pass per level."""
     a = a.copy()
     h = 1
     m = a.shape[0]
     while h < m:
-        for start in range(0, m, 2 * h):
-            top = a[start : start + h].copy()
-            bottom = a[start + h : start + 2 * h]
-            a[start : start + h] = top + bottom
-            a[start + h : start + 2 * h] = top - bottom
+        blocks = a.reshape(m // (2 * h), 2, h, *a.shape[1:])
+        a = np.stack([blocks[:, 0] + blocks[:, 1], blocks[:, 0] - blocks[:, 1]], axis=1)
+        a = a.reshape(m, *a.shape[3:])
         h *= 2
     return a
 

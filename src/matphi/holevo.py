@@ -10,6 +10,7 @@ Holevo quantity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from .errors import (
     NotAdmissible,
     SupportError,
 )
-from .entropy import phi_entropy
+from .entropy import _phi_entropies, phi_entropy
 from .linalg import (
     _require_hermitian_stack,
     eigenvalues,
@@ -31,10 +32,10 @@ from .linalg import (
     spectral_map,
     spectral_tolerance,
 )
-from .models import DiscreteRandomMatrix
+from .models import DiscreteRandomMatrix, FiniteLaw
 from .phifun import PhiFunction
 from .report import CheckReport
-from .sampling import random_complex_gaussian, random_density, rng_for
+from .sampling import random_density, rng_for
 
 XLOGX = PhiFunction.xlogx()
 CHI_FLOOR = 1e-12
@@ -79,7 +80,7 @@ class CQEnsemble:
         return self.probs.size
 
     def average_state(self) -> np.ndarray:
-        return hermitian_part(np.tensordot(self.probs, self.states, axes=1))
+        return _average_state(self.probs, self.states)
 
     def as_law(self) -> DiscreteRandomMatrix:
         keep = self.probs > 0
@@ -164,22 +165,32 @@ def backward_channel(mu: np.ndarray, kernel: MarkovKernel) -> MarkovKernel:
     return MarkovKernel(rows)
 
 
+def _average_state(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    return hermitian_part(np.tensordot(probs, states, axes=1))
+
+
+def _evolution_drift(probs, states, pushed, back_rows):
+    """Exactly Hermitian states mixed through each backward row, unchecked,
+    with the drift of their average and the tolerance it is held to."""
+    out = np.stack([hermitian_part(np.tensordot(row, states, axes=1)) for row in back_rows])
+    drift = float(np.max(np.abs(_average_state(pushed, out) - _average_state(probs, states))))
+    return out, drift, 1e-12 * (1.0 + states.shape[-1])
+
+
+def _evolve(probs, states, pushed, back_rows) -> np.ndarray:
+    """_evolution_drift's states; raises when the average state drifts."""
+    out, drift, tol = _evolution_drift(probs, states, pushed, back_rows)
+    if drift > tol:
+        raise MatPhiError(f"average state drifted by {drift:.3e} under evolution")
+    return out
+
+
 def evolve_ensemble(ens: CQEnsemble, kernel: MarkovKernel) -> CQEnsemble:
     """Push labels through K and states through the backward channel; the
     average state is preserved."""
     pushed = require_admissible(ens.probs, kernel)
     back = backward_channel(ens.probs, kernel)
-    states = np.stack(
-        [
-            hermitian_part(np.tensordot(back.rows[y], ens.states, axes=1))
-            for y in range(kernel.output_size)
-        ]
-    )
-    out = CQEnsemble(pushed, states)
-    drift = float(np.max(np.abs(out.average_state() - ens.average_state())))
-    if drift > 1e-12 * (1.0 + ens.d):
-        raise MatPhiError(f"average state drifted by {drift:.3e} under evolution")
-    return out
+    return CQEnsemble(pushed, _evolve(ens.probs, ens.states, pushed, back.rows))
 
 
 def _support_log(m: np.ndarray):
@@ -213,28 +224,37 @@ def _relative_entropy(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.trace(rhos @ (logs[:-1] - logs[-1]), axis1=-2, axis2=-1).real
 
 
-def holevo_chi(ens: CQEnsemble, cross_check: bool = True) -> float:
+def _chi(probs: np.ndarray, states: np.ndarray) -> float:
+    """sum_x mu(x) S(rho_x || rho_bar) of exactly Hermitian density
+    states, unchecked and floored at 0."""
+    keep = probs > 0
+    chi = 0.0
+    for p, s in zip(probs[keep], _relative_entropy(states[keep], _average_state(probs, states))):
+        chi += p * s
+    return max(chi, 0.0)
+
+
+def _dual_path_gap(ens: CQEnsemble, chi: float) -> tuple[float, float]:
+    """|chi - d * H_{x log x}| of the ensemble as a random matrix, and its tolerance."""
+    dual = ens.d * phi_entropy(XLOGX, ens.as_law())
+    return abs(chi - dual), 1e-9 * (1.0 + abs(chi))
+
+
+def holevo_chi(ens: CQEnsemble) -> float:
     """chi = sum_x mu(x) S(rho_x || rho_bar), cross-checked against
     d * H_{x log x} of the ensemble as a random matrix."""
-    keep = ens.probs > 0
-    chi = 0.0
-    for p, s in zip(ens.probs[keep], _relative_entropy(ens.states[keep], ens.average_state())):
-        chi += p * s
-    chi = max(chi, 0.0)
-    if cross_check:
-        dual = ens.d * phi_entropy(XLOGX, ens.as_law())
-        if abs(chi - dual) > 1e-9 * (1.0 + abs(chi)):
-            raise MatPhiError(
-                f"Holevo dual paths disagree: {chi!r} vs {dual!r}"
-            )
+    chi = _chi(ens.probs, ens.states)
+    gap, tol = _dual_path_gap(ens, chi)
+    if gap > tol:
+        raise MatPhiError(f"Holevo dual paths disagree by {gap:.3e} at chi = {chi!r}")
     return chi
 
 
-def _chi_of_scalar_family(mu: np.ndarray, f: np.ndarray) -> float:
-    """d * H_{x log x} for a family of nonnegative scalars (1x1 PSD
-    matrices); equals the Kullback-Leibler divergence when f = d nu/d mu."""
-    law = DiscreteRandomMatrix(mu, f.reshape(-1, 1, 1).astype(complex))
-    return phi_entropy(XLOGX, law)
+def _scalar_chi(probs: np.ndarray, f: np.ndarray) -> float:
+    """H_{x log x} of a family of nonnegative scalars (1x1 PSD matrices),
+    unchecked; the Kullback-Leibler divergence when f = d nu/d mu."""
+    values = f.reshape(-1, 1, 1).astype(complex)
+    return float(_phi_entropies(XLOGX, probs, values, _average_state(probs, values)))
 
 
 def check_data_processing(ens: CQEnsemble, kernel: MarkovKernel) -> CheckReport:
@@ -259,7 +279,10 @@ class EtaResult:
     seed: int
 
 
-def _ratio(chi_in: float, chi_out: float) -> float | None:
+def _contraction_ratio(chi_in: float, chi_out: float) -> float | None:
+    """chi_out / chi_in: None for a vanishing chi_in, 0 for a vanishing chi_out."""
+    if chi_out > chi_in + 1e-9 * (1.0 + chi_in):
+        raise MatPhiError(f"entropy contraction violated in the search: {chi_out!r} > {chi_in!r}")
     if chi_in <= 1e-10:
         return None
     if chi_out <= CHI_FLOOR * (1.0 + chi_in):
@@ -267,28 +290,41 @@ def _ratio(chi_in: float, chi_out: float) -> float | None:
     return chi_out / chi_in
 
 
-def _enforce_contraction(chi_in: float, chi_out: float) -> None:
-    if chi_out > chi_in + 1e-9 * (1.0 + chi_in):
-        raise MatPhiError(
-            f"entropy contraction violated in the search: {chi_out!r} > {chi_in!r}"
-        )
-
-
 def _simplex_grid(k: int, resolution: float):
     steps = int(round(1.0 / resolution))
-    if k == 1:
-        yield np.array([1.0])
-        return
+    for bars in itertools.combinations(range(steps + k - 1), k - 1):  # stars and bars
+        yield (np.diff([-1, *bars, steps + k - 1]) - 1).astype(float) / steps
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for units in range(remaining + 1):
-            yield from rec(prefix + [units], remaining - units, slots - 1)
 
-    for combo in rec([], steps, k):
-        yield np.array(combo, dtype=float) / steps
+def _scan(scored):
+    """The largest positive value of (value, candidate) pairs and its first candidate."""
+    best, witness = 0.0, None
+    for value, cand in scored:
+        if value is not None and value > best:
+            best, witness = value, cand
+    return best, witness
+
+
+def _climb(objective, propose, x, value, step: float, floor: float, steps: int):
+    """Hill climb from x: keep a proposal that beats the current value,
+    otherwise shrink the step by 0.7 and stop once it falls below floor."""
+    for _ in range(steps):
+        cand = propose(x, step)
+        cand_value = objective(cand)
+        if cand_value is not None and (value is None or cand_value > value):
+            x, value = cand, cand_value
+        else:
+            step *= 0.7
+            if step < floor:
+                break
+    return x, value
+
+
+def _states_of(block: np.ndarray) -> np.ndarray:
+    """Normalized G†G + 1e-9 I for G = X + iY of each real (2, d, d) block [X, Y]."""
+    g = block[:, 0] + 1j * block[:, 1]
+    m = g.conj().swapaxes(-1, -2) @ g + 1e-9 * np.eye(g.shape[-1])
+    return hermitian_part(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
 
 
 def eta_phi(
@@ -310,96 +346,53 @@ def eta_phi(
     state tuples. Every evaluation enforces the contraction bound, so the
     returned value lies in [0, 1]."""
     mu = np.asarray(mu, dtype=float)
-    require_admissible(mu, kernel)
-    best = 0.0
-    best_witness = None
+    pushed = require_admissible(mu, kernel)
+    FiniteLaw(mu, tuple(range(mu.size)))  # mu sums to 1
+    back = backward_channel(mu, kernel).rows
 
     if d == 1:
-        pushed = kernel_push(mu, kernel)
-        back = backward_channel(mu, kernel)
-
         def evaluate(nu):
             f_in = nu / mu
-            chi_in = _chi_of_scalar_family(mu, f_in)
-            f_out = back.rows @ f_in
-            chi_out = _chi_of_scalar_family(pushed, f_out)
-            _enforce_contraction(chi_in, chi_out)
-            return _ratio(chi_in, chi_out)
+            return _contraction_ratio(_scalar_chi(mu, f_in), _scalar_chi(pushed, back @ f_in))
 
-        candidates = list(_simplex_grid(mu.size, grid_resolution))
-        for r in range(restarts):
-            rng = rng_for(seed, "eta-scalar", r)
-            v = rng.random(mu.size) + 1e-3
-            candidates.append(v / v.sum())
-        for nu in candidates:
-            ratio = evaluate(nu)
-            if ratio is not None and ratio > best:
-                best, best_witness = ratio, nu
-        # Local refinement around the best grid candidate.
-        if best_witness is not None:
-            nu = best_witness.copy()
-            step = grid_resolution
+        draws = (rng_for(seed, "eta-scalar", r).random(mu.size) + 1e-3 for r in range(restarts))
+        candidates = [*_simplex_grid(mu.size, grid_resolution), *(v / v.sum() for v in draws)]
+        best, witness = _scan((evaluate(nu), nu) for nu in candidates)
+        if witness is not None:  # local refinement around the best candidate
             rng = rng_for(seed, "eta-scalar-refine", 0)
-            for _ in range(hill_steps):
+
+            def propose(nu, step):
                 prop = np.clip(nu + step * rng.standard_normal(mu.size), 1e-9, None)
-                prop = prop / prop.sum()
-                ratio = evaluate(prop)
-                if ratio is not None and ratio > best:
-                    best, nu = ratio, prop
-                else:
-                    step *= 0.7
-                    if step < 1e-6:
-                        break
-            best_witness = nu
+                return prop / prop.sum()
+
+            witness, best = _climb(evaluate, propose, witness, best, grid_resolution, 1e-6,
+                                   hill_steps)
     else:
         def evaluate(states):
-            ens = CQEnsemble(mu, states)
-            chi_in = holevo_chi(ens, cross_check=False)
-            chi_out = holevo_chi(evolve_ensemble(ens, kernel), cross_check=False)
-            _enforce_contraction(chi_in, chi_out)
-            return _ratio(chi_in, chi_out)
+            chi_in = _chi(mu, states)
+            return _contraction_ratio(chi_in, _chi(pushed, _evolve(mu, states, pushed, back)))
 
+        def restart(r):
+            rng = rng_for(seed, "eta-states", r)
+            g = rng.standard_normal((mu.size, 2, d, d))
+            g, value = _climb(
+                lambda g: evaluate(_states_of(g)),
+                lambda g, step: g + step * rng.standard_normal(g.shape),
+                g, evaluate(_states_of(g)), 0.2, 1e-5, hill_steps,
+            )
+            return value, _states_of(g)
+
+        grid = ()
         if d == 2 and mu.size <= 4:
             qs = np.arange(0.0, 1.0 + 1e-9, grid_resolution)
-            grid_axes = [qs] * mu.size
-            mesh = np.stack(np.meshgrid(*grid_axes, indexing="ij"), axis=-1).reshape(
-                -1, mu.size
-            )
-            for row in mesh:
-                states = np.stack([np.diag([q, 1.0 - q]).astype(complex) for q in row])
-                ratio = evaluate(states)
-                if ratio is not None and ratio > best:
-                    best, best_witness = ratio, states
-        for r in range(restarts):
-            rng = rng_for(seed, "eta-states", r)
-            gs = [random_complex_gaussian(rng, (d, d)) for _ in range(mu.size)]
+            mesh = np.stack(np.meshgrid(*[qs] * mu.size, indexing="ij"), axis=-1)
+            diagonal = np.zeros((*mesh.shape, 2, 2), dtype=complex)
+            diagonal[..., 0, 0], diagonal[..., 1, 1] = mesh, 1.0 - mesh
+            grid = ((evaluate(s), s) for s in diagonal.reshape(-1, mu.size, 2, 2))
+        best, witness = _scan(itertools.chain(grid, map(restart, range(restarts))))
+        witness = None if witness is None else CQEnsemble(mu, witness)
 
-            def states_of(gl):
-                out = []
-                for g in gl:
-                    m = g.conj().T @ g + 1e-9 * np.eye(d)
-                    out.append(m / float(np.trace(m).real))
-                return np.stack(out)
-
-            current = evaluate(states_of(gs))
-            step = 0.2
-            for _ in range(hill_steps):
-                proposal = [g + step * random_complex_gaussian(rng, (d, d)) for g in gs]
-                cand = evaluate(states_of(proposal))
-                if cand is not None and (current is None or cand > current):
-                    gs, current = proposal, cand
-                else:
-                    step *= 0.7
-                    if step < 1e-5:
-                        break
-            if current is not None and current > best:
-                best, best_witness = current, states_of(gs)
-
-    eta_hat = min(max(best, 0.0), 1.0 + 1e-9)
-    witness = best_witness
-    if d > 1 and witness is not None:
-        witness = CQEnsemble(mu, witness)
-    return EtaResult(eta_hat=eta_hat, witness=witness, seed=seed)
+    return EtaResult(eta_hat=min(max(best, 0.0), 1.0 + 1e-9), witness=witness, seed=seed)
 
 
 def classical_sdpi_ratio(mu: np.ndarray, kernel: MarkovKernel, nu: np.ndarray) -> float | None:
@@ -469,12 +462,11 @@ def check_functional_sdpi(
     pushed = require_admissible(mu, kernel)
     ens = CQEnsemble(mu, states)
     h_total = phi_entropy(XLOGX, ens.as_law())
-    back = backward_channel(mu, kernel)
+    back = backward_channel(mu, kernel).rows
     cond = 0.0
-    for y in range(kernel.output_size):
-        cond_law = DiscreteRandomMatrix(back.rows[y], ens.states)
-        cond += pushed[y] * phi_entropy(XLOGX, cond_law)
-    evolved = evolve_ensemble(ens, kernel)
+    for p, row in zip(pushed, back):
+        cond += p * phi_entropy(XLOGX, DiscreteRandomMatrix(row, ens.states))
+    evolved = CQEnsemble(pushed, _evolve(mu, ens.states, pushed, back))
     h_evolved = phi_entropy(XLOGX, evolved.as_law())
     tol = 1e-9 * (1.0 + h_total)
     functional_ok = h_total <= cond / (1.0 - c) + tol

@@ -426,18 +426,18 @@ def _law_total_variance(rng, trial, run):
 
 def _holevo_dual_path(rng, trial, run):
     ens = holevo.random_ensemble(rng, 3, run.d)
-    chi = holevo.holevo_chi(ens, cross_check=False)
-    dual = ens.d * entropy.phi_entropy(PhiFunction.xlogx(), ens.as_law())
-    return abs(chi - dual), 1e-9 * (1.0 + abs(chi)), None
+    gap, tol = holevo._dual_path_gap(ens, holevo._chi(ens.probs, ens.states))
+    return gap, tol, None
 
 
 def _average_state(rng, trial, run):
     nx = int(rng.integers(2, 4))
     ens = holevo.random_ensemble(rng, nx, run.d)
     kernel = holevo.MarkovKernel(random_kernel(rng, nx, nx))
-    out = holevo.evolve_ensemble(ens, kernel)
-    drift = float(np.max(np.abs(out.average_state() - ens.average_state())))
-    return drift, 1e-12 * (1.0 + run.d), None
+    pushed = holevo.require_admissible(ens.probs, kernel)
+    back = holevo.backward_channel(ens.probs, kernel)
+    _, drift, tol = holevo._evolution_drift(ens.probs, ens.states, pushed, back.rows)
+    return drift, tol, None
 
 
 def _eta_bounds(name: str, config: RunConfig) -> CheckReport:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matphi import fourier
+from matphi import fourier, holevo
 from matphi.cli import main
 from matphi.formats import (
     boolean_function_from_obj,
@@ -299,6 +299,27 @@ def test_p_variance_limit_shrink_failure_is_a_violation(monkeypatch):
     assert not rep.passed
     assert [v["trial"] for v in rep.violations] == [0, 1]
     assert all(len(v["residuals"]) == 3 and 0.0 < v["gap"] < 1e-4 for v in rep.violations)
+
+
+def test_average_state_drift_is_a_violation(tmp_path, capsys, monkeypatch):
+    # a backward channel that moves 1e-6 of mass in its first row drifts
+    # the average state by about 1e-7; the average-state check reports
+    # that drift, where library evolution (data-processing,
+    # functional-sdpi) raises on it, so the suite runs that check alone
+    real = holevo.backward_channel
+
+    def drifting(mu, kernel):
+        rows = real(mu, kernel).rows.copy()
+        rows[0, :2] += [1e-6, -1e-6]
+        return holevo.MarkovKernel(rows)
+
+    monkeypatch.setattr(holevo, "backward_channel", drifting)
+    monkeypatch.setitem(SUITES, "holevo", {"average-state": SUITES["holevo"]["average-state"]})
+    out = tmp_path / "holevo.json"
+    assert _run(["holevo", "--trials", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "failing checks: average-state\n"
+    (report,) = json.loads(out.read_text())["reports"]
+    assert report["check"] == "average-state" and report["max_gap"] > 1e-8
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

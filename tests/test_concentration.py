@@ -325,11 +325,26 @@ def test_poincare_commuting_diagonalizes_each_outcome_once(monkeypatch):
 
 def test_poincare_bounds_without_inputs_are_zero():
     model = MatrixInputModel((), lambda xs: 0.5 * np.eye(2), partial_norm=lambda xs, i: 1.0)
-    assert check_poincare(model, spot_check_probes=0).details["bound"] == 0.0
+    assert check_poincare(model).details["bound"] == 0.0
     rep = check_gaussian_poincare(
         lambda x: np.eye(2), n=0, samples=100, partials=lambda x, i: np.eye(2)
     )
     assert rep.passed and rep.details["bound"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda samples: check_gaussian_poincare(lambda x: 1.0, n=2, samples=samples),
+        lambda samples: check_gaussian_sobolev(lambda x: np.eye(2), p=1.5, n=1, samples=samples),
+        lambda samples: check_gaussian_logsobolev(lambda x: np.eye(2), n=1, samples=samples),
+    ],
+    ids=["poincare", "sobolev", "logsobolev"],
+)
+@pytest.mark.parametrize("samples", [0, 5, MC_BATCHES - 1])
+def test_gaussian_checks_refuse_fewer_samples_than_batches(check, samples):
+    with pytest.raises(ValueError, match="MC_BATCHES"):
+        check(samples)
 
 
 def test_poincare_commuting_scalar_reduction():

@@ -29,6 +29,7 @@ from matphi.fourier import (
     _lsi_objective,
     search_lsi_counterexample,
     uniform_cube_model,
+    _fwht,
 )
 from matphi.concentration import efron_stein_quantity
 from matphi.models import DiscreteRandomMatrix
@@ -345,3 +346,28 @@ def test_round_trip_at_envelope():
     f = _random_function(21, 12, 6)
     back = inverse_fourier(fourier_transform(f))
     assert np.max(np.abs(back.table - f.table)) < 1e-12
+
+
+def _fwht_by_blocks(a):
+    """The Walsh-Hadamard butterflies one block at a time, as a reference."""
+    a = a.copy()
+    h, m = 1, a.shape[0]
+    while h < m:
+        for start in range(0, m, 2 * h):
+            top = a[start : start + h].copy()
+            bottom = a[start + h : start + 2 * h]
+            a[start : start + h] = top + bottom
+            a[start + h : start + 2 * h] = top - bottom
+        h *= 2
+    return a
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_fwht_matches_blockwise_butterflies_bit_for_bit(n, d):
+    rng = rng_for(23, "fwht", 8 * d + n)
+    table = rng.standard_normal((2**n, d, d)) + 1j * rng.standard_normal((2**n, d, d))
+    fast = _fwht(table)
+    assert fast.shape == table.shape
+    assert fast.tobytes() == _fwht_by_blocks(table).tobytes()
+    assert fast is not table and not np.shares_memory(fast, table)

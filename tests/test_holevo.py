@@ -1,7 +1,11 @@
 """Kernel evolution, Holevo quantities, and data-processing constants."""
 
+import hashlib
+
 import numpy as np
 import pytest
+
+from matphi import holevo
 
 from matphi.entropy import phi_entropy
 from matphi.errors import InvalidC, NotAdmissible
@@ -107,7 +111,7 @@ def test_holevo_dual_path_identity():
     for trial in range(100):
         rng = rng_for(51, "holevo-dual", trial)
         ens = random_ensemble(rng, 3, 2)
-        chi = holevo_chi(ens, cross_check=False)
+        chi = holevo_chi(ens)
         dual = ens.d * phi_entropy(XLOGX, ens.as_law())
         assert chi == pytest.approx(dual, abs=1e-9 * (1 + abs(chi)))
 
@@ -239,6 +243,60 @@ def test_eta_diagonal_grid_reduction():
     r2 = eta_phi(mu, kernel, d=2, grid_resolution=0.05, restarts=5, hill_steps=50, seed=0)
     assert 0.0 <= r2.eta_hat <= 1.0 + 1e-9
     assert r2.eta_hat >= 0.6
+
+
+_PIN_K2 = random_kernel(rng_for(11, "pin", 1), 2, 2)
+_PIN_K3 = random_kernel(rng_for(11, "pin", 0), 3, 3)
+_PIN_MU3 = np.array([0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize(
+    "mu, rows, kwargs, eta_hat, witness_sha",
+    [
+        (np.array([0.6, 0.4]), np.array([[0.7, 0.3], [0.25, 0.75]]),
+         dict(d=1, grid_resolution=0.1, restarts=5, seed=1), 0.2002960689526055,
+         "ccc5b69dc468273f0e43da3d3f44826bcdec5b05c91d89bb12304a59c719999f"),
+        (_PIN_MU3, _PIN_K3, dict(d=1, grid_resolution=0.1, restarts=5, hill_steps=50, seed=2),
+         0.16412955659870973,
+         "158b528ca59f822d8b804a18cad1dfe5730d553fe642144e119d502dcccdcf7a"),
+        (np.array([0.5, 0.5]), MarkovKernel.binary_symmetric(0.1).rows,
+         dict(d=2, grid_resolution=0.25, restarts=3, hill_steps=30, seed=0), 0.6397284707599881,
+         "052933dbec9e96e7aa02189488d3077c0ae7f077cfa827b5fd563684d95b8b75"),
+        (np.array([0.5, 0.5]), _PIN_K2,
+         dict(d=2, grid_resolution=0.25, restarts=3, hill_steps=30, seed=5), 0.21622937880550638,
+         "635e2dfada84027ac5597540ad9bdade519162f324127a47c01d5f618299d3fe"),
+        (_PIN_MU3, _PIN_K3, dict(d=2, grid_resolution=0.5, restarts=2, hill_steps=20, seed=3),
+         0.14608626891906873,
+         "11e7b9d97abc5abdf0bca44f43a434d67a143e4232c8a423f6bb11fac242beb5"),
+        (np.array([0.5, 0.5]), _PIN_K2,
+         dict(d=3, grid_resolution=0.25, restarts=2, hill_steps=20, seed=4), 0.20952429848507217,
+         "cccf9ed46b528e797a2128115b065c92a74cb0cef28234cafde3da415fee62b9"),
+    ],
+    ids=["d1-two-letters", "d1-three-letters", "d2-bsc", "d2-random", "d2-three-letters", "d3"],
+)
+def test_eta_phi_pinned(mu, rows, kwargs, eta_hat, witness_sha):
+    # eta_hat and the witness bytes are pinned bit for bit: the search's
+    # seeded streams, scan order and climb must not drift
+    result = eta_phi(mu, MarkovKernel(rows), **kwargs)
+    assert result.eta_hat == eta_hat
+    w = result.witness
+    parts = [w] if kwargs["d"] == 1 else [w.probs, w.states]
+    assert hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest() == witness_sha
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_eta_phi_derives_the_backward_channel_once(monkeypatch, d):
+    calls = []
+    real = holevo.backward_channel
+
+    def counting(mu, kernel):
+        calls.append(1)
+        return real(mu, kernel)
+
+    monkeypatch.setattr(holevo, "backward_channel", counting)
+    eta_phi(np.array([0.5, 0.5]), MarkovKernel.binary_symmetric(0.1), d=d,
+            grid_resolution=0.25, restarts=2, hill_steps=10, seed=0)
+    assert len(calls) == 1
 
 
 def test_functional_sdpi_rejects_bad_c():
