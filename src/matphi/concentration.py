@@ -141,7 +141,9 @@ def _as_matrix(v) -> np.ndarray:
 
 
 def _values(fn: Callable, points) -> np.ndarray:
-    """The stack of the caller's per-point values fn(x), each as a matrix."""
+    """fn(x) per point as a stack of matrices; a ``_stacked`` fn maps an (m, n) array at once."""
+    if getattr(fn, "_stacked", False) and isinstance(points, np.ndarray):
+        return fn(points)
     return np.stack([_as_matrix(fn(x)) for x in points])
 
 

@@ -345,9 +345,14 @@ _LSI_B2 = np.array([[-0.1, 0.2], [0.2, 0.4]], dtype=complex)
 
 
 def _clipped_poly(x):
-    # a real combination of Hermitian constants is exactly Hermitian
-    m = _LSI_B0 + x[0] * _LSI_B1 + x[1] * _LSI_B2
+    # a real combination of Hermitian constants is exactly Hermitian; x is one
+    # point or an (m, 2) stack of points, each point giving the same bits
+    x = np.asarray(x)[..., None, None]
+    m = _LSI_B0 + x[..., 0, :, :] * _LSI_B1 + x[..., 1, :, :] * _LSI_B2
     return hermitian_part(spectral_map(lambda w: np.clip(w, 0.0, None), m)) + 0.2 * np.eye(2)
+
+
+_clipped_poly._stacked = True
 
 
 # ---------------------------------------------------------------- fourier

@@ -566,6 +566,19 @@ def test_gaussian_logsobolev_constant():
     assert rep.passed
 
 
+def test_stacked_evaluator_matches_per_point_bits():
+    # the suite's log-Sobolev evaluator maps whole stacks of points; the
+    # report must equal the one from calling it point by point
+    from matphi.suites import _clipped_poly
+
+    xs = np.random.default_rng(3).standard_normal((500, 2)) * 3.0
+    per_point = np.stack([_clipped_poly(x) for x in xs])
+    assert np.array_equal(_clipped_poly(xs).view(np.uint64), per_point.view(np.uint64))
+    stacked = check_gaussian_logsobolev(_clipped_poly, n=2, samples=1000, seed=4)
+    looped = check_gaussian_logsobolev(lambda x: _clipped_poly(x), n=2, samples=1000, seed=4)
+    assert stacked.to_dict() == looped.to_dict()
+
+
 def test_gaussian_logsobolev_classical_equality_family():
     # f = exp(lambda x / 2) achieves equality in the scalar bound
     lam = 0.5
