@@ -56,10 +56,10 @@ from .frechet import (
     frechet_derivative,
     frechet_norm,
     frechet_second,
+    inverse_derivative_superoperator,
+    inverse_frechet_derivative,
     inverse_map_derivatives,
-    invert_superoperator,
     multivariate_partial_frechet,
-    superoperator_of_derivative,
 )
 from .holevo import (
     CQEnsemble,

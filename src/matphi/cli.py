@@ -30,7 +30,7 @@ from .formats import (
     witness_payload,
 )
 from .fourier import MatrixBooleanFunction, search_lsi_counterexample
-from .holevo import CQEnsemble, MarkovKernel, eta_phi
+from .holevo import GRID_RESOLUTION, CQEnsemble, MarkovKernel, eta_phi
 from .models import MAX_ENUMERATION
 from .report import SuiteReport
 from .sampling import (
@@ -183,6 +183,10 @@ def _cmd_eta(config: RunConfig, infile: str | None) -> int:
     if infile is None:
         raise ConfigError("eta needs --in with a kernel file ({'rows': ..., 'mu'?: ...})")
     kernel, mu = kernel_from_obj(load_json(infile))
+    k = kernel.input_size
+    grid = math.comb(int(round(1.0 / GRID_RESOLUTION)) + k - 1, k - 1)
+    if config.d == 1 and grid > MAX_ENUMERATION:
+        raise ConfigError(f"eta at d = 1 on {k} letters scans {grid} grid points, above {MAX_ENUMERATION}")
     if mu is None:
         mu = np.full(kernel.input_size, 1.0 / kernel.input_size)
     result = eta_phi(

@@ -17,9 +17,8 @@ from .errors import DomainError
 from .frechet import (
     frechet_derivative,
     frechet_second,
-    apply_superoperator,
-    invert_superoperator,
-    superoperator_of_derivative,
+    inverse_derivative_superoperator,
+    inverse_frechet_derivative,
 )
 from .linalg import eigenvalues, hermitian_part, normalized_trace
 from .models import DiscreteRandomMatrix, ProductModel
@@ -153,7 +152,7 @@ def char_a_probe(
     a = random_pd(rng, d)
     b = random_pd(rng, d)
     inv = {
-        key: invert_superoperator(superoperator_of_derivative(psi, m))
+        key: inverse_derivative_superoperator(psi, m)
         for key, m in (("a", a), ("b", b), ("mid", 0.5 * (a + b)))
     }
     diff = hermitian_part(inv["mid"] - 0.5 * (inv["a"] + inv["b"]))
@@ -207,18 +206,16 @@ def check_char_e(phi: PhiFunction, a, h, k) -> CharEResult:
     h = np.asarray(h, dtype=complex)
     k = np.asarray(k, dtype=complex)
     fd_step = 1e-4 * (1.0 + float(np.linalg.norm(a)))
-    t_inv = invert_superoperator(superoperator_of_derivative(psi, a))
-    tinv_h = apply_superoperator(t_inv, h)
-
-    def d3_psi(x):
-        plus = frechet_second(psi, a + fd_step * k, k, x)
-        minus = frechet_second(psi, a - fd_step * k, k, x)
-        return (plus - minus) / (2.0 * fd_step)
-
-    lhs_mat = apply_superoperator(t_inv, d3_psi(tinv_h))
+    tinv_h = inverse_frechet_derivative(psi, a, h)
+    d3_psi = (
+        frechet_second(psi, a + fd_step * k, k, tinv_h)
+        - frechet_second(psi, a - fd_step * k, k, tinv_h)
+    ) / (2.0 * fd_step)
+    lhs_mat, inner = inverse_frechet_derivative(
+        psi, a, np.stack([d3_psi, frechet_second(psi, a, k, tinv_h)])
+    )
     lhs = float(np.trace(h @ lhs_mat).real)
-    inner = apply_superoperator(t_inv, frechet_second(psi, a, k, tinv_h))
-    rhs_mat = apply_superoperator(t_inv, frechet_second(psi, a, k, inner))
+    rhs_mat = inverse_frechet_derivative(psi, a, frechet_second(psi, a, k, inner))
     rhs = 2.0 * float(np.trace(h @ rhs_mat).real)
     return CharEResult(lhs, rhs, 1e-6 * (1.0 + abs(lhs) + abs(rhs)))
 

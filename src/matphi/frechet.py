@@ -1,9 +1,8 @@
 """Derivatives of standard matrix functions via divided differences.
 
 First derivatives are Schur multipliers of the first divided-difference
-table in the eigenbasis; second derivatives use the second-order table.
-Superoperators materialize those linear maps as d^2 x d^2 matrices under
-the column-stacking vectorization convention.
+table F in the eigenbasis (Daleckii-Krein), so their inverses divide by
+F; second derivatives use the second-order table.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotCommuting, SingularMatrix, SingularSuperoperator
-from .linalg import hermitian_part, require_hermitian, spectral_decompose
+from .linalg import _require_hermitian_stack, hermitian_part, require_hermitian, spectral_decompose
 from .phifun import ScalarFunction
 
 COND_MAX = 1e12
@@ -59,14 +58,16 @@ def dd2_table(sf: ScalarFunction, w: np.ndarray) -> np.ndarray:
     return table
 
 
+def _schur(u: np.ndarray, table: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """U (table o U†EU) U†, hermitized, for E or a (..., d, d) stack of them."""
+    uh = u.conj().T
+    return hermitian_part(u @ (table * (uh @ e @ u)) @ uh)
+
+
 def frechet_derivative(sf: ScalarFunction, a, e) -> np.ndarray:
     """Df[A](E) as the divided-difference Schur multiplier in A's eigenbasis."""
     w, u = spectral_decompose(a)
-    w = sf.admit(w)
-    e = require_hermitian(e)
-    et = u.conj().T @ e @ u
-    out = u @ (dd1_table(sf, w) * et) @ u.conj().T
-    return hermitian_part(out)
+    return _schur(u, dd1_table(sf, sf.admit(w)), require_hermitian(e))
 
 
 def frechet_second(sf: ScalarFunction, a, e1, e2) -> np.ndarray:
@@ -82,55 +83,43 @@ def frechet_second(sf: ScalarFunction, a, e1, e2) -> np.ndarray:
     return hermitian_part(u @ core @ u.conj().T)
 
 
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(m, dtype=complex).reshape(-1, order="F")
+def _inverse_table(sf: ScalarFunction, a) -> tuple[np.ndarray, np.ndarray]:
+    """A's eigenvectors U and 1/F for the divided-difference table F.
 
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(v.size)))
-    return np.asarray(v, dtype=complex).reshape((d, d), order="F")
-
-
-def superoperator_of_derivative(sf: ScalarFunction, a) -> np.ndarray:
-    """The d^2 x d^2 matrix T with T vec(E) = vec(Df[A](E)).
-
-    T = W diag(vec F) W† with W = conj(U) (x) U unitary, so T is Hermitian
-    (self-adjoint for the Hilbert-Schmidt inner product) with the divided
-    differences as its spectrum.
+    Df[A] = W diag(vec F) W† with W = conj(U) (x) U unitary, so min|F| is
+    its smallest singular value and max|F| / min|F| its condition number.
     """
     w, u = spectral_decompose(a)
-    w = sf.admit(w)
-    table = dd1_table(sf, w)
-    big = np.kron(u.conj(), u)
-    return hermitian_part(big @ np.diag(vec(table)) @ big.conj().T)
-
-
-def apply_superoperator(t: np.ndarray, x) -> np.ndarray:
-    return unvec(np.asarray(t, dtype=complex) @ vec(x))
-
-
-def invert_superoperator(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=complex)
-    s = np.linalg.svd(t, compute_uv=False)
-    smallest = float(s[-1])
-    if smallest <= 0 or float(s[0]) / smallest > COND_MAX:
+    table = dd1_table(sf, sf.admit(w))
+    smallest, largest = float(np.abs(table).min()), float(np.abs(table).max())
+    if smallest <= 0 or largest / smallest > COND_MAX:
         raise SingularSuperoperator(
-            f"superoperator condition number above {COND_MAX:.1e}",
+            f"derivative condition number above {COND_MAX:.1e}",
             smallest_singular_value=smallest,
         )
-    inv = np.linalg.inv(t)
-    if np.max(np.abs(t - t.conj().T)) < 1e-10 * (1.0 + float(s[0])):
-        inv = hermitian_part(inv)
-    return inv
+    return u, 1.0 / table
+
+
+def inverse_frechet_derivative(sf: ScalarFunction, a, x) -> np.ndarray:
+    """(Df[A])^{-1}(X) by Schur division in A's eigenbasis; X may be a
+    (..., d, d) stack."""
+    u, inv = _inverse_table(sf, a)
+    return _schur(u, inv, _require_hermitian_stack(x))
+
+
+def inverse_derivative_superoperator(sf: ScalarFunction, a) -> np.ndarray:
+    """(Df[A])^{-1} as the d^2 x d^2 Hermitian matrix W diag(1/vec F) W†
+    acting on column-stacked matrices, W = conj(U) (x) U."""
+    u, inv = _inverse_table(sf, a)
+    w = np.kron(u.conj(), u)
+    return hermitian_part((w * inv.reshape(-1, order="F")) @ w.conj().T)
 
 
 def frechet_norm(sf: ScalarFunction, a) -> float:
     """Induced norm sup ||Df[A](E)||_2 / ||E||_2, i.e. the absolute
-    condition number; equals the largest singular value of the
-    materialized superoperator."""
-    t = superoperator_of_derivative(sf, a)
-    return float(np.linalg.svd(t, compute_uv=False)[0])
+    condition number: the largest |f[w_i, w_j]| over A's spectrum."""
+    w = sf.admit(spectral_decompose(a)[0])
+    return float(np.abs(dd1_table(sf, w)).max())
 
 
 @dataclass(frozen=True)
@@ -222,9 +211,7 @@ def multivariate_partial_frechet(
     if not 0 <= i < mf.n:
         raise IndexError(f"coordinate {i} out of range for n={mf.n}")
     lambdas, u = commuting_eigensystem(xs)
-    table = multivariate_dd_table(mf, lambdas, i)
-    et = u.conj().T @ require_hermitian(e) @ u
-    return hermitian_part(u @ (table * et) @ u.conj().T)
+    return _schur(u, multivariate_dd_table(mf, lambdas, i), require_hermitian(e))
 
 
 def inverse_map_derivatives(g_at_a, dg, d2g):
@@ -263,12 +250,13 @@ def fd_frechet_second(
     h: float | None = None,
 ) -> np.ndarray:
     """Second directional derivative by central differences at steps h and
-    h/2, Richardson-extrapolated; mixed directions via polarization."""
+    h/2, Richardson-extrapolated; mixed directions via polarization. The
+    default h = 1e-3 (1 + ||A||_2) balances O(h^4) truncation and eps/h^2 rounding."""
     a = np.asarray(a, dtype=complex)
     e1 = np.asarray(e1, dtype=complex)
     e2 = np.asarray(e2, dtype=complex)
     if h is None:
-        h = 1e-5 * _fd_scale(a)
+        h = 1e-3 * _fd_scale(a)
 
     def second_along(e, step):
         return (apply_fn(a + step * e) - 2.0 * apply_fn(a) + apply_fn(a - step * e)) / step**2

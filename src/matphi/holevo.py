@@ -40,6 +40,7 @@ from .sampling import random_density, rng_for
 XLOGX = PhiFunction.xlogx()
 CHI_FLOOR = 1e-12
 SUPPORT_CUTOFF = 1e-13
+GRID_RESOLUTION = 0.05  # eta_phi's default simplex grid step
 
 
 @dataclass(frozen=True)
@@ -331,7 +332,7 @@ def eta_phi(
     mu: np.ndarray,
     kernel: MarkovKernel,
     d: int = 2,
-    grid_resolution: float = 0.05,
+    grid_resolution: float = GRID_RESOLUTION,
     restarts: int = 50,
     hill_steps: int = 150,
     seed: int = 0,

@@ -42,8 +42,9 @@ def random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
     """G†G + PSD_EIGEN_FLOOR*I with complex Gaussian G, rescaled so the
-    Schatten-2 norm stays below PSD_NORM_CAP; keeps spectra and
-    superoperator inversions well conditioned."""
+    Schatten-2 norm stays below PSD_NORM_CAP; keeps spectra and the
+    divided-difference tables that inverse derivatives divide by well
+    conditioned."""
     g = random_complex_gaussian(rng, (d, d))
     m = hermitian_part(g.conj().T @ g) + PSD_EIGEN_FLOOR * np.eye(d)
     norm = float(np.linalg.norm(m))

@@ -240,6 +240,16 @@ def test_eta_identity_kernel(tmp_path, capsys):
     assert "eta_hat = 1.0" in capsys.readouterr().out
 
 
+def test_eta_refuses_large_scalar_grid(tmp_path, capsys, monkeypatch):
+    # d = 1 scans C(k + 19, k - 1) simplex points: 3,108,105 at 9 letters
+    monkeypatch.setattr("matphi.cli.eta_phi", None)
+    kernel_file = tmp_path / "kernel.json"
+    kernel_file.write_text(json.dumps({"rows": [[1.0 / 9] * 9] * 9}))
+    assert _run(["eta", "--in", str(kernel_file), "--d", "1", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: eta at d = 1 on 9 letters scans 3108105 grid points, above 1000000\n"
+
+
 def test_eta_requires_input():
     assert _run(["eta"]) == 2
 

@@ -346,6 +346,20 @@ def test_char_e_matrix_in_class():
         assert res.holds, f"trial {trial}: {res.lhs} < {res.rhs}"
 
 
+def test_char_a_and_e_need_no_svd_or_inv(monkeypatch):
+    # the inverse derivative is a Schur division: no dense factorization
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense factorization called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for phi in (XLOGX, PhiFunction.power(1.2)):
+        assert check_char_a(phi, trials=3, d=3, seed=5).passed
+        rng = rng_for(31, "char-e-no-factorization", 0)
+        a = random_pd(rng, 3, floor=0.3)
+        assert check_char_e(phi, a, random_psd(rng, 3), random_psd(rng, 3)).holds
+
+
 def test_duality_equality_at_z():
     rng = rng_for(31, "entropy", 9)
     probs = np.array([0.3, 0.7])

@@ -1,4 +1,4 @@
-"""Divided differences, derivative Schur multipliers, superoperators."""
+"""Divided differences, derivative Schur multipliers and their inverses."""
 
 import itertools
 
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from matphi.errors import DomainError, NotCommuting, SingularSuperoperator
 from matphi.frechet import (
+    COND_MAX,
     MultivariateScalarFunction,
-    apply_superoperator,
     commuting_eigensystem,
     dd1_table,
     dd2_table,
@@ -19,12 +19,11 @@ from matphi.frechet import (
     frechet_derivative,
     frechet_norm,
     frechet_second,
+    inverse_derivative_superoperator,
+    inverse_frechet_derivative,
     inverse_map_derivatives,
-    invert_superoperator,
     multivariate_dd_table,
     multivariate_partial_frechet,
-    superoperator_of_derivative,
-    vec,
 )
 from matphi.phifun import IDENTITY, SQUARE, PhiFunction
 from matphi.sampling import (
@@ -210,23 +209,38 @@ def test_frechet_second_symmetric_bilinear():
     assert np.max(np.abs(combo - expanded)) < 1e-9
 
 
+def _vec(m):
+    """Column-stacking vectorization, the convention of the superoperator."""
+    return np.asarray(m).reshape(-1, order="F")
+
+
+def _forward_superoperator(sf, a):
+    """The reference d^2 x d^2 matrix W diag(vec F) W† of Df[A], W = conj(U) (x) U."""
+    w, u = np.linalg.eigh(a)
+    big = np.kron(u.conj(), u)
+    return big @ np.diag(_vec(dd1_table(sf, w))) @ big.conj().T
+
+
 def test_superoperator_action_and_eigenvalues():
-    # psi of x log x at diag(1, 2): divided-difference spectrum
-    t = superoperator_of_derivative(XLOGX.psi(), np.diag([1.0, 2.0]))
-    eigs = np.sort(np.linalg.eigvalsh(t))
-    assert np.allclose(eigs, np.sort([1.0, 0.5, np.log(2.0), np.log(2.0)]), atol=1e-10)
+    # psi of x log x at diag(1, 2): the inverse divides by the divided differences
+    t_inv = inverse_derivative_superoperator(XLOGX.psi(), np.diag([1.0, 2.0]))
+    eigs = np.sort(np.linalg.eigvalsh(t_inv))
+    want = 1.0 / np.array([1.0, 0.5, np.log(2.0), np.log(2.0)])
+    assert np.allclose(eigs, np.sort(want), atol=1e-10)
 
 
 def test_superoperator_scalar_reduction():
-    t = superoperator_of_derivative(XLOGX.psi(), np.array([[2.0]]))
-    assert t.shape == (1, 1)
-    assert t[0, 0] == pytest.approx(0.5)  # (log x + 1)' = 1/x at 2
+    t_inv = inverse_derivative_superoperator(XLOGX.psi(), np.array([[2.0]]))
+    assert t_inv.shape == (1, 1)
+    assert t_inv[0, 0] == pytest.approx(2.0)  # 1 / (log x + 1)' at 2
+    x = inverse_frechet_derivative(XLOGX.psi(), np.array([[2.0]]), np.array([[3.0]]))
+    assert x[0, 0] == pytest.approx(6.0)
 
 
 def test_superoperator_of_linear_psi():
-    # Phi = x^2 gives D Psi = 2 Id
-    t = superoperator_of_derivative(PhiFunction.power(2).psi(), np.diag([1.0, 3.0]))
-    assert np.allclose(t, 2.0 * np.eye(4), atol=1e-12)
+    # Phi = x^2 gives D Psi = 2 Id, so the inverse is Id / 2
+    t_inv = inverse_derivative_superoperator(PhiFunction.power(2).psi(), np.diag([1.0, 3.0]))
+    assert np.allclose(t_inv, 0.5 * np.eye(4), atol=1e-12)
 
 
 def test_superoperator_matches_derivative_action():
@@ -234,29 +248,76 @@ def test_superoperator_matches_derivative_action():
     sf = P15.scalar()
     a = random_pd(rng, 3, floor=0.2)
     e = random_hermitian(rng, 3)
-    t = superoperator_of_derivative(sf, a)
-    assert np.max(np.abs(apply_superoperator(t, e) - frechet_derivative(sf, a, e))) < 1e-9
+    t_inv = inverse_derivative_superoperator(sf, a)
+    assert np.max(np.abs(t_inv @ _vec(frechet_derivative(sf, a, e)) - _vec(e))) < 1e-9
+    x = inverse_frechet_derivative(sf, a, e)
+    assert np.max(np.abs(t_inv @ _vec(e) - _vec(x))) < 1e-9
 
 
 def test_superoperator_self_adjoint():
     rng = rng_for(21, "frechet", 7)
     a = random_pd(rng, 3, floor=0.2)
-    t = superoperator_of_derivative(XLOGX.psi(), a)
-    assert np.max(np.abs(t - t.conj().T)) < 1e-9
+    t_inv = inverse_derivative_superoperator(XLOGX.psi(), a)
+    assert np.array_equal(t_inv, t_inv.conj().T)
 
 
 def test_invert_superoperator_round_trip():
     rng = rng_for(21, "frechet", 8)
+    sf = XLOGX.psi()
     a = random_pd(rng, 3, floor=0.2)
-    t = superoperator_of_derivative(XLOGX.psi(), a)
-    inv = invert_superoperator(t)
-    assert np.max(np.abs(inv @ t - np.eye(9))) < 1e-8
-    assert np.allclose(invert_superoperator(2.0 * np.eye(4)), 0.5 * np.eye(4))
+    e = random_hermitian(rng, 3)
+    assert np.max(np.abs(inverse_frechet_derivative(sf, a, frechet_derivative(sf, a, e)) - e)) < 1e-9
+    assert np.max(np.abs(frechet_derivative(sf, a, inverse_frechet_derivative(sf, a, e)) - e)) < 1e-9
+    # a stack of directions is divided matrix by matrix
+    stack = np.stack([e, random_hermitian(rng, 3)])
+    each = [inverse_frechet_derivative(sf, a, x) for x in stack]
+    assert np.allclose(inverse_frechet_derivative(sf, a, stack), each, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("generator", ["power:1.2", "power:1.5", "power:2", "xlogx"])
+def test_inverse_superoperator_matches_dense_inverse(d, generator):
+    # power:1 is affine: its Psi is constant, so D Psi is zero and has no inverse
+    rng = rng_for(21, "inverse-superoperator", d)
+    for sf in (PhiFunction.parse(generator).scalar(), PhiFunction.parse(generator).psi()):
+        a = random_pd(rng, d, floor=0.2)
+        want = np.linalg.inv(_forward_superoperator(sf, a))
+        got = inverse_derivative_superoperator(sf, a)
+        assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+        e = random_hermitian(rng, d)
+        assert np.allclose(
+            inverse_frechet_derivative(sf, a, frechet_derivative(sf, a, e)), e, rtol=0.0,
+            atol=1e-9 * (1.0 + np.max(np.abs(e))),
+        )
 
 
 def test_invert_superoperator_singular():
+    # f = x^2 has f[-1, 1] = 0: the derivative at diag(-1, 1) is singular
+    with pytest.raises(SingularSuperoperator) as err:
+        inverse_derivative_superoperator(SQUARE, np.diag([-1.0, 1.0]))
+    assert err.value.smallest_singular_value == 0.0
     with pytest.raises(SingularSuperoperator):
-        invert_superoperator(np.diag([1.0, 0.0, 0.0, 1.0]))
+        inverse_frechet_derivative(SQUARE, np.diag([-1.0, 1.0]), np.eye(2))
+
+
+@pytest.mark.parametrize("top", [0.5, 1e11, COND_MAX * (1 - 1e-9), COND_MAX * (1 + 1e-9), 1e13])
+def test_singular_exactly_at_condition_threshold(top):
+    # f = x^2 at diag(1, top): F = [[2, 1 + top], [1 + top, 2 top]], so for
+    # top >= 1 the condition number max|F| / min|F| is exactly top
+    a = np.diag([1.0, top])
+    table = np.abs(dd1_table(SQUARE, np.array([1.0, top])))
+    singular = table.min() == 0 or table.max() / table.min() > COND_MAX
+    assert singular == (top > COND_MAX)
+    for inverse in (
+        lambda: inverse_derivative_superoperator(SQUARE, a),
+        lambda: inverse_frechet_derivative(SQUARE, a, np.eye(2)),
+    ):
+        if singular:
+            with pytest.raises(SingularSuperoperator) as err:
+                inverse()
+            assert err.value.smallest_singular_value == table.min()
+        else:
+            inverse()
 
 
 def test_frechet_norm_values():
@@ -455,14 +516,37 @@ def test_inverse_map_derivatives_match_fd():
 
 
 def test_vec_column_stacking():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(vec(m), [1.0, 3.0, 2.0, 4.0])
+    # T^{-1} acts on column-stacked matrices; a complex eigenbasis tells the
+    # column- and row-stacking conventions apart
+    rng = rng_for(21, "frechet", 21)
+    sf = XLOGX.psi()
+    a = random_pd(rng, 3, floor=0.2)
+    e = random_hermitian(rng, 3)
+    t_inv = inverse_derivative_superoperator(sf, a)
+    x = inverse_frechet_derivative(sf, a, e)
+    assert np.max(np.abs(t_inv @ _vec(e) - _vec(x))) < 1e-9
+    assert np.max(np.abs(t_inv @ e.reshape(-1) - x.reshape(-1))) > 1e-3
 
 
 def test_superoperator_preserves_hermiticity():
     rng = rng_for(21, "frechet", 20)
     a = random_pd(rng, 3, floor=0.2)
-    t = superoperator_of_derivative(XLOGX.psi(), a)
     e = random_hermitian(rng, 3)
-    image = apply_superoperator(t, e)
+    image = inverse_frechet_derivative(XLOGX.psi(), a, e)
+    assert np.array_equal(image, image.conj().T)
+    t_inv = inverse_derivative_superoperator(XLOGX.psi(), a)
+    image = (t_inv @ _vec(e)).reshape(3, 3, order="F")
     assert np.max(np.abs(image - image.conj().T)) < 1e-9
+
+
+def test_fd_frechet_second_default_step():
+    # power:2 at d = 4, an instance where the step 1e-5 (1 + ||A||) missed 1e-4
+    rng = rng_for(8, "bench-calculus-derivatives", 182)
+    a = random_pd(rng, 4, floor=0.4)
+    e = random_unit_hermitian(rng, 4)
+    sf = PhiFunction.power(2).scalar()
+    exact = frechet_second(sf, a, e, e)
+    rel = np.linalg.norm(exact - fd_frechet_second(sf.apply, a, e, e)) / (
+        1.0 + np.linalg.norm(exact)
+    )
+    assert rel < 1e-6

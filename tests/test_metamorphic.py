@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 
 from matphi.concentration import check_efron_stein, check_plus_identities, efron_stein_forms
 from matphi.entropy import (
+    check_char_e,
     check_char_g,
     check_subadditivity,
     conditional_phi_entropy,
     duality_lower_bound,
     phi_entropy,
 )
+from matphi.frechet import inverse_derivative_superoperator
 from matphi.fourier import (
     MatrixBooleanFunction,
     check_bonami_beckner,
@@ -40,7 +42,9 @@ from matphi.phifun import PhiFunction
 from matphi.sampling import (
     random_boolean_function,
     random_law,
+    random_pd,
     random_product_model,
+    random_unit_hermitian,
     random_unitary,
     rng_for,
 )
@@ -285,3 +289,48 @@ def test_p_variance_limit_deviation_is_embedding_invariant(seed, d, k):
     embedded = check_p_variance_limit(DiscreteRandomMatrix(law.probs, _tensor(law.values, k)))
     assert abs(embedded.max_gap - base.max_gap) <= 1e-3 * base.max_gap
     assert embedded.passed == base.passed
+
+
+def _char_a_eigenvalue(psi, a, b) -> float:
+    """Smallest eigenvalue of T_mid^{-1} - (T_a^{-1} + T_b^{-1}) / 2, T_X = D Psi[X]."""
+    inv = [inverse_derivative_superoperator(psi, m) for m in (a, b, 0.5 * (a + b))]
+    return float(np.linalg.eigvalsh(inv[2] - 0.5 * (inv[0] + inv[1]))[0])
+
+
+@CASES
+@given(seeds, dims, ks)
+def test_char_a_metamorphic(seed, d, k):
+    # conjugation rotates each T^{-1} by the unitary conj(V) (x) V, and
+    # T_{A (x) I_k}^{-1} is k^2 copies of T_A^{-1}: the spectrum is unchanged
+    rng = rng_for(seed, "metamorphic-char-a", 0)
+    a, b = random_pd(rng, d), random_pd(rng, d)
+    for phi in GENERATORS:
+        psi = phi.psi()
+        lam = _char_a_eigenvalue(psi, a, b)
+        for _, f in _maps(rng, d, k):
+            got = _char_a_eigenvalue(psi, f(a), f(b))
+            assert abs(got - lam) <= REL * (1.0 + np.linalg.norm(a) + np.linalg.norm(b))
+
+
+@CASES
+@given(seeds, dims, ks)
+def test_char_e_metamorphic(seed, d, k):
+    # both sides are traces of maps that commute with joint conjugation;
+    # under (x) I_k every trace gains the factor k. The lhs differences the
+    # second derivative with a step 1e-4 (1 + ||A||_2) along k: conjugation
+    # keeps that step, the tensor product does not, so there the lhs moves
+    # by the difference of two O(step^2) truncation errors.
+    rng = rng_for(seed, "metamorphic-char-e", 0)
+    a = random_pd(rng, d, floor=0.3)
+    h, kk = random_unit_hermitian(rng, d), random_unit_hermitian(rng, d)
+    u = random_unitary(rng, d)
+    for phi in GENERATORS:
+        base = check_char_e(phi, a, h, kk)
+        scale = 1.0 + abs(base.lhs) + abs(base.rhs)
+        rotated = check_char_e(phi, *(_conj(m, u) for m in (a, h, kk)))
+        tensored = check_char_e(phi, *(_tensor(m, k) for m in (a, h, kk)))
+        assert abs(rotated.lhs - base.lhs) <= 1e-9 * scale
+        assert abs(tensored.lhs - k * base.lhs) <= 1e-4 * k * scale
+        for got, factor in ((rotated, 1.0), (tensored, k)):
+            assert abs(got.rhs - factor * base.rhs) <= REL * factor * scale
+            assert got.holds == base.holds
