@@ -37,12 +37,17 @@ def phi_entropy(phi: PhiFunction, law: DiscreteRandomMatrix) -> float:
     return float(_phi_entropies(phi, law.probs, law.values, law.mean()))
 
 
+def _phi_traces(phi: PhiFunction, values, means) -> np.ndarray:
+    """tr Phi of each (..., s, d, d) value, then of the (..., d, d) mean: (..., s + 1)."""
+    scalar = phi.scalar()
+    w = scalar.admit(eigenvalues(np.concatenate([values, means[..., None, :, :]], axis=-3)))
+    return scalar.fn(w).mean(axis=-1)
+
+
 def _phi_entropies(phi: PhiFunction, probs, values, means) -> np.ndarray:
     """tr[E Phi(Z) - Phi(E Z)] of each law over the (..., s, d, d) values
     with probabilities (s,) and means (..., d, d), from one spectrum call."""
-    scalar = phi.scalar()
-    w = scalar.admit(eigenvalues(np.concatenate([values, means[..., None, :, :]], axis=-3)))
-    traces = scalar.fn(w).mean(axis=-1)
+    traces = _phi_traces(phi, values, means)
     return np.tensordot(traces[..., :-1], probs, axes=1) - traces[..., -1]
 
 

@@ -26,13 +26,12 @@ from .linalg import (
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, ProductModel
 from .report import CheckReport
-from .sampling import random_complex_gaussian, rng_for
+from .sampling import BLOCK_ENTRIES, climb, random_complex_gaussian, rng_for
 
 P_VARIANCE_PS = (1.9, 1.99, 1.999)  # exponents extrapolated toward p = 2
 P_VARIANCE_TOL = 1e-4
 LSI_STEP0 = 0.1  # largest hill-climbing step of the LSI search
 LSI_THRESHOLD = 1e-6  # objective above which a table is a counterexample
-LSI_BLOCK_ENTRIES = 2**16  # complex table entries in one lock-step block of restarts
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -350,10 +349,10 @@ def search_lsi_counterexample(
     tables parameterized as G†G per point.
 
     Restart r draws from its own generator rng_for(seed, "lsi-search", r)
-    and keeps its own step size and early stop. The restarts advance in
-    lock-step, in blocks of at most LSI_BLOCK_ENTRIES table entries: each
-    step evaluates every live restart's proposal in one stacked call, and
-    the result is bit-identical to running the restarts one after another.
+    and keeps its own step size and early stop. The restarts climb in
+    lock-step (sampling.climb), in blocks of at most BLOCK_ENTRIES table
+    entries: each step scores every live restart's proposal in one stacked
+    call, bit-identical to running the restarts one after another.
 
     The tight scalar bound makes the objective nonpositive at d = 1; for
     d >= 2 nearly-aligned low-rank tables violate it, and every candidate
@@ -390,39 +389,27 @@ def search_lsi_counterexample(
         g0, g1 = np.outer(w0, u0), np.outer(w1, u1)
         return np.stack([g1 if (x >> j) & 1 else g0 for x in range(points)])
 
-    block = max(1, LSI_BLOCK_ENTRIES // (points * d * d))
+    block = max(1, BLOCK_ENTRIES // (points * d * d))
     for first in range(0, restarts, block):
-        ids = range(first, min(first + block, restarts))
-        rngs = [rng_for(seed, "lsi-search", r) for r in ids]
-        g = np.stack([start_table(rng, r % 3) for r, rng in zip(ids, rngs)])
-        tables = _table_of(g)
-        current = _lsi_objective(tables, n)
-        step = np.full(len(rngs), LSI_STEP0)
-        live = np.arange(len(rngs))
-        for _ in range(steps):
-            if not live.size:
-                break
+        rngs = [rng_for(seed, "lsi-search", r) for r in range(first, min(first + block, restarts))]
+
+        def propose(live, g, step):
             # each restart's stream: the point, then one (2, d, d) normal
             # draw, which reads the same values as random_complex_gaussian's
             # real and imaginary (d, d) draws
             live_rngs = [rngs[r] for r in live.tolist()]
             ks = np.array([rng.integers(points) for rng in live_rngs])
             z = np.array([rng.standard_normal((2, d, d)) for rng in live_rngs])
-            rows = np.arange(live.size)
-            proposal = g[live]
-            proposal[rows, ks] = g[live, ks] + step[live, None, None] * (z[:, 0] + 1j * z[:, 1])
-            cand_tables = _table_of(proposal)
-            cand = _lsi_objective(cand_tables, n)
-            up = cand > current[live]
-            won = live[up]
-            g[won], tables[won], current[won] = proposal[up], cand_tables[up], cand[up]
-            step[won] = np.minimum(2.0 * step[won], LSI_STEP0)
-            step[live[~up]] *= 0.5
-            live = live[step[live] >= 1e-7]
+            g[np.arange(live.size), ks] += step[:, None, None] * (z[:, 0] + 1j * z[:, 1])
+            return g
+
+        starts = np.stack([start_table(rng, r % 3) for r, rng in enumerate(rngs, first)])
+        g, values = climb(lambda g: _lsi_objective(_table_of(g), n), propose, starts,
+                          LSI_STEP0, 1e-7, steps, 0.5, grow=2.0)
         # the first maximum, as a strict > scan in restart order keeps
-        i = int(np.argmax(current))
-        if current[i] > best_obj:
-            best_obj, best_table = current[i], tables[i]
+        i = int(np.argmax(values))
+        if values[i] > best_obj:
+            best_obj, best_table = values[i], _table_of(g[i])
 
     f = MatrixBooleanFunction(n, best_table)
     ent = entropy_of_square(f)

@@ -23,7 +23,7 @@ from .errors import (
     NotAdmissible,
     SupportError,
 )
-from .entropy import _phi_entropies, phi_entropy
+from .entropy import _phi_traces, phi_entropy
 from .linalg import (
     _require_hermitian_stack,
     eigenvalues,
@@ -35,7 +35,7 @@ from .linalg import (
 from .models import DiscreteRandomMatrix, FiniteLaw
 from .phifun import PhiFunction
 from .report import CheckReport
-from .sampling import random_density, rng_for
+from .sampling import BLOCK_ENTRIES, climb, random_density, rng_for
 
 XLOGX = PhiFunction.xlogx()
 CHI_FLOOR = 1e-12
@@ -167,22 +167,26 @@ def backward_channel(mu: np.ndarray, kernel: MarkovKernel) -> MarkovKernel:
 
 
 def _average_state(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
-    return hermitian_part(np.tensordot(probs, states, axes=1))
+    """sum_x p(x) rho_x for (..., k) weights and (..., k, d, d) states, by a
+    matmul on flat states: it rounds each sum as tensordot rounds it alone."""
+    k, d = states.shape[-3:-1]
+    mixed = probs[..., None, :] @ states.reshape(*states.shape[:-3], k, d * d)
+    return hermitian_part(mixed.reshape(*mixed.shape[:-2], d, d))
 
 
 def _evolution_drift(probs, states, pushed, back_rows):
     """Exactly Hermitian states mixed through each backward row, unchecked,
-    with the drift of their average and the tolerance it is held to."""
-    out = np.stack([hermitian_part(np.tensordot(row, states, axes=1)) for row in back_rows])
-    drift = float(np.max(np.abs(_average_state(pushed, out) - _average_state(probs, states))))
+    with the drift of each ensemble's average and the tolerance it is held to."""
+    out = _average_state(back_rows, states[..., None, :, :, :])
+    drift = np.abs(_average_state(pushed, out) - _average_state(probs, states)).max(axis=(-2, -1))
     return out, drift, 1e-12 * (1.0 + states.shape[-1])
 
 
 def _evolve(probs, states, pushed, back_rows) -> np.ndarray:
-    """_evolution_drift's states; raises when the average state drifts."""
+    """_evolution_drift's states; raises when an average state drifts."""
     out, drift, tol = _evolution_drift(probs, states, pushed, back_rows)
-    if drift > tol:
-        raise MatPhiError(f"average state drifted by {drift:.3e} under evolution")
+    if np.any(drift > tol):
+        raise MatPhiError(f"average state drifted by {np.max(drift):.3e} under evolution")
     return out
 
 
@@ -203,8 +207,7 @@ def _support_log(m: np.ndarray):
         keep = w > SUPPORT_CUTOFF
         return np.stack([np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0), keep])
 
-    log_m, projector = hermitian_part(spectral_map(log_and_support, m))
-    return log_m, projector
+    return hermitian_part(spectral_map(log_and_support, m))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -213,26 +216,26 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def _relative_entropy(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """relative_entropy of each state of an exactly Hermitian (k, d, d)
-    stack against one exactly Hermitian reference, unchecked."""
-    logs, supports = _support_log(np.concatenate([rhos, sigma[None]]))
-    outside = np.trace(rhos @ (np.eye(sigma.shape[0]) - supports[-1]), axis1=-2, axis2=-1).real
+    """relative_entropy of each state of an exactly Hermitian (..., k, d, d)
+    stack against its exactly Hermitian (..., d, d) reference, unchecked."""
+    logs, supports = _support_log(np.concatenate([rhos, sigma[..., None, :, :]], axis=-3))
+    outside = np.trace(rhos @ (np.eye(sigma.shape[-1]) - supports[..., -1:, :, :]),
+                       axis1=-2, axis2=-1).real
     bad = outside > 1e-9
     if np.any(bad):
         raise SupportError(
-            f"state carries weight {outside[np.argmax(bad)]:.3e} outside the reference support"
+            f"state carries weight {outside[bad][0]:.3e} outside the reference support"
         )
-    return np.trace(rhos @ (logs[:-1] - logs[-1]), axis1=-2, axis2=-1).real
+    return np.trace(rhos @ (logs[..., :-1, :, :] - logs[..., -1:, :, :]), axis1=-2, axis2=-1).real
 
 
-def _chi(probs: np.ndarray, states: np.ndarray) -> float:
-    """sum_x mu(x) S(rho_x || rho_bar) of exactly Hermitian density
-    states, unchecked and floored at 0."""
+def _chi(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum_x mu(x) S(rho_x || rho_bar) of each ensemble of exactly
+    Hermitian density states, unchecked and floored at 0."""
     keep = probs > 0
-    chi = 0.0
-    for p, s in zip(probs[keep], _relative_entropy(states[keep], _average_state(probs, states))):
-        chi += p * s
-    return max(chi, 0.0)
+    entropies = _relative_entropy(states[..., keep, :, :], _average_state(probs, states))
+    chi = sum(p * s for p, s in zip(probs[keep], np.moveaxis(entropies, -1, 0)))  # label order
+    return np.maximum(chi, 0.0)
 
 
 def _dual_path_gap(ens: CQEnsemble, chi: float) -> tuple[float, float]:
@@ -244,18 +247,20 @@ def _dual_path_gap(ens: CQEnsemble, chi: float) -> tuple[float, float]:
 def holevo_chi(ens: CQEnsemble) -> float:
     """chi = sum_x mu(x) S(rho_x || rho_bar), cross-checked against
     d * H_{x log x} of the ensemble as a random matrix."""
-    chi = _chi(ens.probs, ens.states)
+    chi = float(_chi(ens.probs, ens.states))
     gap, tol = _dual_path_gap(ens, chi)
     if gap > tol:
         raise MatPhiError(f"Holevo dual paths disagree by {gap:.3e} at chi = {chi!r}")
     return chi
 
 
-def _scalar_chi(probs: np.ndarray, f: np.ndarray) -> float:
-    """H_{x log x} of a family of nonnegative scalars (1x1 PSD matrices),
-    unchecked; the Kullback-Leibler divergence when f = d nu/d mu."""
-    values = f.reshape(-1, 1, 1).astype(complex)
-    return float(_phi_entropies(XLOGX, probs, values, _average_state(probs, values)))
+def _scalar_chi(probs: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """H_{x log x} of each (..., k) family of nonnegative scalars (1x1 PSD
+    matrices), unchecked; the Kullback-Leibler divergence when f = d nu/d mu."""
+    values = f[..., None, None].astype(complex)
+    traces = _phi_traces(XLOGX, values, _average_state(probs, values))
+    # one dot per family: tensordot over a stack rounds differently
+    return (traces[..., None, :-1] @ probs[:, None])[..., 0, 0] - traces[..., -1]
 
 
 def check_data_processing(ens: CQEnsemble, kernel: MarkovKernel) -> CheckReport:
@@ -280,15 +285,20 @@ class EtaResult:
     seed: int
 
 
-def _contraction_ratio(chi_in: float, chi_out: float) -> float | None:
-    """chi_out / chi_in: None for a vanishing chi_in, 0 for a vanishing chi_out."""
-    if chi_out > chi_in + 1e-9 * (1.0 + chi_in):
-        raise MatPhiError(f"entropy contraction violated in the search: {chi_out!r} > {chi_in!r}")
-    if chi_in <= 1e-10:
-        return None
-    if chi_out <= CHI_FLOOR * (1.0 + chi_in):
-        return 0.0
-    return chi_out / chi_in
+def _contraction_ratios(chi_in: np.ndarray, chi_out: np.ndarray) -> np.ndarray:
+    """chi_out / chi_in, -inf where chi_in vanishes, 0 where chi_out does; raises on increase."""
+    up = chi_out > chi_in + 1e-9 * (1.0 + chi_in)
+    if np.any(up):
+        raise MatPhiError(f"entropy contraction violated: {chi_out[up]} > {chi_in[up]}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # quotients masked out below
+        ratio = np.where(chi_out <= CHI_FLOOR * (1.0 + chi_in), 0.0, chi_out / chi_in)
+    return np.where(chi_in <= 1e-10, -np.inf, ratio)
+
+
+def _blockwise(score, xs: np.ndarray, entries: int) -> np.ndarray:
+    """score on a stack of candidates in blocks of at most BLOCK_ENTRIES entries."""
+    size = max(1, BLOCK_ENTRIES // entries)
+    return np.concatenate([np.empty(0), *(score(xs[i:i + size]) for i in range(0, len(xs), size))])
 
 
 def _simplex_grid(k: int, resolution: float):
@@ -297,35 +307,11 @@ def _simplex_grid(k: int, resolution: float):
         yield (np.diff([-1, *bars, steps + k - 1]) - 1).astype(float) / steps
 
 
-def _scan(scored):
-    """The largest positive value of (value, candidate) pairs and its first candidate."""
-    best, witness = 0.0, None
-    for value, cand in scored:
-        if value is not None and value > best:
-            best, witness = value, cand
-    return best, witness
-
-
-def _climb(objective, propose, x, value, step: float, floor: float, steps: int):
-    """Hill climb from x: keep a proposal that beats the current value,
-    otherwise shrink the step by 0.7 and stop once it falls below floor."""
-    for _ in range(steps):
-        cand = propose(x, step)
-        cand_value = objective(cand)
-        if cand_value is not None and (value is None or cand_value > value):
-            x, value = cand, cand_value
-        else:
-            step *= 0.7
-            if step < floor:
-                break
-    return x, value
-
-
 def _states_of(block: np.ndarray) -> np.ndarray:
-    """Normalized G†G + 1e-9 I for G = X + iY of each real (2, d, d) block [X, Y]."""
-    g = block[:, 0] + 1j * block[:, 1]
+    """Normalized G†G + 1e-9 I for G = X + iY of each real (..., 2, d, d) block [X, Y]."""
+    g = block[..., 0, :, :] + 1j * block[..., 1, :, :]
     m = g.conj().swapaxes(-1, -2) @ g + 1e-9 * np.eye(g.shape[-1])
-    return hermitian_part(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
+    return hermitian_part(m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def eta_phi(
@@ -344,56 +330,63 @@ def eta_phi(
     reduces the ratio to the classical divergence contraction
     D(nu K || mu K) / D(nu || mu). For d >= 2 a grid over diagonal
     ensembles is combined with random-restart hill climbs over general
-    state tuples. Every evaluation enforces the contraction bound, so the
-    returned value lies in [0, 1]."""
+    state tuples, scored in stacked blocks and climbed in lock-step. Every
+    evaluation enforces the contraction bound, so the returned value lies
+    in [0, 1]."""
     mu = np.asarray(mu, dtype=float)
     pushed = require_admissible(mu, kernel)
     FiniteLaw(mu, tuple(range(mu.size)))  # mu sums to 1
     back = backward_channel(mu, kernel).rows
 
     if d == 1:
-        def evaluate(nu):
-            f_in = nu / mu
-            return _contraction_ratio(_scalar_chi(mu, f_in), _scalar_chi(pushed, back @ f_in))
+        def ratios(nus):
+            f_in = nus / mu
+            f_out = (back @ f_in[..., None])[..., 0]
+            return _contraction_ratios(_scalar_chi(mu, f_in), _scalar_chi(pushed, f_out))
 
         draws = (rng_for(seed, "eta-scalar", r).random(mu.size) + 1e-3 for r in range(restarts))
-        candidates = [*_simplex_grid(mu.size, grid_resolution), *(v / v.sum() for v in draws)]
-        best, witness = _scan((evaluate(nu), nu) for nu in candidates)
-        if witness is not None:  # local refinement around the best candidate
-            rng = rng_for(seed, "eta-scalar-refine", 0)
-
-            def propose(nu, step):
-                prop = np.clip(nu + step * rng.standard_normal(mu.size), 1e-9, None)
-                return prop / prop.sum()
-
-            witness, best = _climb(evaluate, propose, witness, best, grid_resolution, 1e-6,
-                                   hill_steps)
+        candidates = np.array([*_simplex_grid(mu.size, grid_resolution),
+                               *(v / v.sum() for v in draws)]).reshape(-1, mu.size)
+        values = _blockwise(ratios, candidates, mu.size)
     else:
-        def evaluate(states):
+        def ratios(states):
             chi_in = _chi(mu, states)
-            return _contraction_ratio(chi_in, _chi(pushed, _evolve(mu, states, pushed, back)))
+            return _contraction_ratios(chi_in, _chi(pushed, _evolve(mu, states, pushed, back)))
 
-        def restart(r):
-            rng = rng_for(seed, "eta-states", r)
-            g = rng.standard_normal((mu.size, 2, d, d))
-            g, value = _climb(
-                lambda g: evaluate(_states_of(g)),
-                lambda g, step: g + step * rng.standard_normal(g.shape),
-                g, evaluate(_states_of(g)), 0.2, 1e-5, hill_steps,
-            )
-            return value, _states_of(g)
-
-        grid = ()
+        grid = np.empty((0, mu.size, 2, 1))  # the diagonals of qubit states diag(q, 1 - q)
         if d == 2 and mu.size <= 4:
             qs = np.arange(0.0, 1.0 + 1e-9, grid_resolution)
-            mesh = np.stack(np.meshgrid(*[qs] * mu.size, indexing="ij"), axis=-1)
-            diagonal = np.zeros((*mesh.shape, 2, 2), dtype=complex)
-            diagonal[..., 0, 0], diagonal[..., 1, 1] = mesh, 1.0 - mesh
-            grid = ((evaluate(s), s) for s in diagonal.reshape(-1, mu.size, 2, 2))
-        best, witness = _scan(itertools.chain(grid, map(restart, range(restarts))))
-        witness = None if witness is None else CQEnsemble(mu, witness)
+            q = np.stack(np.meshgrid(*[qs] * mu.size, indexing="ij"), -1).reshape(-1, mu.size)
+            grid = np.stack([q, 1.0 - q], axis=-1)[..., None]
+        values = _blockwise(lambda w: ratios(w * np.eye(2, dtype=complex)), grid, mu.size * d * d)
+        rngs = [rng_for(seed, "eta-states", r) for r in range(restarts)]
 
-    return EtaResult(eta_hat=min(max(best, 0.0), 1.0 + 1e-9), witness=witness, seed=seed)
+        def propose(live, g, step):
+            noise = np.array([rngs[r].standard_normal(g.shape[1:]) for r in live.tolist()])
+            return g + step[:, None, None, None, None] * noise
+
+        starts = np.array([rng.standard_normal((mu.size, 2, d, d)) for rng in rngs])
+        g, climbed = climb(lambda g: ratios(_states_of(g)), propose,
+                           starts.reshape(restarts, mu.size, 2, d, d), 0.2, 1e-5, hill_steps, 0.7)
+        values = np.concatenate([values, climbed])
+
+    i = int(np.argmax(np.concatenate([[0.0], values]))) - 1  # the first strict maximum above 0
+    best, witness = 0.0, None
+    if i >= 0 and d == 1:  # local refinement around the best candidate
+        rng = rng_for(seed, "eta-scalar-refine", 0)
+
+        def propose(live, nus, step):
+            prop = np.clip(nus + step[:, None] * rng.standard_normal(nus.shape), 1e-9, None)
+            return prop / prop.sum(axis=-1, keepdims=True)
+
+        nus, refined = climb(ratios, propose, candidates[i:i + 1].copy(), grid_resolution, 1e-6,
+                             hill_steps, 0.7)
+        best, witness = refined[0], nus[0]
+    elif i >= 0:
+        states = (grid[i] * np.eye(2, dtype=complex) if i < len(grid)
+                  else _states_of(g[i - len(grid)]))
+        best, witness = values[i], CQEnsemble(mu, states)
+    return EtaResult(eta_hat=float(min(best, 1.0 + 1e-9)), witness=witness, seed=seed)
 
 
 def classical_sdpi_ratio(mu: np.ndarray, kernel: MarkovKernel, nu: np.ndarray) -> float | None:

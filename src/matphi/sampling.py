@@ -16,11 +16,36 @@ from .models import DiscreteRandomMatrix, FiniteLaw, ProductModel
 
 PSD_EIGEN_FLOOR = 1e-3
 PSD_NORM_CAP = 10.0
+BLOCK_ENTRIES = 2**16  # complex entries in one stacked evaluation of a search
 
 
 def rng_for(seed: int, label: str, index: int = 0) -> np.random.Generator:
     key = zlib.crc32(label.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), key, int(index)]))
+
+
+def climb(objective, propose, x, step, floor, steps, shrink, grow=1.0):
+    """Lock-step hill climbs of a (restarts, ...) stack x, in place; returns x
+    and its values. objective maps a stack to values, -inf meaning none.
+    propose(live, x_live, step_live) draws each live restart's proposal from
+    its own generator (x_live is a copy), so a restart climbs alike alone or
+    stacked. A kept proposal grows the step by grow, capped at the starting
+    step; a rejected one shrinks it by shrink. Restarts stop below floor."""
+    value = objective(x)
+    start, step = float(step), np.full(len(x), float(step))
+    live = np.arange(len(x))
+    for _ in range(steps):
+        if not live.size:
+            break
+        cand = propose(live, x[live], step[live])
+        cand_value = objective(cand)
+        up = cand_value > value[live]
+        won = live[up]
+        x[won], value[won] = cand[up], cand_value[up]
+        step[won] = np.minimum(grow * step[won], start)
+        step[live[~up]] *= shrink
+        live = live[step[live] >= floor]
+    return x, value
 
 
 def random_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

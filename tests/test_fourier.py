@@ -310,7 +310,7 @@ def test_lsi_search_is_bit_identical(config):
 def test_lsi_search_blocks_are_bit_identical(monkeypatch, config):
     # a budget of 3 restarts' tables splits the restarts over many blocks
     d, n = config[:2]
-    monkeypatch.setattr(matphi.fourier, "LSI_BLOCK_ENTRIES", 3 * 2**n * d * d)
+    monkeypatch.setattr(matphi.fourier, "BLOCK_ENTRIES", 3 * 2**n * d * d)
     assert _search_pin(config) == LSI_SEARCH_PINS[config]
 
 

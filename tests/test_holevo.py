@@ -8,7 +8,7 @@ import pytest
 from matphi import holevo
 
 from matphi.entropy import phi_entropy
-from matphi.errors import InvalidC, NotAdmissible
+from matphi.errors import InvalidC, MatPhiError, NotAdmissible
 from matphi.holevo import (
     CQEnsemble,
     MarkovKernel,
@@ -24,8 +24,15 @@ from matphi.holevo import (
     random_ensemble,
     relative_entropy,
 )
+from matphi.linalg import hermitian_part
 from matphi.phifun import PhiFunction
-from matphi.sampling import random_density, random_kernel, random_psd, rng_for
+from matphi.sampling import (
+    random_density,
+    random_kernel,
+    random_probability_vector,
+    random_psd,
+    rng_for,
+)
 
 XLOGX = PhiFunction.xlogx()
 
@@ -297,6 +304,121 @@ def test_eta_phi_derives_the_backward_channel_once(monkeypatch, d):
     eta_phi(np.array([0.5, 0.5]), MarkovKernel.binary_symmetric(0.1), d=d,
             grid_resolution=0.25, restarts=2, hill_steps=10, seed=0)
     assert len(calls) == 1
+
+
+def _stacked_ensembles(d, k, count, index):
+    """count ensembles of k random density states on one label law, one
+    label of it at zero weight when index is odd, and backward rows."""
+    rng = rng_for(61, "stacked", index)
+    probs = random_probability_vector(rng, k)
+    if index % 2:
+        probs[0] = 0.0
+        probs = probs / probs.sum()
+    states = np.array([[random_density(rng, d) for _ in range(k)] for _ in range(count)])
+    kernel = MarkovKernel(random_kernel(rng, k, k))
+    pushed = kernel_push(probs, kernel)
+    back = (kernel.rows * probs[:, None]).T / pushed[:, None]  # as backward_channel's rows
+    return probs, states, pushed, back / back.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_stacked_holevo_kernels_equal_single_ensembles(d, k):
+    # the search scores whole stacks; each ensemble's bits must be those of
+    # the ensemble alone, and the sums over labels those of the tensordot
+    # calls they replaced
+    for count in (1, 2, 7):
+        probs, states, pushed, back = _stacked_ensembles(d, k, count, 10 * d + k + count)
+        out, drift, tol = holevo._evolution_drift(probs, states, pushed, back)
+        chi = holevo._chi(probs, states)
+        f = np.abs(states[..., 0, 0].real) + 0.1  # a stack of (k,) scalar families
+        scalar = holevo._scalar_chi(probs, f)
+        assert chi.shape == drift.shape == scalar.shape == (count,)
+        for r in range(count):
+            out_r, drift_r, tol_r = holevo._evolution_drift(probs, states[r], pushed, back)
+            assert out[r].tobytes() == out_r.tobytes()
+            assert (drift[r], tol) == (drift_r, tol_r)
+            assert chi[r] == holevo._chi(probs, states[r])
+            assert scalar[r] == holevo._scalar_chi(probs, f[r])
+            tensordot = hermitian_part(np.tensordot(probs, states[r], axes=1))
+            assert holevo._average_state(probs, states[r]).tobytes() == tensordot.tobytes()
+            rows = [hermitian_part(np.tensordot(row, states[r], axes=1)) for row in back]
+            assert out_r.tobytes() == np.stack(rows).tobytes()
+
+
+def _contraction_ratio(chi_in, chi_out):
+    """The scalar rule the stacked ratios replace: None for no value."""
+    if chi_out > chi_in + 1e-9 * (1.0 + chi_in):
+        raise MatPhiError("entropy contraction violated")
+    if chi_in <= 1e-10:
+        return None
+    if chi_out <= holevo.CHI_FLOOR * (1.0 + chi_in):
+        return 0.0
+    return chi_out / chi_in
+
+
+def test_contraction_ratios_follow_the_scalar_rule():
+    edges = [0.0, 1e-13, 1e-12, 1.1e-12, 5e-11, 1e-10, np.nextafter(1e-10, 1.0), 1e-9,
+             2e-9, 0.3, 0.5, 1.0, 1.0 + 2e-9, 1.0 + 3e-9]
+    chi_in, chi_out = (a.ravel() for a in np.meshgrid(edges, edges, indexing="ij"))
+    allowed = []
+    for a, b in zip(chi_in, chi_out):
+        try:
+            ratio = _contraction_ratio(a, b)
+        except MatPhiError:
+            with pytest.raises(MatPhiError):
+                holevo._contraction_ratios(np.array([0.5, a]), np.array([0.25, b]))
+            continue
+        allowed.append((a, b, -np.inf if ratio is None else ratio))
+    assert 0 < len(allowed) < len(edges) ** 2
+    a, b, expected = (np.array(column) for column in zip(*allowed))
+    assert holevo._contraction_ratios(a, b).tobytes() == expected.tobytes()
+
+
+def test_eta_phi_raises_when_the_search_sees_chi_grow(monkeypatch):
+    # a kernel from 2 letters to 3: only the evolved side has 3 labels
+    kernel = MarkovKernel(np.array([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]]))
+    mu = np.array([0.4, 0.6])
+    chi, scalar_chi = holevo._chi, holevo._scalar_chi
+    monkeypatch.setattr(holevo, "_chi", lambda p, s: chi(p, s) + (p.size == 3))
+    monkeypatch.setattr(holevo, "_scalar_chi", lambda p, f: scalar_chi(p, f) + (p.size == 3))
+    for d in (1, 2):
+        with pytest.raises(MatPhiError, match="contraction violated"):
+            eta_phi(mu, kernel, d=d, grid_resolution=0.25, restarts=2, hill_steps=5, seed=0)
+
+
+def test_evolve_raises_on_a_drifting_ensemble_of_a_stack():
+    probs, states, pushed, back = _stacked_ensembles(2, 3, 4, 0)
+    states[:3] = states[:3, :1]  # equal states: no mixing moves their average
+    back = back + np.array([1e-6, -1e-6, 0.0])  # rows that do not preserve mu
+    _, drift, tol = holevo._evolution_drift(probs, states, pushed, back)
+    assert np.all(drift[:3] <= tol) and drift[3] > tol
+    with pytest.raises(MatPhiError, match="drifted"):
+        holevo._evolve(probs, states, pushed, back)
+    holevo._evolve(probs, states[:3], pushed, back)
+
+
+@pytest.mark.parametrize(
+    "d, eta_hat, witness_sha",
+    [
+        (1, 0.6400001747344317,
+         "14a71b19fbea371e353246083dd9bd13a508d3a77e428b8f72bf9bab63a63afa"),
+        (2, 0.6365818630696964,
+         "924292cbd5b7e56ce5b4145570ed28659c8e4bcbfba1a21e9c5889d45e4c4bad"),
+        (3, 0.0, None),
+    ],
+)
+def test_eta_phi_without_restarts(d, eta_hat, witness_sha):
+    # grid only (d = 1 still refines its best grid point); d = 3 has no grid
+    result = eta_phi(np.array([0.5, 0.5]), MarkovKernel.binary_symmetric(0.1), d=d,
+                     grid_resolution=0.25, restarts=0, seed=0)
+    assert result.eta_hat == eta_hat
+    w = result.witness
+    if witness_sha is None:
+        assert w is None
+    else:
+        parts = [w] if d == 1 else [w.probs, w.states]
+        assert hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest() == witness_sha
 
 
 def test_functional_sdpi_rejects_bad_c():
