@@ -222,19 +222,14 @@ def _spot_check_convexity(
 
 
 def _poincare_report(
-    check: str, model: ProductModel, partial: Callable | None,
-    rng: np.random.Generator | None = None, directions: int = 0, details: dict | None = None,
+    check: str, model: ProductModel, energy: np.ndarray, details: dict | None = None,
     **fields,
 ) -> CheckReport:
     """Var(Z) <= sum_i E ||D_i Z||_2^2 by exact enumeration of the model,
-    each outcome's energy from ``_energy``."""
+    from the (K, n) squared derivative norms at its outcomes in table order."""
     law = model.to_law()
     var = variance(law)
-    probs, outcomes = zip(*model.iter_joint())
-    points = [tuple(np.asarray(x, dtype=complex) for x in xs) for xs in outcomes]
-    terms = np.array(probs)[:, None] * _energy(
-        model.evaluator, points, model.n, partial, rng, directions
-    )
+    terms = law.probs[:, None] * energy
     bound = float(np.cumsum(np.append(0.0, terms))[-1])  # in enumeration order; np.sum pairs
     tol = 1e-8 * (1.0 + abs(var) + abs(bound))
     gap = var - bound
@@ -264,9 +259,14 @@ def check_poincare(
     bounds, so the reported right side under-estimates the true bound
     (flagged in the report details)."""
     _spot_check_convexity(model, spot_check_probes, rng_for(seed, "poincare-spot", 0))
+    points = [tuple(np.asarray(x, dtype=complex) for x in xs) for _, xs in model.iter_joint()]
+    energy = _energy(
+        model.evaluator, points, model.n, model.partial_norm,
+        rng_for(seed, "poincare-directions", 0), directions,
+    )
     return _poincare_report(
-        "poincare", model, model.partial_norm, rng_for(seed, "poincare-directions", 0),
-        directions, details={"rhs_is_lower_bound": model.partial_norm is None}, seed=seed,
+        "poincare", model, energy, details={"rhs_is_lower_bound": model.partial_norm is None},
+        seed=seed,
     )
 
 
@@ -276,16 +276,12 @@ def check_poincare_commuting(
 ) -> CheckReport:
     """Poincare bound for multivariate standard functions of commuting
     inputs, using the sup norm of the partial divided-difference tables."""
-
-    last = [None, None]  # _energy asks for every coordinate of a point in turn
-
-    def sup_norm(xs, i):
-        if xs is not last[0]:
-            last[:] = xs, commuting_eigensystem(xs)[0]
-        return np.max(np.abs(multivariate_dd_table(f, last[1], i)))
-
-    model = ProductModel(tuple(laws), lambda xs: multivariate_apply(f, xs))
-    return _poincare_report("poincare-commuting", model, sup_norm)
+    model = ProductModel.tabulate(laws, lambda xs: multivariate_apply(f, xs))
+    sup_norms = []
+    for _, xs in model.iter_joint():
+        w = commuting_eigensystem(xs)[0]
+        sup_norms.append([np.max(np.abs(multivariate_dd_table(f, w, i))) for i in range(model.n)])
+    return _poincare_report("poincare-commuting", model, np.array(sup_norms, dtype=float) ** 2)
 
 
 def sample_gue(d: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -133,7 +133,7 @@ def product_model_to_obj(model: ProductModel, d: int) -> dict:
         "n": model.n,
         "d": d,
         "input_probs": [[float(p) for p in law.probs] for law in model.laws],
-        "values": [matrix_to_obj(m) for m in model.to_law().values],
+        "values": [matrix_to_obj(m) for m in model.values],
     }
 
 
@@ -143,11 +143,7 @@ def product_model_from_obj(obj: dict) -> ProductModel:
             FiniteLaw(np.asarray(probs, dtype=float), tuple(range(len(probs))))
             for probs in obj["input_probs"]
         ]
-        model = ProductModel.from_table(laws, _matrices(obj["values"], obj["d"]))
-        if len(obj["values"]) != model.joint_size:
-            raise ValueError(f"{len(obj['values'])} values for {model.joint_size} joint outcomes")
-        model.to_law()  # validates every value and the joint law once, at the boundary
-        return model
+        return ProductModel(laws, _matrices(obj["values"], obj["d"]))
 
 
 def json_text(obj: dict) -> str:

@@ -157,9 +157,12 @@ def dirichlet_energy_flip(f: MatrixBooleanFunction) -> float:
 
 
 def uniform_cube_model(f: MatrixBooleanFunction) -> ProductModel:
-    """The function as a product model of n fair bits."""
+    """The function as a product model of n fair bits. The model's table
+    runs first input slowest, so its index is the table's bit-reversed."""
     laws = tuple(FiniteLaw.uniform((0, 1)) for _ in range(f.n))
-    return ProductModel(laws, lambda bits: f.table[sum(int(b) << i for i, b in enumerate(bits))])
+    bits = f.table.reshape((2,) * f.n + f.table.shape[1:])
+    table = bits.transpose(*range(f.n - 1, -1, -1), f.n, f.n + 1)
+    return ProductModel(laws, table.reshape(f.table.shape))
 
 
 def dirichlet_energy(f: MatrixBooleanFunction) -> float:

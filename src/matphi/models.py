@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -113,14 +112,49 @@ class FiniteLaw:
 
 @dataclass(frozen=True)
 class ProductModel:
-    """Independent inputs X_1..X_n and a total evaluator mapping outcome
-    tuples to Hermitian matrices."""
+    """Independent inputs X_1..X_n and the (joint_size, d, d) table of
+    Z = f(X_1, ..., X_n) over their joint outcomes, indexed in mixed radix
+    with the first input varying slowest. The constructor guards the size,
+    takes the joint probabilities from ``iter_joint`` and validates the
+    table once, as the joint law that ``to_law`` returns."""
 
     laws: tuple[FiniteLaw, ...]
-    evaluator: Callable[[tuple], np.ndarray]
+    values: np.ndarray
+    _law: DiscreteRandomMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "laws", tuple(self.laws))
+        self._require_enumerable()
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape[:1] != (self.joint_size,):
+            raise DimensionMismatch(
+                f"values of shape {values.shape} for {self.joint_size} joint outcomes"
+            )
+        probs = np.array([p for p, _ in self.iter_joint()])
+        # n inputs, each within 1e-12 of summing to 1, can put the joint law
+        # n times as far off; a joint within 1e-12 keeps its probabilities
+        if abs(float(probs.sum()) - 1.0) > 1e-12:
+            probs = probs / probs.sum()
+        law = DiscreteRandomMatrix(probs, values)
+        object.__setattr__(self, "values", law.values)
+        object.__setattr__(self, "_law", law)
+
+    @classmethod
+    def tabulate(
+        cls, laws: Sequence[FiniteLaw], evaluator: Callable[[tuple], np.ndarray]
+    ) -> "ProductModel":
+        """The model of Z = evaluator(outcome tuple), called once per joint
+        outcome in table order after the size guard."""
+        model = object.__new__(cls)
+        model._tabulate(laws, evaluator)
+        return model
+
+    def _tabulate(self, laws, evaluator) -> None:
+        object.__setattr__(self, "laws", tuple(laws))
+        self._require_enumerable()
+        ProductModel.__init__(self, self.laws, [evaluator(x) for _, x in self.iter_joint()])
+
+    def _require_enumerable(self) -> None:
         if self.joint_size > MAX_ENUMERATION:
             raise EnumerationTooLarge(
                 f"joint support size {self.joint_size} exceeds {MAX_ENUMERATION}"
@@ -132,28 +166,14 @@ class ProductModel:
 
     @property
     def joint_size(self) -> int:
-        size = 1
-        for law in self.laws:
-            size *= law.size
-        return size
+        return math.prod(law.size for law in self.laws)
 
     def iter_joint(self) -> Iterator[tuple[float, tuple]]:
-        for idx in itertools.product(*(range(law.size) for law in self.laws)):
-            prob = math.prod(float(law.probs[k]) for law, k in zip(self.laws, idx))
-            yield prob, tuple(law.outcomes[k] for law, k in zip(self.laws, idx))
-
-    @cached_property
-    def _joint(self) -> tuple[np.ndarray, np.ndarray]:
-        """Probabilities (K,) and validated values (K, d, d) of the joint
-        law, from one enumeration and one evaluator call per outcome."""
-        joint = list(self.iter_joint())
-        values = np.stack([np.asarray(self.evaluator(x), dtype=complex) for _, x in joint])
-        probs = np.array([p for p, _ in joint])
-        # n inputs, each within 1e-12 of summing to 1, can put the joint law
-        # n times as far off; a joint within 1e-12 keeps its probabilities
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            probs = probs / probs.sum()
-        return probs, _require_hermitian_stack(values)
+        """(probability, outcome tuple) of each joint outcome in table order;
+        the probability multiplies the inputs' first input first."""
+        inputs = (zip(law.probs.tolist(), law.outcomes) for law in self.laws)
+        for pairs in itertools.product(*inputs):
+            yield math.prod(p for p, _ in pairs), tuple(x for _, x in pairs)
 
     def slices(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The joint table cut along the i-th input: the weights (rest,)
@@ -165,49 +185,30 @@ class ProductModel:
         weights = np.ones(())
         for law in self.laws[:i] + self.laws[i + 1:]:
             weights = np.multiply.outer(weights, law.probs)
-        values = self._joint[1]
-        table = values.reshape(*(law.size for law in self.laws), *values.shape[1:])
+        table = self.values.reshape(*(law.size for law in self.laws), *self.values.shape[1:])
         table = np.moveaxis(table, i, self.n - 1)
         return weights.ravel(), self.laws[i].probs, table.reshape(-1, *table.shape[self.n - 1:])
 
     def to_law(self) -> DiscreteRandomMatrix:
-        return DiscreteRandomMatrix(*self._joint)
-
-    @classmethod
-    def from_table(
-        cls, laws: Sequence[FiniteLaw], table: np.ndarray
-    ) -> "ProductModel":
-        """Evaluator backed by a dense table indexed in mixed radix with
-        the first input varying slowest."""
-        laws = tuple(laws)
-        sizes = [law.size for law in laws]
-        table = np.asarray(table, dtype=complex)
-        index_of = [
-            {outcome: k for k, outcome in enumerate(law.outcomes)} for law in laws
-        ]
-
-        def evaluator(outcome_tuple):
-            flat = 0
-            for size, lookup, outcome in zip(sizes, index_of, outcome_tuple):
-                flat = flat * size + lookup[outcome]
-            return table[flat]
-
-        return cls(laws, evaluator)
+        return self._law
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MatrixInputModel(ProductModel):
-    """Product model whose inputs are matrices in the interval [0, I].
+    """Product model whose inputs are matrices in the interval [0, I],
+    tabulated from ``evaluator``; the evaluator stays for the derivative
+    estimates and convexity probes that leave the support.
 
     ``partial_norm(xs, i)``, when supplied, returns the exact induced norm
     of the i-th partial derivative of the evaluator at the tuple ``xs``.
     """
 
+    evaluator: Callable[[tuple], np.ndarray]
     partial_norm: Callable[[tuple, int], float] | None = None
 
-    def __post_init__(self):
-        super().__post_init__()
-        for law in self.laws:
+    def __init__(self, laws, evaluator, partial_norm=None):
+        laws = tuple(laws)
+        for law in laws:
             for outcome in law.outcomes:
                 w = eigenvalues(require_hermitian(outcome))
                 tol = spectral_tolerance(w.size)
@@ -215,3 +216,6 @@ class MatrixInputModel(ProductModel):
                     raise ValueError(
                         f"matrix outcome spectrum [{w[0]:.3e}, {w[-1]:.3e}] leaves [0, 1]"
                     )
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "partial_norm", partial_norm)
+        self._tabulate(laws, evaluator)

@@ -65,16 +65,20 @@ def random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return h / float(np.linalg.norm(h))
 
 
-def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
+def random_psd(rng: np.random.Generator, d: int, shape: tuple = ()) -> np.ndarray:
     """G†G + PSD_EIGEN_FLOOR*I with complex Gaussian G, rescaled so the
     Schatten-2 norm stays below PSD_NORM_CAP; keeps spectra and the
     divided-difference tables that inverse derivatives divide by well
-    conditioned."""
-    g = random_complex_gaussian(rng, (d, d))
-    m = hermitian_part(g.conj().T @ g) + PSD_EIGEN_FLOOR * np.eye(d)
-    norm = float(np.linalg.norm(m))
-    if norm > PSD_NORM_CAP:
-        m = m * (PSD_NORM_CAP / norm) + PSD_EIGEN_FLOOR * np.eye(d)
+    conditioned. A stack on the leading axes ``shape`` is drawn at once
+    and reads the stream of one call per matrix; each matrix is rescaled
+    by its own ``np.linalg.norm``, so it rounds as it does alone."""
+    g = rng.standard_normal((*shape, 2, d, d))
+    g = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    m = hermitian_part(g.conj().swapaxes(-1, -2) @ g) + PSD_EIGEN_FLOOR * np.eye(d)
+    for x in m.reshape(-1, d, d):
+        norm = float(np.linalg.norm(x))
+        if norm > PSD_NORM_CAP:
+            x[...] = x * (PSD_NORM_CAP / norm) + PSD_EIGEN_FLOOR * np.eye(d)
     return m
 
 
@@ -102,34 +106,27 @@ def random_kernel(rng: np.random.Generator, nx: int, ny: int) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def _random_table(rng: np.random.Generator, d: int, count: int, psd: bool) -> np.ndarray:
-    """count PSD values, one draw each, or count Hermitian ones in one draw."""
-    if psd:
-        return np.stack([random_psd(rng, d) for _ in range(count)])
-    return random_hermitian(rng, d, (count,))
-
-
 def random_law(
     rng: np.random.Generator, d: int, size: int, psd: bool = True, pd_floor: float = 0.0
 ) -> DiscreteRandomMatrix:
     probs = random_probability_vector(rng, size)
-    values = _random_table(rng, d, size, psd)
+    values = (random_psd if psd else random_hermitian)(rng, d, (size,))
     return DiscreteRandomMatrix(probs, values + pd_floor * np.eye(d) if psd else values)
 
 
 def random_product_model(
     rng: np.random.Generator, d: int, n: int, arity: int = 2, psd: bool = True
 ) -> ProductModel:
-    """Random evaluator table over independent labelled inputs."""
+    """Random value table over independent labelled inputs."""
     laws = [
         FiniteLaw(random_probability_vector(rng, arity), tuple(range(arity)))
         for _ in range(n)
     ]
-    return ProductModel.from_table(laws, _random_table(rng, d, arity**n, psd))
+    return ProductModel(laws, (random_psd if psd else random_hermitian)(rng, d, (arity**n,)))
 
 
 def random_boolean_function(
     rng: np.random.Generator, n: int, d: int, psd: bool = True
 ) -> np.ndarray:
     """Table of 2^n Hermitian (or PSD) values for a cube function."""
-    return _random_table(rng, d, 2**n, psd)
+    return (random_psd if psd else random_hermitian)(rng, d, (2**n,))

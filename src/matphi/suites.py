@@ -55,6 +55,8 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be at least 1")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ConfigError(f"tol must be finite and nonnegative, got {self.tol}")
         if self.d < 1:
@@ -184,8 +186,8 @@ def _char_f(rng, trial, run):
     ]
 
 
-def _drawn_law(rng, probs, d, draw=random_psd):
-    return DiscreteRandomMatrix(probs, np.stack([draw(rng, d) for _ in probs]))
+def _drawn_law(rng, probs, d, floor=0.0):
+    return DiscreteRandomMatrix(probs, random_psd(rng, d, (len(probs),)) + floor * np.eye(d))
 
 
 def _char_h(rng, trial, run):
@@ -197,7 +199,7 @@ def _char_h(rng, trial, run):
 def _char_i(rng, trial, run):
     probs = random_probability_vector(rng, 3)
     z = _drawn_law(rng, probs, run.d)
-    t = _drawn_law(rng, probs, run.d, lambda rng, d: random_pd(rng, d, floor=0.05))
+    t = _drawn_law(rng, probs, run.d, floor=0.05)
     bound = entropy.duality_lower_bound(run.phi, z, t)
     h = entropy.phi_entropy(run.phi, z)
     return bound - h, entropy.entropy_tolerance(bound, h), None
@@ -424,7 +426,7 @@ def _data_processing(rng, trial, run):
 def _law_total_variance(rng, trial, run):
     k = 6
     probs = random_probability_vector(rng, k)
-    values = np.stack([random_psd(rng, run.d) for _ in range(k)])
+    values = random_psd(rng, run.d, (k,))
     labels = [int(rng.integers(0, 3)) for _ in range(k)]
     return holevo.check_law_total_variance(run.phi, probs, values, labels)
 
@@ -629,8 +631,9 @@ def run_suite(config: RunConfig, suite: str) -> SuiteReport:
     names = [name for name in checks if name not in skipped]
     reports: list[CheckReport] = []
     wall: dict[str, float] = {}
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(names))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_check, name, config.to_dict()) for name in names]
             for fut in futures:
                 name, report, elapsed = fut.result()

@@ -6,13 +6,14 @@ import io
 import json
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matphi import fourier, holevo
+from matphi import fourier, holevo, suites
 from matphi.cli import main
 from matphi.formats import (
     boolean_function_from_obj,
@@ -359,6 +360,42 @@ def test_samples_below_batch_count_is_config_error(capsys, samples):
     err = capsys.readouterr().err
     assert err.startswith("config error: samples must be at least 10")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_config_error(capsys, jobs):
+    assert _run(["efron-stein", "--jobs", jobs, "--trials", "1"]) == 2
+    assert capsys.readouterr().err == "config error: jobs must be at least 1\n"
+
+
+def test_pool_starts_at_most_one_worker_per_check(monkeypatch):
+    # a process pool forks all its workers at the first submit, so the
+    # worker count is read from a stand-in that runs the checks in process
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    base = dict(seed=3, trials=1, samples=100)
+    serial = run_suite(RunConfig(jobs=1, **base), "efron-stein")
+    assert started == []
+    for jobs in (5000, 3, 2):
+        pooled = run_suite(RunConfig(jobs=jobs, **base), "efron-stein")
+        assert pooled.comparable_dict() == serial.comparable_dict()
+    assert started == [len(SUITES["efron-stein"]), 3, 2]
 
 
 def test_run_suite_determinism_across_jobs():

@@ -31,6 +31,8 @@ from matphi.linalg import hermitian_part, normalized_trace, positive_part
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from matphi.phifun import PhiFunction
 from matphi.sampling import (
+    PSD_EIGEN_FLOOR,
+    PSD_NORM_CAP,
     random_boolean_function,
     random_hermitian,
     random_law,
@@ -44,7 +46,7 @@ from matphi.suites import _ks_statistic
 
 def _rademacher_model(n, fn):
     laws = [FiniteLaw.uniform((-1.0, 1.0)) for _ in range(n)]
-    return ProductModel(tuple(laws), lambda xs: np.array([[complex(fn(xs))]]))
+    return ProductModel.tabulate(laws, lambda xs: np.array([[complex(fn(xs))]]))
 
 
 def test_efron_stein_constant():
@@ -77,17 +79,18 @@ def test_efron_stein_forms_agree_random():
 
 def _slice_laws(model, i):
     """(weight, law) of each slice of the i-th input, the other inputs
-    pinned first input slowest, one evaluator call per point."""
+    pinned first input slowest, one table lookup in mixed radix per point."""
+    sizes = [law.size for law in model.laws]
     others = [j for j in range(model.n) if j != i]
-    for idx in itertools.product(*(range(model.laws[j].size) for j in others)):
-        weight, point = 1.0, [None] * model.n
+    for idx in itertools.product(*(range(sizes[j]) for j in others)):
+        weight, point = 1.0, [0] * model.n
         for j, k in zip(others, idx):
             weight *= model.laws[j].probs[k]
-            point[j] = model.laws[j].outcomes[k]
+            point[j] = k
         values = []
-        for outcome in model.laws[i].outcomes:
-            point[i] = outcome
-            values.append(model.evaluator(tuple(point)))
+        for k in range(sizes[i]):
+            point[i] = k
+            values.append(model.values[np.ravel_multi_index(point, sizes)])
         yield weight, DiscreteRandomMatrix(model.laws[i].probs, np.stack(values))
 
 
@@ -102,7 +105,7 @@ def test_efron_stein_forms_match_per_pair_reference():
     for d, arities in ((1, (2, 3, 1)), (2, (4, 1, 2)), (3, (2, 3))):
         rng = rng_for(43, "efron-reference-mixed", d)
         laws = [FiniteLaw(random_probability_vector(rng, a), tuple(range(a))) for a in arities]
-        models.append(ProductModel.from_table(laws, random_hermitian(rng, d, (np.prod(arities),))))
+        models.append(ProductModel(laws, random_hermitian(rng, d, (np.prod(arities),))))
     for model in models:
         ref = np.zeros(3)
         for i in range(model.n):
@@ -316,7 +319,7 @@ def test_poincare_commuting_diagonalizes_each_outcome_once(monkeypatch):
     rep = check_poincare_commuting(laws, f)
     assert len(calls) == 8
     bound = 0.0
-    for prob, outcome in ProductModel(laws, lambda xs: 0.0).iter_joint():
+    for prob, outcome in ProductModel.tabulate(laws, lambda xs: np.zeros((1, 1))).iter_joint():
         lambdas = eigensystem([np.asarray(x, dtype=complex) for x in outcome])[0]
         for i in range(3):
             bound += prob * float(np.max(np.abs(multivariate_dd_table(f, lambdas, i)))) ** 2
@@ -458,6 +461,45 @@ def test_stacked_hermitian_tables_keep_the_per_matrix_stream(d):
         assert np.array_equal(law.probs, want_probs)
         assert np.array_equal(law.values, per_matrix())
         # each generator consumed exactly its share of the stream
+        assert rng.random() == want_rng.random()
+
+
+def _psd_per_matrix(d, rng):
+    """One PSD draw, as the per-matrix generator made it."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = hermitian_part(g.conj().T @ g) + PSD_EIGEN_FLOOR * np.eye(d)
+    norm = float(np.linalg.norm(m))
+    if norm > PSD_NORM_CAP:
+        m = m * (PSD_NORM_CAP / norm) + PSD_EIGEN_FLOOR * np.eye(d)
+    return m
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_stacked_psd_tables_keep_the_per_matrix_bits(d):
+    # the stack reads one call's stream per matrix, and each matrix above
+    # the cap is rescaled by its own norm (most at d >= 3, few at d = 1), so
+    # the bytes are the per-matrix ones
+    for n in (0, 1, 3, 6):
+        want_rng, rng = rng_for(12, "psd-stream", n), rng_for(12, "psd-stream", n)
+        count = 2**n
+
+        def per_matrix():
+            return np.stack([_psd_per_matrix(d, want_rng) for _ in range(count)])
+
+        assert random_psd(rng, d).tobytes() == _psd_per_matrix(d, want_rng).tobytes()
+        table = random_boolean_function(rng, n, d, psd=True)
+        assert table.tobytes() == per_matrix().tobytes()
+        want_probs = [random_probability_vector(want_rng, 2) for _ in range(n)]
+        model = random_product_model(rng, d, n, arity=2, psd=True)
+        assert [law.probs.tolist() for law in model.laws] == [p.tolist() for p in want_probs]
+        assert model.values.tobytes() == per_matrix().tobytes()
+        want_probs = random_probability_vector(want_rng, count)
+        law = random_law(rng, d, count, psd=True, pd_floor=0.2)
+        assert np.array_equal(law.probs, want_probs)
+        assert law.values.tobytes() == (per_matrix() + 0.2 * np.eye(d)).tobytes()
+        assert random_psd(rng, d, (2, 3)).tobytes() == np.stack(
+            [_psd_per_matrix(d, want_rng) for _ in range(6)]
+        ).reshape(2, 3, d, d).tobytes()
         assert rng.random() == want_rng.random()
 
 

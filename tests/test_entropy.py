@@ -99,7 +99,7 @@ def test_conditional_entropy_independence():
     rng = rng_for(31, "entropy", 2)
     m0, m1 = random_psd(rng, 2), random_psd(rng, 2)
     laws = [FiniteLaw.uniform((0, 1)), FiniteLaw.uniform((0, 1))]
-    model = ProductModel(tuple(laws), lambda xs: m0 if xs[1] == 0 else m1)
+    model = ProductModel.tabulate(tuple(laws), lambda xs: m0 if xs[1] == 0 else m1)
     table = conditional_phi_entropy(XLOGX, model, 0)
     assert np.max(np.abs(table.entropies)) < 1e-12
 
@@ -107,7 +107,7 @@ def test_conditional_entropy_independence():
 def test_conditional_entropy_single_input():
     rng = rng_for(31, "entropy", 3)
     vals = [random_psd(rng, 2) for _ in range(2)]
-    model = ProductModel((FiniteLaw.uniform((0, 1)),), lambda xs: vals[xs[0]])
+    model = ProductModel.tabulate((FiniteLaw.uniform((0, 1)),), lambda xs: vals[xs[0]])
     table = conditional_phi_entropy(XLOGX, model, 0)
     assert table.entropies.size == 1
     assert table.expectation == pytest.approx(phi_entropy(XLOGX, model.to_law()))
@@ -115,7 +115,7 @@ def test_conditional_entropy_single_input():
 
 def test_conditional_entropy_rademacher_sum():
     laws = [FiniteLaw.uniform((-1.0, 1.0)) for _ in range(2)]
-    model = ProductModel(
+    model = ProductModel.tabulate(
         tuple(laws), lambda xs: np.array([[complex(xs[0] + xs[1] + 2.0)]])
     )
     table = conditional_phi_entropy(SQUARE, model, 0)
@@ -125,28 +125,28 @@ def test_conditional_entropy_rademacher_sum():
 def _mixed_model(rng, d, arities):
     laws = [FiniteLaw(random_probability_vector(rng, a), tuple(range(a))) for a in arities]
     table = np.stack([random_psd(rng, d) for _ in range(int(np.prod(arities)))])
-    return ProductModel.from_table(laws, table)
+    return ProductModel(laws, table)
 
 
 @pytest.mark.parametrize("arities", [(3, 3, 3), (2, 3, 1, 4), (4, 1, 2)])
 @pytest.mark.parametrize("phi", [XLOGX, PhiFunction.power(1.5)], ids=lambda phi: phi.label)
 def test_conditional_entropy_matches_per_slice_reference(arities, phi):
     # the stacked table against one law per slice, the other inputs pinned
-    # first input slowest and one evaluator call per point
+    # first input slowest and one table lookup in mixed radix per point
     for d in (1, 2, 3):
         model = _mixed_model(rng_for(31, f"entropy-slices-{arities}", d), d, arities)
         for i in range(model.n):
             others = [j for j in range(model.n) if j != i]
             ref_probs, ref_entropies = [], []
             for idx in itertools.product(*(range(arities[j]) for j in others)):
-                weight, point = 1.0, [None] * model.n
+                weight, point = 1.0, [0] * model.n
                 for j, k in zip(others, idx):
                     weight *= model.laws[j].probs[k]
-                    point[j] = model.laws[j].outcomes[k]
+                    point[j] = k
                 values = []
-                for outcome in model.laws[i].outcomes:
-                    point[i] = outcome
-                    values.append(model.evaluator(tuple(point)))
+                for k in range(arities[i]):
+                    point[i] = k
+                    values.append(model.values[np.ravel_multi_index(point, arities)])
                 law = DiscreteRandomMatrix(model.laws[i].probs, np.stack(values))
                 ref_probs.append(weight)
                 ref_entropies.append(phi_entropy(phi, law))
@@ -157,7 +157,7 @@ def test_conditional_entropy_matches_per_slice_reference(arities, phi):
 
 def test_subadditivity_constant():
     laws = [FiniteLaw.uniform((0, 1))]
-    model = ProductModel(tuple(laws), lambda xs: np.eye(2))
+    model = ProductModel.tabulate(tuple(laws), lambda xs: np.eye(2))
     rep = check_subadditivity(XLOGX, model)
     assert rep.passed
     assert rep.details["lhs"] == pytest.approx(0.0, abs=1e-12)
@@ -165,7 +165,7 @@ def test_subadditivity_constant():
 
 def test_subadditivity_scalar_efron_stein():
     laws = [FiniteLaw.uniform((-1.0, 1.0)) for _ in range(3)]
-    model = ProductModel(
+    model = ProductModel.tabulate(
         tuple(laws), lambda xs: np.array([[complex(sum(xs))]])
     )
     rep = check_subadditivity(SQUARE, model)
@@ -396,7 +396,7 @@ def test_char_g_z_independent_of_x2():
     rng = rng_for(31, "entropy", 11)
     vals = [random_psd(rng, 2) for _ in range(2)]
     laws = (FiniteLaw.uniform((0, 1)), FiniteLaw.uniform((0, 1)))
-    model = ProductModel(laws, lambda xs: vals[xs[0]])
+    model = ProductModel.tabulate(laws, lambda xs: vals[xs[0]])
     rep = check_char_g(XLOGX, model)
     # Z = f(X_1) only: both sides vanish
     assert rep.passed

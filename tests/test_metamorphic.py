@@ -138,10 +138,6 @@ def test_law_quantities_metamorphic(seed, d, d2, k):
     )
 
 
-def _table_of(model: ProductModel) -> np.ndarray:
-    return np.stack([model.evaluator(outcome) for _, outcome in model.iter_joint()])
-
-
 def _model_quantities(model: ProductModel) -> tuple[dict, bool]:
     rep = check_efron_stein(model)
     forms = efron_stein_forms(model)
@@ -155,18 +151,18 @@ def _model_quantities(model: ProductModel) -> tuple[dict, bool]:
 def test_efron_stein_metamorphic(seed, d, d2, k, n):
     rng = rng_for(seed, "metamorphic-model", 0)
     model = random_product_model(rng, d, n, arity=2, psd=False)
-    table = _table_of(model)
+    table = model.values
     base, passed = _model_quantities(model)
     for name, fmap in _maps(rng, d, k):
-        mapped, mapped_passed = _model_quantities(ProductModel.from_table(model.laws, fmap(table)))
+        mapped, mapped_passed = _model_quantities(ProductModel(model.laws, fmap(table)))
         assert mapped_passed == passed, name
         for key, value in mapped.items():
             _close(value, base[key])
 
-    other = _table_of(random_product_model(rng, d2, n, arity=2, psd=False))
-    base2, passed2 = _model_quantities(ProductModel.from_table(model.laws, other))
+    other = random_product_model(rng, d2, n, arity=2, psd=False).values
+    base2, passed2 = _model_quantities(ProductModel(model.laws, other))
     summed, summed_passed = _model_quantities(
-        ProductModel.from_table(model.laws, _dsum(table, other))
+        ProductModel(model.laws, _dsum(table, other))
     )
     assert summed_passed == (passed and passed2)
     for key, value in summed.items():
@@ -196,20 +192,20 @@ def _entropy_model_quantities(model: ProductModel) -> tuple[dict, tuple]:
 def test_conditional_entropy_metamorphic(seed, d, d2, k, n, arity):
     rng = rng_for(seed, "metamorphic-entropy", 0)
     model = random_product_model(rng, d, n, arity=arity)
-    table = _table_of(model)
+    table = model.values
     base, verdicts = _entropy_model_quantities(model)
     for name, fmap in _maps(rng, d, k):
         mapped, mapped_verdicts = _entropy_model_quantities(
-            ProductModel.from_table(model.laws, fmap(table))
+            ProductModel(model.laws, fmap(table))
         )
         assert mapped_verdicts == verdicts, name
         for key, value in mapped.items():
             _close(value, base[key])
 
-    other = _table_of(random_product_model(rng, d2, n, arity=arity))
-    base2, verdicts2 = _entropy_model_quantities(ProductModel.from_table(model.laws, other))
+    other = random_product_model(rng, d2, n, arity=arity).values
+    base2, verdicts2 = _entropy_model_quantities(ProductModel(model.laws, other))
     summed, summed_verdicts = _entropy_model_quantities(
-        ProductModel.from_table(model.laws, _dsum(table, other))
+        ProductModel(model.laws, _dsum(table, other))
     )
     assert summed_verdicts == tuple(a and b for a, b in zip(verdicts, verdicts2))
     for key, value in summed.items():
