@@ -13,14 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NotHermitian
 from .frechet import (
-    frechet_derivative,
+    dd1_table,
     frechet_second,
     inverse_derivative_superoperator,
     inverse_frechet_derivative,
 )
-from .linalg import eigenvalues, hermitian_part, normalized_trace
+from .linalg import _require_hermitian_stack, eigenvalues, hermitian_part
 from .models import DiscreteRandomMatrix, ProductModel
 from .phifun import PhiFunction, ScalarFunction
 from .report import CheckReport, matrix_to_obj, sweep
@@ -96,19 +96,23 @@ def bregman_maps(phi: PhiFunction, u, v) -> tuple[float, float, float]:
     A = Tr[Phi(u+v) - Phi(u) - DPhi[u](v)]
     B = Tr[DPhi[u+v](v) - DPhi[u](v)]
     C = Tr[D^2 Phi[u](v, v)]
+
+    As traces they need only the eigensystems of u and u + v (Daleckii-Krein):
+    Tr DPhi[X](v) = sum_i Psi(x_i) v~_ii with v~ = v in X's eigenbasis, and
+    C = sum_ij Psi[lam_i, lam_j] |v~_ij|^2 at u's spectrum lam, Psi = Phi'.
     """
-    scalar = phi.scalar()
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    d = u.shape[0]
-    a_val = d * normalized_trace(
-        scalar.apply(u + v) - scalar.apply(u) - frechet_derivative(scalar, u, v)
-    )
-    b_val = d * normalized_trace(
-        frechet_derivative(scalar, u + v, v) - frechet_derivative(scalar, u, v)
-    )
-    c_val = d * normalized_trace(frechet_second(scalar, u, v, v))
-    return a_val, b_val, c_val
+    pair = np.stack([u, v])
+    if pair.ndim != 3:
+        raise NotHermitian(f"expected two square matrices, got shape {pair.shape[1:]}")
+    u, v = _require_hermitian_stack(pair)
+    scalar, psi = phi.scalar(), phi.psi()
+    w, q = np.linalg.eigh(np.stack([u, u + v]))
+    phi_w, w = scalar.fn(scalar.admit(w)), psi.admit(w)
+    rotated = q.conj().swapaxes(-1, -2) @ v @ q
+    first = (psi.fn(w) * rotated.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
+    a_val = phi_w[1].sum() - phi_w[0].sum() - first[0]
+    c_val = (dd1_table(psi, w[0]) * np.abs(rotated[0]) ** 2).sum()
+    return float(a_val), float(first[1] - first[0]), float(c_val)
 
 
 def joint_convexity_probes(
@@ -120,9 +124,10 @@ def joint_convexity_probes(
     pairs ((u1, v1), (u2, v2)), mixed at 1/2 and at a weight drawn from
     ``rng``: one ``(gap, tol, witness)`` triple per mixing weight."""
     (u1, v1), (u2, v2) = pairs
+    ends = map_fn(u1, v1), map_fn(u2, v2)
     probes = []
     for t in (0.5, float(rng.uniform(0.05, 0.95))):
-        lhs = t * map_fn(u1, v1) + (1.0 - t) * map_fn(u2, v2)
+        lhs = t * ends[0] + (1.0 - t) * ends[1]
         rhs = map_fn(t * u1 + (1 - t) * u2, t * v1 + (1 - t) * v2)
         gap, probe_tol = rhs - lhs, 1e-8 * (1.0 + abs(lhs) + abs(rhs))
         witness = None
@@ -291,10 +296,7 @@ def bregman_pair_sampler(d: int):
     the convexity falsifiers of the three trace maps."""
 
     def sampler(rng: np.random.Generator):
-        return (
-            (random_pd(rng, d, floor=0.05), random_psd(rng, d)),
-            (random_pd(rng, d, floor=0.05), random_psd(rng, d)),
-        )
+        u1, v1, u2, v2 = random_psd(rng, d, (4,))
+        return (u1 + 0.05 * np.eye(d), v1), (u2 + 0.05 * np.eye(d), v2)
 
     return sampler
-

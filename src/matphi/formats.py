@@ -143,6 +143,8 @@ def product_model_from_obj(obj: dict) -> ProductModel:
             FiniteLaw(np.asarray(probs, dtype=float), tuple(range(len(probs))))
             for probs in obj["input_probs"]
         ]
+        if int(obj["n"]) != len(laws):
+            raise ValueError(f"n = {obj['n']} for {len(laws)} input laws")
         return ProductModel(laws, _matrices(obj["values"], obj["d"]))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import concentration, entropy, fourier, holevo
 from .errors import ConfigError, DomainError
 from .frechet import MultivariateScalarFunction
-from .linalg import eigenvalues, hermitian_part, normalized_trace, spectral_map
+from .linalg import eigenvalues, hermitian_part, spectral_map
 from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel
 from .phifun import PhiFunction
 from .report import ARTIFACT_VERSION, CheckReport, SuiteReport, matrix_to_obj, sweep
@@ -171,13 +171,9 @@ def _char_f(rng, trial, run):
     t = float(rng.uniform(0.05, 0.95))
 
     def f_t(u, v):
-        mixed = t * u + (1 - t) * v
-        return float(
-            d
-            * normalized_trace(
-                t * scalar.apply(u) + (1 - t) * scalar.apply(v) - scalar.apply(mixed)
-            )
-        )
+        w = scalar.admit(eigenvalues(np.stack([u, v, t * u + (1 - t) * v])))
+        traces = scalar.fn(w).sum(axis=-1)
+        return float(t * traces[0] + (1 - t) * traces[1] - traces[2])
 
     pairs = tuple((random_pd(rng, d, 0.05), random_pd(rng, d, 0.05)) for _ in range(2))
     return [

@@ -22,8 +22,8 @@ from matphi.entropy import (
     phi_entropy,
 )
 from matphi.errors import DomainError
-from matphi.frechet import frechet_second
-from matphi.linalg import normalized_trace
+from matphi.frechet import frechet_derivative, frechet_second
+from matphi.linalg import hermitian_part, normalized_trace
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, ProductModel
 from matphi.phifun import PhiFunction
 from matphi.sampling import (
@@ -32,6 +32,7 @@ from matphi.sampling import (
     random_probability_vector,
     random_product_model,
     random_psd,
+    random_unitary,
     rng_for,
 )
 
@@ -255,6 +256,71 @@ def test_bregman_small_direction_expansions(phi):
     slope_b = np.polyfit(np.log(epsilons), np.log(residual_b), 1)[0]
     assert slope_a > 2.5
     assert slope_b > 2.5
+
+
+def _matrix_trace_bregman(phi, u, v):
+    """A, B and C as traces of the full Frechet derivative matrices."""
+    sf = phi.scalar()
+    a = np.trace(sf.apply(u + v) - sf.apply(u) - frechet_derivative(sf, u, v))
+    b = np.trace(frechet_derivative(sf, u + v, v) - frechet_derivative(sf, u, v))
+    return a.real, b.real, np.trace(frechet_second(sf, u, v, v)).real
+
+
+@pytest.mark.parametrize("phi", [*IN_CLASS, CUBE], ids=lambda phi: phi.label)
+def test_bregman_spectral_form_matches_matrix_traces(phi):
+    for d in range(1, 9):
+        for trial in range(4):
+            rng = rng_for(31, "bregman-reference", 10 * d + trial)
+            u, v = random_pd(rng, d, floor=0.05), random_psd(rng, d)
+            for got, want in zip(bregman_maps(phi, u, v), _matrix_trace_bregman(phi, u, v)):
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (d, trial)
+
+
+def _oracle_bregman(phi, u, v):
+    """A, B and C at 50 digits from the eigensystems of u and u + v, with
+    exact divided differences of Psi = Phi'."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    if phi.kind == "xlogx":
+        f, psi, dpsi = (lambda x: x * mpmath.log(x)), (lambda x: mpmath.log(x) + 1), (lambda x: 1 / x)
+    else:
+        p = mpmath.mpf(phi.p)
+        f, psi = (lambda x: x**p), (lambda x: p * x ** (p - 1))
+        dpsi = lambda x: p * (p - 1) * x ** (p - 2)
+    mu_, mv = mpmath.matrix(u.tolist()), mpmath.matrix(v.tolist())
+    lam, q = mpmath.eighe(mu_)
+    mu, p_ = mpmath.eighe(mu_ + mv)
+    vt, vh = q.H * mv * q, p_.H * mv * p_
+    d = len(lam)
+    first_u = sum(psi(lam[i]) * vt[i, i].real for i in range(d))
+    a = sum(f(x) for x in mu) - sum(f(x) for x in lam) - first_u
+    b = sum(psi(mu[i]) * vh[i, i].real for i in range(d)) - first_u
+    c = sum(
+        (dpsi(lam[i]) if i == j else (psi(lam[i]) - psi(lam[j])) / (lam[i] - lam[j]))
+        * abs(vt[i, j]) ** 2
+        for i in range(d) for j in range(d)
+    )
+    return float(a), float(b), float(c)
+
+
+@pytest.mark.parametrize("phi", [XLOGX, PhiFunction.power(1.5)], ids=lambda phi: phi.label)
+@pytest.mark.parametrize("width", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_bregman_against_mpmath_at_clustered_spectra(phi, width):
+    # two clusters of the given width, rotated by a random unitary
+    rng = rng_for(31, "bregman-oracle", int(-np.log10(width)))
+    spectrum = np.array([0.4, 0.4 + width, 1.3, 1.3 + width, 1.3 + 2 * width])
+    q = random_unitary(rng, 5)
+    u = hermitian_part((q * spectrum) @ q.conj().T)
+    v = random_psd(rng, 5)
+    for got, want in zip(bregman_maps(phi, u, v), _oracle_bregman(phi, u, v)):
+        assert abs(got - want) <= 1e-10 * abs(want), (got, want)
+
+
+def test_bregman_singular_u_is_out_of_the_xlogx_domain():
+    v = np.eye(3, dtype=complex)
+    for lowest in (0.0, -1e-12):
+        with pytest.raises(DomainError):
+            bregman_maps(XLOGX, np.diag([lowest, 0.5, 1.0]).astype(complex), v)
 
 
 def test_joint_convexity_quadratic_exact():

@@ -93,6 +93,14 @@ def test_product_model_round_trip():
         assert np.max(np.abs(model.values[k] - back.values[k])) < 1e-15
 
 
+@pytest.mark.parametrize("n", [7, 1, 0])
+def test_product_model_rejects_a_wrong_declared_n(n):
+    obj = product_model_to_obj(random_product_model(rng_for(61, "formats", 5), 2, 2), 2)
+    obj["n"] = n
+    with pytest.raises(ConfigError, match="input laws"):
+        product_model_from_obj(obj)
+
+
 def test_witness_is_boolean_function_plus_search_fields():
     result = search_lsi_counterexample(d=2, n=1, restarts=1, steps=20, seed=0)
     obj = witness_payload(result)

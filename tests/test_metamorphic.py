@@ -9,18 +9,25 @@ symmetries that need no second implementation:
 - a block-diagonal direct sum of two instances on the same law gives the
   two blocks' values averaged with weights d_1 and d_2.
 
+The three Bregman trace maps of char-b..d are plain traces instead, so
+under ⊗ I_k they gain the factor k and a direct sum adds the blocks.
+
 The relations are asserted on the quantities themselves to 1e-12
 relative, and the verdict of every check used must not move.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matphi.concentration import check_efron_stein, check_plus_identities, efron_stein_forms
 from matphi.entropy import (
+    bregman_maps,
+    bregman_pair_sampler,
     check_char_e,
     check_char_g,
+    check_joint_convexity,
     check_subadditivity,
     conditional_phi_entropy,
     duality_lower_bound,
@@ -44,6 +51,7 @@ from matphi.sampling import (
     random_law,
     random_pd,
     random_product_model,
+    random_psd,
     random_unit_hermitian,
     random_unitary,
     rng_for,
@@ -330,3 +338,42 @@ def test_char_e_metamorphic(seed, d, k):
         for got, factor in ((rotated, 1.0), (tensored, k)):
             assert abs(got.rhs - factor * base.rhs) <= REL * factor * scale
             assert got.holds == base.holds
+
+
+@CASES
+@given(seeds, dims, dims, ks)
+def test_bregman_maps_metamorphic(seed, d, d2, k):
+    rng = rng_for(seed, "metamorphic-bregman", 0)
+    u, v = random_pd(rng, d, floor=0.05), random_psd(rng, d)
+    u2, v2 = random_pd(rng, d2, floor=0.05), random_psd(rng, d2)
+    w = random_unitary(rng, d)
+    for phi in (*GENERATORS, PhiFunction.cube()):
+        base = np.array(bregman_maps(phi, u, v))
+        _close(bregman_maps(phi, _conj(u, w), _conj(v, w)), base)
+        _close(bregman_maps(phi, _tensor(u, k), _tensor(v, k)), k * base)
+        summed = bregman_maps(phi, _dsum(u, u2), _dsum(v, v2))
+        _close(summed, base + np.array(bregman_maps(phi, u2, v2)))
+
+
+@pytest.mark.parametrize(
+    "phi, d", [(GENERATORS[0], 2), (GENERATORS[1], 3), (PhiFunction.cube(), 1)],
+    ids=lambda x: getattr(x, "label", x),
+)
+def test_bregman_joint_convexity_verdicts_metamorphic(phi, d):
+    w = random_unitary(rng_for(0, "metamorphic-bregman-verdicts", d), d)
+    maps = {
+        "unitary": lambda a: _conj(a, w),
+        "tensor": lambda a: _tensor(a, 2),
+        "direct-sum": lambda a: _dsum(a, a),
+    }
+    for index in range(3):
+        def verdict(fmap=lambda a: a):
+            return check_joint_convexity(
+                lambda u, v: bregman_maps(phi, fmap(u), fmap(v))[index],
+                bregman_pair_sampler(d), trials=30, seed=5,
+            ).passed
+
+        base = verdict()
+        assert base == phi.in_entropy_class
+        for name, fmap in maps.items():
+            assert verdict(fmap) == base, (name, index)
