@@ -58,7 +58,6 @@ from .frechet import (
     frechet_second,
     inverse_derivative_superoperator,
     inverse_frechet_derivative,
-    inverse_map_derivatives,
     multivariate_partial_frechet,
 )
 from .holevo import (

@@ -276,11 +276,17 @@ def check_poincare_commuting(
 ) -> CheckReport:
     """Poincare bound for multivariate standard functions of commuting
     inputs, using the sup norm of the partial divided-difference tables."""
-    model = ProductModel.tabulate(laws, lambda xs: multivariate_apply(f, xs))
     sup_norms = []
-    for _, xs in model.iter_joint():
-        w = commuting_eigensystem(xs)[0]
-        sup_norms.append([np.max(np.abs(multivariate_dd_table(f, w, i))) for i in range(model.n)])
+
+    def evaluate(xs):
+        # the value and the n tables of an outcome share its one eigensystem
+        lambdas, u = commuting_eigensystem(xs)
+        sup_norms.append(
+            [np.max(np.abs(multivariate_dd_table(f, lambdas, i))) for i in range(len(xs))]
+        )
+        return multivariate_apply(f, lambdas, u)
+
+    model = ProductModel.tabulate(laws, evaluate)
     return _poincare_report("poincare-commuting", model, np.array(sup_norms, dtype=float) ** 2)
 
 

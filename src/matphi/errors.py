@@ -11,7 +11,11 @@ class NotHermitian(MatPhiError):
     pass
 
 
-class SpectrumOutOfDomain(MatPhiError):
+class DomainError(MatPhiError):
+    pass
+
+
+class SpectrumOutOfDomain(DomainError):
     def __init__(self, message, offending=()):
         super().__init__(message)
         self.offending = list(offending)
@@ -22,14 +26,6 @@ class DimensionMismatch(MatPhiError):
 
 
 class InvalidExponent(MatPhiError):
-    pass
-
-
-class DomainError(MatPhiError):
-    pass
-
-
-class SingularMatrix(MatPhiError):
     pass
 
 

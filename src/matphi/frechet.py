@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotCommuting, SingularMatrix, SingularSuperoperator
+from .errors import NotCommuting, SingularSuperoperator
 from .linalg import _require_hermitian_stack, hermitian_part, require_hermitian, spectral_decompose
 from .phifun import ScalarFunction
 
@@ -192,9 +192,11 @@ def multivariate_dd_table(
     return table
 
 
-def multivariate_apply(mf: MultivariateScalarFunction, xs: Sequence[np.ndarray]) -> np.ndarray:
-    """f(X_1, ..., X_n) for a commuting tuple via the joint spectrum."""
-    lambdas, u = commuting_eigensystem(xs)
+def multivariate_apply(
+    mf: MultivariateScalarFunction, lambdas: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """f(X_1, ..., X_n) for a commuting tuple from its joint eigensystem
+    (``commuting_eigensystem``)."""
     vals = np.array([mf.fn(lambdas[:, k]) for k in range(lambdas.shape[1])])
     return hermitian_part((u * vals) @ u.conj().T)
 
@@ -212,21 +214,6 @@ def multivariate_partial_frechet(
         raise IndexError(f"coordinate {i} out of range for n={mf.n}")
     lambdas, u = commuting_eigensystem(xs)
     return _schur(u, multivariate_dd_table(mf, lambdas, i), require_hermitian(e))
-
-
-def inverse_map_derivatives(g_at_a, dg, d2g):
-    """First and second derivatives of X -> X^{-1} composed with a map G,
-    given G(A), DG[A](h), and D^2 G[A](h, h)."""
-    g = np.asarray(g_at_a, dtype=complex)
-    s = np.linalg.svd(g, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > COND_MAX:
-        raise SingularMatrix("G(A) is numerically singular")
-    ginv = np.linalg.inv(g)
-    dg = np.asarray(dg, dtype=complex)
-    d2g = np.asarray(d2g, dtype=complex)
-    first = -ginv @ dg @ ginv
-    second = 2.0 * ginv @ dg @ ginv @ dg @ ginv - ginv @ d2g @ ginv
-    return first, second
 
 
 def _fd_scale(a: np.ndarray) -> float:

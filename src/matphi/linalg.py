@@ -143,18 +143,10 @@ REALS = SpectralInterval()
 NONNEGATIVE = SpectralInterval(0.0, np.inf)
 
 
-def apply_standard_function(
-    fn: Callable[[np.ndarray], np.ndarray],
-    a,
-    domain: SpectralInterval | None = None,
-) -> np.ndarray:
+def apply_standard_function(fn: Callable[[np.ndarray], np.ndarray], a) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix, or to each matrix of
     a (..., d, d) stack, through its spectrum."""
-
-    def on_domain(w):
-        return fn(w if domain is None else domain.admit(w))
-
-    return hermitian_part(spectral_map(on_domain, _require_hermitian_stack(a)))
+    return hermitian_part(spectral_map(fn, _require_hermitian_stack(a)))
 
 
 def normalized_trace(a) -> float:

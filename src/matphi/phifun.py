@@ -8,18 +8,21 @@ characterization checkers are expected to find violations for it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, SpectrumOutOfDomain
 from .linalg import (
     NONNEGATIVE,
     REALS,
     SpectralInterval,
     apply_standard_function,
+    spectral_tolerance,
 )
 
 
@@ -29,8 +32,8 @@ class ScalarFunction:
     Hermitian matrices through the spectral calculus.
 
     ``strict_lo`` marks functions that blow up at the lower endpoint
-    (e.g. log-like derivatives), which then require strictly positive
-    spectra.
+    (e.g. log-like derivatives), which then refuse eigenvalues at or
+    within the spectral tolerance above it.
     """
 
     name: str
@@ -41,15 +44,20 @@ class ScalarFunction:
     strict_lo: bool = False
 
     def admit(self, w: np.ndarray) -> np.ndarray:
+        """The (..., d) spectra clamped into the domain; the strict
+        endpoint test reads them before the clamp moves them."""
+        w = np.asarray(w, dtype=float)
         try:
-            w = self.domain.admit(w)
-        except Exception as exc:
-            raise DomainError(f"{self.name}: {exc}") from exc
-        if self.strict_lo and np.any(w <= self.domain.lo):
-            raise DomainError(
-                f"{self.name} requires eigenvalues strictly above {self.domain.lo}"
-            )
-        return w
+            clamped = self.domain.admit(w)
+        except SpectrumOutOfDomain as exc:
+            raise SpectrumOutOfDomain(f"{self.name}: {exc}", exc.offending) from exc
+        if self.strict_lo:
+            low = w <= self.domain.lo + spectral_tolerance(w.shape[-1])
+            if np.any(low):
+                raise SpectrumOutOfDomain(
+                    f"{self.name} requires eigenvalues strictly above {self.domain.lo}", w[low]
+                )
+        return clamped
 
     def apply(self, a) -> np.ndarray:
         """Standard matrix function f(A) via the spectral decomposition."""
@@ -74,6 +82,32 @@ def _power_term(coeff: float, expo: float):
     return term
 
 
+def _power_stack(p: float) -> tuple:
+    """x^p and its first four derivatives; each coefficient is the
+    left-to-right product 1.0 * p * (p - 1) * ..."""
+    coeffs = itertools.accumulate((p - j for j in range(4)), operator.mul, initial=1.0)
+    return tuple(_power_term(coeff, p - order) for order, coeff in enumerate(coeffs))
+
+
+# kind -> a generator's stack (Phi, Phi', ..., Phi'''') and whether Phi is
+# a polynomial; a new family is one entry
+FAMILIES: dict[str, Callable[["PhiFunction"], tuple[tuple, bool]]] = {
+    "affine": lambda g: ((
+        lambda x: g.a * np.asarray(x, dtype=float) + g.b,
+        lambda x: np.full_like(np.asarray(x, dtype=float), g.a),
+        *(_power_term(0.0, 0.0),) * 3,
+    ), True),
+    "power": lambda g: (_power_stack(g.p), g.p == int(g.p)),
+    "cube": lambda g: (_power_stack(3.0), True),
+    # x log x, log x + 1, then (-1)^k (k - 2)! x^(1 - k)
+    "xlogx": lambda g: ((
+        _xlogx,
+        lambda x: np.log(np.asarray(x, dtype=float)) + 1.0,
+        *(_power_term((-1.0) ** k * math.factorial(k - 2), 1.0 - k) for k in (2, 3, 4)),
+    ), False),
+}
+
+
 def _parameter(text: str, descriptor: str) -> float:
     """A finite number of a phi descriptor."""
     try:
@@ -90,13 +124,35 @@ class PhiFunction:
     """Entropy generator Phi with derivatives up to fourth order.
 
     Kinds: ``affine`` (a*x + b), ``power`` (x^p, p in [1, 2]), ``xlogx``,
-    and ``cube`` (x^3, the out-of-class negative control).
+    and ``cube`` (x^3, the out-of-class negative control). ``derivatives``
+    is the kind's ``FAMILIES`` stack; Phi and Psi = Phi' are built from it
+    once, on the whole line for polynomial members and on [0, inf)
+    otherwise, where Psi needs strictly positive spectra.
     """
 
     kind: str
     a: float = 1.0
     b: float = 0.0
     p: float = 2.0
+    derivatives: tuple = field(init=False, repr=False, compare=False)
+    _scalar: ScalarFunction = field(init=False, repr=False, compare=False)
+    _psi: ScalarFunction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in FAMILIES:
+            raise ConfigError(f"unknown phi kind {self.kind!r}")
+        stack, polynomial = FAMILIES[self.kind](self)
+        domain = REALS if polynomial else NONNEGATIVE
+        psi = ScalarFunction(
+            f"d({self.label})", *stack[1:4], domain=domain, strict_lo=not polynomial
+        )
+        object.__setattr__(self, "derivatives", stack)
+        object.__setattr__(self, "_scalar", ScalarFunction(self.label, *stack[0:3], domain=domain))
+        object.__setattr__(self, "_psi", psi)
+
+    def __reduce__(self):
+        # the stack holds closures, so a copy rebuilds it from the parameters
+        return type(self), (self.kind, self.a, self.b, self.p)
 
     @classmethod
     def affine(cls, a: float, b: float) -> "PhiFunction":
@@ -149,78 +205,13 @@ class PhiFunction:
     def in_entropy_class(self) -> bool:
         return self.kind != "cube"
 
-    def _derivative_fn(self, order: int) -> Callable[[np.ndarray], np.ndarray]:
-        if self.kind == "affine":
-            if order == 0:
-                return lambda x: self.a * np.asarray(x, dtype=float) + self.b
-            if order == 1:
-                return lambda x: np.full_like(np.asarray(x, dtype=float), self.a)
-            return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind in ("power", "cube"):
-            p = 3.0 if self.kind == "cube" else self.p
-            coeff = 1.0
-            for j in range(order):
-                coeff *= p - j
-            return _power_term(coeff, p - order)
-        if self.kind == "xlogx":
-            if order == 0:
-                return _xlogx
-            if order == 1:
-                return lambda x: np.log(np.asarray(x, dtype=float)) + 1.0
-            sign = 1.0 if order % 2 == 0 else -1.0
-            coeff = sign * float(math.factorial(order - 2))
-            return _power_term(coeff, float(1 - order))
-        raise ConfigError(f"unknown phi kind {self.kind!r}")
-
-    def d1(self, x):
-        return self._derivative_fn(1)(x)
-
-    def d2(self, x):
-        return self._derivative_fn(2)(x)
-
-    def d3(self, x):
-        return self._derivative_fn(3)(x)
-
-    def d4(self, x):
-        return self._derivative_fn(4)(x)
-
-    @property
-    def _polynomial(self) -> bool:
-        return (
-            self.kind in ("affine", "cube")
-            or (self.kind == "power" and self.p == int(self.p))
-        )
-
     def scalar(self) -> ScalarFunction:
-        """Phi itself as a ScalarFunction on its natural domain
-        (polynomial members act on the whole line)."""
-        domain = REALS if self._polynomial else NONNEGATIVE
-        return ScalarFunction(
-            name=self.label,
-            fn=self._derivative_fn(0),
-            d1=self._derivative_fn(1),
-            d2=self._derivative_fn(2),
-            domain=domain,
-        )
+        """Phi itself as a ScalarFunction on its natural domain."""
+        return self._scalar
 
     def psi(self) -> ScalarFunction:
-        """Psi = Phi' with its own derivative stack.
-
-        For the non-polynomial members the derivatives of Psi are singular
-        at 0, so strictly positive spectra are required.
-        """
-        if self._polynomial:
-            domain, strict = REALS, False
-        else:
-            domain, strict = NONNEGATIVE, True
-        return ScalarFunction(
-            name=f"d({self.label})",
-            fn=self._derivative_fn(1),
-            d1=self._derivative_fn(2),
-            d2=self._derivative_fn(3),
-            domain=domain,
-            strict_lo=strict,
-        )
+        """Psi = Phi' with its own derivative stack."""
+        return self._psi
 
 
 IDENTITY = ScalarFunction(

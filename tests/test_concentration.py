@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
-from matphi import concentration
+from matphi import concentration, frechet
 from matphi.concentration import (
     FD_STEP,
     MC_BATCHES,
@@ -313,9 +313,10 @@ def test_poincare_commuting_diagonalizes_each_outcome_once(monkeypatch):
     )
     eigensystem = concentration.commuting_eigensystem
     calls = []
-    monkeypatch.setattr(
-        concentration, "commuting_eigensystem", lambda xs: calls.append(1) or eigensystem(xs)
-    )
+    for module in (concentration, frechet):
+        monkeypatch.setattr(
+            module, "commuting_eigensystem", lambda xs: calls.append(1) or eigensystem(xs)
+        )
     rep = check_poincare_commuting(laws, f)
     assert len(calls) == 8
     bound = 0.0

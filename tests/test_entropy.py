@@ -323,6 +323,17 @@ def test_bregman_singular_u_is_out_of_the_xlogx_domain():
             bregman_maps(XLOGX, np.diag([lowest, 0.5, 1.0]).astype(complex), v)
 
 
+def test_bregman_rotated_singular_u_is_refused():
+    # a rotation leaves the zero eigenvalue of u at +-1e-17 or so; a rounded
+    # +1e-17 must not pass Psi = log x + 1 as a positive spectrum
+    v = np.eye(3, dtype=complex)
+    for index in range(200):
+        q = random_unitary(rng_for(31, "singular-u", index), 3)
+        u = q @ np.diag([0.0, 0.5, 1.0]) @ q.conj().T
+        with pytest.raises(DomainError):
+            bregman_maps(XLOGX, u, v)
+
+
 def test_joint_convexity_quadratic_exact():
     def c_map(u, v):
         return bregman_maps(SQUARE, u, v)[2]
@@ -373,9 +384,7 @@ def test_char_e_scalar_oracle():
     for phi, a in [(XLOGX, 2.0), (PhiFunction.power(1.5), 1.0), (PhiFunction.power(1.2), 0.8)]:
         h = k = 1.0
         res = check_char_e(phi, np.array([[a]]), np.array([[h]]), np.array([[k]]))
-        d2, d3, d4 = (float(phi.d2(np.array([a]))[0]),
-                      float(phi.d3(np.array([a]))[0]),
-                      float(phi.d4(np.array([a]))[0]))
+        d2, d3, d4 = (float(phi.derivatives[order](np.array([a]))[0]) for order in (2, 3, 4))
         lhs_expect = d4 * k**2 * h**2 / d2**2
         rhs_expect = 2.0 * d3**2 * k**2 * h**2 / d2**3
         assert res.lhs == pytest.approx(lhs_expect, rel=1e-4)

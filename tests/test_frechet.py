@@ -1,13 +1,14 @@
 """Divided differences, derivative Schur multipliers and their inverses."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matphi.errors import DomainError, NotCommuting, SingularSuperoperator
+from matphi.errors import ConfigError, DomainError, NotCommuting, SingularSuperoperator
 from matphi.frechet import (
     COND_MAX,
     MultivariateScalarFunction,
@@ -21,7 +22,6 @@ from matphi.frechet import (
     frechet_second,
     inverse_derivative_superoperator,
     inverse_frechet_derivative,
-    inverse_map_derivatives,
     multivariate_dd_table,
     multivariate_partial_frechet,
 )
@@ -84,6 +84,45 @@ SCALAR_FUNCTIONS = [
     sf for g in GENERATORS for sf in (PhiFunction.parse(g).scalar(), PhiFunction.parse(g).psi())
 ]
 AXIS_ORDERS = list(itertools.permutations(range(3)))
+
+
+@pytest.mark.parametrize("descriptor", GENERATORS)
+def test_derivative_stack_matches_oracle(descriptor):
+    # each family-table stack against 30-digit differentiation of Phi alone
+    mpmath = pytest.importorskip("mpmath")
+    gen = PhiFunction.parse(descriptor)
+    phi = {
+        "xlogx": lambda x: x * mpmath.log(x),
+        "affine": lambda x: gen.a * x + gen.b,
+    }.get(gen.kind, lambda x: x ** mpmath.mpf(3 if gen.kind == "cube" else gen.p))
+    points = np.array([0.05, 0.3, 1.0, 2.7])
+    assert len(gen.derivatives) == 5
+    with mpmath.workdps(30):
+        for order, fn in enumerate(gen.derivatives):
+            values = fn(points)
+            for x, value in zip(points, values):
+                expect = float(mpmath.diff(phi, mpmath.mpf(float(x)), order))
+                assert value == pytest.approx(expect, rel=1e-14, abs=1e-20), (order, x)
+
+
+def test_generator_builds_its_calculus_once():
+    for descriptor in GENERATORS:
+        gen = PhiFunction.parse(descriptor)
+        assert gen.scalar() is gen.scalar()
+        assert gen.psi() is gen.psi()
+        assert gen.scalar().fn is gen.derivatives[0]
+        assert gen.psi().fn is gen.derivatives[1]
+        copy = pickle.loads(pickle.dumps(gen))
+        assert copy == gen and copy.psi().name == gen.psi().name
+        assert copy.derivatives[0](np.array([2.0])) == gen.derivatives[0](np.array([2.0]))
+
+
+def test_generator_identity_is_its_parameters():
+    with pytest.raises(ConfigError):
+        PhiFunction(kind="bogus")
+    assert PhiFunction.parse("power:1.5") == PhiFunction.power(1.5)
+    assert hash(PhiFunction.parse("power:1.5")) == hash(PhiFunction.power(1.5))
+    assert PhiFunction.parse("power:1.5") != PhiFunction.power(1.2)
 
 
 def _oracle_tables(name, w):
@@ -488,31 +527,6 @@ def test_commuting_eigensystem_degenerate_split():
     recon2 = (u * lambdas[1]) @ u.conj().T
     assert np.max(np.abs(recon1 - x1)) < 1e-9
     assert np.max(np.abs(recon2 - x2)) < 1e-9
-
-
-def test_inverse_map_derivatives_identity_base():
-    e = np.array([[0.0, 1.0], [1.0, 0.0]])
-    first, second = inverse_map_derivatives(np.eye(2), e, np.zeros((2, 2)))
-    assert np.allclose(first, -e)
-    assert np.allclose(second, 2.0 * e @ e)
-
-
-def test_inverse_map_derivatives_scalar_calculus():
-    # g(a) = a^2: d/dt (a + t h)^{-2} at 0 is -2 h / a^3
-    a, h = 1.7, 0.6
-    g = np.array([[a**2]])
-    dg = np.array([[2 * a * h]])
-    first, _ = inverse_map_derivatives(g, dg, np.array([[2 * h * h]]))
-    assert first[0, 0] == pytest.approx(-2 * h / a**3, rel=1e-12)
-
-
-def test_inverse_map_derivatives_match_fd():
-    rng = rng_for(21, "frechet", 19)
-    g = random_pd(rng, 3, floor=0.5)
-    dg = random_hermitian(rng, 3)
-    first, _ = inverse_map_derivatives(g, dg, np.zeros((3, 3)))
-    fd = fd_frechet(np.linalg.inv, g, dg)
-    assert np.max(np.abs(first - fd)) < 1e-7
 
 
 def test_vec_column_stacking():

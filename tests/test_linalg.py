@@ -31,7 +31,10 @@ from matphi.linalg import (
     tr_xlogx,
 )
 from matphi.models import DiscreteRandomMatrix, FiniteLaw
+from matphi.phifun import ScalarFunction
 from matphi.sampling import random_hermitian, random_psd, random_unitary, rng_for
+
+SQRT = ScalarFunction("sqrt", np.sqrt, domain=NONNEGATIVE)
 
 
 def test_spectral_identity():
@@ -104,20 +107,20 @@ def test_standard_function_xlogx_half_identity():
         out[pos] = x[pos] * np.log(x[pos])
         return out
 
-    result = apply_standard_function(xlogx, 0.5 * np.eye(2), NONNEGATIVE)
+    result = ScalarFunction("xlogx", xlogx, domain=NONNEGATIVE).apply(0.5 * np.eye(2))
     assert np.allclose(result, 0.5 * np.log(0.5) * np.eye(2))
 
 
 def test_standard_function_domain_violation():
     with pytest.raises(SpectrumOutOfDomain) as err:
-        apply_standard_function(np.sqrt, np.diag([1.0, -2.0]), NONNEGATIVE)
+        SQRT.apply(np.diag([1.0, -2.0]))
     assert any(v < 0 for v in err.value.offending)
 
 
 def test_spectral_mapping():
     rng = rng_for(11, "linalg", 2)
     a = random_psd(rng, 4)
-    out = apply_standard_function(np.sqrt, a, NONNEGATIVE)
+    out = SQRT.apply(a)
     expect = np.sort(np.sqrt(np.clip(np.linalg.eigvalsh(a), 0, None)))
     assert np.allclose(np.linalg.eigvalsh(out), expect, atol=1e-9)
 
@@ -252,8 +255,7 @@ def test_stacked_helpers_match_per_matrix(d):
                 [schatten_norm(m, p, normalized) for m in herm],
             )
     assert np.array_equal(
-        apply_standard_function(np.sqrt, psd, NONNEGATIVE),
-        np.stack([apply_standard_function(np.sqrt, m, NONNEGATIVE) for m in psd]),
+        SQRT.apply(psd), np.stack([SQRT.apply(m) for m in psd]),
     )
     # a law expectation over a (K, ...) stack of per-value quantities;
     # dyadic weights and integer entries make every summation order exact
