@@ -26,12 +26,13 @@ from .linalg import (
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from .report import CheckReport
-from .sampling import random_hermitian, rng_for
+from .sampling import random_hermitian, random_signs, rng_for
 
 FORM_AGREEMENT_TOL = 1e-10
 MC_BATCHES = 10  # batch means give the Gaussian checks their standard errors
 FD_STEP = 1e-5  # central-difference step of the derivative estimates
-CLT_BLOCK_SIGNS = 2**17  # Rademacher signs per generator call (1 MB of int64)
+CLT_BLOCK_SIGNS = 2**17  # Rademacher signs per block: 512 KB of generator words, 512 KB of float32
+CLT_MAX_TERMS = 2**24  # float32 sums of at most this many signs are exact
 
 
 def variance(law: DiscreteRandomMatrix) -> float:
@@ -135,15 +136,22 @@ def check_plus_identities(law: DiscreteRandomMatrix, q: int) -> CheckReport:
     )
 
 
-def _as_matrix(v) -> np.ndarray:
+def _as_matrix(v, lead: tuple = ()) -> np.ndarray:
+    """v as a matrix, or as a stack of them on the leading axes ``lead``;
+    scalars become 1 x 1."""
     v = np.asarray(v, dtype=complex)
-    return v.reshape(1, 1) if v.ndim == 0 else v
+    return v.reshape(*lead, 1, 1) if v.ndim == len(lead) else v
+
+
+def _takes_stack(fn: Callable, points) -> bool:
+    """Whether fn, opted in by a true ``_stacked``, maps the (m, n) array points at once."""
+    return getattr(fn, "_stacked", False) and isinstance(points, np.ndarray)
 
 
 def _values(fn: Callable, points) -> np.ndarray:
-    """fn(x) per point as a stack of matrices; a ``_stacked`` fn maps an (m, n) array at once."""
-    if getattr(fn, "_stacked", False) and isinstance(points, np.ndarray):
-        return fn(points)
+    """fn(x) per point as a stack of matrices, in one call when fn takes stacks."""
+    if _takes_stack(fn, points):
+        return _as_matrix(fn(points), (len(points),))
     return np.stack([_as_matrix(fn(x)) for x in points])
 
 
@@ -162,7 +170,8 @@ def _energy(
     (m, n) array.
 
     ``partial(x, i)`` gives the exact derivative, or its norm, when
-    supplied. Otherwise central differences of step FD_STEP stand in:
+    supplied; a ``_stacked`` partial gives it at all m real points in one
+    call. Otherwise central differences of step FD_STEP stand in:
     along the coordinates of an (m, n) stack of real points, or, at
     tuples of matrices, as the largest difference over ``directions``
     unit Hermitian directions drawn from ``rng`` per point and
@@ -170,7 +179,10 @@ def _energy(
     if n == 0 or not len(points):
         return np.zeros((len(points), n))
     if partial is not None:
-        derivs = np.array([_as_matrix(partial(x, i)) for x in points for i in range(n)])
+        if _takes_stack(partial, points):
+            derivs = np.stack([_as_matrix(partial(points, i), (len(points),)) for i in range(n)], 1)
+        else:
+            derivs = np.array([_as_matrix(partial(x, i)) for x in points for i in range(n)])
         return np.sum(np.abs(derivs) ** 2, axis=(-2, -1)).reshape(-1, n)
 
     def central(shifted, m):
@@ -308,18 +320,24 @@ def gue_clt_sample(d: int, m: int, count: int, rng: np.random.Generator) -> np.n
     converging to the Gaussian ensemble: S = m^{-1/2} sum_j eps_j Y_j with
     Y_j = ((W_j + i W_j') + (W_j + i W_j')†) / 2 for Rademacher W, W'.
 
-    Each draw reads W, then W', then eps; the signs come in blocks of
-    whole draws of at most CLT_BLOCK_SIGNS signs per generator call. The
-    sums A + i B = sum_j eps_j (W_j + i W_j') are exact integers, so
+    Each draw reads W, then W', then eps, as ``1 - 2 * rng.integers(0,
+    2)`` values (``2 * integers - 1`` would flip eps and W alike and leave
+    every product as it is); the signs come from ``random_signs`` in
+    blocks of whole draws of at most CLT_BLOCK_SIGNS signs. The sums
+    A + i B = sum_j eps_j (W_j + i W_j') are integers of size at most
+    m <= CLT_MAX_TERMS, exact in float32 in any order, so
     (A + i B + (A + i B)†) / 2 is the sum of the Y_j bit for bit."""
+    if not 1 <= m <= CLT_MAX_TERMS:
+        raise ValueError(f"m must lie in [1, {CLT_MAX_TERMS}], got {m}")
     per_draw = m * (2 * d * d + 1)
     block = max(1, CLT_BLOCK_SIGNS // per_draw)
     out = np.empty((count, d, d), dtype=complex)
     for start in range(0, count, block):
         k = min(block, count - start)
-        signs = rng.integers(0, 2, size=(k, per_draw)) * 2 - 1
-        w = signs[:, : 2 * m * d * d].reshape(k, 2, m, d, d)
-        a, b = np.einsum("kj,kwjab->wkab", signs[:, 2 * m * d * d:], w)
+        signs = random_signs(rng, k * per_draw).reshape(k, per_draw)
+        w = signs[:, : 2 * m * d * d].reshape(k, 2, m, d * d)
+        eps = signs[:, None, None, 2 * m * d * d:]
+        a, b = np.moveaxis((eps @ w).reshape(k, 2, d, d).astype(float), 1, 0)
         s = a + 1j * b
         out[start:start + k] = 0.5 * (s + s.conj().swapaxes(-1, -2)) / np.sqrt(m)
     return out
@@ -376,8 +394,8 @@ def check_gaussian_poincare(
     the right side, flagged in the report), drawn after the batch's
     inputs."""
     scalar_inputs = d1 == 1
-    probe_point = np.zeros(n) if scalar_inputs else tuple(np.zeros((n, d1, d1), dtype=complex))
-    d = _as_matrix(evaluator(probe_point)).shape[0]
+    probe = np.zeros((1, n)) if scalar_inputs else [tuple(np.zeros((n, d1, d1), dtype=complex))]
+    d = _values(evaluator, probe).shape[-1]
     partial = partials if scalar_inputs else partial_norm
 
     def statistic(rng, count):
@@ -418,7 +436,7 @@ def check_gaussian_sobolev(
 
     return _batch_means(
         "gaussian-sobolev", "gaussian-sobolev", statistic, seed, samples,
-        details={"p": p}, d=_as_matrix(evaluator(np.zeros(n))).shape[0], n=n,
+        details={"p": p}, d=_values(evaluator, np.zeros((1, n))).shape[-1], n=n,
     )
 
 
@@ -438,5 +456,5 @@ def check_gaussian_logsobolev(
 
     return _batch_means(
         "gaussian-log-sobolev", "gaussian-logsobolev", statistic, seed, samples,
-        d=_as_matrix(evaluator(np.zeros(n))).shape[0], n=n,
+        d=_values(evaluator, np.zeros((1, n))).shape[-1], n=n,
     )

@@ -342,15 +342,27 @@ _LSI_B1 = np.array([[0.3, 0.1j], [-0.1j, -0.2]], dtype=complex)
 _LSI_B2 = np.array([[-0.1, 0.2], [0.2, 0.4]], dtype=complex)
 
 
+def _stack_native(fn):
+    """fn, marked as taking one real point or an (m, n) stack of them with
+    the same bits per point: the ``_stacked`` opt-in of ``concentration``."""
+    fn._stacked = True
+    return fn
+
+
+_coordinate_sum = _stack_native(lambda x: np.sum(x, axis=-1))
+_unit_partial = _stack_native(lambda x, i: np.ones(np.shape(x)[:-1]))
+# libm pow, which the scalar x[0] ** 2 calls; an array's ** 2 multiplies
+_first_square = _stack_native(lambda x: np.float_power(x[..., 0], 2))
+_first_square_partial = _stack_native(lambda x, i: 2.0 * x[..., 0])
+_sobolev_exp = _stack_native(lambda x: np.exp(x[..., 0] / 4.0)[..., None, None] * _SOBOLEV_BASE)
+
+
+@_stack_native
 def _clipped_poly(x):
-    # a real combination of Hermitian constants is exactly Hermitian; x is one
-    # point or an (m, 2) stack of points, each point giving the same bits
+    # a real combination of Hermitian constants is exactly Hermitian
     x = np.asarray(x)[..., None, None]
     m = _LSI_B0 + x[..., 0, :, :] * _LSI_B1 + x[..., 1, :, :] * _LSI_B2
     return hermitian_part(spectral_map(lambda w: np.clip(w, 0.0, None), m)) + 0.2 * np.eye(2)
-
-
-_clipped_poly._stacked = True
 
 
 # ---------------------------------------------------------------- fourier
@@ -545,16 +557,15 @@ SUITES = {
         "gue-moments": _gue_moments,
         "gue-ks": _gue_ks,
         "gaussian-poincare-additive": _gaussian(
-            concentration.check_gaussian_poincare, lambda x: float(np.sum(x)), (1, 4),
-            partials=lambda x, i: 1.0,
+            concentration.check_gaussian_poincare, _coordinate_sum, (1, 4),
+            partials=_unit_partial,
         ),
         "gaussian-poincare-square": _gaussian(
-            concentration.check_gaussian_poincare, lambda x: float(x[0] ** 2), (1, 1),
-            partials=lambda x, i: 2.0 * x[0],
+            concentration.check_gaussian_poincare, _first_square, (1, 1),
+            partials=_first_square_partial,
         ),
         "gaussian-sobolev-exp": _gaussian(
-            concentration.check_gaussian_sobolev,
-            lambda x: float(np.exp(x[0] / 4.0)) * _SOBOLEV_BASE, (2, 2), p=1.5,
+            concentration.check_gaussian_sobolev, _sobolev_exp, (2, 2), p=1.5
         ),
         "gaussian-log-sobolev-poly": _gaussian(
             concentration.check_gaussian_logsobolev, _clipped_poly, (2, 2)

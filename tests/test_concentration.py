@@ -426,15 +426,28 @@ def _gue_clt_per_draw(d, m, rng):
     return np.tensordot(eps, y, axes=1) / np.sqrt(m)
 
 
-# counts that span several sign blocks, and one that fits in a block
-@pytest.mark.parametrize("d, m, count", [(1, 64, 1500), (2, 256, 300), (3, 256, 60), (2, 1, 40)])
+# counts that span several sign blocks, and one that fits in a block; odd
+# sign counts leave half a generator word waiting, and (1, 1001, 60) does so
+# at the end of its first block of 43 draws
+@pytest.mark.parametrize("d, m, count", [
+    (1, 64, 1500), (2, 256, 300), (3, 256, 60), (2, 1, 40), (2, 1, 41), (1, 3, 7),
+    (1, 1001, 60),
+])
 def test_stacked_gue_samplers_keep_the_per_draw_streams(d, m, count):
     want_rng, rng = rng_for(11, "streams", d), rng_for(11, "streams", d)
     want_clt = np.stack([_gue_clt_per_draw(d, m, want_rng) for _ in range(count)])
     want_gue = np.stack([_sample_gue_per_draw(d, want_rng) for _ in range(count)])
-    # drawn one after the other, so each must also consume exactly its share
+    # drawn one after the other, so each must also consume exactly its share;
+    # normal draws skip a waiting half, the closing integers read it
     assert np.array_equal(gue_clt_sample(d, m, count, rng), want_clt)
     assert np.array_equal(sample_gue(d, count, rng), want_gue)
+    assert np.array_equal(rng.integers(0, 2, 9), want_rng.integers(0, 2, 9))
+
+
+@pytest.mark.parametrize("m", [-1, 0, concentration.CLT_MAX_TERMS + 1])
+def test_gue_clt_sample_rejects_term_counts_outside_exact_float32_sums(m):
+    with pytest.raises(ValueError, match="m must lie"):
+        gue_clt_sample(2, m, 1, rng_for(0, "clt-m"))
 
 
 def _hermitian_per_matrix(d, rng):
@@ -609,17 +622,49 @@ def test_gaussian_logsobolev_constant():
     assert rep.passed
 
 
-def test_stacked_evaluator_matches_per_point_bits():
-    # the suite's log-Sobolev evaluator maps whole stacks of points; the
-    # report must equal the one from calling it point by point
-    from matphi.suites import _clipped_poly
+def _per_point(fn):
+    """fn without the stack opt-in, so the checks call it one point at a time."""
+    return lambda *args: fn(*args)
 
-    xs = np.random.default_rng(3).standard_normal((500, 2)) * 3.0
-    per_point = np.stack([_clipped_poly(x) for x in xs])
-    assert np.array_equal(_clipped_poly(xs).view(np.uint64), per_point.view(np.uint64))
-    stacked = check_gaussian_logsobolev(_clipped_poly, n=2, samples=1000, seed=4)
-    looped = check_gaussian_logsobolev(lambda x: _clipped_poly(x), n=2, samples=1000, seed=4)
-    assert stacked.to_dict() == looped.to_dict()
+
+_SCALAR_SOBOLEV_BASE = np.array([[1.2, 0.3 + 0.1j], [0.3 - 0.1j, 0.8]], dtype=complex)
+
+
+def test_stacked_evaluator_matches_per_point_bits():
+    # the suite's stack-native evaluators and partials map whole stacks of
+    # points; at the ends of their n clamps, values, energies and reports must
+    # equal those from calling them point by point, and the values must also
+    # keep the bits of the scalar expressions they replaced
+    from matphi import suites
+
+    cases = [
+        (check_gaussian_poincare, suites._coordinate_sum, lambda x: float(np.sum(x)), (1, 4),
+         {"partials": suites._unit_partial}),
+        (check_gaussian_poincare, suites._first_square, lambda x: float(x[0] ** 2), (1,),
+         {"partials": suites._first_square_partial}),
+        (check_gaussian_sobolev, suites._sobolev_exp,
+         lambda x: float(np.exp(x[0] / 4.0)) * _SCALAR_SOBOLEV_BASE, (2,), {"p": 1.5}),
+        (check_gaussian_logsobolev, suites._clipped_poly, None, (2,), {}),
+    ]
+    for check, evaluator, scalar, ns, options in cases:
+        looped = {key: _per_point(v) if callable(v) else v for key, v in options.items()}
+        for n in ns:
+            xs = np.random.default_rng(3).standard_normal((20_000, n)) * 3.0
+            values = concentration._values(evaluator, xs)
+            for reference in filter(None, (_per_point(evaluator), scalar)):
+                want = concentration._values(reference, xs)
+                assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+            if "partials" in options:
+                energy = concentration._energy(evaluator, xs, n, options["partials"])
+                assert np.array_equal(energy, concentration._energy(evaluator, xs, n, looped["partials"]))
+            stacked = check(evaluator, n=n, samples=1000, seed=4, **options)
+            per_point = check(_per_point(evaluator), n=n, samples=1000, seed=4, **looped)
+            assert stacked.to_dict() == per_point.to_dict()
+    # a stacked partial whose coordinates differ keeps the (point, coordinate) order
+    partial = suites._stack_native(lambda x, i: (i + 1.0) * x[..., i])
+    xs = np.random.default_rng(5).standard_normal((50, 3))
+    energy = concentration._energy(None, xs, 3, partial)
+    assert np.array_equal(energy, concentration._energy(None, xs, 3, _per_point(partial)))
 
 
 def test_gaussian_logsobolev_classical_equality_family():
