@@ -88,7 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("MATPHI_SEED", "42"))
+        text = os.environ.get("MATPHI_SEED", "42")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ConfigError(f"MATPHI_SEED must be an integer, got {text!r}") from None
     trials = args.trials
     if trials is None:
         search = args.command == "search" and args.target == "lsi-counterexample"

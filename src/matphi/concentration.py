@@ -25,7 +25,7 @@ from .linalg import (
     spectral_map,
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
-from .report import CheckReport
+from .report import CheckReport, relative_tol, verdict
 from .sampling import random_hermitian, random_signs, rng_for
 
 FORM_AGREEMENT_TOL = 1e-10
@@ -61,21 +61,26 @@ def efron_stein_forms(model: ProductModel) -> tuple[float, float, float]:
     return tuple(float(x) for x in forms)
 
 
+def forms_gap(forms) -> tuple[float, float]:
+    """How far equivalent computed forms of one quantity stray from the
+    first, and the tolerance FORM_AGREEMENT_TOL relative to the first."""
+    first, *rest = forms
+    return max(abs(first - form) for form in rest), relative_tol(FORM_AGREEMENT_TOL, first)
+
+
+def agreed_form(forms, what: str) -> float:
+    """The first of equivalent forms; their disagreement raises, because it
+    can only indicate a bug."""
+    gap, tol = forms_gap(forms)
+    if gap > tol:
+        raise MatPhiError(f"{what} disagree: " + " ".join(repr(form) for form in forms))
+    return forms[0]
+
+
 def efron_stein_quantity(model: ProductModel) -> float:
     """E(Z) by exact enumeration; the three equivalent forms are
-    cross-checked on every call, and a disagreement raises because it can
-    only indicate a bug."""
-    form_replace, form_condvar, form_plus = efron_stein_forms(model)
-    scale = 1.0 + abs(form_replace)
-    if (
-        abs(form_replace - form_condvar) > FORM_AGREEMENT_TOL * scale
-        or abs(form_replace - form_plus) > FORM_AGREEMENT_TOL * scale
-    ):
-        raise MatPhiError(
-            "equivalent resampling forms disagree: "
-            f"{form_replace!r} {form_condvar!r} {form_plus!r}"
-        )
-    return form_replace
+    cross-checked on every call."""
+    return agreed_form(efron_stein_forms(model), "equivalent resampling forms")
 
 
 def check_efron_stein(model: ProductModel) -> CheckReport:
@@ -83,15 +88,8 @@ def check_efron_stein(model: ProductModel) -> CheckReport:
     law = model.to_law()
     var = variance(law)
     bound = efron_stein_quantity(model)
-    tol = 1e-9 * (1.0 + abs(var) + abs(bound))
-    gap = var - bound
-    return CheckReport(
-        check="efron-stein",
-        passed=gap <= tol,
-        max_gap=float(gap),
-        tol=tol,
-        d=law.d,
-        n=model.n,
+    return verdict(
+        "efron-stein", var - bound, relative_tol(1e-9, var, bound), d=law.d, n=model.n,
         details={"variance": var, "bound": bound},
     )
 
@@ -124,14 +122,9 @@ def check_plus_identities(law: DiscreteRandomMatrix, q: int) -> CheckReport:
     sq = 0.5 * np.tensordot(pair_w, diff @ diff, axes=2)
     dev3 = float(np.max(np.abs(law.expect(centered @ centered) - sq)))
 
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(law.values))) ** q)
-    max_dev = max(dev1, dev2, dev3)
-    return CheckReport(
-        check="plus-identities",
-        passed=max_dev <= tol,
-        max_gap=max_dev,
-        tol=tol,
-        d=law.d,
+    return verdict(
+        "plus-identities", max(dev1, dev2, dev3),
+        relative_tol(1e-10, float(np.max(np.abs(law.values))) ** q), d=law.d,
         details={"q": q, "centered": dev1, "paired": dev2, "halved_square": dev3},
     )
 
@@ -225,7 +218,8 @@ def _spot_check_convexity(
 
         mid_val = at(0.5 * (np.asarray(xa) + np.asarray(xb)))
         avg_val = 0.5 * (at(xa) + at(xb))
-        check = loewner_leq(mid_val, avg_val, tol=1e-8 * (1 + float(np.max(np.abs(avg_val)))))
+        tol = relative_tol(1e-8, float(np.max(np.abs(avg_val))))
+        check = loewner_leq(mid_val, avg_val, tol=tol)
         if not check.holds:
             raise SeparateConvexityViolated(
                 f"midpoint probe failed on coordinate {i} "
@@ -243,17 +237,9 @@ def _poincare_report(
     var = variance(law)
     terms = law.probs[:, None] * energy
     bound = float(np.cumsum(np.append(0.0, terms))[-1])  # in enumeration order; np.sum pairs
-    tol = 1e-8 * (1.0 + abs(var) + abs(bound))
-    gap = var - bound
-    return CheckReport(
-        check=check,
-        passed=gap <= tol,
-        max_gap=float(gap),
-        tol=tol,
-        d=law.d,
-        n=model.n,
-        details={"variance": var, "bound": bound, **(details or {})},
-        **fields,
+    return verdict(
+        check, var - bound, relative_tol(1e-8, var, bound), d=law.d, n=model.n,
+        details={"variance": var, "bound": bound, **(details or {})}, **fields,
     )
 
 
@@ -349,8 +335,8 @@ def _batch_means(
 ) -> CheckReport:
     """lhs <= rhs between batch means. ``statistic(rng, samples //
     MC_BATCHES)`` gives one batch's (lhs, rhs) with rng = rng_for(seed,
-    label, batch), and the check passes within three standard errors (the
-    two sides' errors added)."""
+    label, batch), and the gap lhs - rhs passes within three standard
+    errors, se (the two sides' errors added) plus rhs * se / |rhs|."""
     if samples < MC_BATCHES:
         raise ValueError(f"samples must be at least MC_BATCHES = {MC_BATCHES}, got {samples}")
     count = samples // MC_BATCHES
@@ -360,10 +346,8 @@ def _batch_means(
     lhs, rhs = (float(side.mean()) for side in sides)
     se = sum(float(side.std(ddof=1) / np.sqrt(len(side))) for side in sides)
     stderr_rel = se / max(abs(rhs), 1e-30)
-    return CheckReport(
-        check=check,
-        passed=lhs <= rhs * (1.0 + 3.0 * stderr_rel) + 3.0 * se + 1e-12,
-        max_gap=float(lhs - rhs),
+    return verdict(
+        check, lhs - rhs, 3.0 * (rhs * stderr_rel + se) + 1e-12,
         seed=seed,
         samples=count * MC_BATCHES,
         stderr=se,

@@ -23,12 +23,8 @@ from .frechet import (
 from .linalg import _require_hermitian_stack, eigenvalues, hermitian_part
 from .models import DiscreteRandomMatrix, ProductModel
 from .phifun import PhiFunction, ScalarFunction
-from .report import CheckReport, matrix_to_obj, sweep
+from .report import CheckReport, matrix_to_obj, relative_tol, sweep, verdict
 from .sampling import random_pd, random_psd
-
-
-def entropy_tolerance(*values: float) -> float:
-    return 1e-9 * (1.0 + sum(abs(v) for v in values))
 
 
 def phi_entropy(phi: PhiFunction, law: DiscreteRandomMatrix) -> float:
@@ -76,17 +72,9 @@ def check_subadditivity(phi: PhiFunction, model: ProductModel) -> CheckReport:
     law = model.to_law()
     lhs = phi_entropy(phi, law)
     rhs = sum(conditional_phi_entropy(phi, model, i).expectation for i in range(model.n))
-    tol = entropy_tolerance(lhs, rhs)
-    gap = lhs - rhs
-    return CheckReport(
-        check="subadditivity",
-        passed=gap <= tol,
-        max_gap=float(gap),
-        tol=tol,
-        phi=phi.label,
-        d=law.d,
-        n=model.n,
-        details={"lhs": lhs, "rhs": rhs},
+    return verdict(
+        "subadditivity", lhs - rhs, relative_tol(1e-9, lhs, rhs), phi=phi.label, d=law.d,
+        n=model.n, details={"lhs": lhs, "rhs": rhs},
     )
 
 
@@ -129,7 +117,7 @@ def joint_convexity_probes(
     for t in (0.5, float(rng.uniform(0.05, 0.95))):
         lhs = t * ends[0] + (1.0 - t) * ends[1]
         rhs = map_fn(t * u1 + (1 - t) * u2, t * v1 + (1 - t) * v2)
-        gap, probe_tol = rhs - lhs, 1e-8 * (1.0 + abs(lhs) + abs(rhs))
+        gap, probe_tol = rhs - lhs, relative_tol(1e-8, lhs, rhs)
         witness = None
         if gap > probe_tol:
             witness = {"t": t, "u1": matrix_to_obj(u1), "v1": matrix_to_obj(v1),
@@ -167,7 +155,7 @@ def char_a_probe(
     }
     diff = hermitian_part(inv["mid"] - 0.5 * (inv["a"] + inv["b"]))
     lam = float(eigenvalues(diff)[0])
-    probe_tol = 1e-8 * (1.0 + max(float(np.linalg.norm(inv[k])) for k in inv))
+    probe_tol = relative_tol(1e-8, max(float(np.linalg.norm(inv[k])) for k in inv))
     witness = None
     if -lam > probe_tol:
         witness = {"min_eigenvalue": lam, "a": matrix_to_obj(a), "b": matrix_to_obj(b)}
@@ -210,7 +198,7 @@ def check_char_e(phi: PhiFunction, a, h, k) -> CharEResult:
     Phi'''' k^2 h^2 / Phi''^2 >= 2 Phi'''^2 k^2 h^2 / Phi''^3.
     """
     if phi.is_affine:
-        return CharEResult(0.0, 0.0, 1e-6)
+        return CharEResult(0.0, 0.0, relative_tol(1e-6))
     psi = phi.psi()
     a = np.asarray(a, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -227,7 +215,7 @@ def check_char_e(phi: PhiFunction, a, h, k) -> CharEResult:
     lhs = float(np.trace(h @ lhs_mat).real)
     rhs_mat = inverse_frechet_derivative(psi, a, frechet_second(psi, a, k, inner))
     rhs = 2.0 * float(np.trace(h @ rhs_mat).real)
-    return CharEResult(lhs, rhs, 1e-6 * (1.0 + abs(lhs) + abs(rhs)))
+    return CharEResult(lhs, rhs, relative_tol(1e-6, lhs, rhs))
 
 
 def duality_lower_bound(
@@ -251,15 +239,8 @@ def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
     weights, probs, rows = model.slices(1)
     cond = conditional_phi_entropy(phi, model, 1).expectation
     rhs = phi_entropy(phi, DiscreteRandomMatrix(probs, np.tensordot(weights, rows, axes=1)))
-    tol = entropy_tolerance(cond, rhs)
-    gap = rhs - cond
-    return CheckReport(
-        check="char-g",
-        passed=gap <= tol,
-        max_gap=float(gap),
-        tol=tol,
-        phi=phi.label,
-        n=2,
+    return verdict(
+        "char-g", rhs - cond, relative_tol(1e-9, cond, rhs), phi=phi.label, n=2,
         details={"lhs": cond, "rhs": rhs},
     )
 
@@ -278,15 +259,8 @@ def check_char_h(
     mixed = DiscreteRandomMatrix(z1.probs, t * z1.values + (1 - t) * z2.values)
     lhs = phi_entropy(phi, mixed)
     rhs = t * phi_entropy(phi, z1) + (1 - t) * phi_entropy(phi, z2)
-    tol = entropy_tolerance(lhs, rhs)
-    gap = lhs - rhs
-    return CheckReport(
-        check="char-h",
-        passed=gap <= tol,
-        max_gap=float(gap),
-        tol=tol,
-        phi=phi.label,
-        d=z1.d,
+    return verdict(
+        "char-h", lhs - rhs, relative_tol(1e-9, lhs, rhs), phi=phi.label, d=z1.d,
         details={"lhs": lhs, "rhs": rhs, "t": t},
     )
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import _phi_traces
 from .errors import DomainError
 from .linalg import (
     _require_hermitian_stack,
@@ -22,10 +23,10 @@ from .linalg import (
     psd_power,
     schatten_norm,
     spectral_map,
-    tr_xlogx,
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, ProductModel
-from .report import CheckReport
+from .phifun import XLOGX
+from .report import CheckReport, relative_tol, verdict
 from .sampling import BLOCK_ENTRIES, climb, random_complex_gaussian, rng_for
 
 P_VARIANCE_PS = (1.9, 1.99, 1.999)  # exponents extrapolated toward p = 2
@@ -109,15 +110,9 @@ def parseval_check(f: MatrixBooleanFunction) -> CheckReport:
     coeffs = fourier_transform(f).coeffs
     lhs = np.mean(np.einsum("kij,kjl->kil", f.table, f.table), axis=0)
     rhs = np.einsum("kij,kjl->il", coeffs, coeffs)
-    dev = float(np.max(np.abs(lhs - rhs)))
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(f.table))) ** 2)
-    return CheckReport(
-        check="parseval",
-        passed=dev <= tol,
-        max_gap=dev,
-        tol=tol,
-        d=f.d,
-        n=f.n,
+    return verdict(
+        "parseval", float(np.max(np.abs(lhs - rhs))),
+        relative_tol(1e-10, float(np.max(np.abs(f.table))) ** 2), d=f.d, n=f.n,
     )
 
 
@@ -137,9 +132,10 @@ def dirichlet_energy_spectral(f: MatrixBooleanFunction) -> float:
 def _square_entropy(table: np.ndarray) -> np.ndarray:
     k = table.shape[-3]
     f2 = np.einsum("...ij,...jl->...il", table, table)
-    # the k squares and their mean share one spectral call
-    terms = tr_xlogx(np.concatenate([f2, f2.sum(axis=-3, keepdims=True) / k], axis=-3))
-    return terms[..., :k].sum(axis=-1) / k - terms[..., k]
+    # H_{x log x} of the uniform law of the k squares; the squares and their
+    # mean share one spectral call
+    traces = _phi_traces(XLOGX, f2, f2.sum(axis=-3) / k)
+    return traces[..., :k].sum(axis=-1) / k - traces[..., k]
 
 
 def _flip_energy(table: np.ndarray, n: int) -> np.ndarray:
@@ -165,21 +161,20 @@ def uniform_cube_model(f: MatrixBooleanFunction) -> ProductModel:
     return ProductModel(laws, table.reshape(f.table.shape))
 
 
-def dirichlet_energy(f: MatrixBooleanFunction) -> float:
-    """The Dirichlet energy of f; the spectral and flip forms are exact
-    rewritings of the resampling quantity over fair bits, so disagreement
-    raises."""
+def dirichlet_energy_forms(f: MatrixBooleanFunction) -> tuple[float, float, float]:
+    """The spectral, flip and resampling forms of the Dirichlet energy of f:
+    exact rewritings of the resampling quantity over fair bits."""
     from .concentration import efron_stein_quantity
 
-    spectral = dirichlet_energy_spectral(f)
-    flip = dirichlet_energy_flip(f)
-    resampled = efron_stein_quantity(uniform_cube_model(f))
-    scale = 1.0 + abs(spectral)
-    if abs(spectral - flip) > 1e-10 * scale or abs(spectral - resampled) > 1e-10 * scale:
-        raise DomainError(
-            f"Dirichlet energy forms disagree: {spectral!r} {flip!r} {resampled!r}"
-        )
-    return spectral
+    return (dirichlet_energy_spectral(f), dirichlet_energy_flip(f),
+            efron_stein_quantity(uniform_cube_model(f)))
+
+
+def dirichlet_energy(f: MatrixBooleanFunction) -> float:
+    """The Dirichlet energy of f; its three forms are cross-checked on every call."""
+    from .concentration import agreed_form
+
+    return agreed_form(dirichlet_energy_forms(f), "Dirichlet energy forms")
 
 
 def check_bonami_beckner(f: MatrixBooleanFunction, p: float) -> CheckReport:
@@ -192,14 +187,8 @@ def check_bonami_beckner(f: MatrixBooleanFunction, p: float) -> CheckReport:
     weights = (p - 1.0) ** _popcounts(f.n)
     lhs = float(np.sqrt(weights @ schatten_norm(coeffs, p, normalized=True) ** 2))
     rhs = float(np.mean(schatten_norm(f.table, p, normalized=True) ** p)) ** (1.0 / p)
-    tol = 1e-10 * (1.0 + lhs + rhs)
-    return CheckReport(
-        check="bonami-beckner",
-        passed=lhs - rhs <= tol,
-        max_gap=float(lhs - rhs),
-        tol=tol,
-        d=f.d,
-        n=f.n,
+    return verdict(
+        "bonami-beckner", lhs - rhs, relative_tol(1e-10, lhs, rhs), d=f.d, n=f.n,
         details={"lhs": lhs, "rhs": rhs, "p": p},
     )
 
@@ -240,14 +229,8 @@ def check_phi_sobolev(f: MatrixBooleanFunction, p: float) -> CheckReport:
         raise DomainError(f"p must lie in (1, 2), got {p}")
     _require_psd_table(f)
     lhs, rhs = _phi_sobolev_sides(f.table, dirichlet_energy_spectral(f), p)
-    tol = 1e-10 * (1.0 + abs(lhs) + abs(rhs))
-    return CheckReport(
-        check="phi-sobolev",
-        passed=lhs - rhs <= tol,
-        max_gap=float(lhs - rhs),
-        tol=tol,
-        d=f.d,
-        n=f.n,
+    return verdict(
+        "phi-sobolev", lhs - rhs, relative_tol(1e-10, lhs, rhs), d=f.d, n=f.n,
         details={"lhs": lhs, "rhs": rhs, "p": p},
     )
 
@@ -258,14 +241,8 @@ def check_log_sobolev(f: MatrixBooleanFunction) -> CheckReport:
     _require_psd_table(f)
     energy = dirichlet_energy_spectral(f)
     ent, rhs = _log_sobolev_sides(f.table, energy)
-    tol = 1e-10 * (1.0 + abs(ent) + abs(rhs))
-    return CheckReport(
-        check="log-sobolev",
-        passed=ent - rhs <= tol,
-        max_gap=float(ent - rhs),
-        tol=tol,
-        d=f.d,
-        n=f.n,
+    return verdict(
+        "log-sobolev", ent - rhs, relative_tol(1e-10, ent, rhs), d=f.d, n=f.n,
         details={"entropy": ent, "energy": energy, "rhs": rhs},
     )
 

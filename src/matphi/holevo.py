@@ -33,11 +33,10 @@ from .linalg import (
     spectral_tolerance,
 )
 from .models import DiscreteRandomMatrix, FiniteLaw
-from .phifun import PhiFunction
-from .report import CheckReport
+from .phifun import XLOGX, PhiFunction
+from .report import CheckReport, relative_tol, verdict
 from .sampling import BLOCK_ENTRIES, climb, random_density, rng_for
 
-XLOGX = PhiFunction.xlogx()
 CHI_FLOOR = 1e-12
 SUPPORT_CUTOFF = 1e-13
 GRID_RESOLUTION = 0.05  # eta_phi's default simplex grid step
@@ -241,7 +240,7 @@ def _chi(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
 def _dual_path_gap(ens: CQEnsemble, chi: float) -> tuple[float, float]:
     """|chi - d * H_{x log x}| of the ensemble as a random matrix, and its tolerance."""
     dual = ens.d * phi_entropy(XLOGX, ens.as_law())
-    return abs(chi - dual), 1e-9 * (1.0 + abs(chi))
+    return abs(chi - dual), relative_tol(1e-9, chi)
 
 
 def holevo_chi(ens: CQEnsemble) -> float:
@@ -267,13 +266,8 @@ def check_data_processing(ens: CQEnsemble, kernel: MarkovKernel) -> CheckReport:
     """chi never increases under kernel evolution."""
     chi_in = holevo_chi(ens)
     chi_out = holevo_chi(evolve_ensemble(ens, kernel))
-    tol = 1e-9 * (1.0 + chi_in)
-    return CheckReport(
-        check="data-processing",
-        passed=chi_out - chi_in <= tol,
-        max_gap=float(chi_out - chi_in),
-        tol=tol,
-        d=ens.d,
+    return verdict(
+        "data-processing", chi_out - chi_in, relative_tol(1e-9, chi_in), d=ens.d,
         details={"chi_in": chi_in, "chi_out": chi_out},
     )
 
@@ -287,11 +281,11 @@ class EtaResult:
 
 def _contraction_ratios(chi_in: np.ndarray, chi_out: np.ndarray) -> np.ndarray:
     """chi_out / chi_in, -inf where chi_in vanishes, 0 where chi_out does; raises on increase."""
-    up = chi_out > chi_in + 1e-9 * (1.0 + chi_in)
+    up = chi_out > chi_in + relative_tol(1e-9, chi_in)
     if np.any(up):
         raise MatPhiError(f"entropy contraction violated: {chi_out[up]} > {chi_in[up]}")
     with np.errstate(divide="ignore", invalid="ignore"):  # quotients masked out below
-        ratio = np.where(chi_out <= CHI_FLOOR * (1.0 + chi_in), 0.0, chi_out / chi_in)
+        ratio = np.where(chi_out <= relative_tol(CHI_FLOOR, chi_in), 0.0, chi_out / chi_in)
     return np.where(chi_in <= 1e-10, -np.inf, ratio)
 
 
@@ -428,15 +422,9 @@ def check_law_total_variance(
         cond_term += py * phi_entropy(phi, cond_law)
         mean_pairs.append((py, cond_law.mean()))
     outer = phi_entropy(phi, DiscreteRandomMatrix.from_pairs(mean_pairs))
-    dev = abs(total - (cond_term + outer))
-    tol = 1e-10 * (1.0 + abs(total))
-    return CheckReport(
-        check="law-total-variance",
-        passed=dev <= tol,
-        max_gap=float(dev),
-        tol=tol,
-        phi=phi.label,
-        d=law.d,
+    return verdict(
+        "law-total-variance", abs(total - (cond_term + outer)), relative_tol(1e-10, total),
+        phi=phi.label, d=law.d,
         details={"total": total, "conditional": cond_term, "outer": outer},
     )
 
@@ -462,15 +450,11 @@ def check_functional_sdpi(
         cond += p * phi_entropy(XLOGX, DiscreteRandomMatrix(row, ens.states))
     evolved = CQEnsemble(pushed, _evolve(mu, ens.states, pushed, back))
     h_evolved = phi_entropy(XLOGX, evolved.as_law())
-    tol = 1e-9 * (1.0 + h_total)
+    tol = relative_tol(1e-9, h_total)
     functional_ok = h_total <= cond / (1.0 - c) + tol
     chain_ok = h_evolved <= c * h_total + tol
-    gap = float(max(h_total - cond / (1.0 - c), h_evolved - c * h_total))
-    return CheckReport(
-        check="functional-sdpi",
-        passed=gap <= tol,
-        max_gap=gap,
-        tol=tol,
+    return verdict(
+        "functional-sdpi", max(h_total - cond / (1.0 - c), h_evolved - c * h_total), tol,
         d=ens.d,
         details={
             "h_total": h_total,

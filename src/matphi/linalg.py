@@ -7,9 +7,8 @@ PSD-intended inputs get their tiny negative eigenvalues (within the
 spectral tolerance) clamped to zero.
 
 The numeric core (``hermitian_part``, ``eigenvalues``, ``spectral_map``,
-``psd_power``, ``tr_xlogx``) works on stacks of shape ``(..., d, d)`` and
-trusts its input; validation belongs to the public entry points that call
-it.
+``psd_power``) works on stacks of shape ``(..., d, d)`` and trusts its
+input; validation belongs to the public entry points that call it.
 """
 
 from __future__ import annotations
@@ -67,18 +66,6 @@ def psd_power(a, expo: float) -> np.ndarray:
     return spectral_map(lambda w: np.clip(w, 0.0, None) ** expo, hermitian_part(a))
 
 
-def tr_xlogx(a) -> np.ndarray:
-    """(1/d) tr[A log A] for each matrix of a PSD (..., d, d) stack.
-
-    Eigenvalues are clamped at zero and those at or below 1e-14 contribute
-    nothing (0 log 0 = 0).
-    """
-    w = np.maximum(eigenvalues(hermitian_part(a)), 0.0)
-    pos = w > 1e-14
-    terms = np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0)
-    return terms.sum(axis=-1) / w.shape[-1]
-
-
 def _require_hermitian_stack(a) -> np.ndarray:
     """Validate each matrix of a (..., d, d) stack against its own
     scale-aware tolerance 1e-10 (1 + max|A_k|) and return the (exactly)
@@ -131,12 +118,12 @@ class SpectralInterval:
         w = np.asarray(w, dtype=float)
         tol = spectral_tolerance(w.shape[-1])
         bad = (w < self.lo - tol) | (w > self.hi + tol)
-        if np.any(bad):
+        if bad.any():
             raise SpectrumOutOfDomain(
                 f"eigenvalues {w[bad]} outside [{self.lo}, {self.hi}]",
                 offending=w[bad],
             )
-        return np.clip(w, self.lo, self.hi)
+        return w.clip(self.lo, self.hi)  # the ufunc without np.clip's dispatch
 
 
 REALS = SpectralInterval()

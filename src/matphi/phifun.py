@@ -222,3 +222,4 @@ IDENTITY = ScalarFunction(
 )
 
 SQUARE = PhiFunction.power(2.0).scalar()
+XLOGX = PhiFunction.xlogx()

@@ -1,4 +1,5 @@
-"""Structured results for individual checks and whole suite runs, the
+"""Structured results for individual checks and whole suite runs, the one
+verdict rule (gap <= tol) and tolerance scaling they are judged by, the
 seeded sweep that produces most of them, and the matrix JSON codec their
 witnesses use."""
 
@@ -106,6 +107,20 @@ class SuiteReport:
         config.pop("out", None)
         out["config"] = config
         return out
+
+
+def relative_tol(rel: float, *values) -> float:
+    """rel (1 + sum |v|): a tolerance scaled by the magnitudes it judges.
+    The sum runs left to right from 1.0, and numpy arrays scale elementwise."""
+    return rel * sum(map(abs, values), 1.0)
+
+
+def verdict(check: str, gap: float, tol: float, **fields) -> CheckReport:
+    """The report of a check that passes exactly when gap <= tol; further
+    keyword arguments become fields of the report."""
+    return CheckReport(
+        check=check, passed=bool(gap <= tol), max_gap=float(gap), tol=float(tol), **fields
+    )
 
 
 def sweep(

@@ -25,7 +25,7 @@ from .frechet import MultivariateScalarFunction
 from .linalg import eigenvalues, hermitian_part, spectral_map
 from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel
 from .phifun import PhiFunction
-from .report import ARTIFACT_VERSION, CheckReport, SuiteReport, matrix_to_obj, sweep
+from .report import ARTIFACT_VERSION, CheckReport, SuiteReport, matrix_to_obj, relative_tol, sweep
 from .sampling import (
     random_boolean_function,
     random_kernel,
@@ -198,7 +198,7 @@ def _char_i(rng, trial, run):
     t = _drawn_law(rng, probs, run.d, floor=0.05)
     bound = entropy.duality_lower_bound(run.phi, z, t)
     h = entropy.phi_entropy(run.phi, z)
-    return bound - h, entropy.entropy_tolerance(bound, h), None
+    return bound - h, relative_tol(1e-9, bound, h), None
 
 
 def _product_model(rng, run, psd=True):
@@ -209,8 +209,7 @@ def _product_model(rng, run, psd=True):
 
 def _efron_stein_forms(rng, trial, run):
     forms = concentration.efron_stein_forms(_product_model(rng, run, psd=False))
-    dev = max(abs(forms[0] - forms[1]), abs(forms[0] - forms[2]))
-    return dev, 1e-10 * (1.0 + abs(forms[0])), None
+    return (*concentration.forms_gap(forms), None)
 
 
 # --------------------------------------------------------------- poincare
@@ -377,16 +376,12 @@ def _fourier_round_trip(rng, trial, run):
     f = _cube_function(rng, run, psd=False)
     back = fourier.inverse_fourier(fourier.fourier_transform(f))
     dev = float(np.max(np.abs(back.table - f.table)))
-    return dev, 1e-12 * (1.0 + float(np.max(np.abs(f.table)))), None
+    return dev, relative_tol(1e-12, float(np.max(np.abs(f.table)))), None
 
 
 def _dirichlet_identity(rng, trial, run):
-    f = _cube_function(rng, run, psd=False)
-    spectral = fourier.dirichlet_energy_spectral(f)
-    flip = fourier.dirichlet_energy_flip(f)
-    resampled = concentration.efron_stein_quantity(fourier.uniform_cube_model(f))
-    dev = max(abs(spectral - flip), abs(spectral - resampled))
-    return dev, 1e-10 * (1.0 + abs(spectral)), None
+    forms = fourier.dirichlet_energy_forms(_cube_function(rng, run, psd=False))
+    return (*concentration.forms_gap(forms), None)
 
 
 def _noise_composition(rng, trial, run):
@@ -395,7 +390,7 @@ def _noise_composition(rng, trial, run):
     twice = fourier.noise_operator(fourier.noise_operator(table, gamma), delta)
     once = fourier.noise_operator(table, gamma * delta)
     dev = float(np.max(np.abs(twice.coeffs - once.coeffs)))
-    return dev, 1e-12 * (1.0 + float(np.max(np.abs(table.coeffs)))), None
+    return dev, relative_tol(1e-12, float(np.max(np.abs(table.coeffs)))), None
 
 
 # ---------------------------------------------------------------- sobolev

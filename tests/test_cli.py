@@ -155,6 +155,14 @@ def test_malformed_phi_number_is_config_error(capsys, args):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_malformed_env_seed_is_config_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("MATPHI_SEED", value)
+    assert _run(["efron-stein", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: MATPHI_SEED must be an integer, got {value!r}\n"
+
+
 def _run_quietly(args) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

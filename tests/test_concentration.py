@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
-from matphi import concentration, frechet
+from matphi import concentration, frechet, suites
 from matphi.concentration import (
     FD_STEP,
     MC_BATCHES,
@@ -25,7 +25,7 @@ from matphi.concentration import (
     variance,
 )
 from matphi.entropy import check_subadditivity, phi_entropy
-from matphi.errors import SeparateConvexityViolated
+from matphi.errors import MatPhiError, SeparateConvexityViolated
 from matphi.frechet import MultivariateScalarFunction, multivariate_dd_table
 from matphi.linalg import hermitian_part, normalized_trace, positive_part
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
@@ -117,6 +117,26 @@ def test_efron_stein_forms_match_per_pair_reference():
                         ref[0] += 0.5 * w * normalized_trace(matrix_power(zk - zl, 2))
                         ref[2] += w * normalized_trace(matrix_power(positive_part(zk - zl), 2))
         assert np.allclose(efron_stein_forms(model), ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("skew, agrees", [(0.3e-10, True), (3e-10, False)])
+def test_efron_stein_forms_disagreement_raises_and_fails_the_suite(monkeypatch, skew, agrees):
+    # one form off by skew (1 + |f0|) against the shared 1e-10 relative tolerance
+    forms = concentration.efron_stein_forms
+
+    def skewed(model):
+        f0, f1, f2 = forms(model)
+        return f0, f1, f2 + skew * (1.0 + abs(f0))
+
+    monkeypatch.setattr(concentration, "efron_stein_forms", skewed)
+    model = random_product_model(rng_for(41, "efron-skew", 0), 2, 3, arity=2, psd=False)
+    rep = suites.CHECKS["efron-stein-forms"]("efron-stein-forms", suites.RunConfig(trials=3))
+    assert rep.passed == agrees
+    if agrees:
+        assert efron_stein_quantity(model) == forms(model)[0]
+    else:
+        with pytest.raises(MatPhiError, match="equivalent resampling forms disagree"):
+            efron_stein_quantity(model)
 
 
 def test_efron_stein_sweep():

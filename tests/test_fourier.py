@@ -30,9 +30,14 @@ from matphi.fourier import (
     search_lsi_counterexample,
     uniform_cube_model,
     _fwht,
+    _square_entropy,
 )
+from matphi import suites
 from matphi.concentration import efron_stein_quantity
+from matphi.entropy import phi_entropy
+from matphi.errors import MatPhiError
 from matphi.models import DiscreteRandomMatrix
+from matphi.phifun import XLOGX
 from matphi.sampling import random_boolean_function, random_law, rng_for
 
 
@@ -111,11 +116,42 @@ def test_dirichlet_energy_forms_agree():
     assert dirichlet_energy(f) == pytest.approx(spectral)
 
 
+@pytest.mark.parametrize("skew, agrees", [(0.3e-10, True), (3e-10, False)])
+def test_dirichlet_forms_disagreement_raises_and_fails_the_suite(monkeypatch, skew, agrees):
+    # one form off by skew (1 + |f0|) against the shared 1e-10 relative tolerance
+    flip = matphi.fourier.dirichlet_energy_flip
+    monkeypatch.setattr(
+        matphi.fourier, "dirichlet_energy_flip", lambda f: flip(f) + skew * (1.0 + abs(flip(f)))
+    )
+    f = _random_function(10, 4, 2)
+    rep = suites.CHECKS["dirichlet-identity"]("dirichlet-identity", suites.RunConfig(trials=3))
+    assert rep.passed == agrees
+    if agrees:
+        assert dirichlet_energy(f) == dirichlet_energy_spectral(f)
+    else:
+        with pytest.raises(MatPhiError, match="Dirichlet energy forms disagree"):
+            dirichlet_energy(f)
+
+
 def test_dirichlet_energy_examples():
     c = np.array([[1.0, 0.0], [0.0, 2.0]])
     assert dirichlet_energy(MatrixBooleanFunction.constant(3, c)) == pytest.approx(0.0)
     dictator = MatrixBooleanFunction(1, np.stack([np.eye(2), -np.eye(2)]))
     assert dirichlet_energy(dictator) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_entropy_of_square_is_the_xlogx_entropy_of_the_squares(d):
+    tables = np.stack([_random_function(12, 3, d, psd=True, index=i).table for i in range(4)])
+    tables[0] = 0.0  # zero eigenvalues contribute 0 log 0 = 0
+    fs = [MatrixBooleanFunction(3, t) for t in tables]
+    ents = np.array([entropy_of_square(f) for f in fs])
+    assert np.array_equal(_square_entropy(tables), ents)
+    assert ents[0] == 0.0
+    for f, ent in zip(fs[1:], ents[1:]):
+        squares = f.table @ f.table
+        law = DiscreteRandomMatrix(np.full(len(squares), 1.0 / len(squares)), squares)
+        assert ent == pytest.approx(phi_entropy(XLOGX, law), rel=1e-14, abs=0.0)
 
 
 def test_bonami_beckner_boundaries():

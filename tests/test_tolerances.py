@@ -1,11 +1,14 @@
-"""Every deterministic domain check reports the tolerance it judged its gap
-against, and passes exactly when the gap is within it."""
+"""Every domain check, deterministic or Monte Carlo, reports the tolerance
+it judged its gap against, and passes exactly when the gap is within it."""
 
 import numpy as np
 import pytest
 
 from matphi.concentration import (
     check_efron_stein,
+    check_gaussian_logsobolev,
+    check_gaussian_poincare,
+    check_gaussian_sobolev,
     check_plus_identities,
     check_poincare,
     check_poincare_commuting,
@@ -29,6 +32,7 @@ from matphi.holevo import (
 )
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel
 from matphi.phifun import PhiFunction
+from matphi.report import relative_tol, verdict
 from matphi.sampling import (
     random_boolean_function,
     random_density,
@@ -41,6 +45,7 @@ from matphi.sampling import (
 )
 
 XLOGX = PhiFunction.xlogx()
+BASE = np.array([[1.2, 0.3 + 0.1j], [0.3 - 0.1j, 0.8]])
 
 
 def _coupled_law(rng, probs):
@@ -113,6 +118,15 @@ CHECKS = {
     ),
     "law-total-variance": _law_total_variance,
     "functional-sdpi": _functional_sdpi,
+    "gaussian-poincare": lambda rng: check_gaussian_poincare(
+        lambda x: np.sum(x), 3, samples=200, partials=lambda x, i: 1.0
+    ),
+    "gaussian-sobolev": lambda rng: check_gaussian_sobolev(
+        lambda x: np.exp(x[0] / 4.0) * BASE, 1.5, 2, samples=200
+    ),
+    "gaussian-log-sobolev": lambda rng: check_gaussian_logsobolev(
+        lambda x: np.exp(x[0] / 4.0) * BASE, 2, samples=200
+    ),
 }
 
 
@@ -125,3 +139,12 @@ def test_passed_is_gap_within_reported_tol(name):
         assert not rep.passed or rep.max_gap <= rep.tol
     else:
         assert rep.passed == (rep.max_gap <= rep.tol)
+
+
+def test_verdict_passes_exactly_at_or_below_tol():
+    assert relative_tol(1e-9, -2.0, 3.0) == 1e-9 * 6.0
+    assert relative_tol(0.5) == 0.5
+    tol = relative_tol(1e-9, 1.0)
+    for gap, passed in ((tol, True), (np.nextafter(tol, 1.0), False), (-1.0, True)):
+        rep = verdict("rule", gap, tol, d=2)
+        assert (rep.passed, rep.max_gap, rep.tol, rep.d) == (passed, gap, tol, 2)
