@@ -26,13 +26,11 @@ from .linalg import (
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from .report import CheckReport, relative_tol, verdict
-from .sampling import random_hermitian, random_signs, rng_for
+from .sampling import random_hermitian, rng_for
 
 FORM_AGREEMENT_TOL = 1e-10
 MC_BATCHES = 10  # batch means give the Gaussian checks their standard errors
 FD_STEP = 1e-5  # central-difference step of the derivative estimates
-CLT_BLOCK_SIGNS = 2**17  # Rademacher signs per block: 512 KB of generator words, 512 KB of float32
-CLT_MAX_TERMS = 2**24  # float32 sums of at most this many signs are exact
 
 
 def variance(law: DiscreteRandomMatrix) -> float:
@@ -306,27 +304,17 @@ def gue_clt_sample(d: int, m: int, count: int, rng: np.random.Generator) -> np.n
     converging to the Gaussian ensemble: S = m^{-1/2} sum_j eps_j Y_j with
     Y_j = ((W_j + i W_j') + (W_j + i W_j')†) / 2 for Rademacher W, W'.
 
-    Each draw reads W, then W', then eps, as ``1 - 2 * rng.integers(0,
-    2)`` values (``2 * integers - 1`` would flip eps and W alike and leave
-    every product as it is); the signs come from ``random_signs`` in
-    blocks of whole draws of at most CLT_BLOCK_SIGNS signs. The sums
-    A + i B = sum_j eps_j (W_j + i W_j') are integers of size at most
-    m <= CLT_MAX_TERMS, exact in float32 in any order, so
-    (A + i B + (A + i B)†) / 2 is the sum of the Y_j bit for bit."""
-    if not 1 <= m <= CLT_MAX_TERMS:
-        raise ValueError(f"m must lie in [1, {CLT_MAX_TERMS}], got {m}")
-    per_draw = m * (2 * d * d + 1)
-    block = max(1, CLT_BLOCK_SIGNS // per_draw)
-    out = np.empty((count, d, d), dtype=complex)
-    for start in range(0, count, block):
-        k = min(block, count - start)
-        signs = random_signs(rng, k * per_draw).reshape(k, per_draw)
-        w = signs[:, : 2 * m * d * d].reshape(k, 2, m, d * d)
-        eps = signs[:, None, None, 2 * m * d * d:]
-        a, b = np.moveaxis((eps @ w).reshape(k, 2, d, d).astype(float), 1, 0)
-        s = a + 1j * b
-        out[start:start + k] = 0.5 * (s + s.conj().swapaxes(-1, -2)) / np.sqrt(m)
-    return out
+    The products eps_j W_j(kl) and eps_j W_j'(kl) are independent fair
+    signs, so each entry of A + i B = sum_j eps_j (W_j + i W_j') is a sum
+    of m of them, 2 Binomial(m, 1/2) - m, and one binomial draw of shape
+    (count, 2, d, d) gives the whole stack in law. Draw k reads its own
+    block, so the first c draws of a count-N call equal a count-c call."""
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    a, b = np.moveaxis(2.0 * rng.binomial(m, 0.5, (count, 2, d, d)) - m, 1, 0)
+    s = a + 1j * b
+    s += s.conj().swapaxes(-1, -2)  # in place: one complex stack fewer at the peak
+    return s / (2.0 * np.sqrt(m))
 
 
 def _batch_means(
@@ -376,8 +364,10 @@ def check_gaussian_poincare(
     the derivative norms come from ``partial_norm(xs, i)`` when supplied,
     otherwise from random-direction finite differences (a lower bound on
     the right side, flagged in the report), drawn after the batch's
-    inputs."""
+    inputs. A derivative of the other input kind is a ValueError."""
     scalar_inputs = d1 == 1
+    if (partial_norm if scalar_inputs else partials) is not None:
+        raise ValueError(f"partials need d1 = 1 and partial_norm d1 > 1, got d1 = {d1}")
     probe = np.zeros((1, n)) if scalar_inputs else [tuple(np.zeros((n, d1, d1), dtype=complex))]
     d = _values(evaluator, probe).shape[-1]
     partial = partials if scalar_inputs else partial_norm

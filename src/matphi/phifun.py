@@ -53,7 +53,7 @@ class ScalarFunction:
             raise SpectrumOutOfDomain(f"{self.name}: {exc}", exc.offending) from exc
         if self.strict_lo:
             low = w <= self.domain.lo + spectral_tolerance(w.shape[-1])
-            if np.any(low):
+            if low.any():
                 raise SpectrumOutOfDomain(
                     f"{self.name} requires eigenvalues strictly above {self.domain.lo}", w[low]
                 )

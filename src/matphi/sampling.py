@@ -48,35 +48,6 @@ def climb(objective, propose, x, step, floor, steps, shrink, grow=1.0):
     return x, value
 
 
-def random_signs(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``1 - 2 * rng.integers(0, 2, count)`` as float32 +-1, reading the
-    same stream. That draw takes one 32-bit half of a generator word per
-    value, low half first, and keeps its top bit (Lemire's method with
-    range 2); a left-over half waits in the generator's ``has_uint32`` /
-    ``uinteger`` state. Here whole words come from ``random_raw``, the
-    waiting half is carried in and out through that state, and each top
-    bit is OR-ed into the bits of 1.0f as the sign."""
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    if "has_uint32" not in state:  # a generator without the 32-bit buffer
-        return (1 - 2 * rng.integers(0, 2, count)).astype(np.float32)
-    carried = int(bool(state["has_uint32"]) and count > 0)
-    fresh = count - carried
-    halves = bitgen.random_raw((fresh + 1) // 2).astype("<u8", copy=False).view("<u4")
-    signs = np.empty(count, np.uint32)
-    signs[:carried] = state["uinteger"]
-    signs[carried:] = halves[:fresh]
-    if carried or fresh % 2:
-        state = bitgen.state
-        state["has_uint32"] = fresh % 2
-        if fresh % 2:
-            state["uinteger"] = int(halves[-1])
-        bitgen.state = state
-    signs &= 0x80000000
-    signs |= 0x3F800000
-    return signs.view(np.float32)
-
-
 def random_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

@@ -1,6 +1,7 @@
 """Resampling quantity forms, variance bounds, Gaussian ensembles."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -446,27 +447,57 @@ def _gue_clt_per_draw(d, m, rng):
     return np.tensordot(eps, y, axes=1) / np.sqrt(m)
 
 
-# counts that span several sign blocks, and one that fits in a block; odd
-# sign counts leave half a generator word waiting, and (1, 1001, 60) does so
-# at the end of its first block of 43 draws
+# odd and even counts and term numbers, at d = 1, 2 and 3
 @pytest.mark.parametrize("d, m, count", [
     (1, 64, 1500), (2, 256, 300), (3, 256, 60), (2, 1, 40), (2, 1, 41), (1, 3, 7),
     (1, 1001, 60),
 ])
 def test_stacked_gue_samplers_keep_the_per_draw_streams(d, m, count):
     want_rng, rng = rng_for(11, "streams", d), rng_for(11, "streams", d)
-    want_clt = np.stack([_gue_clt_per_draw(d, m, want_rng) for _ in range(count)])
+    want_clt = np.concatenate([gue_clt_sample(d, m, 1, want_rng) for _ in range(count)])
     want_gue = np.stack([_sample_gue_per_draw(d, want_rng) for _ in range(count)])
-    # drawn one after the other, so each must also consume exactly its share;
-    # normal draws skip a waiting half, the closing integers read it
+    # drawn one after the other, so each must also consume exactly its share
     assert np.array_equal(gue_clt_sample(d, m, count, rng), want_clt)
     assert np.array_equal(sample_gue(d, count, rng), want_gue)
     assert np.array_equal(rng.integers(0, 2, 9), want_rng.integers(0, 2, 9))
 
 
-@pytest.mark.parametrize("m", [-1, 0, concentration.CLT_MAX_TERMS + 1])
+def _binomial_pmf(trials):
+    return np.array([math.comb(trials, k) for k in range(trials + 1)]) / 2.0**trials
+
+
+def test_gue_clt_sample_has_the_law_of_the_literal_construction():
+    # 2 sqrt(m) S00 = 2 (2 Bin(m, 1/2) - m); 2 sqrt(m) Re S01 and Im S01 are
+    # 2 Bin(2m, 1/2) - 2m, each a sum of 2m fair signs
+    d, m, count = 2, 3, 40_000
+    literal_rng, rng = rng_for(5, "clt-law", 0), rng_for(5, "clt-law", 1)
+    literal = np.stack([_gue_clt_per_draw(d, m, literal_rng) for _ in range(count)])
+    stacked = gue_clt_sample(d, m, count, rng)
+    laws = [
+        (lambda s: s[:, 0, 0].real, 2 * (2 * np.arange(m + 1) - m), _binomial_pmf(m)),
+        (lambda s: s[:, 0, 1].real, 2 * np.arange(2 * m + 1) - 2 * m, _binomial_pmf(2 * m)),
+        (lambda s: s[:, 0, 1].imag, 2 * np.arange(2 * m + 1) - 2 * m, _binomial_pmf(2 * m)),
+    ]
+    for draws in (literal, stacked):
+        for entry, support, pmf in laws:
+            values = 2 * np.sqrt(m) * entry(draws)
+            lattice = np.round(values)
+            assert np.max(np.abs(values - lattice)) < 1e-9
+            points, counts = np.unique(lattice, return_counts=True)
+            assert np.array_equal(points, support)
+            freq = counts / count
+            assert np.all(np.abs(freq - pmf) <= 5 * np.sqrt(pmf * (1 - pmf) / count))
+
+
+@pytest.mark.parametrize("d, m, first, count", [(3, 256, 7, 20), (1, 64, 5, 12)])
+def test_gue_clt_sample_prefix_is_the_shorter_call(d, m, first, count):
+    whole = gue_clt_sample(d, m, count, rng_for(3, "clt-prefix", d))
+    assert np.array_equal(whole[:first], gue_clt_sample(d, m, first, rng_for(3, "clt-prefix", d)))
+
+
+@pytest.mark.parametrize("m", [-1, 0])
 def test_gue_clt_sample_rejects_term_counts_outside_exact_float32_sums(m):
-    with pytest.raises(ValueError, match="m must lie"):
+    with pytest.raises(ValueError, match="m must be at least 1"):
         gue_clt_sample(2, m, 1, rng_for(0, "clt-m"))
 
 
@@ -544,6 +575,15 @@ def _per_draw_points(seed, label, samples, draw):
         rng = rng_for(seed, label, b)
         points += [draw(rng) for _ in range(samples // MC_BATCHES)]
     return points
+
+
+@pytest.mark.parametrize("options", [
+    {"d1": 1, "partial_norm": lambda x, i: 5.0},
+    {"d1": 2, "partials": lambda x, i: 5.0},
+], ids=["partial_norm-at-d1-1", "partials-at-d1-2"])
+def test_gaussian_poincare_refuses_a_derivative_of_the_other_input_kind(options):
+    with pytest.raises(ValueError, match="partials need d1 = 1 and partial_norm d1 > 1"):
+        check_gaussian_poincare(lambda x: float(np.sum(np.real(x))), n=2, samples=100, **options)
 
 
 def _key(x):

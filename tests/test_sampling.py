@@ -1,10 +1,9 @@
-"""The lock-step hill climber shared by the LSI and Holevo searches, and
-the Rademacher signs of the central-limit sampler."""
+"""The lock-step hill climber shared by the LSI and Holevo searches."""
 
 import numpy as np
 import pytest
 
-from matphi.sampling import climb, random_signs, rng_for
+from matphi.sampling import climb, rng_for
 
 # (step, floor, steps, shrink, grow): the LSI search's rule and eta_phi's
 RULES = {
@@ -71,26 +70,3 @@ def test_no_value_start_accepts_any_finite_proposal():
     x, values = climb(objective, propose, np.array([[-0.5], [-2.0]]), 1.0, 0.1, 1, 0.5)
     assert x.tolist() == [[0.5], [-2.0]]  # the second proposal has no value either
     assert values.tolist() == [-1e300, -np.inf]
-
-
-@pytest.mark.parametrize("buffered", [False, True])
-def test_random_signs_read_the_integers_stream(buffered):
-    for seed in range(40):
-        for count in (0, 1, 2, 9, 4863, 2**17 + 1):
-            want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            if buffered:
-                # an odd-length draw leaves the high half of its last word waiting
-                want_rng.integers(0, 2, 3)
-                rng.integers(0, 2, 3)
-            assert rng.bit_generator.state["has_uint32"] == buffered
-            signs = random_signs(rng, count)
-            assert signs.dtype == np.float32
-            assert np.array_equal(signs, 1 - 2 * want_rng.integers(0, 2, count))
-            assert np.array_equal(rng.integers(0, 2, 7), want_rng.integers(0, 2, 7))
-            assert rng.standard_normal() == want_rng.standard_normal()
-
-
-def test_random_signs_without_a_32_bit_buffer_draw_integers():
-    want_rng, rng = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
-    assert np.array_equal(random_signs(rng, 9), 1 - 2 * want_rng.integers(0, 2, 9))
-    assert rng.standard_normal() == want_rng.standard_normal()

@@ -4,6 +4,7 @@ it judged its gap against, and passes exactly when the gap is within it."""
 import numpy as np
 import pytest
 
+from matphi import concentration, fourier
 from matphi.concentration import (
     check_efron_stein,
     check_gaussian_logsobolev,
@@ -30,12 +31,13 @@ from matphi.holevo import (
     check_law_total_variance,
     random_ensemble,
 )
-from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel
+from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from matphi.phifun import PhiFunction
 from matphi.report import relative_tol, verdict
 from matphi.sampling import (
     random_boolean_function,
     random_density,
+    random_hermitian,
     random_kernel,
     random_law,
     random_probability_vector,
@@ -148,3 +150,48 @@ def test_verdict_passes_exactly_at_or_below_tol():
     for gap, passed in ((tol, True), (np.nextafter(tol, 1.0), False), (-1.0, True)):
         rep = verdict("rule", gap, tol, d=2)
         assert (rep.passed, rep.max_gap, rep.tol, rep.d) == (passed, gap, tol, 2)
+
+
+# Near-equality instances: each check passes its tight instance, and a
+# relative fault far above rounding but far below the instance's slack
+# turns the verdict.
+
+@pytest.mark.parametrize("eps, ratio, caught", [
+    (0.3, 0.97051, False), (0.1, 0.99667, False), (0.03, 0.99970, True),
+])
+def test_boolean_log_sobolev_near_equality_catches_a_small_entropy_fault(
+    monkeypatch, eps, ratio, caught
+):
+    f = MatrixBooleanFunction(1, np.array([[[1.0 + eps]], [[1.0 - eps]]]))  # 1 + eps chi_{1}
+    rep = check_log_sobolev(f)
+    assert rep.passed
+    assert rep.details["entropy"] / rep.details["rhs"] == pytest.approx(ratio, abs=5e-6)
+    square_entropy = fourier._square_entropy
+    monkeypatch.setattr(fourier, "_square_entropy", lambda table: 1.001 * square_entropy(table))
+    assert check_log_sobolev(f).passed != caught
+
+
+def test_efron_stein_is_tight_on_an_additive_function(monkeypatch):
+    rng = rng_for(0, "efron-stein-additive", 0)
+    a1, a2 = random_hermitian(rng, 2, (3,)), random_hermitian(rng, 2, (2,))
+    laws = (FiniteLaw(np.array([0.2, 0.3, 0.5]), (0, 1, 2)), FiniteLaw(np.array([0.6, 0.4]), (0, 1)))
+    model = ProductModel.tabulate(laws, lambda xs: a1[xs[0]] + a2[xs[1]])
+    rep = check_efron_stein(model)
+    assert rep.passed and abs(rep.max_gap) <= 1e-6 * rep.tol
+    variance = concentration.variance
+    monkeypatch.setattr(concentration, "variance", lambda law: (1.0 + 1e-6) * variance(law))
+    assert not check_efron_stein(model).passed
+
+
+def test_bonami_beckner_is_parseval_at_p_2(monkeypatch):
+    f = _cube_function(rng_for(0, "bonami-beckner-p2", 0), psd=False)
+    rep = check_bonami_beckner(f, 2.0)
+    assert rep.passed and abs(rep.max_gap) <= 1e-5 * rep.tol
+    transform = fourier.fourier_transform
+
+    def skewed(g):
+        table = transform(g)
+        return fourier.FourierTable(table.n, (1.0 + 1e-6) * table.coeffs)
+
+    monkeypatch.setattr(fourier, "fourier_transform", skewed)
+    assert not check_bonami_beckner(f, 2.0).passed
