@@ -350,7 +350,6 @@ def check_gaussian_poincare(
     samples: int = 100_000,
     seed: int = 0,
     partials: Callable | None = None,
-    partial_norm: Callable | None = None,
     d1: int = 1,
     directions: int = 20,
 ) -> CheckReport:
@@ -358,26 +357,23 @@ def check_gaussian_poincare(
     within three standard errors.
 
     With d1 = 1 the inputs are n independent standard Gaussians and the
-    evaluator receives a length-n vector; derivatives come from
-    ``partials(x, i)`` or central differences. With d1 > 1 the inputs are
-    n independent Gaussian-ensemble matrices passed as a tuple;
-    the derivative norms come from ``partial_norm(xs, i)`` when supplied,
-    otherwise from random-direction finite differences (a lower bound on
-    the right side, flagged in the report), drawn after the batch's
-    inputs. A derivative of the other input kind is a ValueError."""
+    evaluator receives a length-n vector; with d1 > 1 they are n
+    independent Gaussian-ensemble matrices passed as a tuple.
+    ``partials(x, i)`` gives the i-th derivative, or its norm, at either
+    kind of input. Without it, central differences stand in: along the
+    coordinates of real inputs, or along random directions drawn after
+    the batch's inputs at matrix inputs, a lower bound on the right side
+    flagged in the report."""
     scalar_inputs = d1 == 1
-    if (partial_norm if scalar_inputs else partials) is not None:
-        raise ValueError(f"partials need d1 = 1 and partial_norm d1 > 1, got d1 = {d1}")
     probe = np.zeros((1, n)) if scalar_inputs else [tuple(np.zeros((n, d1, d1), dtype=complex))]
     d = _values(evaluator, probe).shape[-1]
-    partial = partials if scalar_inputs else partial_norm
 
     def statistic(rng, count):
         if scalar_inputs:
             points = rng.standard_normal((count, n))
         else:
             points = [tuple(x) for x in sample_gue(d1, count * n, rng).reshape(count, n, d1, d1)]
-        energy = _energy(evaluator, points, n, partial, rng, directions)
+        energy = _energy(evaluator, points, n, partials, rng, directions)
         z = _values(evaluator, points)
         mean = z.mean(axis=0)
         var = normalized_trace((z @ z).mean(axis=0) - mean @ mean)
@@ -386,7 +382,7 @@ def check_gaussian_poincare(
     return _batch_means(
         "gaussian-poincare", "gaussian-poincare", statistic, seed, samples,
         names=("variance", "bound"),
-        details={"rhs_is_lower_bound": (not scalar_inputs) and partial_norm is None},
+        details={"rhs_is_lower_bound": d1 > 1 and partials is None},
         d=d, n=n,
     )
 
@@ -399,9 +395,8 @@ def check_gaussian_sobolev(
     seed: int = 0,
 ) -> CheckReport:
     """Monte Carlo interpolation-entropy bound for PSD-valued functions of
-    Gaussian inputs with generator u^{2/p}, p in (1, 2)."""
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"p must lie in (1, 2), got {p}")
+    Gaussian inputs with generator u^{2/p}; p outside (1, 2) or a value
+    that is not PSD is a DomainError."""
 
     def statistic(rng, count):
         xs = rng.standard_normal((count, n))
@@ -421,7 +416,8 @@ def check_gaussian_logsobolev(
     seed: int = 0,
 ) -> CheckReport:
     """Monte Carlo log-Sobolev bound Ent(f^2) <= 2 sum_i E||D_i f||_2^2
-    + log(d) tr E[f^2] for PSD-valued functions of Gaussian inputs."""
+    + log(d) tr E[f^2] for PSD-valued functions of Gaussian inputs; a value
+    that is not PSD is a DomainError."""
 
     def statistic(rng, count):
         xs = rng.standard_normal((count, n))

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, MatPhiError
 from .fourier import LsiSearchResult, MatrixBooleanFunction
 from .holevo import CQEnsemble, MarkovKernel
-from .models import MAX_ENUMERATION, FiniteLaw, ProductModel
+from .models import MAX_ENUMERATION, FiniteLaw, ProductModel, require_probabilities
 from .report import matrix_from_obj, matrix_to_obj
 
 
@@ -76,15 +76,13 @@ def kernel_to_obj(kernel: MarkovKernel, mu: np.ndarray | None = None) -> dict:
 def kernel_from_obj(obj: dict) -> tuple[MarkovKernel, np.ndarray | None]:
     with _loading("kernel"):
         kernel = MarkovKernel(np.asarray(obj["rows"], dtype=float))
-        mu = np.asarray(obj["mu"], dtype=float) if "mu" in obj else None
-    # NaN and infinite entries fail the sign or the sum; a zero entry is
-    # left to the admissibility check
-    size = kernel.input_size
-    if mu is not None and not (
-        mu.shape == (size,) and np.all(mu >= 0) and abs(mu.sum() - 1.0) <= 1e-12
-    ):
-        raise ConfigError(f"mu must be a probability vector of size {size}, got {mu.tolist()}")
-    return kernel, mu
+        if "mu" not in obj:
+            return kernel, None
+        mu = np.asarray(obj["mu"], dtype=float)
+        if mu.shape != (kernel.input_size,):
+            raise ValueError(f"mu of shape {mu.shape} for {kernel.input_size} inputs")
+        # a zero entry is left to the admissibility check
+        return kernel, require_probabilities(mu, "mu", positive=False)
 
 
 def boolean_function_to_obj(f: MatrixBooleanFunction) -> dict:

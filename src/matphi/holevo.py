@@ -23,8 +23,9 @@ from .errors import (
     NotAdmissible,
     SupportError,
 )
-from .entropy import _phi_traces, phi_entropy
+from .entropy import _phi_entropies, _phi_traces, phi_entropy
 from .linalg import (
+    NONNEGATIVE,
     _require_hermitian_stack,
     eigenvalues,
     hermitian_part,
@@ -32,7 +33,7 @@ from .linalg import (
     spectral_map,
     spectral_tolerance,
 )
-from .models import DiscreteRandomMatrix, FiniteLaw
+from .models import DiscreteRandomMatrix, require_probabilities
 from .phifun import XLOGX, PhiFunction
 from .report import CheckReport, relative_tol, verdict
 from .sampling import BLOCK_ENTRIES, climb, random_density, rng_for
@@ -56,16 +57,11 @@ class CQEnsemble:
             raise DimensionMismatch(f"states must be (|X|, d, d), got {states.shape}")
         if probs.shape != (states.shape[0],):
             raise DimensionMismatch("label law and state count disagree")
-        if np.any(probs < 0) or not abs(float(probs.sum()) - 1.0) <= 1e-12:
-            raise ValueError("label probabilities must be nonnegative and sum to 1")
+        probs = require_probabilities(probs, "label probabilities", positive=False)
         states = _require_hermitian_stack(states)
-        tol = spectral_tolerance(states.shape[1])
-        lowest = eigenvalues(states)[:, 0]
-        negative = lowest < -tol
-        if np.any(negative):
-            raise ValueError(f"state has negative eigenvalue {lowest[np.argmax(negative)]:.3e}")
+        NONNEGATIVE.admit(eigenvalues(states))
         traces = np.trace(states, axis1=1, axis2=2).real
-        off = np.abs(traces - 1.0) > tol
+        off = np.abs(traces - 1.0) > spectral_tolerance(states.shape[1])
         if np.any(off):
             raise ValueError(f"state trace {traces[np.argmax(off)]!r} is not 1")
         object.__setattr__(self, "probs", probs)
@@ -98,14 +94,7 @@ class MarkovKernel:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2:
             raise DimensionMismatch(f"kernel rows must be a matrix, got shape {rows.shape}")
-        if np.any(rows < 0):
-            raise ValueError("kernel entries must be nonnegative")
-        off = np.abs(rows.sum(axis=1) - 1.0)
-        if not np.all(off <= 1e-12):  # a NaN sum fails too
-            worst = int(np.argmax(off))
-            total = float(rows[worst].sum())
-            raise ValueError(f"kernel rows must sum to 1, row {worst} sums to {total}")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", require_probabilities(rows, "kernel", positive=False))
 
     @property
     def input_size(self) -> int:
@@ -327,9 +316,8 @@ def eta_phi(
     state tuples, scored in stacked blocks and climbed in lock-step. Every
     evaluation enforces the contraction bound, so the returned value lies
     in [0, 1]."""
-    mu = np.asarray(mu, dtype=float)
     pushed = require_admissible(mu, kernel)
-    FiniteLaw(mu, tuple(range(mu.size)))  # mu sums to 1
+    mu = require_probabilities(mu, "mu")
     back = backward_channel(mu, kernel).rows
 
     if d == 1:
@@ -446,8 +434,9 @@ def check_functional_sdpi(
     h_total = phi_entropy(XLOGX, ens.as_law())
     back = backward_channel(mu, kernel).rows
     cond = 0.0
-    for p, row in zip(pushed, back):
-        cond += p * phi_entropy(XLOGX, DiscreteRandomMatrix(row, ens.states))
+    for p, row in zip(pushed, back):  # zero-weight states add exactly 0
+        mean = hermitian_part(np.tensordot(row, ens.states, axes=1))
+        cond += p * float(_phi_entropies(XLOGX, row, ens.states, mean))
     evolved = CQEnsemble(pushed, _evolve(mu, ens.states, pushed, back))
     h_evolved = phi_entropy(XLOGX, evolved.as_law())
     tol = relative_tol(1e-9, h_total)

@@ -113,21 +113,26 @@ class SpectralInterval:
 
         Eigenvalues within the spectral tolerance of the endpoints are
         clamped onto them (this implements the PSD convention at lo == 0);
-        anything further outside raises SpectrumOutOfDomain.
+        anything further outside raises SpectrumOutOfDomain, whose one-line
+        message names the count and the worst offender and whose
+        ``offending`` keeps them all.
         """
         w = np.asarray(w, dtype=float)
         tol = spectral_tolerance(w.shape[-1])
         bad = (w < self.lo - tol) | (w > self.hi + tol)
         if bad.any():
+            out = w[bad]
+            worst = out[np.argmax(np.maximum(self.lo - out, out - self.hi))]
             raise SpectrumOutOfDomain(
-                f"eigenvalues {w[bad]} outside [{self.lo}, {self.hi}]",
-                offending=w[bad],
+                f"{out.size} eigenvalue(s) outside [{self.lo}, {self.hi}], worst {worst:.3e}",
+                offending=out,
             )
         return w.clip(self.lo, self.hi)  # the ufunc without np.clip's dispatch
 
 
 REALS = SpectralInterval()
 NONNEGATIVE = SpectralInterval(0.0, np.inf)
+UNIT_INTERVAL = SpectralInterval(0.0, 1.0)
 
 
 def apply_standard_function(fn: Callable[[np.ndarray], np.ndarray], a) -> np.ndarray:

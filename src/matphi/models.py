@@ -14,15 +14,28 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge
-from .linalg import (
-    _require_hermitian_stack,
-    eigenvalues,
-    hermitian_part,
-    require_hermitian,
-    spectral_tolerance,
-)
+from .linalg import UNIT_INTERVAL, _require_hermitian_stack, eigenvalues, hermitian_part
 
 MAX_ENUMERATION = 10**6
+
+
+def require_probabilities(probs, what: str, positive: bool = True) -> np.ndarray:
+    """probs as floats, a vector or each row of a matrix a probability vector:
+    entries strictly positive (nonnegative unless ``positive``) and summing
+    to 1 within 1e-12; NaN fails the sum. Otherwise a one-line ValueError
+    names the first bad row."""
+    probs = np.asarray(probs, dtype=float)
+    low = probs <= 0 if positive else probs < 0
+    off = ~(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12)
+    if low.any() or off.any():
+        rows, low = np.atleast_2d(probs), np.atleast_2d(low)
+        k = int(np.argmax(low.any(axis=-1) | off.ravel()))
+        name = f"{what} row {k}" if probs.ndim > 1 else what
+        if low[k].any():
+            sign = "strictly positive" if positive else "nonnegative"
+            raise ValueError(f"{name}: entry {float(rows[k][low[k]][0])!r} is not {sign}")
+        raise ValueError(f"{name}: sum {float(rows[k].sum())!r} is not 1")
+    return probs
 
 
 @dataclass(frozen=True)
@@ -44,10 +57,7 @@ class DiscreteRandomMatrix:
             raise DimensionMismatch(f"values must be (K, d, d), got {values.shape}")
         if probs.shape != (values.shape[0],):
             raise DimensionMismatch("probabilities and values disagree in length")
-        if np.any(probs <= 0):
-            raise ValueError("support probabilities must be strictly positive")
-        if not abs(float(probs.sum()) - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+        probs = require_probabilities(probs, "support probabilities")
         values = _require_hermitian_stack(values)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "values", values)
@@ -93,11 +103,7 @@ class FiniteLaw:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or len(self.outcomes) != probs.size:
             raise DimensionMismatch("probabilities and outcomes disagree in length")
-        if np.any(probs <= 0):
-            raise ValueError("input probabilities must be strictly positive")
-        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
-            raise ValueError(f"input probabilities sum to {probs.sum()!r}, not 1")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", require_probabilities(probs, "input probabilities"))
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
 
     @classmethod
@@ -209,13 +215,7 @@ class MatrixInputModel(ProductModel):
     def __init__(self, laws, evaluator, partial_norm=None):
         laws = tuple(laws)
         for law in laws:
-            for outcome in law.outcomes:
-                w = eigenvalues(require_hermitian(outcome))
-                tol = spectral_tolerance(w.size)
-                if w[0] < -tol or w[-1] > 1.0 + tol:
-                    raise ValueError(
-                        f"matrix outcome spectrum [{w[0]:.3e}, {w[-1]:.3e}] leaves [0, 1]"
-                    )
+            UNIT_INTERVAL.admit(eigenvalues(_require_hermitian_stack(np.stack(law.outcomes))))
         object.__setattr__(self, "evaluator", evaluator)
         object.__setattr__(self, "partial_norm", partial_norm)
         self._tabulate(laws, evaluator)

@@ -26,7 +26,8 @@ from matphi.concentration import (
     variance,
 )
 from matphi.entropy import check_subadditivity, phi_entropy
-from matphi.errors import MatPhiError, SeparateConvexityViolated
+from matphi.errors import DomainError, MatPhiError, SeparateConvexityViolated
+from matphi.fourier import MatrixBooleanFunction, check_log_sobolev, check_phi_sobolev
 from matphi.frechet import MultivariateScalarFunction, multivariate_dd_table
 from matphi.linalg import hermitian_part, normalized_trace, positive_part
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
@@ -577,15 +578,6 @@ def _per_draw_points(seed, label, samples, draw):
     return points
 
 
-@pytest.mark.parametrize("options", [
-    {"d1": 1, "partial_norm": lambda x, i: 5.0},
-    {"d1": 2, "partials": lambda x, i: 5.0},
-], ids=["partial_norm-at-d1-1", "partials-at-d1-2"])
-def test_gaussian_poincare_refuses_a_derivative_of_the_other_input_kind(options):
-    with pytest.raises(ValueError, match="partials need d1 = 1 and partial_norm d1 > 1"):
-        check_gaussian_poincare(lambda x: float(np.sum(np.real(x))), n=2, samples=100, **options)
-
-
 def _key(x):
     return np.asarray(x, dtype=complex).tobytes()
 
@@ -624,7 +616,7 @@ def test_gaussian_poincare_matrix_inputs_keep_the_per_draw_inputs():
         return xs[0] @ xs[0] + xs[1]
 
     check_gaussian_poincare(
-        evaluator, n=n, d1=d1, samples=samples, seed=seed, partial_norm=lambda xs, i: 1.0
+        evaluator, n=n, d1=d1, samples=samples, seed=seed, partials=lambda xs, i: 1.0
     )
     draws = _per_draw_points(
         seed, "gaussian-poincare", samples,
@@ -674,6 +666,27 @@ def test_gaussian_sobolev_exponential():
         lambda x: float(np.exp(x[0] / 4.0)) * base, p=1.5, n=2, samples=20000, seed=5
     )
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "gaussian, boolean",
+    [
+        (lambda f: check_gaussian_sobolev(f, p=1.5, n=1, samples=100),
+         lambda f: check_phi_sobolev(f, 1.5)),
+        (lambda f: check_gaussian_logsobolev(f, n=1, samples=100), check_log_sobolev),
+    ],
+    ids=["sobolev", "logsobolev"],
+)
+def test_gaussian_sobolev_checks_refuse_non_psd_values_as_their_boolean_twins(gaussian, boolean):
+    with pytest.raises(DomainError):
+        boolean(MatrixBooleanFunction.constant(1, -np.eye(2)))
+    with pytest.raises(DomainError):
+        gaussian(lambda x: -np.eye(2))
+
+
+def test_gaussian_sobolev_refuses_p_outside_the_open_interval():
+    with pytest.raises(DomainError, match="p must lie in"):
+        check_gaussian_sobolev(lambda x: np.eye(2), p=2.5, n=1, samples=100)
 
 
 def test_gaussian_logsobolev_constant():
@@ -756,7 +769,7 @@ def test_gaussian_poincare_gue_inputs_trace_map():
         d1=d1,
         samples=20000,
         seed=9,
-        partial_norm=lambda xs, i: 1.0,
+        partials=lambda xs, i: 1.0,
     )
     assert rep.passed
     assert rep.details["bound"] == pytest.approx(1.0, abs=1e-12)

@@ -63,6 +63,15 @@ def test_boolean_function_round_trip():
     assert np.max(np.abs(back.table - f.table)) < 1e-15
 
 
+def test_ensemble_with_many_negative_states_is_a_one_line_config_error():
+    obj = {"d": 2, "items": [{"p": 1 / 50, "rho": matrix_to_obj(np.diag([1.2, -0.2]))}] * 50}
+    with pytest.raises(ConfigError) as err:
+        ensemble_from_obj(obj)
+    assert "\n" not in str(err.value)
+    assert "50 eigenvalue(s)" in str(err.value)
+    assert len(err.value.__cause__.offending) == 50
+
+
 def test_boolean_function_rejects_missing_points():
     rng = rng_for(61, "formats", 3)
     f = MatrixBooleanFunction(2, random_boolean_function(rng, 2, 2))

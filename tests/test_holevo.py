@@ -441,6 +441,26 @@ def test_functional_sdpi_constant_kernel():
     assert rep.details["h_evolved"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rows", [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.3, 0.7]]], ids=["identity", "one-zero"]
+)
+def test_functional_sdpi_takes_kernels_with_zero_entries(rows):
+    # a backward row with a zero entry weighs its state by exactly 0
+    ens = _qubit_pair()
+    rep = check_functional_sdpi(ens.probs, MarkovKernel(np.array(rows)), ens.states, 0.5)
+    assert np.isfinite(rep.details["conditional"])
+
+
+def test_functional_sdpi_identity_kernel_fails_when_states_differ():
+    # Y = X leaves no conditional entropy, so only an ensemble of equal states passes
+    ens = _qubit_pair()
+    rep = check_functional_sdpi(ens.probs, MarkovKernel.identity(2), ens.states, 0.5)
+    assert rep.details["conditional"] == 0.0
+    assert not rep.passed
+    same = np.stack([ens.states[0]] * 2)
+    assert check_functional_sdpi(ens.probs, MarkovKernel.identity(2), same, 0.5).passed
+
+
 def test_functional_sdpi_bsc_sweep():
     mu = np.array([0.5, 0.5])
     kernel = MarkovKernel.binary_symmetric(0.1)

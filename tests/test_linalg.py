@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matphi.errors import (
+    ConfigError,
     DimensionMismatch,
     InvalidExponent,
+    NotAdmissible,
     NotHermitian,
     SpectrumOutOfDomain,
 )
-from matphi.fourier import MatrixBooleanFunction
-from matphi.holevo import CQEnsemble
+from matphi.formats import kernel_from_obj
+from matphi.fourier import MatrixBooleanFunction, check_log_sobolev, check_phi_sobolev
+from matphi.holevo import CQEnsemble, MarkovKernel, eta_phi
 from matphi.linalg import (
     NONNEGATIVE,
     SpectralInterval,
@@ -29,7 +32,7 @@ from matphi.linalg import (
     spectral_decompose,
     spectral_map,
 )
-from matphi.models import DiscreteRandomMatrix, FiniteLaw
+from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel
 from matphi.phifun import ScalarFunction
 from matphi.sampling import random_hermitian, random_psd, random_unitary, rng_for
 
@@ -81,14 +84,63 @@ def test_stack_validation_keeps_each_matrix_tolerance(build):
         build(_slightly_skew_unit_and_big())
 
 
-@pytest.mark.parametrize("probs", [[np.nan, np.nan], [0.5, np.nan]])
-def test_probabilities_must_not_be_nan(probs):
-    with pytest.raises(ValueError):
-        DiscreteRandomMatrix(np.array(probs), np.stack([np.eye(2)] * 2))
-    with pytest.raises(ValueError):
-        FiniteLaw(np.array(probs), (0, 1))
-    with pytest.raises(ValueError):
-        CQEnsemble(np.array(probs), np.stack([np.eye(2) / 2] * 2))
+# one row per place a probability vector enters; strict rows refuse a zero
+PROBABILITY_ENTRIES = {
+    "discrete-random-matrix": (lambda p: DiscreteRandomMatrix(p, np.stack([np.eye(2)] * 2)), True),
+    "finite-law": (lambda p: FiniteLaw(p, (0, 1)), True),
+    "cq-ensemble": (lambda p: CQEnsemble(p, np.stack([np.eye(2) / 2] * 2)), False),
+    "kernel-rows": (lambda p: MarkovKernel(np.stack([[0.5, 0.5], p])), False),
+    "kernel-file-mu": (lambda p: kernel_from_obj({"rows": [[1, 0], [0, 1]], "mu": list(p)}), False),
+    "eta-mu": (lambda p: eta_phi(p, MarkovKernel.identity(2), d=1, restarts=1, hill_steps=1), True),
+}
+PROBABILITY_COLUMNS = {
+    "nan": [0.5, np.nan],
+    "negative": [1.5, -0.5],
+    "zero": [1.0, 0.0],
+    "sum-off": [0.5, 0.5 + 2e-12],
+}
+
+
+def _probability_refusal(entry, column):
+    """The error class the entry raises on the column's vector, or None."""
+    if entry == "eta-mu" and column in ("negative", "zero"):
+        return NotAdmissible  # the admissibility check sees a sign first
+    if column == "zero" and not PROBABILITY_ENTRIES[entry][1]:
+        return None
+    return ConfigError if entry == "kernel-file-mu" else ValueError
+
+
+@pytest.mark.parametrize("column", list(PROBABILITY_COLUMNS))
+@pytest.mark.parametrize("entry", list(PROBABILITY_ENTRIES))
+def test_probability_rule_at_every_entry(entry, column):
+    build, _ = PROBABILITY_ENTRIES[entry]
+    probs = np.array(PROBABILITY_COLUMNS[column])
+    expected = _probability_refusal(entry, column)
+    if expected is None:
+        build(probs)
+        return
+    with pytest.raises(expected) as err:
+        build(probs)
+    assert "\n" not in str(err.value)
+    if entry == "kernel-rows":
+        assert "kernel row 1:" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CQEnsemble(np.array([0.5, 0.5]), np.stack([np.diag([1.2, -0.2])] * 2)),
+        lambda: MatrixInputModel((FiniteLaw.uniform((np.eye(2), 2 * np.eye(2))),), sum),
+        lambda: check_phi_sobolev(MatrixBooleanFunction.constant(1, -np.eye(2)), 1.5),
+        lambda: check_log_sobolev(MatrixBooleanFunction.constant(1, -np.eye(2))),
+    ],
+    ids=["ensemble-state", "matrix-input", "phi-sobolev", "log-sobolev"],
+)
+def test_spectrum_rule_refuses_in_one_line(build):
+    with pytest.raises(SpectrumOutOfDomain) as err:
+        build()
+    assert "\n" not in str(err.value)
+    assert err.value.offending
 
 
 def test_standard_function_identity_and_square():
