@@ -30,7 +30,7 @@ from .formats import (
     witness_payload,
 )
 from .fourier import MatrixBooleanFunction, search_lsi_counterexample
-from .holevo import GRID_RESOLUTION, CQEnsemble, MarkovKernel, eta_phi
+from .holevo import GRID_RESOLUTION, CQEnsemble, MarkovKernel, eta_phi, require_admissible
 from .models import MAX_ENUMERATION
 from .report import SuiteReport
 from .sampling import (
@@ -193,6 +193,10 @@ def _cmd_eta(config: RunConfig, infile: str | None) -> int:
         raise ConfigError(f"eta at d = 1 on {k} letters scans {grid} grid points, above {MAX_ENUMERATION}")
     if mu is None:
         mu = np.full(kernel.input_size, 1.0 / kernel.input_size)
+    # a file's mu is a probability vector that may vanish somewhere, which
+    # is not admissible (exit 3); eta_phi itself refuses it as no strictly
+    # positive law
+    require_admissible(mu, kernel)
     result = eta_phi(
         mu, kernel, d=config.d, restarts=min(config.trials, 50), seed=config.seed
     )

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MatPhiError, SeparateConvexityViolated
-from .fourier import _log_sobolev_sides, _phi_sobolev_sides
+from .fourier import _log_sobolev_sides, _phi_sobolev_sides, _require_sobolev_exponent
 from .frechet import MultivariateScalarFunction, commuting_eigensystem, multivariate_dd_table, multivariate_apply
 from .linalg import (
     eigenvalues,
@@ -395,8 +395,9 @@ def check_gaussian_sobolev(
     seed: int = 0,
 ) -> CheckReport:
     """Monte Carlo interpolation-entropy bound for PSD-valued functions of
-    Gaussian inputs with generator u^{2/p}; p outside (1, 2) or a value
-    that is not PSD is a DomainError."""
+    Gaussian inputs with generator u^{2/p}; p outside (1, 2), refused
+    before f is evaluated, or a value that is not PSD is a DomainError."""
+    _require_sobolev_exponent(p)
 
     def statistic(rng, count):
         xs = rng.standard_normal((count, n))

@@ -200,13 +200,18 @@ def entropy_of_square(f: MatrixBooleanFunction) -> float:
     return float(_square_entropy(f.table))
 
 
+def _require_sobolev_exponent(p: float) -> None:
+    """The phi-Sobolev exponent must lie in the open interval (1, 2)."""
+    if not 1.0 < p < 2.0:
+        raise DomainError(f"p must lie in (1, 2), got {p}")
+
+
 def _phi_sobolev_sides(values: np.ndarray, energy: float, p: float) -> tuple[float, float]:
     """Both sides of H(f^p) <= (2-p) E(f) d^{1-2/p} + tr E[f^2] (1 - d^{1-2/p})
     for a (k, d, d) stack of equally likely values and an energy; p outside
     (1, 2) or a value that is not PSD is a DomainError. The PSD test reads
     the spectra that f^p is taken from."""
-    if not 1.0 < p < 2.0:
-        raise DomainError(f"p must lie in (1, 2), got {p}")
+    _require_sobolev_exponent(p)
     f2_mean = np.mean(np.einsum("kij,kjl->kil", values, values), axis=0)
     fp = spectral_map(lambda w: NONNEGATIVE.admit(w) ** p, hermitian_part(values))
     lhs = normalized_trace(f2_mean) - normalized_trace(psd_power(fp.mean(axis=0), 2.0 / p))
@@ -307,13 +312,73 @@ def _lsi_objective(table: np.ndarray, n: int) -> np.ndarray:
     return _square_entropy(table) - 2.0 * _flip_energy(table, n)
 
 
+def _gram(g: np.ndarray) -> np.ndarray:
+    """G†G + 1e-12 I of each factor of a (..., d, d) stack."""
+    return np.einsum("...ji,...jl->...il", g.conj(), g) + 1e-12 * np.eye(g.shape[-1])
+
+
 def _table_of(g: np.ndarray) -> np.ndarray:
     """The PSD tables G†G + 1e-12 I of a (..., 2^n, d, d) stack of
     factors, each scaled to tr E f^2 = 1."""
-    d = g.shape[-1]
-    ms = np.einsum("...ji,...jl->...il", g.conj(), g) + 1e-12 * np.eye(d)
-    norm = np.sqrt(np.mean(np.einsum("...ij,...ji->...", ms, ms).real, axis=-1) / d)
+    ms = _gram(g)
+    norm = np.sqrt(np.mean(np.einsum("...ij,...ji->...", ms, ms).real, axis=-1) / g.shape[-1])
     return ms / np.maximum(norm, 1e-30)[..., None, None, None]
+
+
+# The LSI search climbs a (restarts, 2^n) stack of records, one per point:
+# the factor g and caches of the unscaled table ms = G†G + 1e-12 I (ms, its
+# square, tr phi(ms^2) for phi = x log x, and the n flip-pair terms
+# tr (ms_x - ms_{x^i})^2, each pair stored at both ends). A step re-sums its
+# value from the caches, carrying no running total, and scales it to
+# tr E f^2 = 1 by homogeneity: Ent(c f^2) = c Ent(f^2), E(sqrt(c) f) = c E(f).
+
+def _lsi_stack(g: np.ndarray, n: int) -> np.ndarray:
+    """The (restarts, 2^n) climbed stack of a (restarts, 2^n, d, d) stack
+    of factors, every cache computed from the whole table."""
+    k, d = g.shape[-3:-1]
+    s = np.empty(g.shape[:-2], [("g", complex, (d, d)), ("ms", complex, (d, d)),
+                                ("sq", complex, (d, d)), ("ent", float), ("flip", float, (n,))])
+    s["g"] = g
+    s["ms"] = ms = _gram(g)
+    s["sq"] = sq = ms @ ms
+    s["ent"] = _phi_traces(XLOGX, sq, sq.sum(axis=-3) / k)[..., :k]
+    for i in range(n):
+        diff = ms - ms[..., np.arange(k) ^ (1 << i), :, :]
+        s["flip"][..., i] = np.einsum("...ij,...ji->...", diff, diff).real
+    return s
+
+
+def _lsi_move(s: np.ndarray, ks: np.ndarray, dg: np.ndarray, n: int) -> None:
+    """Add dg[r] to the factor at point ks[r] of restart r, in place, and
+    refresh that point's ms, square and flip pairs (tr phi waits for the
+    rescore's spectral call)."""
+    rows = np.arange(len(s))
+    g = s["g"][rows, ks] + dg
+    s["g"][rows, ks] = g
+    ms = _gram(g)
+    s["ms"][rows, ks] = ms
+    s["sq"][rows, ks] = ms @ ms
+    bits = np.arange(n)
+    across = ks[:, None] ^ (1 << bits)
+    diff = ms[:, None] - s["ms"][rows[:, None], across]
+    flips = np.einsum("...ij,...ji->...", diff, diff).real
+    s["flip"][rows, ks] = flips
+    s["flip"][rows[:, None], across, bits] = flips
+
+
+def _lsi_rescore(s: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Ent(f^2) - 2 E(f) of each restart of s after its point ks[r] moved:
+    one spectral call on that point's square and the new mean square, the
+    rest re-summed from the caches."""
+    k, d = s.shape[-1], s["sq"].shape[-1]
+    rows = np.arange(len(s))
+    sq = s["sq"]
+    mean = sq.sum(axis=-3) / k
+    traces = _phi_traces(XLOGX, sq[rows, ks][:, None], mean)
+    s["ent"][rows, ks] = traces[:, 0]
+    entropy = s["ent"].sum(axis=-1) / k - traces[:, 1]
+    energy = 0.25 * (s["flip"].sum(axis=(-2, -1)) / k) / d
+    return (entropy - 2.0 * energy) / (np.einsum("...ii->...", mean).real / d)
 
 
 def search_lsi_counterexample(
@@ -329,8 +394,11 @@ def search_lsi_counterexample(
     Restart r draws from its own generator rng_for(seed, "lsi-search", r)
     and keeps its own step size and early stop. The restarts climb in
     lock-step (sampling.climb), in blocks of at most BLOCK_ENTRIES table
-    entries: each step scores every live restart's proposal in one stacked
-    call, bit-identical to running the restarts one after another.
+    entries, bit-identical to running the restarts one after another. A
+    block's start tables are scored whole; a proposal moves one point, so a
+    step rescores each live restart from its per-point caches with one
+    spectral call on two matrices: the moved point's square and the mean
+    square.
 
     The tight scalar bound makes the objective nonpositive at d = 1; for
     d >= 2 nearly-aligned low-rank tables violate it, and every candidate
@@ -342,16 +410,17 @@ def search_lsi_counterexample(
     best_obj = -np.inf
     best_table = None
 
-    def low_rank(rng):
-        return np.outer(
-            random_complex_gaussian(rng, (d,)), random_complex_gaussian(rng, (d,))
-        ) + 0.05 * random_complex_gaussian(rng, (d, d))
-
     def start_table(rng, style):
         if d == 1 or style == 0:
             return random_complex_gaussian(rng, (points, d, d))
         if style == 1:
-            return np.stack([low_rank(rng) for _ in range(points)])
+            # u w^T + 0.05 e per point, with complex Gaussian u, w (d,) and
+            # e (d, d) read point by point, each as a real then an imaginary block
+            z = rng.standard_normal((points, 4 * d + 2 * d * d))
+            u = z[:, :d] + 1j * z[:, d:2 * d]
+            w = z[:, 2 * d:3 * d] + 1j * z[:, 3 * d:4 * d]
+            e = z[:, 4 * d:].reshape(points, 2, d, d)
+            return u[:, :, None] * w[:, None, :] + 0.05 * (e[:, 0] + 1j * e[:, 1])
         # Two nearly-aligned rank-1 factors along one random coordinate;
         # slightly tilted low-rank pairs sit in the violating region.
         j = int(rng.integers(max(n, 1)))
@@ -365,29 +434,39 @@ def search_lsi_counterexample(
         w0 = random_complex_gaussian(rng, (d,))
         w1 = w0 + 0.1 * random_complex_gaussian(rng, (d,))
         g0, g1 = np.outer(w0, u0), np.outer(w1, u1)
-        return np.stack([g1 if (x >> j) & 1 else g0 for x in range(points)])
+        return np.where(((np.arange(points) >> j) & 1)[:, None, None] == 1, g1, g0)
 
     block = max(1, BLOCK_ENTRIES // (points * d * d))
     for first in range(0, restarts, block):
         rngs = [rng_for(seed, "lsi-search", r) for r in range(first, min(first + block, restarts))]
+        ks = np.empty(len(rngs), dtype=np.intp)
+        z = np.empty((len(rngs), 2, d, d))
+        moved = None  # the point each live restart's last proposal moved
 
-        def propose(live, g, step):
+        def propose(live, s, step):
             # each restart's stream: the point, then one (2, d, d) normal
             # draw, which reads the same values as random_complex_gaussian's
             # real and imaginary (d, d) draws
-            live_rngs = [rngs[r] for r in live.tolist()]
-            ks = np.array([rng.integers(points) for rng in live_rngs])
-            z = np.array([rng.standard_normal((2, d, d)) for rng in live_rngs])
-            g[np.arange(live.size), ks] += step[:, None, None] * (z[:, 0] + 1j * z[:, 1])
-            return g
+            nonlocal moved
+            for j, r in enumerate(live.tolist()):
+                ks[j] = rngs[r].integers(points)
+                rngs[r].standard_normal(out=z[j])
+            moved, dz = ks[:live.size], z[:live.size]
+            _lsi_move(s, moved, step[:, None, None] * (dz[:, 0] + 1j * dz[:, 1]), n)
+            return s
+
+        def score(s):
+            if moved is None:  # the block's start tables, scored whole
+                return _lsi_objective(_table_of(s["g"]), n)
+            return _lsi_rescore(s, moved)
 
         starts = np.stack([start_table(rng, r % 3) for r, rng in enumerate(rngs, first)])
-        g, values = climb(lambda g: _lsi_objective(_table_of(g), n), propose, starts,
+        s, values = climb(score, propose, _lsi_stack(starts, n),
                           LSI_STEP0, 1e-7, steps, 0.5, grow=2.0)
         # the first maximum, as a strict > scan in restart order keeps
         i = int(np.argmax(values))
         if values[i] > best_obj:
-            best_obj, best_table = values[i], _table_of(g[i])
+            best_obj, best_table = values[i], _table_of(s["g"][i])
 
     f = MatrixBooleanFunction(n, best_table)
     ent = entropy_of_square(f)

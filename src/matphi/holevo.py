@@ -119,24 +119,25 @@ class MarkovKernel:
 
 
 def kernel_push(mu: np.ndarray, kernel: MarkovKernel) -> np.ndarray:
-    """(mu K)(y) = sum_x mu(x) K(y|x)."""
+    """(mu K)(y) = sum_x mu(x) K(y|x) for a probability vector mu over the
+    kernel's inputs (zeros allowed)."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (kernel.input_size,):
         raise DimensionMismatch(
             f"distribution of size {mu.size} vs kernel input {kernel.input_size}"
         )
-    return mu @ kernel.rows
+    return require_probabilities(mu, "mu", positive=False) @ kernel.rows
 
 
 def require_admissible(mu: np.ndarray, kernel: MarkovKernel) -> np.ndarray:
-    """mu and mu K must be strictly positive; returns mu K."""
-    mu = np.asarray(mu, dtype=float)
-    zeros_mu = np.where(mu <= 0)[0]
+    """mu and mu K must be strictly positive; returns mu K. A mu that is not
+    a probability vector fails the probability rule first."""
+    pushed = kernel_push(mu, kernel)
+    zeros_mu = np.where(np.asarray(mu) <= 0)[0]
     if zeros_mu.size:
         raise NotAdmissible(
             f"input law vanishes at {zeros_mu.tolist()}", zero_entries=zeros_mu.tolist()
         )
-    pushed = kernel_push(mu, kernel)
     zeros_out = np.where(pushed <= 0)[0]
     if zeros_out.size:
         raise NotAdmissible(
@@ -316,8 +317,8 @@ def eta_phi(
     state tuples, scored in stacked blocks and climbed in lock-step. Every
     evaluation enforces the contraction bound, so the returned value lies
     in [0, 1]."""
-    pushed = require_admissible(mu, kernel)
     mu = require_probabilities(mu, "mu")
+    pushed = require_admissible(mu, kernel)
     back = backward_channel(mu, kernel).rows
 
     if d == 1:

@@ -689,6 +689,19 @@ def test_gaussian_sobolev_refuses_p_outside_the_open_interval():
         check_gaussian_sobolev(lambda x: np.eye(2), p=2.5, n=1, samples=100)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, float("nan")])
+def test_gaussian_sobolev_refuses_p_before_calling_the_evaluator(p):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.eye(2)
+
+    with pytest.raises(DomainError, match="p must lie in"):
+        check_gaussian_sobolev(f, p=p, n=4)
+    assert calls == []
+
+
 def test_gaussian_logsobolev_constant():
     base = np.diag([1.0, 0.5]).astype(complex)
     rep = check_gaussian_logsobolev(lambda x: base, n=1, samples=2000, seed=6)

@@ -26,7 +26,11 @@ from matphi.fourier import (
     noise_operator,
     p_variance,
     parseval_check,
+    _lsi_move,
     _lsi_objective,
+    _lsi_rescore,
+    _lsi_stack,
+    _table_of,
     search_lsi_counterexample,
     uniform_cube_model,
     _fwht,
@@ -38,7 +42,7 @@ from matphi.entropy import phi_entropy
 from matphi.errors import MatPhiError
 from matphi.models import DiscreteRandomMatrix
 from matphi.phifun import XLOGX
-from matphi.sampling import random_boolean_function, random_law, rng_for
+from matphi.sampling import random_boolean_function, random_complex_gaussian, random_law, rng_for
 
 
 def _random_function(seed, n, d, psd=False, index=0):
@@ -304,6 +308,9 @@ def test_lsi_search_scalar_stays_tight():
 # (d, n, restarts, steps, seed) -> objective, entropy, energy and the
 # sha256 of the witness table bytes, as the restart-by-restart search
 # reported them; the lock-step search must reproduce them bit for bit.
+# At d = 1 the objective is rounding noise, so the climber keeps whichever
+# proposal rounds highest; that pin is the incremental search's, taken in
+# blocks of one restart.
 LSI_SEARCH_PINS = {
     (2, 1, 20, 300, 0): (
         "0.021210315729113402", "0.1165494979760231", "0.04766959112345485",
@@ -318,8 +325,8 @@ LSI_SEARCH_PINS = {
         "80a9cc135813bb166ff3462854ea09eecb4b62c599957e5963e69c697dcc26f8",
     ),
     (1, 1, 300, 200, 0): (
-        "1.1102310893130115e-16", "5.571663213823952e-11", "2.7858260557565294e-11",
-        "388905fd620d93b5cf5bd83fa6a5af759bedf7860c71c62f89edc11696f60806",
+        "-9.781680404319245e-17", "1.593466187569271e-08", "7.967330986754756e-09",
+        "082c87a9ba759595c009053625a3798b295e99e621d59aa53bca60008e45d8da",
     ),
     (2, 0, 5, 50, 0): (
         "0.0", "0.0", "0.0",
@@ -357,6 +364,46 @@ def test_lsi_objective_equals_reported_objective(d, n):
     for index in range(10):
         f = _random_function(22, n, d, psd=True, index=index)
         assert _lsi_objective(f.table, n) == entropy_of_square(f) - 2.0 * dirichlet_energy_flip(f)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_lsi_rescore_tracks_the_whole_table_objective(d, n):
+    # one-point moves as the climber makes them, each restart keeping or
+    # dropping its proposal at random: a dropped one is a discarded copy
+    rng = rng_for(23, "lsi-rescore", 10 * d + n)
+    restarts, k = 3, 2**n
+    s = _lsi_stack(random_complex_gaussian(rng, (restarts, k, d, d)), n)
+    assert np.max(np.abs(_lsi_rescore(s.copy(), np.zeros(restarts, dtype=int))
+                         - _lsi_objective(_table_of(s["g"]), n))) <= 1e-13
+    for _ in range(40):
+        ks = rng.integers(k, size=restarts)
+        cand = s.copy()
+        _lsi_move(cand, ks, 0.3 * random_complex_gaussian(rng, (restarts, d, d)), n)
+        value = _lsi_rescore(cand, ks)
+        assert np.max(np.abs(value - _lsi_objective(_table_of(cand["g"]), n))) <= 1e-13
+        kept = rng.random(restarts) < 0.5
+        s[kept] = cand[kept]
+
+
+def test_lsi_step_sends_two_matrices_per_restart_to_the_spectrum(monkeypatch):
+    # the start tables and the witness are scored whole; a step sends only
+    # the moved point's square and the mean square of each live restart
+    calls = []
+    real = matphi.fourier._phi_traces
+
+    def counting(phi, values, means):
+        calls.append(values.shape[:-2])
+        return real(phi, values, means)
+
+    monkeypatch.setattr(matphi.fourier, "_phi_traces", counting)
+    restarts, steps, n = 2, 20, 10
+    search_lsi_counterexample(d=2, n=n, restarts=restarts, steps=steps, seed=0)
+    whole = [shape for shape in calls if shape[-1] == 2**n]
+    step_calls = [shape for shape in calls if shape[-1] != 2**n]
+    assert whole == [(restarts, 2**n)] * 2 + [(2**n,)]
+    assert 1 <= len(step_calls) <= steps
+    assert all(len(shape) == 2 and shape[0] <= restarts and shape[1] == 1 for shape in step_calls)
 
 
 def test_lsi_search_constant_start_objective_zero():

@@ -9,13 +9,12 @@ from matphi.errors import (
     ConfigError,
     DimensionMismatch,
     InvalidExponent,
-    NotAdmissible,
     NotHermitian,
     SpectrumOutOfDomain,
 )
 from matphi.formats import kernel_from_obj
 from matphi.fourier import MatrixBooleanFunction, check_log_sobolev, check_phi_sobolev
-from matphi.holevo import CQEnsemble, MarkovKernel, eta_phi
+from matphi.holevo import CQEnsemble, MarkovKernel, eta_phi, kernel_push
 from matphi.linalg import (
     NONNEGATIVE,
     SpectralInterval,
@@ -92,6 +91,7 @@ PROBABILITY_ENTRIES = {
     "kernel-rows": (lambda p: MarkovKernel(np.stack([[0.5, 0.5], p])), False),
     "kernel-file-mu": (lambda p: kernel_from_obj({"rows": [[1, 0], [0, 1]], "mu": list(p)}), False),
     "eta-mu": (lambda p: eta_phi(p, MarkovKernel.identity(2), d=1, restarts=1, hill_steps=1), True),
+    "kernel-push-mu": (lambda p: kernel_push(p, MarkovKernel.identity(2)), False),
 }
 PROBABILITY_COLUMNS = {
     "nan": [0.5, np.nan],
@@ -103,8 +103,6 @@ PROBABILITY_COLUMNS = {
 
 def _probability_refusal(entry, column):
     """The error class the entry raises on the column's vector, or None."""
-    if entry == "eta-mu" and column in ("negative", "zero"):
-        return NotAdmissible  # the admissibility check sees a sign first
     if column == "zero" and not PROBABILITY_ENTRIES[entry][1]:
         return None
     return ConfigError if entry == "kernel-file-mu" else ValueError
