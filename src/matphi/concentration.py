@@ -42,21 +42,32 @@ def variance(law: DiscreteRandomMatrix) -> float:
 def efron_stein_forms(model: ProductModel) -> tuple[float, float, float]:
     """The three equivalent enumerated forms of the resampling quantity:
     half replacement square, conditional variance, and positive part.
-    All pair differences Z_k - Z_l of an input's slices form one
-    (rest, s, s, d, d) stack."""
-    forms = np.zeros(3)
+    The unordered pair differences D = Z_k - Z_l (k < l) of every input's
+    slices form one stack with one spectrum call; the ordered pairs (k, l)
+    and (l, k) read (D)_+ and (-D)_+ = (D)_- from it. Each input's
+    centered values form a second stack."""
+    d = model.values.shape[-1]
+    diffs, centered = [np.empty((0, d, d))], [np.empty((0, d, d))]
+    pair_w, center_w = [np.empty(0)], [np.empty(0)]
     for i in range(model.n):
         weights, probs, values = model.slices(i)
-        centered = values - hermitian_part(np.tensordot(probs, values, axes=(0, 1)))[:, None]
-        diff = values[:, :, None] - values[:, None, :]
-        pair_w = np.outer(probs, probs)
-        plus = np.clip(eigenvalues(diff), 0.0, None)
-        forms += weights @ np.stack([
-            0.5 * np.einsum("kl,rklij,rklji->r", pair_w, diff, diff).real,
-            np.einsum("k,rkij,rkji->r", probs, centered, centered).real,
-            np.einsum("kl,rkl->r", pair_w, np.sum(plus**2, axis=-1)),
-        ], axis=1) / values.shape[-1]
-    return tuple(float(x) for x in forms)
+        r = np.arange(probs.size)
+        k, l = np.nonzero(r[:, None] < r)
+        diffs.append((values[:, k] - values[:, l]).reshape(-1, d, d))
+        pair_w.append((weights[:, None] * (probs[k] * probs[l])).ravel())
+        flat = values.reshape(*values.shape[:2], d * d)
+        mean = hermitian_part((probs @ flat).reshape(-1, 1, d, d))
+        centered.append((values - mean).reshape(-1, d, d))
+        center_w.append((weights[:, None] * probs).ravel())
+    diff, centered = np.concatenate(diffs), np.concatenate(centered)
+    pair_w, center_w = np.concatenate(pair_w), np.concatenate(center_w)
+    w = eigenvalues(diff)
+    forms = (
+        pair_w @ np.einsum("rij,rji->r", diff, diff).real,
+        center_w @ np.einsum("rij,rji->r", centered, centered).real,
+        pair_w @ np.sum(np.maximum(w, 0.0) ** 2 + np.minimum(w, 0.0) ** 2, axis=-1),
+    )
+    return tuple(float(x) / d for x in forms)
 
 
 def forms_gap(forms) -> tuple[float, float]:

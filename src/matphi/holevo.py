@@ -23,7 +23,7 @@ from .errors import (
     NotAdmissible,
     SupportError,
 )
-from .entropy import _phi_entropies, _phi_traces, phi_entropy
+from .entropy import _phi_traces, phi_entropy
 from .linalg import (
     NONNEGATIVE,
     _require_hermitian_stack,
@@ -396,21 +396,26 @@ def check_law_total_variance(
     labels: Sequence,
 ) -> CheckReport:
     """Exact conditional decomposition H(Z) = E_Y H(Z|Y) + H(E[Z|Y]) for a
-    finite joint law of (Z, Y)."""
+    finite joint law of (Z, Y), validated once. One spectrum call takes the
+    support values, the conditional means, the outer law's mean and the
+    total mean; every term reads its traces from it."""
     law = DiscreteRandomMatrix(probs, values)
-    total = phi_entropy(phi, law)
     labels = list(labels)
+    if len(labels) != law.size:
+        raise DimensionMismatch(f"{len(labels)} labels for {law.size} support values")
     uniq = sorted(set(labels), key=repr)
+    groups = [[k for k, lab in enumerate(labels) if lab == y] for y in uniq]
+    py = [float(law.probs[idx].sum()) for idx in groups]
+    cond_probs = [law.probs[idx] / p for idx, p in zip(groups, py)]
+    means = np.stack([hermitian_part(np.tensordot(q, law.values[idx], axes=1))
+                      for idx, q in zip(groups, cond_probs)])
+    outer_mean = hermitian_part(np.tensordot(np.array(py), means, axes=1))
+    traces = _phi_traces(phi, np.concatenate([law.values, means, outer_mean[None]]), law.mean())
+    total = float(np.tensordot(traces[:law.size], law.probs, axes=1) - traces[-1])
     cond_term = 0.0
-    mean_pairs = []
-    for y in uniq:
-        idx = [k for k, lab in enumerate(labels) if lab == y]
-        py = float(law.probs[idx].sum())
-        cond_probs = law.probs[idx] / py
-        cond_law = DiscreteRandomMatrix(cond_probs, law.values[idx])
-        cond_term += py * phi_entropy(phi, cond_law)
-        mean_pairs.append((py, cond_law.mean()))
-    outer = phi_entropy(phi, DiscreteRandomMatrix.from_pairs(mean_pairs))
+    for p, idx, q, mean_trace in zip(py, groups, cond_probs, traces[law.size:]):
+        cond_term += p * float(np.tensordot(traces[idx], q, axes=1) - mean_trace)
+    outer = float(np.tensordot(traces[law.size:-2], np.array(py), axes=1) - traces[-2])
     return verdict(
         "law-total-variance", abs(total - (cond_term + outer)), relative_tol(1e-10, total),
         phi=phi.label, d=law.d,
@@ -431,21 +436,22 @@ def check_functional_sdpi(
         raise InvalidC(f"the contraction constant must lie in [0, 1), got {c}")
     mu = np.asarray(mu, dtype=float)
     pushed = require_admissible(mu, kernel)
-    ens = CQEnsemble(mu, states)
-    h_total = phi_entropy(XLOGX, ens.as_law())
+    law = CQEnsemble(mu, states).as_law()  # mu > 0, so every state stays
     back = backward_channel(mu, kernel).rows
+    means = np.stack([hermitian_part(np.tensordot(row, law.values, axes=1)) for row in back])
+    traces = _phi_traces(XLOGX, np.concatenate([law.values, means]), law.mean())
+    h_total = float(np.tensordot(traces[:law.size], law.probs, axes=1) - traces[-1])
     cond = 0.0
-    for p, row in zip(pushed, back):  # zero-weight states add exactly 0
-        mean = hermitian_part(np.tensordot(row, ens.states, axes=1))
-        cond += p * float(_phi_entropies(XLOGX, row, ens.states, mean))
-    evolved = CQEnsemble(pushed, _evolve(mu, ens.states, pushed, back))
+    for p, row, mean_trace in zip(pushed, back, traces[law.size:]):  # zero-weight states add 0
+        cond += p * float(np.tensordot(traces[:law.size], row, axes=1) - mean_trace)
+    evolved = CQEnsemble(pushed, _evolve(mu, law.values, pushed, back))
     h_evolved = phi_entropy(XLOGX, evolved.as_law())
     tol = relative_tol(1e-9, h_total)
     functional_ok = h_total <= cond / (1.0 - c) + tol
     chain_ok = h_evolved <= c * h_total + tol
     return verdict(
         "functional-sdpi", max(h_total - cond / (1.0 - c), h_evolved - c * h_total), tol,
-        d=ens.d,
+        d=law.d,
         details={
             "h_total": h_total,
             "conditional": cond,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -104,7 +105,7 @@ def test_efron_stein_forms_match_per_pair_reference():
                              1 + trial % 3, arity=3, psd=False)
         for trial in range(6)
     ]
-    for d, arities in ((1, (2, 3, 1)), (2, (4, 1, 2)), (3, (2, 3))):
+    for d, arities in ((1, (2, 3, 1)), (2, (4, 1, 2)), (3, (2, 3)), (3, (2, 3, 4, 1, 2))):
         rng = rng_for(43, "efron-reference-mixed", d)
         laws = [FiniteLaw(random_probability_vector(rng, a), tuple(range(a))) for a in arities]
         models.append(ProductModel(laws, random_hermitian(rng, d, (np.prod(arities),))))
@@ -119,6 +120,21 @@ def test_efron_stein_forms_match_per_pair_reference():
                         ref[0] += 0.5 * w * normalized_trace(matrix_power(zk - zl, 2))
                         ref[2] += w * normalized_trace(matrix_power(positive_part(zk - zl), 2))
         assert np.allclose(efron_stein_forms(model), ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("arities", [(), (1,), (1, 1, 1)], ids=["n0", "n1-arity1", "n3-arity1"])
+def test_efron_stein_forms_vanish_without_pairs(d, arities):
+    # no input varies, so the pair stack is empty and every form is exactly 0
+    rng = rng_for(43, "efron-no-pairs", d)
+    laws = [FiniteLaw(np.ones(1), (0,)) for _ in arities]
+    model = ProductModel(laws, random_hermitian(rng, d, (1,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forms = efron_stein_forms(model)
+        assert efron_stein_quantity(model) == 0.0
+    assert forms == (0.0, 0.0, 0.0)
+    assert all(type(form) is float for form in forms)
 
 
 @pytest.mark.parametrize("skew, agrees", [(0.3e-10, True), (3e-10, False)])

@@ -7,8 +7,8 @@ import pytest
 
 from matphi import holevo
 
-from matphi.entropy import phi_entropy
-from matphi.errors import InvalidC, MatPhiError, NotAdmissible
+from matphi.entropy import _phi_entropies, phi_entropy
+from matphi.errors import DimensionMismatch, InvalidC, MatPhiError, NotAdmissible
 from matphi.holevo import (
     CQEnsemble,
     MarkovKernel,
@@ -25,6 +25,7 @@ from matphi.holevo import (
     relative_entropy,
 )
 from matphi.linalg import hermitian_part
+from matphi.models import DiscreteRandomMatrix
 from matphi.phifun import PhiFunction
 from matphi.sampling import (
     random_density,
@@ -186,6 +187,49 @@ def test_law_total_variance_sweep():
         labels = [int(rng.integers(0, 3)) for _ in range(k)]
         rep = check_law_total_variance(XLOGX, probs, values, labels)
         assert rep.passed, f"trial {trial}: {rep.max_gap}"
+
+
+def _law_total_variance_reference(phi, probs, values, labels):
+    """(total, conditional, outer) with a DiscreteRandomMatrix and a
+    phi_entropy call per conditional law and for the outer law."""
+    law = DiscreteRandomMatrix(probs, values)
+    cond, pairs = 0.0, []
+    for y in sorted(set(labels), key=repr):
+        idx = [k for k, lab in enumerate(labels) if lab == y]
+        py = float(law.probs[idx].sum())
+        cond_law = DiscreteRandomMatrix(law.probs[idx] / py, law.values[idx])
+        cond += py * phi_entropy(phi, cond_law)
+        pairs.append((py, cond_law.mean()))
+    return phi_entropy(phi, law), cond, phi_entropy(phi, DiscreteRandomMatrix.from_pairs(pairs))
+
+
+@pytest.mark.parametrize("phi", ["xlogx", "power:1.5", "power:2", "affine:2,1"])
+def test_law_total_variance_matches_per_law_reference_bit_for_bit(phi):
+    # mixed hashable labels, singleton groups and a single group, d 1-4
+    phi = PhiFunction.parse(phi)
+    pool = [0, 1, "a", "b", (1, 2), (0,), 2.5]
+    for trial in range(60):
+        rng = rng_for(51, "ltv-reference", trial)
+        k, d = int(rng.integers(1, 8)), 1 + trial % 4
+        probs = random_probability_vector(rng, k)
+        values = random_psd(rng, d, (k,))
+        if trial % 5 == 0:
+            labels = ["one"] * k
+        elif trial % 5 == 1:
+            labels = [pool[j % len(pool)] for j in range(k)]
+        else:
+            labels = [pool[int(rng.integers(len(pool)))] for _ in range(k)]
+        rep = check_law_total_variance(phi, probs, values, labels)
+        got = (rep.details["total"], rep.details["conditional"], rep.details["outer"])
+        assert got == _law_total_variance_reference(phi, probs, values, labels), (trial, labels)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_law_total_variance_refuses_labels_of_the_wrong_length(count):
+    rng = rng_for(51, "ltv-labels", count)
+    values = random_psd(rng, 2, (4,))
+    with pytest.raises(DimensionMismatch, match=f"^{count} labels for 4 support values$"):
+        check_law_total_variance(XLOGX, np.full(4, 0.25), values, list(range(count)))
 
 
 def test_eta_identity_kernel_exact():
@@ -459,6 +503,32 @@ def test_functional_sdpi_identity_kernel_fails_when_states_differ():
     assert not rep.passed
     same = np.stack([ens.states[0]] * 2)
     assert check_functional_sdpi(ens.probs, MarkovKernel.identity(2), same, 0.5).passed
+
+
+def test_functional_sdpi_terms_match_per_row_reference_bit_for_bit():
+    # the conditional term against one _phi_entropies call per backward row,
+    # kernels with zero entries included, and the total against phi_entropy
+    for trial in range(80):
+        rng = rng_for(51, "sdpi-reference", trial)
+        nx, ny, d = int(rng.integers(1, 5)), int(rng.integers(1, 5)), 1 + trial % 3
+        mu = random_probability_vector(rng, nx)
+        rows = random_kernel(rng, nx, ny)
+        if trial % 2:
+            rows[0] = np.eye(ny)[0]
+        kernel = MarkovKernel(rows)
+        states = np.stack([random_density(rng, d) for _ in range(nx)])
+        try:
+            pushed = holevo.require_admissible(mu, kernel)
+        except NotAdmissible:
+            continue
+        rep = check_functional_sdpi(mu, kernel, states, 0.5)
+        ens = CQEnsemble(mu, states)
+        ref = 0.0
+        for p, row in zip(pushed, backward_channel(mu, kernel).rows):
+            mean = hermitian_part(np.tensordot(row, ens.states, axes=1))
+            ref += p * float(_phi_entropies(XLOGX, row, ens.states, mean))
+        assert rep.details["conditional"] == ref, trial
+        assert rep.details["h_total"] == phi_entropy(XLOGX, ens.as_law()), trial
 
 
 def test_functional_sdpi_bsc_sweep():
