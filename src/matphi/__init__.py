@@ -43,7 +43,6 @@ from .fourier import (
     check_log_sobolev,
     check_p_variance_limit,
     check_phi_sobolev,
-    dirichlet_energy,
     entropy_of_square,
     fourier_transform,
     inverse_fourier,
@@ -54,11 +53,9 @@ from .fourier import (
 from .frechet import (
     MultivariateScalarFunction,
     frechet_derivative,
-    frechet_norm,
     frechet_second,
     inverse_derivative_superoperator,
     inverse_frechet_derivative,
-    multivariate_partial_frechet,
 )
 from .holevo import (
     CQEnsemble,

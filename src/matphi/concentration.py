@@ -12,8 +12,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MatPhiError, SeparateConvexityViolated
-from .fourier import _log_sobolev_sides, _phi_sobolev_sides, _require_sobolev_exponent
+from .errors import DomainError, MatPhiError, SeparateConvexityViolated
+from .fourier import (
+    MatrixBooleanFunction,
+    _log_sobolev_sides,
+    _phi_sobolev_sides,
+    _require_sobolev_exponent,
+    dirichlet_energy_flip,
+    dirichlet_energy_spectral,
+    uniform_cube_model,
+)
 from .frechet import MultivariateScalarFunction, commuting_eigensystem, multivariate_dd_table, multivariate_apply
 from .linalg import (
     eigenvalues,
@@ -26,7 +34,7 @@ from .linalg import (
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from .report import CheckReport, relative_tol, verdict
-from .sampling import random_hermitian, rng_for
+from .sampling import rng_for
 
 FORM_AGREEMENT_TOL = 1e-10
 MC_BATCHES = 10  # batch means give the Gaussian checks their standard errors
@@ -90,6 +98,13 @@ def efron_stein_quantity(model: ProductModel) -> float:
     """E(Z) by exact enumeration; the three equivalent forms are
     cross-checked on every call."""
     return agreed_form(efron_stein_forms(model), "equivalent resampling forms")
+
+
+def dirichlet_energy_forms(f: MatrixBooleanFunction) -> tuple[float, float, float]:
+    """The spectral, flip and resampling forms of the Dirichlet energy of f:
+    exact rewritings of the resampling quantity over fair bits."""
+    return (dirichlet_energy_spectral(f), dirichlet_energy_flip(f),
+            efron_stein_quantity(uniform_cube_model(f)))
 
 
 def check_efron_stein(model: ProductModel) -> CheckReport:
@@ -157,27 +172,14 @@ def _values(fn: Callable, points) -> np.ndarray:
     return np.stack([_as_matrix(fn(x)) for x in points])
 
 
-def _unit_directions(rng: np.random.Generator, shape: tuple, d: int) -> np.ndarray:
-    """Random Hermitian d x d directions of unit Frobenius norm on the
-    leading axes ``shape``, each read as a real then an imaginary block."""
-    e = random_hermitian(rng, d, shape)
-    return e / np.linalg.norm(e, axis=(-2, -1), keepdims=True)
-
-
-def _energy(
-    evaluator: Callable, points, n: int, partial: Callable | None = None,
-    rng: np.random.Generator | None = None, directions: int = 0,
-) -> np.ndarray:
+def _energy(evaluator: Callable, points, n: int, partial: Callable | None = None) -> np.ndarray:
     """||D_i f||_2^2 at each of m points and each coordinate i < n, an
     (m, n) array.
 
     ``partial(x, i)`` gives the exact derivative, or its norm, when
     supplied; a ``_stacked`` partial gives it at all m real points in one
-    call. Otherwise central differences of step FD_STEP stand in:
-    along the coordinates of an (m, n) stack of real points, or, at
-    tuples of matrices, as the largest difference over ``directions``
-    unit Hermitian directions drawn from ``rng`` per point and
-    coordinate, a lower bound on the induced norm."""
+    call. Otherwise the points are an (m, n) stack of reals, and central
+    differences of step FD_STEP along their coordinates stand in."""
     if n == 0 or not len(points):
         return np.zeros((len(points), n))
     if partial is not None:
@@ -186,26 +188,10 @@ def _energy(
         else:
             derivs = np.array([_as_matrix(partial(x, i)) for x in points for i in range(n)])
         return np.sum(np.abs(derivs) ** 2, axis=(-2, -1)).reshape(-1, n)
-
-    def central(shifted, m):
-        # (point, coordinate, direction, sign) values; real points have one direction
-        if not len(shifted):
-            return np.zeros((m, n))
-        f = _values(evaluator, shifted)
-        f = f.reshape(m, n, -1, 2, *f.shape[1:])
-        sq = np.sum(np.abs((f[:, :, :, 0] - f[:, :, :, 1]) / (2 * FD_STEP)) ** 2, axis=(-2, -1))
-        return sq.max(axis=-1)
-
-    if isinstance(points, np.ndarray):
-        steps = FD_STEP * np.eye(n)[:, None] * np.array([[1.0], [-1.0]])  # (coordinate, sign, n)
-        return central((points[:, None, None] + steps).reshape(-1, n), len(points))
-    # matrix tuples one point at a time, so one point's shifts are held at once
-    return np.concatenate([central([
-        x[:i] + (x[i] + s * FD_STEP * e,) + x[i + 1:]
-        for i in range(n)
-        for e in _unit_directions(rng, (directions,), x[i].shape[0])
-        for s in (1, -1)
-    ], 1) for x in points])
+    steps = FD_STEP * np.eye(n)[:, None] * np.array([[1.0], [-1.0]])  # (coordinate, sign, n)
+    f = _values(evaluator, (points[:, None, None] + steps).reshape(-1, n))
+    f = f.reshape(len(points), n, 2, *f.shape[1:])
+    return np.sum(np.abs((f[:, :, 0] - f[:, :, 1]) / (2 * FD_STEP)) ** 2, axis=(-2, -1))
 
 
 def _spot_check_convexity(
@@ -237,8 +223,7 @@ def _spot_check_convexity(
 
 
 def _poincare_report(
-    check: str, model: ProductModel, energy: np.ndarray, details: dict | None = None,
-    **fields,
+    check: str, model: ProductModel, energy: np.ndarray, **fields
 ) -> CheckReport:
     """Var(Z) <= sum_i E ||D_i Z||_2^2 by exact enumeration of the model,
     from the (K, n) squared derivative norms at its outcomes in table order."""
@@ -248,33 +233,22 @@ def _poincare_report(
     bound = float(np.cumsum(np.append(0.0, terms))[-1])  # in enumeration order; np.sum pairs
     return verdict(
         check, var - bound, relative_tol(1e-8, var, bound), d=law.d, n=model.n,
-        details={"variance": var, "bound": bound, **(details or {})}, **fields,
+        details={"variance": var, "bound": bound}, **fields,
     )
 
 
 def check_poincare(
     model: MatrixInputModel,
-    directions: int = 200,
     spot_check_probes: int = 50,
     seed: int = 0,
 ) -> CheckReport:
-    """Variance against summed squared derivative norms for separately
-    convex evaluators of matrix inputs in [0, I].
-
-    The norms come from the model's ``partial_norm``. A model without one
-    gets random-direction finite differences instead; those are lower
-    bounds, so the reported right side under-estimates the true bound
-    (flagged in the report details)."""
+    """Variance against the summed squares of the model's exact
+    derivative norms ``partial_norm``, for separately convex evaluators of
+    matrix inputs in [0, I]."""
     _spot_check_convexity(model, spot_check_probes, rng_for(seed, "poincare-spot", 0))
     points = [tuple(np.asarray(x, dtype=complex) for x in xs) for _, xs in model.iter_joint()]
-    energy = _energy(
-        model.evaluator, points, model.n, model.partial_norm,
-        rng_for(seed, "poincare-directions", 0), directions,
-    )
-    return _poincare_report(
-        "poincare", model, energy, details={"rhs_is_lower_bound": model.partial_norm is None},
-        seed=seed,
-    )
+    energy = _energy(model.evaluator, points, model.n, model.partial_norm)
+    return _poincare_report("poincare", model, energy, seed=seed)
 
 
 def check_poincare_commuting(
@@ -362,7 +336,6 @@ def check_gaussian_poincare(
     seed: int = 0,
     partials: Callable | None = None,
     d1: int = 1,
-    directions: int = 20,
 ) -> CheckReport:
     """Monte Carlo variance bound Var(L(X)) <= sum_i E ||D_i L||_2^2
     within three standard errors.
@@ -371,11 +344,12 @@ def check_gaussian_poincare(
     evaluator receives a length-n vector; with d1 > 1 they are n
     independent Gaussian-ensemble matrices passed as a tuple.
     ``partials(x, i)`` gives the i-th derivative, or its norm, at either
-    kind of input. Without it, central differences stand in: along the
-    coordinates of real inputs, or along random directions drawn after
-    the batch's inputs at matrix inputs, a lower bound on the right side
-    flagged in the report."""
+    kind of input. Real inputs without it get central differences along
+    their coordinates; matrix inputs without it are a DomainError, raised
+    before anything is evaluated or drawn."""
     scalar_inputs = d1 == 1
+    if not scalar_inputs and partials is None:
+        raise DomainError(f"Gaussian-ensemble inputs (d1 = {d1}) need the exact partials")
     probe = np.zeros((1, n)) if scalar_inputs else [tuple(np.zeros((n, d1, d1), dtype=complex))]
     d = _values(evaluator, probe).shape[-1]
 
@@ -384,7 +358,7 @@ def check_gaussian_poincare(
             points = rng.standard_normal((count, n))
         else:
             points = [tuple(x) for x in sample_gue(d1, count * n, rng).reshape(count, n, d1, d1)]
-        energy = _energy(evaluator, points, n, partials, rng, directions)
+        energy = _energy(evaluator, points, n, partials)
         z = _values(evaluator, points)
         mean = z.mean(axis=0)
         var = normalized_trace((z @ z).mean(axis=0) - mean @ mean)
@@ -392,9 +366,7 @@ def check_gaussian_poincare(
 
     return _batch_means(
         "gaussian-poincare", "gaussian-poincare", statistic, seed, samples,
-        names=("variance", "bound"),
-        details={"rhs_is_lower_bound": d1 > 1 and partials is None},
-        d=d, n=n,
+        names=("variance", "bound"), d=d, n=n,
     )
 
 

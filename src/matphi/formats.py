@@ -6,7 +6,7 @@ Ensemble: {"d": int, "items": [{"p": float, "rho": matrix}]}.
 Kernel: {"rows": [[floats]], "mu"?: [probability over the kernel's inputs]}.
 Boolean function: {"n": int, "d": int, "points": [{"x": bitstring, "matrix": matrix}]}
 with the i-th character of the bitstring holding coordinate i; every
-point must be present.
+point must be present exactly once.
 Product model: {"n": int, "d": int, "input_probs": [[floats]],
 "values": [matrix]} with the joint index in mixed radix, first input
 varying slowest.
@@ -115,6 +115,8 @@ def boolean_function_from_obj(obj: dict) -> MatrixBooleanFunction:
         n = int(obj["n"])
         if not 0 <= n <= math.log2(MAX_ENUMERATION):
             raise ValueError(f"n = {n} is outside 0..{int(math.log2(MAX_ENUMERATION))}")
+        if len(obj["points"]) != 2**n:
+            raise ValueError(f"{len(obj['points'])} points for the 2^{n} of the cube")
         matrices = {}
         for point in obj["points"]:
             bits = point["x"]

@@ -58,11 +58,6 @@ class MatrixBooleanFunction:
     def d(self) -> int:
         return self.table.shape[1]
 
-    @classmethod
-    def constant(cls, n: int, value: np.ndarray) -> "MatrixBooleanFunction":
-        value = np.asarray(value, dtype=complex)
-        return cls(n, np.stack([value] * (2**n)))
-
 
 @dataclass(frozen=True)
 class FourierTable:
@@ -70,10 +65,6 @@ class FourierTable:
 
     n: int
     coeffs: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.coeffs.shape[1]
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
@@ -160,22 +151,6 @@ def uniform_cube_model(f: MatrixBooleanFunction) -> ProductModel:
     bits = f.table.reshape((2,) * f.n + f.table.shape[1:])
     table = bits.transpose(*range(f.n - 1, -1, -1), f.n, f.n + 1)
     return ProductModel(laws, table.reshape(f.table.shape))
-
-
-def dirichlet_energy_forms(f: MatrixBooleanFunction) -> tuple[float, float, float]:
-    """The spectral, flip and resampling forms of the Dirichlet energy of f:
-    exact rewritings of the resampling quantity over fair bits."""
-    from .concentration import efron_stein_quantity
-
-    return (dirichlet_energy_spectral(f), dirichlet_energy_flip(f),
-            efron_stein_quantity(uniform_cube_model(f)))
-
-
-def dirichlet_energy(f: MatrixBooleanFunction) -> float:
-    """The Dirichlet energy of f; its three forms are cross-checked on every call."""
-    from .concentration import agreed_form
-
-    return agreed_form(dirichlet_energy_forms(f), "Dirichlet energy forms")
 
 
 def check_bonami_beckner(f: MatrixBooleanFunction, p: float) -> CheckReport:

@@ -115,13 +115,6 @@ def inverse_derivative_superoperator(sf: ScalarFunction, a) -> np.ndarray:
     return hermitian_part((w * inv.reshape(-1, order="F")) @ w.conj().T)
 
 
-def frechet_norm(sf: ScalarFunction, a) -> float:
-    """Induced norm sup ||Df[A](E)||_2 / ||E||_2, i.e. the absolute
-    condition number: the largest |f[w_i, w_j]| over A's spectrum."""
-    w = sf.admit(spectral_decompose(a)[0])
-    return float(np.abs(dd1_table(sf, w)).max())
-
-
 @dataclass(frozen=True)
 class MultivariateScalarFunction:
     """Scalar function of n real variables with partial derivatives."""
@@ -199,21 +192,6 @@ def multivariate_apply(
     (``commuting_eigensystem``)."""
     vals = np.array([mf.fn(lambdas[:, k]) for k in range(lambdas.shape[1])])
     return hermitian_part((u * vals) @ u.conj().T)
-
-
-def multivariate_partial_frechet(
-    mf: MultivariateScalarFunction,
-    xs: Sequence[np.ndarray],
-    i: int,
-    e,
-) -> np.ndarray:
-    """Partial derivative of a multivariate standard matrix function with
-    respect to the i-th input, as a Schur multiplier in the common
-    eigenbasis. Reduces to frechet_derivative when n = 1."""
-    if not 0 <= i < mf.n:
-        raise IndexError(f"coordinate {i} out of range for n={mf.n}")
-    lambdas, u = commuting_eigensystem(xs)
-    return _schur(u, multivariate_dd_table(mf, lambdas, i), require_hermitian(e))
 
 
 def _fd_scale(a: np.ndarray) -> float:

@@ -23,13 +23,12 @@ from .errors import (
     NotAdmissible,
     SupportError,
 )
-from .entropy import _phi_traces, phi_entropy
+from .entropy import _phi_entropies, _phi_traces, phi_entropy
 from .linalg import (
     NONNEGATIVE,
     _require_hermitian_stack,
     eigenvalues,
     hermitian_part,
-    require_hermitian,
     spectral_map,
     spectral_tolerance,
 )
@@ -71,13 +70,6 @@ class CQEnsemble:
     def d(self) -> int:
         return self.states.shape[1]
 
-    @property
-    def size(self) -> int:
-        return self.probs.size
-
-    def average_state(self) -> np.ndarray:
-        return _average_state(self.probs, self.states)
-
     def as_law(self) -> DiscreteRandomMatrix:
         keep = self.probs > 0
         probs = self.probs[keep]
@@ -99,10 +91,6 @@ class MarkovKernel:
     @property
     def input_size(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def output_size(self) -> int:
-        return self.rows.shape[1]
 
     @classmethod
     def identity(cls, k: int) -> "MarkovKernel":
@@ -199,14 +187,10 @@ def _support_log(m: np.ndarray):
     return hermitian_part(spectral_map(log_and_support, m))
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Tr rho (log rho - log sigma) in nats, on the support of sigma."""
-    return float(_relative_entropy(require_hermitian(rho)[None], require_hermitian(sigma))[0])
-
-
 def _relative_entropy(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """relative_entropy of each state of an exactly Hermitian (..., k, d, d)
-    stack against its exactly Hermitian (..., d, d) reference, unchecked."""
+    """Tr rho (log rho - log sigma) in nats, on the support of sigma, for
+    each state rho of an exactly Hermitian (..., k, d, d) stack against its
+    exactly Hermitian (..., d, d) reference sigma, unchecked."""
     logs, supports = _support_log(np.concatenate([rhos, sigma[..., None, :, :]], axis=-3))
     outside = np.trace(rhos @ (np.eye(sigma.shape[-1]) - supports[..., -1:, :, :]),
                        axis1=-2, axis2=-1).real
@@ -444,8 +428,12 @@ def check_functional_sdpi(
     cond = 0.0
     for p, row, mean_trace in zip(pushed, back, traces[law.size:]):  # zero-weight states add 0
         cond += p * float(np.tensordot(traces[:law.size], row, axes=1) - mean_trace)
-    evolved = CQEnsemble(pushed, _evolve(mu, law.values, pushed, back))
-    h_evolved = phi_entropy(XLOGX, evolved.as_law())
+    # the evolved states are validated states mixed through stochastic rows,
+    # so they need no ensemble check: their spectra, taken once here for the
+    # entropy, are admitted through x log x's domain
+    evolved, p = _evolve(mu, law.values, pushed, back), pushed / pushed.sum()
+    h_evolved = float(_phi_entropies(
+        XLOGX, p, evolved, hermitian_part(np.tensordot(p, evolved, axes=1))))
     tol = relative_tol(1e-9, h_total)
     functional_ok = h_total <= cond / (1.0 - c) + tol
     chain_ok = h_evolved <= c * h_total + tol

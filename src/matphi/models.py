@@ -62,16 +62,6 @@ class DiscreteRandomMatrix:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[float, np.ndarray]]) -> "DiscreteRandomMatrix":
-        probs = np.array([p for p, _ in pairs], dtype=float)
-        values = np.stack([np.asarray(v, dtype=complex) for _, v in pairs])
-        return cls(probs, values)
-
-    @classmethod
-    def from_scalars(cls, pairs: Sequence[tuple[float, float]]) -> "DiscreteRandomMatrix":
-        return cls.from_pairs([(p, np.array([[complex(v)]])) for p, v in pairs])
-
     @property
     def size(self) -> int:
         return self.probs.size
@@ -86,9 +76,6 @@ class DiscreteRandomMatrix:
     def expect(self, stack) -> np.ndarray:
         """sum_k p_k stack[k] over a (K, ...) stack of per-value quantities."""
         return np.tensordot(self.probs, stack, axes=1)
-
-    def scaled(self, c: float) -> "DiscreteRandomMatrix":
-        return DiscreteRandomMatrix(self.probs, c * self.values)
 
 
 @dataclass(frozen=True)
@@ -202,17 +189,17 @@ class ProductModel:
 @dataclass(frozen=True, init=False)
 class MatrixInputModel(ProductModel):
     """Product model whose inputs are matrices in the interval [0, I],
-    tabulated from ``evaluator``; the evaluator stays for the derivative
-    estimates and convexity probes that leave the support.
+    tabulated from ``evaluator``; the evaluator stays for the convexity
+    probes that leave the support.
 
-    ``partial_norm(xs, i)``, when supplied, returns the exact induced norm
-    of the i-th partial derivative of the evaluator at the tuple ``xs``.
+    ``partial_norm(xs, i)`` returns the exact induced norm of the i-th
+    partial derivative of the evaluator at the tuple ``xs``.
     """
 
     evaluator: Callable[[tuple], np.ndarray]
-    partial_norm: Callable[[tuple, int], float] | None = None
+    partial_norm: Callable[[tuple, int], float]
 
-    def __init__(self, laws, evaluator, partial_norm=None):
+    def __init__(self, laws, evaluator, partial_norm):
         laws = tuple(laws)
         for law in laws:
             UNIT_INTERVAL.admit(eigenvalues(_require_hermitian_stack(np.stack(law.outcomes))))

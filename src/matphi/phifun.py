@@ -214,12 +214,4 @@ class PhiFunction:
         return self._psi
 
 
-IDENTITY = ScalarFunction(
-    name="identity",
-    fn=lambda x: np.asarray(x, dtype=float),
-    d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-    d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-)
-
-SQUARE = PhiFunction.power(2.0).scalar()
 XLOGX = PhiFunction.xlogx()

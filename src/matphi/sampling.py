@@ -86,11 +86,6 @@ def random_pd(rng: np.random.Generator, d: int, floor: float = 0.1) -> np.ndarra
     return random_psd(rng, d) + floor * np.eye(d)
 
 
-def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(random_complex_gaussian(rng, (d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     m = random_psd(rng, d)
     return m / float(np.trace(m).real)

@@ -380,7 +380,7 @@ def _fourier_round_trip(rng, trial, run):
 
 
 def _dirichlet_identity(rng, trial, run):
-    forms = fourier.dirichlet_energy_forms(_cube_function(rng, run, psd=False))
+    forms = concentration.dirichlet_energy_forms(_cube_function(rng, run, psd=False))
     return (*concentration.forms_gap(forms), None)
 
 

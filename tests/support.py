@@ -1,0 +1,41 @@
+"""Test-only constructors and reference helpers shared by the test modules."""
+
+import numpy as np
+
+from matphi.fourier import MatrixBooleanFunction
+from matphi.holevo import CQEnsemble, _average_state
+from matphi.models import DiscreteRandomMatrix
+from matphi.phifun import PhiFunction
+from matphi.sampling import random_complex_gaussian
+
+SQUARE = PhiFunction.power(2.0).scalar()
+
+
+def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A Haar-distributed d x d unitary: QR of a complex Gaussian matrix
+    with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(random_complex_gaussian(rng, (d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def law_from_pairs(pairs) -> DiscreteRandomMatrix:
+    """The law of (probability, matrix) pairs."""
+    probs = np.array([p for p, _ in pairs], dtype=float)
+    values = np.stack([np.asarray(v, dtype=complex) for _, v in pairs])
+    return DiscreteRandomMatrix(probs, values)
+
+
+def law_from_scalars(pairs) -> DiscreteRandomMatrix:
+    """The law of (probability, scalar) pairs as 1 x 1 matrices."""
+    return law_from_pairs([(p, np.array([[complex(v)]])) for p, v in pairs])
+
+
+def constant_function(n: int, value) -> MatrixBooleanFunction:
+    """The cube function equal to ``value`` at all 2^n points."""
+    value = np.asarray(value, dtype=complex)
+    return MatrixBooleanFunction(n, np.stack([value] * (2**n)))
+
+
+def average_state(ens: CQEnsemble) -> np.ndarray:
+    """sum_x mu(x) rho_x of an ensemble."""
+    return _average_state(ens.probs, ens.states)

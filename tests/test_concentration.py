@@ -28,7 +28,7 @@ from matphi.concentration import (
 )
 from matphi.entropy import check_subadditivity, phi_entropy
 from matphi.errors import DomainError, MatPhiError, SeparateConvexityViolated
-from matphi.fourier import MatrixBooleanFunction, check_log_sobolev, check_phi_sobolev
+from matphi.fourier import check_log_sobolev, check_phi_sobolev
 from matphi.frechet import MultivariateScalarFunction, multivariate_dd_table
 from matphi.linalg import hermitian_part, normalized_trace, positive_part
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
@@ -45,6 +45,7 @@ from matphi.sampling import (
     rng_for,
 )
 from matphi.suites import _ks_statistic
+from support import SQUARE, constant_function, law_from_scalars
 
 
 def _rademacher_model(n, fn):
@@ -181,7 +182,7 @@ def test_plus_identities_constant():
 
 
 def test_plus_identities_scalar_rademacher():
-    law = DiscreteRandomMatrix.from_scalars([(0.5, -1.0), (0.5, 1.0)])
+    law = law_from_scalars([(0.5, -1.0), (0.5, 1.0)])
     rep = check_plus_identities(law, 2)
     assert rep.passed
     # halved-square identity: E(X - EX)^2 = 1 equals half of E(X - Y)^2 = 2
@@ -213,6 +214,23 @@ def test_poincare_identity_map():
     assert rep.details["variance"] <= 1.0
 
 
+def test_square_sum_partial_norm_is_the_induced_derivative_norm():
+    # poincare-square-sum's partial_norm 2 lambda_max(X) is the induced norm
+    # of E -> XE + EX at X in [0, I]: the largest |f[w_i, w_j]| = w_i + w_j,
+    # attained at the top eigenprojector
+    rng = rng_for(41, "square-norm", 0)
+    for _ in range(20):
+        x = _contraction(rng, 3)
+        w, u = np.linalg.eigh(x)
+        norm = 2.0 * w[-1]
+        assert np.abs(frechet.dd1_table(SQUARE, w)).max() == pytest.approx(norm, rel=1e-12)
+        top = np.outer(u[:, -1], u[:, -1].conj())
+        assert np.linalg.norm(frechet.frechet_derivative(SQUARE, x, top)) == pytest.approx(norm)
+        for e in random_hermitian(rng, 3, (10,)):
+            ratio = np.linalg.norm(frechet.frechet_derivative(SQUARE, x, e)) / np.linalg.norm(e)
+            assert ratio <= norm * (1.0 + 1e-12)
+
+
 def test_poincare_constant_map():
     rng = rng_for(41, "poincare", 1)
     law = FiniteLaw(np.array([0.5, 0.5]), (_contraction(rng, 2), _contraction(rng, 2)))
@@ -240,34 +258,18 @@ def test_poincare_scalar_classical():
     assert rep.details["bound"] == pytest.approx(n)
 
 
-def test_poincare_finite_difference_mode():
-    rng = rng_for(41, "poincare", 2)
-    laws = tuple(
-        FiniteLaw(np.array([0.5, 0.5]), (_contraction(rng, 2), _contraction(rng, 2)))
-        for _ in range(2)
-    )
-    model = MatrixInputModel(laws, lambda xs: xs[0] + 0.5 * xs[1])
-    rep = check_poincare(model, directions=40, seed=3)
-    assert rep.details["rhs_is_lower_bound"]
-    assert rep.passed
-
-
 def test_finite_difference_bounds_keep_their_values():
-    # direction draws and central differences, pinned to recorded values
-    rng = rng_for(41, "poincare", 2)
-    laws = tuple(
-        FiniteLaw(np.array([0.5, 0.5]), (_contraction(rng, 2), _contraction(rng, 2)))
-        for _ in range(2)
-    )
-    model = MatrixInputModel(laws, lambda xs: xs[0] @ xs[0] + 0.5 * xs[1])
-    rep = check_poincare(model, directions=40, spot_check_probes=0, seed=3)
-    assert rep.details["rhs_is_lower_bound"]
-    assert rep.details["bound"] == pytest.approx(3.7483991690122958, rel=1e-12)
+    # central differences along the coordinates of real inputs, pinned to
+    # recorded values
     rep = check_gaussian_poincare(
-        lambda xs: xs[0] @ xs[0] + xs[1], n=2, d1=2, samples=200, seed=9, directions=10
+        lambda x: np.array([[x[0] ** 2, x[1]], [x[1], x[0] * x[1]]]), n=2, samples=200, seed=9
     )
-    assert rep.details["rhs_is_lower_bound"]
-    assert rep.details["bound"] == pytest.approx(11.860136293375923, rel=1e-12)
+    assert rep.details["bound"] == pytest.approx(7.813648107886029, rel=1e-12)
+    rep = check_gaussian_logsobolev(
+        lambda x: np.diag([np.exp(x[0] / 3.0), 1.0 + x[1] ** 2]).astype(complex),
+        n=2, samples=200, seed=9,
+    )
+    assert rep.details["rhs"] == pytest.approx(9.213544219432695, rel=1e-12)
 
 
 def test_joint_law_of_valid_inputs_is_valid():
@@ -291,7 +293,7 @@ def test_poincare_spot_check_catches_concave():
             (np.array([[0.0]]), np.array([[1.0]])),
         ),
     )
-    model = MatrixInputModel(laws, lambda xs: np.sqrt(xs[0] + 0.01))
+    model = MatrixInputModel(laws, lambda xs: np.sqrt(xs[0] + 0.01), lambda xs, i: 1.0)
     with pytest.raises(SeparateConvexityViolated):
         check_poincare(model, spot_check_probes=200, seed=5)
 
@@ -695,7 +697,7 @@ def test_gaussian_sobolev_exponential():
 )
 def test_gaussian_sobolev_checks_refuse_non_psd_values_as_their_boolean_twins(gaussian, boolean):
     with pytest.raises(DomainError):
-        boolean(MatrixBooleanFunction.constant(1, -np.eye(2)))
+        boolean(constant_function(1, -np.eye(2)))
     with pytest.raises(DomainError):
         gaussian(lambda x: -np.eye(2))
 
@@ -803,21 +805,20 @@ def test_gaussian_poincare_gue_inputs_trace_map():
     assert rep.passed
     assert rep.details["bound"] == pytest.approx(1.0, abs=1e-12)
     assert rep.details["variance"] == pytest.approx(1.0 / d1, rel=0.15)
-    assert not rep.details["rhs_is_lower_bound"]
 
 
-def test_gaussian_poincare_gue_inputs_fd_directions():
-    d1 = 2
+def test_gaussian_poincare_gue_inputs_need_partials():
+    # without exact partials at matrix inputs the right side could only be
+    # bounded from below, so the check refuses before evaluating anything
+    calls = []
 
     def evaluator(xs):
-        return float(np.trace(xs[0]).real / d1) * np.eye(d1)
+        calls.append(xs)
+        return xs[0]
 
-    rep = check_gaussian_poincare(
-        evaluator, n=1, d1=d1, samples=400, seed=9, directions=10
-    )
-    assert rep.details["rhs_is_lower_bound"]
-    # the direction search under-estimates at most the true norm 1
-    assert rep.details["bound"] <= 1.0 + 1e-6
+    with pytest.raises(DomainError, match="partials"):
+        check_gaussian_poincare(evaluator, n=1, d1=2, samples=400, seed=9)
+    assert calls == []
 
 
 def _ks_samples(rng, size):

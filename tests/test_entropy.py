@@ -32,9 +32,9 @@ from matphi.sampling import (
     random_probability_vector,
     random_product_model,
     random_psd,
-    random_unitary,
     rng_for,
 )
+from support import law_from_scalars, random_unitary
 
 XLOGX = PhiFunction.xlogx()
 SQUARE = PhiFunction.power(2)
@@ -65,12 +65,12 @@ def test_entropy_constant_law_is_zero():
 
 
 def test_entropy_scalar_variance():
-    law = DiscreteRandomMatrix.from_scalars([(0.5, 0.0), (0.5, 1.0)])
+    law = law_from_scalars([(0.5, 0.0), (0.5, 1.0)])
     assert phi_entropy(SQUARE, law) == pytest.approx(0.25)
 
 
 def test_entropy_scalar_xlogx_value():
-    law = DiscreteRandomMatrix.from_scalars([(0.5, 1.0), (0.5, np.e)])
+    law = law_from_scalars([(0.5, 1.0), (0.5, np.e)])
     expect = np.e / 2 - ((1 + np.e) / 2) * np.log((1 + np.e) / 2)
     assert phi_entropy(XLOGX, law) == pytest.approx(expect, abs=1e-12)
 
@@ -87,11 +87,12 @@ def test_entropy_square_homogeneity():
     rng = rng_for(31, "entropy", 1)
     law = random_law(rng, 2, 3)
     h = phi_entropy(SQUARE, law)
-    assert phi_entropy(SQUARE, law.scaled(2.5)) == pytest.approx(2.5**2 * h, rel=1e-10)
+    scaled = DiscreteRandomMatrix(law.probs, 2.5 * law.values)
+    assert phi_entropy(SQUARE, scaled) == pytest.approx(2.5**2 * h, rel=1e-10)
 
 
 def test_entropy_domain_error():
-    law = DiscreteRandomMatrix.from_scalars([(0.5, -1.0), (0.5, 1.0)])
+    law = law_from_scalars([(0.5, -1.0), (0.5, 1.0)])
     with pytest.raises(DomainError):
         phi_entropy(XLOGX, law)
 
@@ -520,7 +521,7 @@ def test_scalar_reduction_matches_classical():
     rng = rng_for(31, "entropy", 13)
     values = rng.uniform(0.2, 3.0, 4)
     probs = np.array([0.1, 0.2, 0.3, 0.4])
-    law = DiscreteRandomMatrix.from_scalars(list(zip(probs, values)))
+    law = law_from_scalars(list(zip(probs, values)))
     classical = float(np.dot(probs, values * np.log(values))) - float(
         np.dot(probs, values)
     ) * np.log(float(np.dot(probs, values)))

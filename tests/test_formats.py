@@ -90,6 +90,18 @@ def test_boolean_function_rejects_bad_bitstring():
         boolean_function_from_obj(obj)
 
 
+@pytest.mark.parametrize(
+    "xs",
+    [["0", "1", "0"], ["0", "0"], ["1"], ["1", "0", "1", "0"]],
+    ids=["repeated-extra", "repeated-in-place", "missing", "doubled"],
+)
+def test_boolean_function_needs_each_point_exactly_once(xs):
+    matrix = matrix_to_obj(np.eye(2))
+    obj = {"n": 1, "d": 2, "points": [{"x": x, "matrix": matrix} for x in xs]}
+    with pytest.raises(ConfigError, match="points"):
+        boolean_function_from_obj(obj)
+
+
 def test_product_model_round_trip():
     rng = rng_for(61, "formats", 5)
     model = random_product_model(rng, 2, 2, arity=2)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matphi.concentration
 import matphi.fourier
 from matphi.errors import DomainError
 from matphi.fourier import (
@@ -17,7 +18,6 @@ from matphi.fourier import (
     check_log_sobolev,
     check_p_variance_limit,
     check_phi_sobolev,
-    dirichlet_energy,
     dirichlet_energy_flip,
     dirichlet_energy_spectral,
     entropy_of_square,
@@ -37,12 +37,13 @@ from matphi.fourier import (
     _square_entropy,
 )
 from matphi import suites
-from matphi.concentration import efron_stein_quantity
+from matphi.concentration import agreed_form, dirichlet_energy_forms, efron_stein_quantity
 from matphi.entropy import phi_entropy
 from matphi.errors import MatPhiError
 from matphi.models import DiscreteRandomMatrix
 from matphi.phifun import XLOGX
 from matphi.sampling import random_boolean_function, random_complex_gaussian, random_law, rng_for
+from support import constant_function, law_from_scalars
 
 
 def _random_function(seed, n, d, psd=False, index=0):
@@ -52,7 +53,7 @@ def _random_function(seed, n, d, psd=False, index=0):
 
 def test_transform_constant():
     c = np.array([[2.0, 1j], [-1j, 1.0]])
-    f = MatrixBooleanFunction.constant(3, c)
+    f = constant_function(3, c)
     coeffs = fourier_transform(f).coeffs
     assert np.max(np.abs(coeffs[0] - c)) < 1e-14
     assert np.max(np.abs(coeffs[1:])) < 1e-14
@@ -106,7 +107,7 @@ def test_noise_operator_composition():
 
 def test_parseval_cases():
     c = np.array([[1.0, 0.5], [0.5, 2.0]])
-    assert parseval_check(MatrixBooleanFunction.constant(2, c)).passed
+    assert parseval_check(constant_function(2, c)).passed
     assert parseval_check(_random_function(9, 6, 3)).passed
 
 
@@ -117,7 +118,8 @@ def test_dirichlet_energy_forms_agree():
     resampled = efron_stein_quantity(uniform_cube_model(f))
     assert spectral == pytest.approx(flip, abs=1e-10)
     assert spectral == pytest.approx(resampled, abs=1e-10)
-    assert dirichlet_energy(f) == pytest.approx(spectral)
+    assert dirichlet_energy_forms(f) == (spectral, flip, resampled)
+    assert agreed_form(dirichlet_energy_forms(f), "Dirichlet energy forms") == spectral
 
 
 @pytest.mark.parametrize("skew, agrees", [(0.3e-10, True), (3e-10, False)])
@@ -125,23 +127,28 @@ def test_dirichlet_forms_disagreement_raises_and_fails_the_suite(monkeypatch, sk
     # one form off by skew (1 + |f0|) against the shared 1e-10 relative tolerance
     flip = matphi.fourier.dirichlet_energy_flip
     monkeypatch.setattr(
-        matphi.fourier, "dirichlet_energy_flip", lambda f: flip(f) + skew * (1.0 + abs(flip(f)))
+        matphi.concentration, "dirichlet_energy_flip",
+        lambda f: flip(f) + skew * (1.0 + abs(flip(f))),
     )
     f = _random_function(10, 4, 2)
     rep = suites.CHECKS["dirichlet-identity"]("dirichlet-identity", suites.RunConfig(trials=3))
     assert rep.passed == agrees
+    forms = dirichlet_energy_forms(f)
+    assert forms[1] != flip(f)
     if agrees:
-        assert dirichlet_energy(f) == dirichlet_energy_spectral(f)
+        assert agreed_form(forms, "Dirichlet energy forms") == dirichlet_energy_spectral(f)
     else:
         with pytest.raises(MatPhiError, match="Dirichlet energy forms disagree"):
-            dirichlet_energy(f)
+            agreed_form(forms, "Dirichlet energy forms")
 
 
 def test_dirichlet_energy_examples():
     c = np.array([[1.0, 0.0], [0.0, 2.0]])
-    assert dirichlet_energy(MatrixBooleanFunction.constant(3, c)) == pytest.approx(0.0)
+    for form in dirichlet_energy_forms(constant_function(3, c)):
+        assert form == pytest.approx(0.0)
     dictator = MatrixBooleanFunction(1, np.stack([np.eye(2), -np.eye(2)]))
-    assert dirichlet_energy(dictator) == pytest.approx(1.0)
+    for form in dirichlet_energy_forms(dictator):
+        assert form == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -187,14 +194,14 @@ def test_phi_sobolev_scalar_reduction():
     rep = check_phi_sobolev(f, 1.5)
     assert rep.passed
     assert rep.details["rhs"] == pytest.approx(
-        (2 - 1.5) * dirichlet_energy(f), abs=1e-12
+        (2 - 1.5) * dirichlet_energy_flip(f), abs=1e-12
     )
     assert rep.details["lhs"] <= rep.details["rhs"] + 1e-10
 
 
 def test_phi_sobolev_constant():
     c = np.diag([1.0, 0.4]).astype(complex)
-    rep = check_phi_sobolev(MatrixBooleanFunction.constant(2, c), 1.5)
+    rep = check_phi_sobolev(constant_function(2, c), 1.5)
     assert rep.passed
     assert rep.details["lhs"] == pytest.approx(0.0, abs=1e-12)
 
@@ -208,7 +215,7 @@ def test_phi_sobolev_sweep():
 
 def test_log_sobolev_constant_and_random():
     c = np.diag([1.0, 0.4]).astype(complex)
-    rep = check_log_sobolev(MatrixBooleanFunction.constant(2, c))
+    rep = check_log_sobolev(constant_function(2, c))
     assert rep.passed
     for trial in range(100):
         f = _random_function(16, 4, 2, psd=True, index=trial)
@@ -250,7 +257,7 @@ def test_p_variance_limit_constant():
 
 
 def test_p_variance_limit_scalar_value():
-    law = DiscreteRandomMatrix.from_scalars([(0.5, 1.0), (0.5, 2.0)])
+    law = law_from_scalars([(0.5, 1.0), (0.5, 2.0)])
     rep = check_p_variance_limit(law)
     assert rep.passed
     # closed-form limit: (1/2) E[Z^2 log Z^2] - (1/2) E[Z^2] log E[Z^2]
@@ -291,7 +298,7 @@ def test_lsi_search_finds_matrix_witness():
     assert result.objective > 1e-6
     # re-verify from the raw table
     assert entropy_of_square(result.f) == pytest.approx(result.entropy, abs=1e-12)
-    assert dirichlet_energy(result.f) == pytest.approx(result.energy, abs=1e-10)
+    assert dirichlet_energy_spectral(result.f) == pytest.approx(result.energy, abs=1e-10)
     assert result.entropy - 2 * result.energy == pytest.approx(
         result.objective, abs=1e-12
     )
@@ -407,9 +414,9 @@ def test_lsi_step_sends_two_matrices_per_restart_to_the_spectrum(monkeypatch):
 
 
 def test_lsi_search_constant_start_objective_zero():
-    f = MatrixBooleanFunction.constant(1, np.eye(2))
+    f = constant_function(1, np.eye(2))
     assert entropy_of_square(f) == pytest.approx(0.0, abs=1e-12)
-    assert dirichlet_energy(f) == pytest.approx(0.0, abs=1e-14)
+    assert dirichlet_energy_spectral(f) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_transform_matches_character_sum():

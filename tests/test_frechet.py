@@ -17,22 +17,16 @@ from matphi.frechet import (
     dd2_table,
     fd_frechet,
     fd_frechet_second,
+    _schur,
     frechet_derivative,
-    frechet_norm,
     frechet_second,
     inverse_derivative_superoperator,
     inverse_frechet_derivative,
     multivariate_dd_table,
-    multivariate_partial_frechet,
 )
-from matphi.phifun import IDENTITY, SQUARE, PhiFunction
-from matphi.sampling import (
-    random_hermitian,
-    random_pd,
-    random_unit_hermitian,
-    random_unitary,
-    rng_for,
-)
+from matphi.phifun import PhiFunction
+from matphi.sampling import random_hermitian, random_pd, random_unit_hermitian, rng_for
+from support import SQUARE, random_unitary
 
 XLOGX = PhiFunction.xlogx()
 P15 = PhiFunction.power(1.5)
@@ -359,22 +353,6 @@ def test_singular_exactly_at_condition_threshold(top):
             inverse()
 
 
-def test_frechet_norm_values():
-    assert frechet_norm(IDENTITY, np.diag([1.0, 2.0])) == pytest.approx(1.0)
-    assert frechet_norm(SQUARE, np.diag([1.0, 2.0])) == pytest.approx(4.0)
-
-
-def test_frechet_norm_dominates_random_directions():
-    rng = rng_for(21, "frechet", 9)
-    sf = XLOGX.scalar()
-    a = random_pd(rng, 3, floor=0.3)
-    bound = frechet_norm(sf, a)
-    for _ in range(100):
-        e = random_hermitian(rng, 3)
-        ratio = np.linalg.norm(frechet_derivative(sf, a, e)) / np.linalg.norm(e)
-        assert ratio <= bound + 1e-9
-
-
 def test_sum_rule_linearity():
     rng = rng_for(21, "frechet", 10)
     a = random_pd(rng, 3, floor=0.3)
@@ -459,9 +437,11 @@ def test_multivariate_reduces_to_univariate():
         fn=lambda x: float(x[0] * np.log(x[0])),
         partial=lambda i, x: float(np.log(x[0]) + 1.0),
     )
+    lambdas, u = commuting_eigensystem([a])
+    table = multivariate_dd_table(mf, lambdas, 0)
+    assert np.max(np.abs(table - dd1_table(XLOGX.scalar(), lambdas[0]))) < 1e-12
     uni = frechet_derivative(XLOGX.scalar(), a, e)
-    multi = multivariate_partial_frechet(mf, [a], 0, e)
-    assert np.max(np.abs(uni - multi)) < 1e-9
+    assert np.max(np.abs(uni - _schur(u, table, e))) < 1e-9
 
 
 def test_multivariate_linear_function():
@@ -472,8 +452,10 @@ def test_multivariate_linear_function():
     mf = MultivariateScalarFunction(
         n=2, fn=lambda x: float(x[0] + x[1]), partial=lambda i, x: 1.0
     )
-    out = multivariate_partial_frechet(mf, [d1, d2], 0, e)
-    assert np.max(np.abs(out - e)) < 1e-9
+    lambdas, u = commuting_eigensystem([d1, d2])
+    table = multivariate_dd_table(mf, lambdas, 0)
+    assert np.max(np.abs(table - 1.0)) < 1e-12
+    assert np.max(np.abs(_schur(u, table, e) - e)) < 1e-9
 
 
 def test_multivariate_product_table_broadcast():
@@ -500,7 +482,8 @@ def test_multivariate_matches_fd_on_diagonal_directions():
         fn=lambda x: float(x[0] * x[1]),
         partial=lambda i, x: float(x[1 - i]),
     )
-    out = multivariate_partial_frechet(mf, [x1, x2], 0, e)
+    lambdas, u = commuting_eigensystem([x1, x2])
+    out = _schur(u, multivariate_dd_table(mf, lambdas, 0), e)
     h = 1e-6
     fd = (np.diag((lam1 + h * np.diag(e).real) * lam2) - np.diag((lam1 - h * np.diag(e).real) * lam2)) / (2 * h)
     assert np.max(np.abs(out - fd)) < 1e-7
@@ -510,11 +493,8 @@ def test_multivariate_rejects_noncommuting():
     rng = rng_for(21, "frechet", 18)
     a = random_hermitian(rng, 3)
     b = random_hermitian(rng, 3)
-    mf = MultivariateScalarFunction(
-        n=2, fn=lambda x: float(x[0] + x[1]), partial=lambda i, x: 1.0
-    )
     with pytest.raises(NotCommuting) as err:
-        multivariate_partial_frechet(mf, [a, b], 0, np.eye(3))
+        commuting_eigensystem([a, b])
     assert err.value.commutator_norm > 0
 
 

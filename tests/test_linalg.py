@@ -33,7 +33,8 @@ from matphi.linalg import (
 )
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel
 from matphi.phifun import ScalarFunction
-from matphi.sampling import random_hermitian, random_psd, random_unitary, rng_for
+from matphi.sampling import random_hermitian, random_psd, rng_for
+from support import constant_function, random_unitary
 
 SQRT = ScalarFunction("sqrt", np.sqrt, domain=NONNEGATIVE)
 
@@ -128,9 +129,11 @@ def test_probability_rule_at_every_entry(entry, column):
     "build",
     [
         lambda: CQEnsemble(np.array([0.5, 0.5]), np.stack([np.diag([1.2, -0.2])] * 2)),
-        lambda: MatrixInputModel((FiniteLaw.uniform((np.eye(2), 2 * np.eye(2))),), sum),
-        lambda: check_phi_sobolev(MatrixBooleanFunction.constant(1, -np.eye(2)), 1.5),
-        lambda: check_log_sobolev(MatrixBooleanFunction.constant(1, -np.eye(2))),
+        lambda: MatrixInputModel(
+            (FiniteLaw.uniform((np.eye(2), 2 * np.eye(2))),), sum, lambda xs, i: 1.0
+        ),
+        lambda: check_phi_sobolev(constant_function(1, -np.eye(2)), 1.5),
+        lambda: check_log_sobolev(constant_function(1, -np.eye(2))),
     ],
     ids=["ensemble-state", "matrix-input", "phi-sobolev", "log-sobolev"],
 )

@@ -53,9 +53,9 @@ from matphi.sampling import (
     random_product_model,
     random_psd,
     random_unit_hermitian,
-    random_unitary,
     rng_for,
 )
+from support import random_unitary
 
 REL = 1e-12
 GENERATORS = (PhiFunction.xlogx(), PhiFunction.power(1.5))

@@ -47,7 +47,7 @@ def test_tabulate_guards_the_size_before_any_evaluator_call():
     assert calls == []
     half = FiniteLaw.uniform((0.25 * np.eye(2), 0.75 * np.eye(2)))
     with pytest.raises(EnumerationTooLarge):
-        MatrixInputModel((half,) * 20, evaluator)
+        MatrixInputModel((half,) * 20, evaluator, lambda xs, i: 1.0)
     assert calls == []
     # below the bound: one call per joint outcome, in table order
     model = ProductModel.tabulate((BITS,) * 3, evaluator)
