@@ -302,30 +302,48 @@ def gue_clt_sample(d: int, m: int, count: int, rng: np.random.Generator) -> np.n
     return s / (2.0 * np.sqrt(m))
 
 
-def _batch_means(
-    check: str, label: str, statistic: Callable, seed: int, samples: int,
-    names=("lhs", "rhs"), details: dict | None = None, **fields,
+def _poincare_sides(values: np.ndarray, energy: float) -> tuple[float, float]:
+    """Both sides of Var(f) <= E(f) for a (k, d, d) stack of equally likely
+    values and an energy."""
+    mean = values.mean(axis=0)
+    return normalized_trace((values @ values).mean(axis=0) - mean @ mean), energy
+
+
+def _gaussian_check(
+    check: str, label: str, sides: Callable, evaluator: Callable, n: int, samples: int,
+    seed: int, partials: Callable | None = None, d1: int = 1,
+    names=("lhs", "rhs"), details: dict | None = None,
 ) -> CheckReport:
-    """lhs <= rhs between batch means. ``statistic(rng, samples //
-    MC_BATCHES)`` gives one batch's (lhs, rhs) with rng = rng_for(seed,
-    label, batch), and the gap lhs - rhs passes within three standard
-    errors, se (the two sides' errors added) plus rhs * se / |rhs|."""
+    """lhs <= rhs between batch means of ``sides(values, energy)``, read by
+    _values and _energy at the samples // MC_BATCHES points that batch b
+    draws from rng_for(seed, label, b). The gap lhs - rhs passes within
+    three standard errors, se (the two sides' errors added) plus
+    rhs * se / |rhs|."""
+    scalar_inputs = d1 == 1
+    if not scalar_inputs and partials is None:
+        raise DomainError(f"Gaussian-ensemble inputs (d1 = {d1}) need the exact partials")
     if samples < MC_BATCHES:
         raise ValueError(f"samples must be at least MC_BATCHES = {MC_BATCHES}, got {samples}")
+    probe = np.zeros((1, n)) if scalar_inputs else [tuple(np.zeros((n, d1, d1), dtype=complex))]
+    d = _values(evaluator, probe).shape[-1]
     count = samples // MC_BATCHES
-    sides = np.array(
-        [statistic(rng_for(seed, label, b), count) for b in range(MC_BATCHES)], dtype=float
-    ).T
-    lhs, rhs = (float(side.mean()) for side in sides)
-    se = sum(float(side.std(ddof=1) / np.sqrt(len(side))) for side in sides)
+
+    def batch(rng):
+        if scalar_inputs:
+            points = rng.standard_normal((count, n))
+        else:
+            points = [tuple(x) for x in sample_gue(d1, count * n, rng).reshape(count, n, d1, d1)]
+        energy = float(_energy(evaluator, points, n, partials).sum(axis=1).mean())
+        return sides(_values(evaluator, points), energy)
+
+    batches = np.array([batch(rng_for(seed, label, b)) for b in range(MC_BATCHES)], dtype=float)
+    lhs, rhs = (float(side.mean()) for side in batches.T)
+    se = sum(float(side.std(ddof=1) / np.sqrt(len(side))) for side in batches.T)
     stderr_rel = se / max(abs(rhs), 1e-30)
     return verdict(
-        check, lhs - rhs, 3.0 * (rhs * stderr_rel + se) + 1e-12,
-        seed=seed,
-        samples=count * MC_BATCHES,
-        stderr=se,
+        check, lhs - rhs, 3.0 * (rhs * stderr_rel + se) + 1e-12, seed=seed,
+        samples=count * MC_BATCHES, stderr=se, d=d, n=n,
         details={names[0]: lhs, names[1]: rhs, **(details or {})},
-        **fields,
     )
 
 
@@ -347,26 +365,9 @@ def check_gaussian_poincare(
     kind of input. Real inputs without it get central differences along
     their coordinates; matrix inputs without it are a DomainError, raised
     before anything is evaluated or drawn."""
-    scalar_inputs = d1 == 1
-    if not scalar_inputs and partials is None:
-        raise DomainError(f"Gaussian-ensemble inputs (d1 = {d1}) need the exact partials")
-    probe = np.zeros((1, n)) if scalar_inputs else [tuple(np.zeros((n, d1, d1), dtype=complex))]
-    d = _values(evaluator, probe).shape[-1]
-
-    def statistic(rng, count):
-        if scalar_inputs:
-            points = rng.standard_normal((count, n))
-        else:
-            points = [tuple(x) for x in sample_gue(d1, count * n, rng).reshape(count, n, d1, d1)]
-        energy = _energy(evaluator, points, n, partials)
-        z = _values(evaluator, points)
-        mean = z.mean(axis=0)
-        var = normalized_trace((z @ z).mean(axis=0) - mean @ mean)
-        return var, float(energy.sum(axis=1).mean())
-
-    return _batch_means(
-        "gaussian-poincare", "gaussian-poincare", statistic, seed, samples,
-        names=("variance", "bound"), d=d, n=n,
+    return _gaussian_check(
+        "gaussian-poincare", "gaussian-poincare", _poincare_sides, evaluator, n, samples, seed,
+        partials, d1, names=("variance", "bound"),
     )
 
 
@@ -381,15 +382,10 @@ def check_gaussian_sobolev(
     Gaussian inputs with generator u^{2/p}; p outside (1, 2), refused
     before f is evaluated, or a value that is not PSD is a DomainError."""
     _require_sobolev_exponent(p)
-
-    def statistic(rng, count):
-        xs = rng.standard_normal((count, n))
-        energy = float(_energy(evaluator, xs, n).sum(axis=1).mean())
-        return _phi_sobolev_sides(_values(evaluator, xs), energy, p)
-
-    return _batch_means(
-        "gaussian-sobolev", "gaussian-sobolev", statistic, seed, samples,
-        details={"p": p}, d=_values(evaluator, np.zeros((1, n))).shape[-1], n=n,
+    return _gaussian_check(
+        "gaussian-sobolev", "gaussian-sobolev",
+        lambda values, energy: _phi_sobolev_sides(values, energy, p),
+        evaluator, n, samples, seed, details={"p": p},
     )
 
 
@@ -402,13 +398,7 @@ def check_gaussian_logsobolev(
     """Monte Carlo log-Sobolev bound Ent(f^2) <= 2 sum_i E||D_i f||_2^2
     + log(d) tr E[f^2] for PSD-valued functions of Gaussian inputs; a value
     that is not PSD is a DomainError."""
-
-    def statistic(rng, count):
-        xs = rng.standard_normal((count, n))
-        energy = float(_energy(evaluator, xs, n).sum(axis=1).mean())
-        return _log_sobolev_sides(_values(evaluator, xs), energy)
-
-    return _batch_means(
-        "gaussian-log-sobolev", "gaussian-logsobolev", statistic, seed, samples,
-        d=_values(evaluator, np.zeros((1, n))).shape[-1], n=n,
+    return _gaussian_check(
+        "gaussian-log-sobolev", "gaussian-logsobolev", _log_sobolev_sides, evaluator, n,
+        samples, seed,
     )

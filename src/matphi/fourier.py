@@ -260,16 +260,10 @@ def check_p_variance_limit(law: DiscreteRandomMatrix) -> CheckReport:
         expected = e_next / e_prev
         if r_next / r_prev > 3.0 * expected:
             shrink_ok = False
-    return CheckReport(
-        check="p-variance-limit",
-        passed=dev < P_VARIANCE_TOL and shrink_ok,
-        max_gap=dev,
-        tol=P_VARIANCE_TOL,
-        d=law.d,
-        details={
-            "residuals": residuals,
-            "linear_shrink": shrink_ok,
-        },
+    # residuals that fail to shrink linearly fail the check at any deviation
+    return verdict(
+        "p-variance-limit", dev, P_VARIANCE_TOL if shrink_ok else -np.inf, d=law.d,
+        details={"residuals": residuals, "linear_shrink": shrink_ok},
     )
 
 

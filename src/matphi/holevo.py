@@ -23,7 +23,7 @@ from .errors import (
     NotAdmissible,
     SupportError,
 )
-from .entropy import _phi_entropies, _phi_traces, phi_entropy
+from .entropy import _phi_traces, phi_entropy
 from .linalg import (
     NONNEGATIVE,
     _require_hermitian_stack,
@@ -373,6 +373,20 @@ def classical_sdpi_ratio(mu: np.ndarray, kernel: MarkovKernel, nu: np.ndarray) -
     return num / denom
 
 
+def _total_variance(phi: PhiFunction, law: DiscreteRandomMatrix, conditionals, means, py):
+    """H(Z), each H(Z | Y = y) and H(E[Z | Y]) of the law of Z, its
+    conditional laws as (support indices, probabilities), their (|Y|, d, d)
+    means and the law py of Y. One spectrum call takes the support values, the
+    conditional means, the mean of E[Z | Y] and E Z; every term reads its
+    traces from it."""
+    outer_mean = hermitian_part(np.tensordot(py, means, axes=1))
+    traces = _phi_traces(phi, np.concatenate([law.values, means, outer_mean[None]]), law.mean())
+    total = float(np.tensordot(traces[:law.size], law.probs, axes=1) - traces[-1])
+    conditional = [float(np.tensordot(traces[idx], q, axes=1) - mean_trace)
+                   for (idx, q), mean_trace in zip(conditionals, traces[law.size:])]
+    return total, conditional, float(np.tensordot(traces[law.size:-2], py, axes=1) - traces[-2])
+
+
 def check_law_total_variance(
     phi: PhiFunction,
     probs: np.ndarray,
@@ -380,9 +394,7 @@ def check_law_total_variance(
     labels: Sequence,
 ) -> CheckReport:
     """Exact conditional decomposition H(Z) = E_Y H(Z|Y) + H(E[Z|Y]) for a
-    finite joint law of (Z, Y), validated once. One spectrum call takes the
-    support values, the conditional means, the outer law's mean and the
-    total mean; every term reads its traces from it."""
+    finite joint law of (Z, Y), validated once."""
     law = DiscreteRandomMatrix(probs, values)
     labels = list(labels)
     if len(labels) != law.size:
@@ -390,16 +402,11 @@ def check_law_total_variance(
     uniq = sorted(set(labels), key=repr)
     groups = [[k for k, lab in enumerate(labels) if lab == y] for y in uniq]
     py = [float(law.probs[idx].sum()) for idx in groups]
-    cond_probs = [law.probs[idx] / p for idx, p in zip(groups, py)]
+    conditionals = [(idx, law.probs[idx] / p) for idx, p in zip(groups, py)]
     means = np.stack([hermitian_part(np.tensordot(q, law.values[idx], axes=1))
-                      for idx, q in zip(groups, cond_probs)])
-    outer_mean = hermitian_part(np.tensordot(np.array(py), means, axes=1))
-    traces = _phi_traces(phi, np.concatenate([law.values, means, outer_mean[None]]), law.mean())
-    total = float(np.tensordot(traces[:law.size], law.probs, axes=1) - traces[-1])
-    cond_term = 0.0
-    for p, idx, q, mean_trace in zip(py, groups, cond_probs, traces[law.size:]):
-        cond_term += p * float(np.tensordot(traces[idx], q, axes=1) - mean_trace)
-    outer = float(np.tensordot(traces[law.size:-2], np.array(py), axes=1) - traces[-2])
+                      for idx, q in conditionals])
+    total, entropies, outer = _total_variance(phi, law, conditionals, means, np.array(py))
+    cond_term = sum(p * h for p, h in zip(py, entropies))
     return verdict(
         "law-total-variance", abs(total - (cond_term + outer)), relative_tol(1e-10, total),
         phi=phi.label, d=law.d,
@@ -415,39 +422,28 @@ def check_functional_sdpi(
 ) -> CheckReport:
     """Given a contraction constant c in [0, 1), verify both
     H[f(X)] <= (1 - c)^{-1} E_Y H[f(X)|Y] and the chained inequality
-    H(evolved) <= c H[f(X)] on the same instance."""
+    H(evolved) <= c H[f(X)] on the same instance. The evolved states are the
+    means E[f(X) | Y], so one total-variance decomposition gives all three."""
     if not 0.0 <= c < 1.0:
         raise InvalidC(f"the contraction constant must lie in [0, 1), got {c}")
     mu = np.asarray(mu, dtype=float)
     pushed = require_admissible(mu, kernel)
     law = CQEnsemble(mu, states).as_law()  # mu > 0, so every state stays
     back = backward_channel(mu, kernel).rows
-    means = np.stack([hermitian_part(np.tensordot(row, law.values, axes=1)) for row in back])
-    traces = _phi_traces(XLOGX, np.concatenate([law.values, means]), law.mean())
-    h_total = float(np.tensordot(traces[:law.size], law.probs, axes=1) - traces[-1])
-    cond = 0.0
-    for p, row, mean_trace in zip(pushed, back, traces[law.size:]):  # zero-weight states add 0
-        cond += p * float(np.tensordot(traces[:law.size], row, axes=1) - mean_trace)
-    # the evolved states are validated states mixed through stochastic rows,
-    # so they need no ensemble check: their spectra, taken once here for the
-    # entropy, are admitted through x log x's domain
-    evolved, p = _evolve(mu, law.values, pushed, back), pushed / pushed.sum()
-    h_evolved = float(_phi_entropies(
-        XLOGX, p, evolved, hermitian_part(np.tensordot(p, evolved, axes=1))))
+    # validated states mixed through stochastic rows need no ensemble check:
+    # their spectra are admitted through x log x's domain
+    evolved = _evolve(mu, law.values, pushed, back)
+    h_total, entropies, h_evolved = _total_variance(
+        XLOGX, law, [(slice(law.size), row) for row in back], evolved, pushed / pushed.sum())
+    cond = sum(p * h for p, h in zip(pushed, entropies))  # zero-weight states add 0
     tol = relative_tol(1e-9, h_total)
     functional_ok = h_total <= cond / (1.0 - c) + tol
     chain_ok = h_evolved <= c * h_total + tol
     return verdict(
         "functional-sdpi", max(h_total - cond / (1.0 - c), h_evolved - c * h_total), tol,
         d=law.d,
-        details={
-            "h_total": h_total,
-            "conditional": cond,
-            "h_evolved": h_evolved,
-            "c": c,
-            "functional_ok": functional_ok,
-            "chain_ok": chain_ok,
-        },
+        details={"h_total": h_total, "conditional": cond, "h_evolved": h_evolved, "c": c,
+                 "functional_ok": functional_ok, "chain_ok": chain_ok},
     )
 
 

@@ -24,7 +24,8 @@ from matphi.formats import (
     product_model_from_obj,
 )
 from matphi.suites import SUITES, RunConfig, run_suite, validate_suite_config
-from matphi.errors import ConfigError
+from matphi.errors import ConfigError, MatPhiError
+from matphi.sampling import random_density, rng_for
 
 
 def _run(args):
@@ -320,11 +321,9 @@ def test_p_variance_limit_shrink_failure_is_a_violation(monkeypatch):
     assert all(len(v["residuals"]) == 3 and 0.0 < v["gap"] < 1e-4 for v in rep.violations)
 
 
-def test_average_state_drift_is_a_violation(tmp_path, capsys, monkeypatch):
-    # a backward channel that moves 1e-6 of mass in its first row drifts
-    # the average state by about 1e-7; the average-state check reports
-    # that drift, where library evolution (data-processing,
-    # functional-sdpi) raises on it, so the suite runs that check alone
+def _drift_backward_channel(monkeypatch):
+    """Make the backward channel move 1e-6 of mass in its first row, which
+    drifts the average state by about 1e-7."""
     real = holevo.backward_channel
 
     def drifting(mu, kernel):
@@ -333,12 +332,30 @@ def test_average_state_drift_is_a_violation(tmp_path, capsys, monkeypatch):
         return holevo.MarkovKernel(rows)
 
     monkeypatch.setattr(holevo, "backward_channel", drifting)
+
+
+def test_average_state_drift_is_a_violation(tmp_path, capsys, monkeypatch):
+    # the average-state check reports the drift, where library evolution
+    # (data-processing, functional-sdpi) raises on it, so the suite runs
+    # that check alone
+    _drift_backward_channel(monkeypatch)
     monkeypatch.setitem(SUITES, "holevo", {"average-state": SUITES["holevo"]["average-state"]})
     out = tmp_path / "holevo.json"
     assert _run(["holevo", "--trials", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "failing checks: average-state\n"
     (report,) = json.loads(out.read_text())["reports"]
     assert report["check"] == "average-state" and report["max_gap"] > 1e-8
+
+
+def test_functional_sdpi_raises_on_a_drifting_average_state(monkeypatch):
+    # its conditional means are the evolved states, so the evolution's drift guard holds
+    _drift_backward_channel(monkeypatch)
+    rng = rng_for(5, "sdpi-drift", 0)
+    states = np.stack([random_density(rng, 2) for _ in range(2)])
+    with pytest.raises(MatPhiError, match="drifted"):
+        holevo.check_functional_sdpi(
+            np.array([0.5, 0.5]), holevo.MarkovKernel.binary_symmetric(0.1), states, 0.5
+        )
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -464,6 +481,30 @@ def test_tol_override_plumbs_through():
     assert len(sweeps) == 29
     for rep in sweeps:
         assert rep.passed and not rep.violations, rep.check
+
+
+def test_tol_override_judges_one_shot_checks(tmp_path, capsys):
+    # the central-limit checks sit above a zero tolerance at seed 42; the
+    # Gaussian inequality checks, whose gaps are negative, stay within it
+    out = tmp_path / "gaussian.json"
+    argv = ["gaussian", "--seed", "42", "--samples", "2000", "--out", str(out)]
+    assert _run(argv + ["--tol", "0"]) == 1
+    assert capsys.readouterr().err == "failing checks: gue-ks, gue-moments\n"
+    reports = {r["check"]: r for r in json.loads(out.read_text())["reports"]}
+    assert reports["gue-ks"]["max_gap"] > 0.0 and reports["gue-moments"]["max_gap"] > 0.0
+    assert all(r["pass"] == (r["max_gap"] <= 0.0) for r in reports.values())
+    # a loose override passes every one-shot check; without one each check keeps its own rule
+    loose = run_suite(RunConfig(seed=42, samples=2000, tol=1e9), "gaussian")
+    assert loose.passed and all(r.tol == 1e9 for r in loose.reports)
+    assert run_suite(RunConfig(seed=42, samples=2000), "gaussian").passed
+
+
+def test_gue_moments_passes_a_correct_sampler_at_seed_91():
+    # a cross-correlation of 0.083 at 2,000 draws exceeds one pair's
+    # 3.5 / sqrt(draws) band but not the 4.07 / sqrt(draws) band for 10 pairs
+    rep = SUITES["gaussian"]["gue-moments"]("gue-moments", RunConfig(seed=91, samples=2000))
+    assert rep.passed
+    assert 3.5 / np.sqrt(2000) < rep.details["max_cross_correlation"] < 4.07 / np.sqrt(2000)
 
 
 @pytest.mark.parametrize("phi", ["affine:2,1", "power:1"])

@@ -643,6 +643,44 @@ def test_gaussian_poincare_matrix_inputs_keep_the_per_draw_inputs():
     assert seen == [_key(x) for x in [np.zeros((n, d1, d1))] + draws]
 
 
+def _trace_and_square(xs):
+    return float(np.trace(xs[0]).real / 2) * np.eye(2) + xs[1] @ xs[1]
+
+
+def _trace_and_square_partial(xs, i):
+    return 1.0 if i == 0 else 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(xs[1]))))
+
+
+# (max_gap, tol, stderr, details) of each Gaussian check at 200 samples
+GAUSSIAN_PINS = [
+    (lambda: check_gaussian_poincare(suites._first_square, n=1, samples=200, seed=3),
+     (-2.036691568368138, 4.535730907990466, 0.7559551513315776,
+      {"variance": 1.6367672501066495, "bound": 3.6734588184747876})),
+    (lambda: check_gaussian_poincare(_trace_and_square, n=2, d1=2, samples=200, seed=9,
+                                     partials=_trace_and_square_partial),
+     (-9.067809849033146, 6.239187055833833, 1.0398645093054721,
+      {"variance": 4.4486510506518115, "bound": 13.516460899684958})),
+    (lambda: check_gaussian_sobolev(suites._sobolev_exp, p=1.5, n=2, samples=200, seed=4),
+     (-0.3059941813820397, 0.1478976089903776, 0.0246496014982296,
+      {"lhs": 0.04724635989790521, "rhs": 0.3532405412799449, "p": 1.5})),
+    (lambda: check_gaussian_logsobolev(suites._clipped_poly, n=2, samples=200, seed=6),
+     (-1.3602738147678042, 0.3051491342660214, 0.050858189044170235,
+      {"lhs": 0.34942689347115397, "rhs": 1.7097007082389581})),
+]
+
+
+@pytest.mark.parametrize(
+    "check, pinned", GAUSSIAN_PINS,
+    ids=["poincare-differences", "poincare-ensemble", "sobolev", "logsobolev"],
+)
+def test_gaussian_checks_pinned(check, pinned):
+    # central differences at real inputs, exact partials at Gaussian-ensemble
+    # inputs, and both Sobolev sides, each through the one Monte Carlo driver
+    rep = check()
+    assert (rep.max_gap, rep.tol, rep.stderr, rep.details) == pinned
+    assert rep.passed and rep.samples == 200
+
+
 def test_gaussian_poincare_constant():
     rep = check_gaussian_poincare(lambda x: 1.0, n=2, samples=2000, seed=1)
     assert rep.passed

@@ -525,8 +525,9 @@ def test_functional_sdpi_terms_match_per_row_reference_bit_for_bit():
 
 
 def test_functional_sdpi_decomposes_the_evolved_states_once(monkeypatch):
-    # the evolved states' spectra are taken once, for their entropy, and not
-    # again to validate them as an ensemble
+    # one spectrum call validates the states; one more takes the states, the
+    # evolved states (the conditional means) and both averages for all three
+    # entropies, and the evolved states are not validated as an ensemble
     calls, matrices = [], []
     real = np.linalg.eigvalsh
 
@@ -538,7 +539,7 @@ def test_functional_sdpi_decomposes_the_evolved_states_once(monkeypatch):
     ens = _qubit_pair()
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     check_functional_sdpi(ens.probs, MarkovKernel.binary_symmetric(0.1), ens.states, 0.5)
-    assert (len(calls), sum(matrices)) == (3, 10)
+    assert (len(calls), sum(matrices)) == (2, 8)
 
 
 def test_functional_sdpi_evolved_entropy_matches_the_ensemble_path_bit_for_bit():
