@@ -15,12 +15,16 @@ import numpy as np
 
 from .errors import DomainError, NotHermitian
 from .frechet import (
+    _in_turn,
+    _inverse_table,
+    _same_shape,
+    _schur,
+    _second,
     dd1_table,
-    frechet_second,
+    dd2_table,
     inverse_derivative_superoperator,
-    inverse_frechet_derivative,
 )
-from .linalg import _require_hermitian_stack, eigenvalues, hermitian_part
+from .linalg import _require_hermitian_stack, eigenvalues, hermitian_part, require_hermitian
 from .models import DiscreteRandomMatrix, ProductModel
 from .phifun import PhiFunction, ScalarFunction
 from .report import CheckReport, matrix_to_obj, relative_tol, sweep, verdict
@@ -149,13 +153,10 @@ def char_a_probe(
     positive-definite pair, as a ``(gap, tol, witness)`` triple."""
     a = random_pd(rng, d)
     b = random_pd(rng, d)
-    inv = {
-        key: inverse_derivative_superoperator(psi, m)
-        for key, m in (("a", a), ("b", b), ("mid", 0.5 * (a + b)))
-    }
-    diff = hermitian_part(inv["mid"] - 0.5 * (inv["a"] + inv["b"]))
+    inv = inverse_derivative_superoperator(psi, np.stack([a, b, 0.5 * (a + b)]))
+    diff = hermitian_part(inv[2] - 0.5 * (inv[0] + inv[1]))
     lam = float(eigenvalues(diff)[0])
-    probe_tol = relative_tol(1e-8, max(float(np.linalg.norm(inv[k])) for k in inv))
+    probe_tol = relative_tol(1e-8, max(float(np.linalg.norm(m)) for m in inv))
     witness = None
     if -lam > probe_tol:
         witness = {"min_eigenvalue": lam, "a": matrix_to_obj(a), "b": matrix_to_obj(b)}
@@ -200,20 +201,20 @@ def check_char_e(phi: PhiFunction, a, h, k) -> CharEResult:
     if phi.is_affine:
         return CharEResult(0.0, 0.0, relative_tol(1e-6))
     psi = phi.psi()
-    a = np.asarray(a, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    k = np.asarray(k, dtype=complex)
+    a, h, k = require_hermitian(a), require_hermitian(h), require_hermitian(k)
+    _same_shape(a, h, k)
     fd_step = 1e-4 * (1.0 + float(np.linalg.norm(a)))
-    tinv_h = inverse_frechet_derivative(psi, a, h)
-    d3_psi = (
-        frechet_second(psi, a + fd_step * k, k, tinv_h)
-        - frechet_second(psi, a - fd_step * k, k, tinv_h)
-    ) / (2.0 * fd_step)
-    lhs_mat, inner = inverse_frechet_derivative(
-        psi, a, np.stack([d3_psi, frechet_second(psi, a, k, tinv_h)])
-    )
+    # one eigensystem each for A and A +- fd_step k; A is admitted and its
+    # derivative tested for singularity before the shifted spectra
+    w, u = np.linalg.eigh(np.stack([a, a + fd_step * k, a - fd_step * k]))
+    inv = _inverse_table(psi, w[0])
+    t2 = dd2_table(psi, _in_turn(psi.admit, w))
+    tinv_h = _schur(u[0], inv, h)
+    second, plus, minus = _second(u, t2, k, tinv_h)
+    d3_psi = (plus - minus) / (2.0 * fd_step)
+    lhs_mat, inner = _schur(u[0], inv, np.stack([d3_psi, second]))
     lhs = float(np.trace(h @ lhs_mat).real)
-    rhs_mat = inverse_frechet_derivative(psi, a, frechet_second(psi, a, k, inner))
+    rhs_mat = _schur(u[0], inv, _second(u[0], t2[0], k, inner))
     rhs = 2.0 * float(np.trace(h @ rhs_mat).real)
     return CharEResult(lhs, rhs, relative_tol(1e-6, lhs, rhs))
 

@@ -8,12 +8,13 @@ F; second derivatives use the second-order table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotCommuting, SingularSuperoperator
-from .linalg import _require_hermitian_stack, hermitian_part, require_hermitian, spectral_decompose
+from .errors import DimensionMismatch, MatPhiError, NotCommuting, SingularSuperoperator
+from .linalg import _require_hermitian_stack, hermitian_part, require_hermitian
 from .phifun import ScalarFunction
 
 COND_MAX = 1e12
@@ -26,93 +27,141 @@ def _confluent(x, y):
 
 
 def dd1_table(sf: ScalarFunction, w: np.ndarray) -> np.ndarray:
-    """f[w_i, w_j] over one spectrum."""
+    """f[w_i, w_j] over each spectrum of a (..., d) stack."""
     w = np.asarray(w, dtype=float)
-    a, b = w[:, None], w[None, :]
+    a, b = w[..., :, None], w[..., None, :]
     conf = _confluent(a, b)
     f = sf.fn(w)
-    table = (f[:, None] - f[None, :]) / np.where(conf, 1.0, a - b)
+    table = (f[..., :, None] - f[..., None, :]) / np.where(conf, 1.0, a - b)
     table[conf] = sf.d1((0.5 * (a + b))[conf])
     return table
 
 
 def dd2_table(sf: ScalarFunction, w: np.ndarray) -> np.ndarray:
-    """f[w_i, w_k, w_j] over one spectrum.
+    """f[w_i, w_k, w_j] over each spectrum of a (..., d) stack.
 
     Divided differences are symmetric in their nodes, so each entry
     recurses through its widest outer pair (the first of equal widths, in
     the order (i, j), (k, j), (i, k)).
     """
     w = np.asarray(w, dtype=float)
-    t1 = dd1_table(sf, w)
-    i, k, j = np.indices((w.size,) * 3)
-    w_ij, w_kj, w_ik = abs(w[i] - w[j]), abs(w[k] - w[j]), abs(w[i] - w[k])
+    d = w.shape[-1]
+    flat = w.reshape(-1, d)
+    t1 = dd1_table(sf, flat)
+    s = np.arange(len(flat))[:, None, None, None]  # each spectrum indexes its own table
+    i, k, j = np.indices((d,) * 3)
+    w_i, w_k, w_j = flat[s, i], flat[s, k], flat[s, j]
+    w_ij, w_kj, w_ik = abs(w_i - w_j), abs(w_k - w_j), abs(w_i - w_k)
     outer_ik = w_ik > np.maximum(w_ij, w_kj)
     outer_kj = ~outer_ik & (w_kj > w_ij)
     x = np.where(outer_kj, k, i)
     y = np.where(outer_ik, j, np.where(outer_kj, i, k))
     z = np.where(outer_ik, k, j)
-    conf = _confluent(w[x], w[z])
-    table = (t1[x, y] - t1[y, z]) / np.where(conf, 1.0, w[x] - w[z])
-    table[conf] = 0.5 * sf.d2(((w[i] + w[k] + w[j]) / 3.0)[conf])
-    return table
+    w_x, w_z = flat[s, x], flat[s, z]
+    conf = _confluent(w_x, w_z)
+    table = (t1[s, x, y] - t1[s, y, z]) / np.where(conf, 1.0, w_x - w_z)
+    table[conf] = 0.5 * sf.d2(((w_i + w_k + w_j) / 3.0)[conf])
+    return table.reshape(w.shape + (d, d))
+
+
+def _in_turn(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:
+    """``step`` of a (..., d) stack of spectra at once. A stack it refuses
+    raises what its first refused spectrum raises alone, so a stack is
+    refused as its matrices would be one at a time."""
+    try:
+        return step(w)
+    except MatPhiError:
+        for row in w.reshape(-1, w.shape[-1]):
+            step(row)
+        raise
+
+
+def _eigensystem(a: np.ndarray, step: Callable[[np.ndarray], np.ndarray]):
+    """``step`` of the spectra (an admit, or an admit and a table) and the
+    eigenvectors of each matrix of a validated (..., d, d) stack."""
+    w, u = np.linalg.eigh(a)
+    return _in_turn(step, w), u
+
+
+def _same_shape(a: np.ndarray, *directions: np.ndarray) -> None:
+    """Refuse a direction, or a stack of them, whose matrices are not A's shape."""
+    for e in directions:
+        if e.shape[-2:] != a.shape:
+            raise DimensionMismatch(f"direction of shape {e.shape} for a matrix of shape {a.shape}")
 
 
 def _schur(u: np.ndarray, table: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """U (table o U†EU) U†, hermitized, for E or a (..., d, d) stack of them."""
-    uh = u.conj().T
+    """U (table o U†EU) U†, hermitized, for each eigenbasis U and table of a
+    stack and E or a (..., d, d) stack of them."""
+    uh = u.conj().swapaxes(-1, -2)
     return hermitian_part(u @ (table * (uh @ e @ u)) @ uh)
 
 
-def frechet_derivative(sf: ScalarFunction, a, e) -> np.ndarray:
-    """Df[A](E) as the divided-difference Schur multiplier in A's eigenbasis."""
-    w, u = spectral_decompose(a)
-    return _schur(u, dd1_table(sf, sf.admit(w)), require_hermitian(e))
-
-
-def frechet_second(sf: ScalarFunction, a, e1, e2) -> np.ndarray:
-    """D^2 f[A](E1, E2), symmetric and bilinear in the directions."""
-    w, u = spectral_decompose(a)
-    w = sf.admit(w)
-    t2 = dd2_table(sf, w)
-    e1t = u.conj().T @ require_hermitian(e1) @ u
-    e2t = u.conj().T @ require_hermitian(e2) @ u
-    core = np.einsum("ikj,ik,kj->ij", t2, e1t, e2t) + np.einsum(
-        "ikj,ik,kj->ij", t2, e2t, e1t
+def _second(u: np.ndarray, t2: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """D^2 f(E1, E2) from the second-order table t2 in the eigenbasis U,
+    hermitized; each of U, t2, E1 and E2 may be a stack."""
+    uh = u.conj().swapaxes(-1, -2)
+    e1t, e2t = uh @ e1 @ u, uh @ e2 @ u
+    core = np.einsum("...ikj,...ik,...kj->...ij", t2, e1t, e2t) + np.einsum(
+        "...ikj,...ik,...kj->...ij", t2, e2t, e1t
     )
-    return hermitian_part(u @ core @ u.conj().T)
+    return hermitian_part(u @ core @ uh)
 
 
-def _inverse_table(sf: ScalarFunction, a) -> tuple[np.ndarray, np.ndarray]:
-    """A's eigenvectors U and 1/F for the divided-difference table F.
+def _inverse_table(sf: ScalarFunction, w: np.ndarray) -> np.ndarray:
+    """1/F for the divided-difference table F of each admitted spectrum of
+    a (..., d) stack; the first singular F is refused.
 
     Df[A] = W diag(vec F) W† with W = conj(U) (x) U unitary, so min|F| is
     its smallest singular value and max|F| / min|F| its condition number.
     """
-    w, u = spectral_decompose(a)
     table = dd1_table(sf, sf.admit(w))
-    smallest, largest = float(np.abs(table).min()), float(np.abs(table).max())
-    if smallest <= 0 or largest / smallest > COND_MAX:
+    size = np.abs(table)
+    smallest, largest = size.min(axis=(-2, -1)), size.max(axis=(-2, -1))
+    cond = np.divide(largest, smallest, out=np.full_like(largest, np.inf), where=smallest > 0)
+    singular = cond > COND_MAX
+    if singular.any():
         raise SingularSuperoperator(
             f"derivative condition number above {COND_MAX:.1e}",
-            smallest_singular_value=smallest,
+            smallest_singular_value=float(smallest.flat[np.argmax(singular)]),
         )
-    return u, 1.0 / table
+    return 1.0 / table
+
+
+def frechet_derivative(sf: ScalarFunction, a, e) -> np.ndarray:
+    """Df[A](E) as the divided-difference Schur multiplier in A's eigenbasis."""
+    a, e = require_hermitian(a), require_hermitian(e)
+    _same_shape(a, e)
+    w, u = _eigensystem(a, sf.admit)
+    return _schur(u, dd1_table(sf, w), e)
+
+
+def frechet_second(sf: ScalarFunction, a, e1, e2) -> np.ndarray:
+    """D^2 f[A](E1, E2), symmetric and bilinear in the directions."""
+    a, e1, e2 = require_hermitian(a), require_hermitian(e1), require_hermitian(e2)
+    _same_shape(a, e1, e2)
+    w, u = _eigensystem(a, sf.admit)
+    return _second(u, dd2_table(sf, w), e1, e2)
 
 
 def inverse_frechet_derivative(sf: ScalarFunction, a, x) -> np.ndarray:
     """(Df[A])^{-1}(X) by Schur division in A's eigenbasis; X may be a
     (..., d, d) stack."""
-    u, inv = _inverse_table(sf, a)
-    return _schur(u, inv, _require_hermitian_stack(x))
+    a, x = require_hermitian(a), _require_hermitian_stack(x)
+    _same_shape(a, x)
+    inv, u = _eigensystem(a, partial(_inverse_table, sf))
+    return _schur(u, inv, x)
 
 
 def inverse_derivative_superoperator(sf: ScalarFunction, a) -> np.ndarray:
     """(Df[A])^{-1} as the d^2 x d^2 Hermitian matrix W diag(1/vec F) W†
-    acting on column-stacked matrices, W = conj(U) (x) U."""
-    u, inv = _inverse_table(sf, a)
-    w = np.kron(u.conj(), u)
-    return hermitian_part((w * inv.reshape(-1, order="F")) @ w.conj().T)
+    acting on column-stacked matrices, W = conj(U) (x) U; for each matrix
+    of a (..., d, d) stack, refused as they would be one at a time."""
+    inv, u = _eigensystem(_require_hermitian_stack(a), partial(_inverse_table, sf))
+    *lead, d, _ = u.shape
+    w = (u.conj()[..., :, None, :, None] * u[..., None, :, None, :]).reshape(*lead, d * d, d * d)
+    vec = inv.swapaxes(-1, -2).reshape(*lead, 1, d * d)
+    return hermitian_part((w * vec) @ w.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)

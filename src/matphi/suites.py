@@ -411,10 +411,7 @@ def _cycling_p(check, ps):
 
 def _p_variance_limit(rng, trial, run):
     rep = fourier.check_p_variance_limit(random_law(rng, run.d, 2, psd=True, pd_floor=0.2))
-    if rep.details["linear_shrink"]:
-        return rep.max_gap, rep.tol, None
-    # residuals that fail to shrink linearly fail the trial at any deviation
-    return rep.max_gap, -math.inf, {"residuals": rep.details["residuals"]}
+    return rep.max_gap, rep.tol, None if rep.passed else {"residuals": rep.details["residuals"]}
 
 
 # ----------------------------------------------------------------- holevo

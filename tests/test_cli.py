@@ -4,9 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,9 +312,11 @@ def test_p_variance_limit_shrink_failure_is_a_violation(monkeypatch):
     real = fourier.check_p_variance_limit
 
     def without_shrink(law):
+        # the check's own verdict on residuals that fail to shrink linearly
         rep = real(law)
-        rep.details["linear_shrink"] = False
-        return rep
+        return replace(
+            rep, passed=False, tol=-math.inf, details={**rep.details, "linear_shrink": False}
+        )
 
     monkeypatch.setattr(fourier, "check_p_variance_limit", without_shrink)
     rep = SUITES["sobolev"]["p-variance-limit"]("p-variance-limit", RunConfig(trials=2))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from matphi.entropy import (
     bregman_maps,
     bregman_pair_sampler,
+    char_a_probe,
     check_char_a,
     check_char_e,
     check_char_g,
@@ -21,9 +22,20 @@ from matphi.entropy import (
     duality_lower_bound,
     phi_entropy,
 )
-from matphi.errors import DomainError
-from matphi.frechet import frechet_derivative, frechet_second
-from matphi.linalg import hermitian_part, normalized_trace
+from matphi.errors import (
+    DimensionMismatch,
+    DomainError,
+    NotHermitian,
+    SingularSuperoperator,
+    SpectrumOutOfDomain,
+)
+from matphi.frechet import (
+    frechet_derivative,
+    frechet_second,
+    inverse_derivative_superoperator,
+    inverse_frechet_derivative,
+)
+from matphi.linalg import eigenvalues, hermitian_part, normalized_trace
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, ProductModel
 from matphi.phifun import PhiFunction
 from matphi.sampling import (
@@ -32,8 +44,10 @@ from matphi.sampling import (
     random_probability_vector,
     random_product_model,
     random_psd,
+    random_unit_hermitian,
     rng_for,
 )
+from matphi.report import matrix_to_obj, relative_tol
 from support import law_from_scalars, random_unitary
 
 XLOGX = PhiFunction.xlogx()
@@ -434,6 +448,134 @@ def test_char_a_and_e_need_no_svd_or_inv(monkeypatch):
         rng = rng_for(31, "char-e-no-factorization", 0)
         a = random_pd(rng, 3, floor=0.3)
         assert check_char_e(phi, a, random_psd(rng, 3), random_psd(rng, 3)).holds
+
+
+def _char_e_reference(phi, a, h, k):
+    """(lhs, rhs) of char-e composed from the public Frechet functions, one
+    call per derivative."""
+    psi = phi.psi()
+    step = 1e-4 * (1.0 + float(np.linalg.norm(a)))
+    tinv_h = inverse_frechet_derivative(psi, a, h)
+    d3_psi = (
+        frechet_second(psi, a + step * k, k, tinv_h) - frechet_second(psi, a - step * k, k, tinv_h)
+    ) / (2.0 * step)
+    lhs_mat, inner = inverse_frechet_derivative(
+        psi, a, np.stack([d3_psi, frechet_second(psi, a, k, tinv_h)])
+    )
+    rhs_mat = inverse_frechet_derivative(psi, a, frechet_second(psi, a, k, inner))
+    return float(np.trace(h @ lhs_mat).real), 2.0 * float(np.trace(h @ rhs_mat).real)
+
+
+def _char_a_reference(psi, d, rng):
+    """char_a_probe composed from one inverse superoperator per matrix."""
+    a, b = random_pd(rng, d), random_pd(rng, d)
+    inv = [inverse_derivative_superoperator(psi, m) for m in (a, b, 0.5 * (a + b))]
+    lam = float(eigenvalues(hermitian_part(inv[2] - 0.5 * (inv[0] + inv[1])))[0])
+    tol = relative_tol(1e-8, max(float(np.linalg.norm(m)) for m in inv))
+    witness = None
+    if -lam > tol:
+        witness = {"min_eigenvalue": lam, "a": matrix_to_obj(a), "b": matrix_to_obj(b)}
+    return -lam, tol, witness
+
+
+CALCULUS_GENERATORS = [
+    PhiFunction.parse(g) for g in ("power:1.2", "power:1.5", "power:2", "xlogx", "cube")
+]
+
+
+def _near_degenerate(rng, a, d):
+    """A with all but its top eigenvalue within 1e-9 of its smallest."""
+    w, u = np.linalg.eigh(a)
+    w[: max(1, d - 1)] = w[0] + 1e-9 * rng.random(max(1, d - 1))
+    return hermitian_part((u * w) @ u.conj().T)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_char_a_and_e_equal_the_per_call_composition(d):
+    for phi in CALCULUS_GENERATORS:
+        for trial in range(4):
+            rng = rng_for(31, f"char-e-reference-{phi.label}", 8 * trial + d)
+            a = random_pd(rng, d, floor=0.3)
+            if trial == 3:
+                a = _near_degenerate(rng, a, d)
+            h, k = random_unit_hermitian(rng, d), random_unit_hermitian(rng, d)
+            res = check_char_e(phi, a, h, k)
+            assert repr((res.lhs, res.rhs)) == repr(_char_e_reference(phi, a, h, k))
+            got, want = (
+                probe(phi.psi(), d, rng_for(31, f"char-a-reference-{phi.label}", 8 * trial + d))
+                for probe in (char_a_probe, _char_a_reference)
+            )
+            assert repr(got) == repr(want)
+
+
+def test_char_a_and_e_decompose_each_operand_once(monkeypatch):
+    # one eigh call on [A, A + step k, A - step k], one on [a, b, (a + b) / 2]
+    shapes = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for d in (1, 3, 8):
+        rng = rng_for(31, "char-e-eigh-calls", d)
+        a = random_pd(rng, d, floor=0.3)
+        h, k = random_unit_hermitian(rng, d), random_unit_hermitian(rng, d)
+        shapes.clear()
+        check_char_e(XLOGX, a, h, k)
+        assert shapes == [(3, d, d)]
+        shapes.clear()
+        char_a_probe(XLOGX.psi(), d, rng)
+        assert shapes == [(3, d, d)]
+
+
+def _error(call):
+    """The type and message of the error ``call`` raises."""
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "a, k, refusal",
+    [
+        # A's derivative is singular, and A - step k leaves log's domain
+        (np.diag([3e-9, 1e4]), np.eye(2), SingularSuperoperator),
+        # only A - step k leaves log's domain
+        (np.diag([1e-4, 1.0]), np.diag([10.0, 0.0]), SpectrumOutOfDomain),
+        # both shifts leave it: A + step k is refused first
+        (np.diag([1e-4, 2e-4]), np.diag([10.0, -10.0]), SpectrumOutOfDomain),
+    ],
+)
+def test_char_e_refuses_as_the_per_call_composition(a, k, refusal):
+    a, k = a.astype(complex), k.astype(complex)
+    want = _error(lambda: _char_e_reference(XLOGX, a, np.eye(2), k))
+    assert want[0] is refusal
+    assert _error(lambda: check_char_e(XLOGX, a, np.eye(2), k)) == want
+
+
+def test_char_a_refuses_a_before_b_before_the_midpoint(monkeypatch):
+    # x log x: a singular derivative (condition 3e12), then spectra outside (0, inf)
+    singular, outside, worse = np.diag([3e-9, 1e4]), np.diag([-1.0, 1.0]), np.diag([-2.0, 1.0])
+    fine = np.diag([0.5, 1.0])
+    for a, b, first in ((outside, worse, outside), (singular, outside, singular),
+                        (fine, worse, worse), (fine, singular, singular)):
+        pairs = [a.astype(complex), b.astype(complex)]
+        monkeypatch.setattr("matphi.entropy.random_pd", lambda rng, d: pairs.pop(0))
+        got = _error(lambda: char_a_probe(XLOGX.psi(), 2, None))
+        assert got == _error(lambda: inverse_derivative_superoperator(XLOGX.psi(), first))
+
+
+def test_char_e_operands_are_validated_at_the_boundary():
+    eye2, eye3 = np.eye(2), np.eye(3)
+    for args in ((eye2, eye3, eye2), (eye2, eye2, eye3), (eye3, eye2, eye2)):
+        with pytest.raises(DimensionMismatch):
+            check_char_e(XLOGX, *args)
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    for args in ((eye2, skew, eye2), (eye2, eye2, skew)):
+        with pytest.raises(NotHermitian):
+            check_char_e(XLOGX, *args)
 
 
 def test_duality_equality_at_z():

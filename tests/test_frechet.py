@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matphi.errors import ConfigError, DomainError, NotCommuting, SingularSuperoperator
+from matphi.errors import (
+    ConfigError,
+    DimensionMismatch,
+    DomainError,
+    NotCommuting,
+    SingularSuperoperator,
+    SpectrumOutOfDomain,
+)
 from matphi.frechet import (
     COND_MAX,
     MultivariateScalarFunction,
@@ -182,6 +189,87 @@ def test_dd_tables_symmetric_and_confluent(d):
                 assert abs(got - float(want1[i][j])) <= 1e-10 * max(abs(float(want1[i][j])), 1.0)
         for (i, k, j), want in want2.items():
             assert abs(t2[i, k, j] - float(want)) <= 1e-10 * max(abs(float(want)), 1.0)
+
+
+def _node_stack(rng, d):
+    """Spectra with distinct, repeated (confluent) and 1e-9-clustered nodes,
+    on two leading axes."""
+    distinct = rng.uniform(0.1, 3.0, d)
+    repeated = distinct.copy()
+    repeated[rng.integers(0, d, size=d // 2)] = repeated[-1]
+    clustered = distinct.copy()
+    clustered[: max(1, d - 1)] = rng.uniform(0.1, 3.0) + 1e-9 * rng.random(max(1, d - 1))
+    exact_tie = np.full(d, distinct[0])
+    spectra = [distinct, repeated, clustered, exact_tie, np.sort(distinct), clustered[::-1]]
+    return np.stack(spectra).reshape(2, 3, d)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_dd_tables_equal_each_spectrum(d):
+    rng = rng_for(21, "dd-stack", d)
+    for sf in SCALAR_FUNCTIONS:
+        stack = _node_stack(rng, d)
+        t1, t2 = dd1_table(sf, stack), dd2_table(sf, stack)
+        assert t1.shape == (2, 3, d, d) and t2.shape == (2, 3, d, d, d)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(t1[idx], dd1_table(sf, stack[idx])), (sf.name, idx)
+            assert np.array_equal(t2[idx], dd2_table(sf, stack[idx])), (sf.name, idx)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: frechet_derivative(SQUARE, np.eye(2), np.eye(3)),
+        lambda: frechet_second(SQUARE, np.eye(2), np.eye(2), np.eye(3)),
+        lambda: frechet_second(SQUARE, np.eye(2), np.eye(3), np.eye(2)),
+        lambda: inverse_frechet_derivative(SQUARE, np.eye(2), np.eye(3)),
+        lambda: inverse_frechet_derivative(SQUARE, np.eye(2), np.stack([np.eye(3)] * 2)),
+    ],
+    ids=["first", "second-e2", "second-e1", "inverse", "inverse-stack"],
+)
+def test_direction_shape_mismatch_is_dimension_mismatch(call):
+    shape = r"^direction of shape \(.*\) for a matrix of shape \(2, 2\)$"
+    with pytest.raises(DimensionMismatch, match=shape):
+        call()
+
+
+def test_stacked_inverse_superoperator_equals_each_matrix():
+    for d in range(1, 9):
+        rng = rng_for(21, "inverse-superoperator-stack", d)
+        for sf in (XLOGX.psi(), P15.psi(), PhiFunction.cube().psi()):
+            stack = np.stack([random_pd(rng, d, floor=0.2) for _ in range(6)]).reshape(2, 3, d, d)
+            got = inverse_derivative_superoperator(sf, stack)
+            assert got.shape == (2, 3, d * d, d * d)
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(got[idx], inverse_derivative_superoperator(sf, stack[idx]))
+
+
+def _refusal(sf, a):
+    """The type, message and smallest singular value of the error that
+    refuses (Df[A])^{-1}, or None."""
+    try:
+        inverse_derivative_superoperator(sf, a)
+    except (SpectrumOutOfDomain, SingularSuperoperator) as err:
+        return type(err), str(err), getattr(err, "smallest_singular_value", None)
+    return None
+
+
+@pytest.mark.parametrize(
+    "spectra",
+    [
+        ([-1.0, 1.0], [-2.0, 1.0], [0.5, 1.0]),  # two out of the domain: the first names its own
+        ([3e-9, 1e4], [-1.0, 1.0], [0.5, 1.0]),  # a singular derivative before an out-of-domain one
+        ([0.5, 1.0], [-1.0, 2.0], [3e-9, 1e4]),
+        ([0.5, 1.0], [3e-9, 1e4], [-1.0, 2.0]),
+        ([0.5, 1.0], [2.0, 3.0], [-1.0, 2.0]),
+    ],
+)
+def test_stacked_inverse_refuses_in_turn(spectra):
+    # a stack is refused as its matrices would be one at a time
+    psi = XLOGX.psi()
+    stack = np.stack([np.diag(w) for w in spectra]).astype(complex)
+    want = next(r for r in (_refusal(psi, m) for m in stack) if r is not None)
+    assert _refusal(psi, stack) == want
 
 
 def test_frechet_square_identity():
