@@ -72,11 +72,9 @@ from .holevo import (
 from .linalg import (
     SpectralInterval,
     apply_standard_function,
-    loewner_leq,
     normalized_trace,
     positive_part,
     schatten_norm,
-    spectral_decompose,
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from .phifun import PhiFunction, ScalarFunction

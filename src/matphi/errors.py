@@ -56,10 +56,6 @@ class NotAdmissible(MatPhiError):
         self.zero_entries = list(zero_entries)
 
 
-class SupportError(MatPhiError):
-    pass
-
-
 class InvalidC(MatPhiError):
     pass
 

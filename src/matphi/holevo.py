@@ -21,7 +21,6 @@ from .errors import (
     InvalidC,
     MatPhiError,
     NotAdmissible,
-    SupportError,
 )
 from .entropy import _phi_traces, phi_entropy
 from .linalg import (
@@ -134,13 +133,18 @@ def require_admissible(mu: np.ndarray, kernel: MarkovKernel) -> np.ndarray:
     return pushed
 
 
-def backward_channel(mu: np.ndarray, kernel: MarkovKernel) -> MarkovKernel:
-    """Bayes inverse K*(x|y) = K(y|x) mu(x) / (mu K)(y), rows indexed by y."""
+def _bayes_inverse(mu: np.ndarray, kernel: MarkovKernel) -> tuple[np.ndarray, np.ndarray]:
+    """mu K, after require_admissible, and the rows K*(x|y) = K(y|x) mu(x) /
+    (mu K)(y) of the Bayes inverse, indexed by y."""
     pushed = require_admissible(mu, kernel)
     mu = np.asarray(mu, dtype=float)
     rows = (kernel.rows * mu[:, None]).T / pushed[:, None]
-    rows = rows / rows.sum(axis=1, keepdims=True)
-    return MarkovKernel(rows)
+    return pushed, rows / rows.sum(axis=1, keepdims=True)
+
+
+def backward_channel(mu: np.ndarray, kernel: MarkovKernel) -> MarkovKernel:
+    """Bayes inverse K*(x|y) = K(y|x) mu(x) / (mu K)(y), rows indexed by y."""
+    return MarkovKernel(_bayes_inverse(mu, kernel)[1])
 
 
 def _average_state(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -170,35 +174,28 @@ def _evolve(probs, states, pushed, back_rows) -> np.ndarray:
 def evolve_ensemble(ens: CQEnsemble, kernel: MarkovKernel) -> CQEnsemble:
     """Push labels through K and states through the backward channel; the
     average state is preserved."""
-    pushed = require_admissible(ens.probs, kernel)
-    back = backward_channel(ens.probs, kernel)
-    return CQEnsemble(pushed, _evolve(ens.probs, ens.states, pushed, back.rows))
+    pushed, back = _bayes_inverse(ens.probs, kernel)
+    return CQEnsemble(pushed, _evolve(ens.probs, ens.states, pushed, back))
 
 
-def _support_log(m: np.ndarray):
-    """log m on the support of a Hermitian m (eigenvalues above
-    SUPPORT_CUTOFF) and the projector onto that support, from one
-    decomposition."""
+def _support_log(m: np.ndarray) -> np.ndarray:
+    """log m on the support of each Hermitian m (eigenvalues above
+    SUPPORT_CUTOFF) and 0 off it."""
 
-    def log_and_support(w):
+    def log_on_support(w):
         keep = w > SUPPORT_CUTOFF
-        return np.stack([np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0), keep])
+        return np.where(keep, np.log(np.where(keep, w, 1.0)), 0.0)
 
-    return hermitian_part(spectral_map(log_and_support, m))
+    return hermitian_part(spectral_map(log_on_support, m))
 
 
 def _relative_entropy(rhos: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Tr rho (log rho - log sigma) in nats, on the support of sigma, for
-    each state rho of an exactly Hermitian (..., k, d, d) stack against its
-    exactly Hermitian (..., d, d) reference sigma, unchecked."""
-    logs, supports = _support_log(np.concatenate([rhos, sigma[..., None, :, :]], axis=-3))
-    outside = np.trace(rhos @ (np.eye(sigma.shape[-1]) - supports[..., -1:, :, :]),
-                       axis1=-2, axis2=-1).real
-    bad = outside > 1e-9
-    if np.any(bad):
-        raise SupportError(
-            f"state carries weight {outside[bad][0]:.3e} outside the reference support"
-        )
+    """Tr rho (log rho - log sigma) in nats, each log taken on its own
+    support, for each state rho of an exactly Hermitian (..., k, d, d) stack
+    against its exactly Hermitian (..., d, d) reference sigma, unchecked.
+    The value is the relative entropy when sigma's support holds rho's, as
+    it does for an ensemble's average: rho_bar >= mu(x) rho_x."""
+    logs = _support_log(np.concatenate([rhos, sigma[..., None, :, :]], axis=-3))
     return np.trace(rhos @ (logs[..., :-1, :, :] - logs[..., -1:, :, :]), axis1=-2, axis2=-1).real
 
 
@@ -302,8 +299,7 @@ def eta_phi(
     evaluation enforces the contraction bound, so the returned value lies
     in [0, 1]."""
     mu = require_probabilities(mu, "mu")
-    pushed = require_admissible(mu, kernel)
-    back = backward_channel(mu, kernel).rows
+    pushed, back = _bayes_inverse(mu, kernel)
 
     if d == 1:
         def ratios(nus):
@@ -427,9 +423,8 @@ def check_functional_sdpi(
     if not 0.0 <= c < 1.0:
         raise InvalidC(f"the contraction constant must lie in [0, 1), got {c}")
     mu = np.asarray(mu, dtype=float)
-    pushed = require_admissible(mu, kernel)
+    pushed, back = _bayes_inverse(mu, kernel)
     law = CQEnsemble(mu, states).as_law()  # mu > 0, so every state stays
-    back = backward_channel(mu, kernel).rows
     # validated states mixed through stochastic rows need no ensemble check:
     # their spectra are admitted through x log x's domain
     evolved = _evolve(mu, law.values, pushed, back)

@@ -14,7 +14,7 @@ input; validation belongs to the public entry points that call it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .errors import (
     NotHermitian,
     SpectrumOutOfDomain,
 )
+
+
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 def spectral_tolerance(d: int) -> float:
@@ -50,11 +53,7 @@ def eigenvalues(a) -> np.ndarray:
 
 def spectral_map(fn: Callable[[np.ndarray], np.ndarray], a) -> np.ndarray:
     """U diag(fn(w)) U† for each matrix A = U diag(w) U† of a Hermitian
-    (..., d, d) stack; the result is not hermitized.
-
-    ``fn`` may return several spectra stacked on new leading axes; they
-    all share the one decomposition.
-    """
+    (..., d, d) stack; the result is not hermitized."""
     w, u = np.linalg.eigh(a)
     fw = np.asarray(fn(w), dtype=float)
     return (u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2)
@@ -69,19 +68,24 @@ def psd_power(a, expo: float) -> np.ndarray:
 def _require_hermitian_stack(a) -> np.ndarray:
     """Validate each matrix of a (..., d, d) stack against its own
     scale-aware tolerance 1e-10 (1 + max|A_k|) and return the (exactly)
-    hermitized copy; the first offending matrix names the deviation."""
+    hermitized copy; the first offending matrix names the deviation. A
+    non-finite entry fails first."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotHermitian(f"expected square matrices, got shape {a.shape}")
-    tol = 1e-10 * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
-    dev = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(scale).all():  # NaN and inf pass every deviation test
+        raise NotHermitian("matrix entries must be finite")
+    tol = 1e-10 * (1.0 + scale)
+    ah = a.conj().swapaxes(-1, -2)
+    dev = np.abs(a - ah).max(axis=(-2, -1), initial=0.0)
     bad = dev > tol
     if bad.any():
         k = np.argmax(bad)
         raise NotHermitian(
             f"hermiticity deviation {dev.flat[k]:.3e} exceeds tolerance {tol.flat[k]:.3e}"
         )
-    return hermitian_part(a)
+    return 0.5 * (a + ah)  # hermitian_part(a), from the transpose taken once
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -90,11 +94,6 @@ def require_hermitian(a) -> np.ndarray:
     if a.ndim != 2:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
     return _require_hermitian_stack(a)
-
-
-def spectral_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector unitary with A = U diag(w) U†."""
-    return np.linalg.eigh(require_hermitian(a))
 
 
 @dataclass(frozen=True)
@@ -113,16 +112,18 @@ class SpectralInterval:
 
         Eigenvalues within the spectral tolerance of the endpoints are
         clamped onto them (this implements the PSD convention at lo == 0);
-        anything further outside raises SpectrumOutOfDomain, whose one-line
-        message names the count and the worst offender and whose
-        ``offending`` keeps them all.
+        anything further outside, and any non-finite eigenvalue, raises
+        SpectrumOutOfDomain, whose one-line message names the count and the
+        worst offender and whose ``offending`` keeps them all.
         """
         w = np.asarray(w, dtype=float)
         tol = spectral_tolerance(w.shape[-1])
-        bad = (w < self.lo - tol) | (w > self.hi + tol)
-        if bad.any():
-            out = w[bad]
-            worst = out[np.argmax(np.maximum(self.lo - out, out - self.hi))]
+        # finite bounds refuse an infinite eigenvalue, and NaN fails both tests
+        lo, hi = max(self.lo - tol, -FLOAT_MAX), min(self.hi + tol, FLOAT_MAX)
+        ok = (w >= lo) & (w <= hi)
+        if not ok.all():
+            out = w[~ok]
+            worst = out[np.argmax(np.maximum(lo - out, out - hi))]
             raise SpectrumOutOfDomain(
                 f"{out.size} eigenvalue(s) outside [{self.lo}, {self.hi}], worst {worst:.3e}",
                 offending=out,
@@ -172,26 +173,3 @@ def positive_part(a) -> np.ndarray:
 def negative_part(a) -> np.ndarray:
     """(A)_- = (-A)_+, so that A = (A)_+ - (A)_-, matrix by matrix."""
     return positive_part(-np.asarray(a, dtype=complex))
-
-
-class LoewnerCheck(NamedTuple):
-    holds: bool
-    min_eigenvalue: float
-    witness: np.ndarray | None
-
-
-def loewner_leq(a, b, tol: float | None = None) -> LoewnerCheck:
-    """Test A <= B in the Loewner order; on failure the witness is the
-    eigenvector of B - A with the most negative eigenvalue."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    diff = hermitian_part(b - a)
-    if tol is None:
-        tol = spectral_tolerance(diff.shape[0]) * (1.0 + float(np.max(np.abs(diff))))
-    w, u = spectral_decompose(diff)
-    lam = float(w[0])
-    if lam >= -tol:
-        return LoewnerCheck(True, lam, None)
-    return LoewnerCheck(False, lam, u[:, 0].copy())

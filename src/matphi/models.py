@@ -103,6 +103,21 @@ class FiniteLaw:
         return self.probs.size
 
 
+def _require_enumerable(laws: Sequence[FiniteLaw]) -> tuple[FiniteLaw, ...]:
+    """The laws as a tuple, refused when their joint support exceeds MAX_ENUMERATION."""
+    laws = tuple(laws)
+    size = math.prod(law.size for law in laws)
+    if size > MAX_ENUMERATION:
+        raise EnumerationTooLarge(f"joint support size {size} exceeds {MAX_ENUMERATION}")
+    return laws
+
+
+def _tabulate(laws: Sequence[FiniteLaw], evaluator: Callable[[tuple], np.ndarray]):
+    """The laws after the size guard, and evaluator(x) in table order (``iter_joint``'s)."""
+    laws = _require_enumerable(laws)
+    return laws, [evaluator(x) for x in itertools.product(*(law.outcomes for law in laws))]
+
+
 @dataclass(frozen=True)
 class ProductModel:
     """Independent inputs X_1..X_n and the (joint_size, d, d) table of
@@ -116,8 +131,7 @@ class ProductModel:
     _law: DiscreteRandomMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "laws", tuple(self.laws))
-        self._require_enumerable()
+        object.__setattr__(self, "laws", _require_enumerable(self.laws))
         values = np.asarray(self.values, dtype=complex)
         if values.shape[:1] != (self.joint_size,):
             raise DimensionMismatch(
@@ -138,20 +152,7 @@ class ProductModel:
     ) -> "ProductModel":
         """The model of Z = evaluator(outcome tuple), called once per joint
         outcome in table order after the size guard."""
-        model = object.__new__(cls)
-        model._tabulate(laws, evaluator)
-        return model
-
-    def _tabulate(self, laws, evaluator) -> None:
-        object.__setattr__(self, "laws", tuple(laws))
-        self._require_enumerable()
-        ProductModel.__init__(self, self.laws, [evaluator(x) for _, x in self.iter_joint()])
-
-    def _require_enumerable(self) -> None:
-        if self.joint_size > MAX_ENUMERATION:
-            raise EnumerationTooLarge(
-                f"joint support size {self.joint_size} exceeds {MAX_ENUMERATION}"
-            )
+        return cls(*_tabulate(laws, evaluator))
 
     @property
     def n(self) -> int:
@@ -205,4 +206,4 @@ class MatrixInputModel(ProductModel):
             UNIT_INTERVAL.admit(eigenvalues(_require_hermitian_stack(np.stack(law.outcomes))))
         object.__setattr__(self, "evaluator", evaluator)
         object.__setattr__(self, "partial_norm", partial_norm)
-        self._tabulate(laws, evaluator)
+        ProductModel.__init__(self, *_tabulate(laws, evaluator))

@@ -136,10 +136,10 @@ def sweep(
 
     The body returns a ``(gap, tol, witness_dict | None)`` triple, a
     list of triples when it probes several instances per trial, or a
-    CheckReport, read as ``(max_gap, tol, None)``. A gap
-    above its tolerance is a violation, recorded with its gap and trial
-    index; ``tol``, when given, replaces every body tolerance. Further
-    keyword arguments become fields of the report.
+    CheckReport, read as ``(max_gap, tol, None)``. A gap not within its
+    tolerance (a NaN gap included) is a violation, recorded with its gap
+    and trial index; ``tol``, when given, replaces every body tolerance.
+    Further keyword arguments become fields of the report.
     """
     violations = []
     max_gap = -np.inf
@@ -150,8 +150,8 @@ def sweep(
         if isinstance(outcomes, tuple):
             outcomes = [outcomes]
         for gap, probe_tol, witness in outcomes:
-            max_gap = max(max_gap, gap)
-            if gap > (probe_tol if tol is None else tol) and len(violations) < MAX_WITNESSES:
+            max_gap = np.maximum(max_gap, gap)  # NaN stays
+            if not gap <= (probe_tol if tol is None else tol) and len(violations) < MAX_WITNESSES:
                 violations.append({**(witness or {}), "gap": float(gap), "trial": trial})
     return CheckReport(
         check=label,

@@ -442,9 +442,8 @@ def _average_state(rng, trial, run):
     nx = int(rng.integers(2, 4))
     ens = holevo.random_ensemble(rng, nx, run.d)
     kernel = holevo.MarkovKernel(random_kernel(rng, nx, nx))
-    pushed = holevo.require_admissible(ens.probs, kernel)
-    back = holevo.backward_channel(ens.probs, kernel)
-    _, drift, tol = holevo._evolution_drift(ens.probs, ens.states, pushed, back.rows)
+    pushed, back = holevo._bayes_inverse(ens.probs, kernel)
+    _, drift, tol = holevo._evolution_drift(ens.probs, ens.states, pushed, back)
     return drift, tol, None
 
 

@@ -328,14 +328,15 @@ def test_p_variance_limit_shrink_failure_is_a_violation(monkeypatch):
 def _drift_backward_channel(monkeypatch):
     """Make the backward channel move 1e-6 of mass in its first row, which
     drifts the average state by about 1e-7."""
-    real = holevo.backward_channel
+    real = holevo._bayes_inverse
 
     def drifting(mu, kernel):
-        rows = real(mu, kernel).rows.copy()
+        pushed, rows = real(mu, kernel)
+        rows = rows.copy()
         rows[0, :2] += [1e-6, -1e-6]
-        return holevo.MarkovKernel(rows)
+        return pushed, rows
 
-    monkeypatch.setattr(holevo, "backward_channel", drifting)
+    monkeypatch.setattr(holevo, "_bayes_inverse", drifting)
 
 
 def test_average_state_drift_is_a_violation(tmp_path, capsys, monkeypatch):

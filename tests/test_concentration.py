@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from matphi.frechet import MultivariateScalarFunction, multivariate_dd_table
 from matphi.linalg import hermitian_part, normalized_trace, positive_part
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from matphi.phifun import PhiFunction
+from matphi.report import relative_tol
 from matphi.sampling import (
     PSD_EIGEN_FLOOR,
     PSD_NORM_CAP,
@@ -296,6 +298,87 @@ def test_poincare_spot_check_catches_concave():
     model = MatrixInputModel(laws, lambda xs: np.sqrt(xs[0] + 0.01), lambda xs, i: 1.0)
     with pytest.raises(SeparateConvexityViolated):
         check_poincare(model, spot_check_probes=200, seed=5)
+
+
+def _reference_spot_check(model, probes, rng):
+    """The per-probe loop the stacked spot check replaces: each midpoint
+    probe judged alone by a full eigh; (coordinate, smallest eigenvalue) of
+    the first failing probe, or None."""
+    for _ in range(probes if model.n else 0):
+        i = int(rng.integers(model.n))
+        law = model.laws[i]
+        if law.size < 2:
+            continue
+        point = tuple(law_j.outcomes[int(rng.integers(law_j.size))] for law_j in model.laws)
+        a_idx, b_idx = rng.choice(law.size, size=2, replace=False)
+        xa, xb = law.outcomes[a_idx], law.outcomes[b_idx]
+
+        def at(x):
+            return concentration._as_matrix(model.evaluator(point[:i] + (x,) + point[i + 1:]))
+
+        mid = at(0.5 * (np.asarray(xa) + np.asarray(xb)))
+        avg = 0.5 * (at(xa) + at(xb))
+        lam = np.linalg.eigh(hermitian_part(avg - mid))[0][0]
+        if not lam >= -relative_tol(1e-8, float(np.max(np.abs(avg)))):
+            return i, lam
+    return None
+
+
+SPOT_CHECK_EVALUATORS = {
+    "linear": lambda xs: sum((k + 1) * x for k, x in enumerate(xs)),
+    "square-sum": lambda xs: sum(x @ x for x in xs),
+    "concave": lambda xs: -sum(x @ x for x in xs),
+    # convex along the first coordinate and concave along the others
+    "non-convex": lambda xs: xs[0] @ xs[0] - sum(x @ x for x in xs[1:]),
+}
+
+
+@pytest.mark.parametrize("kind", list(SPOT_CHECK_EVALUATORS))
+def test_stacked_spot_check_fails_where_the_per_probe_loop_fails(kind):
+    failures = 0
+    for trial in range(24):
+        rng = rng_for(17, f"spot-{kind}", trial)
+        d, n = 1 + trial % 3, 1 + (trial // 3) % 3
+        sizes = [int(rng.integers(1, 4)) for _ in range(n)]  # a one-outcome law is skipped
+        laws = tuple(
+            FiniteLaw(random_probability_vector(rng, k), tuple(_contraction(rng, d) for _ in range(k)))
+            for k in sizes
+        )
+        model = MatrixInputModel(laws, SPOT_CHECK_EVALUATORS[kind], lambda xs, i: 1.0)
+        expected = _reference_spot_check(model, 30, rng_for(trial, "poincare-spot", 0))
+        if expected is None:
+            concentration._spot_check_convexity(model, 30, rng_for(trial, "poincare-spot", 0))
+            continue
+        failures += 1
+        with pytest.raises(SeparateConvexityViolated) as err:
+            concentration._spot_check_convexity(model, 30, rng_for(trial, "poincare-spot", 0))
+        coordinate, eigenvalue = re.fullmatch(
+            r"midpoint probe failed on coordinate (\d+) \(eigenvalue (\S+)\)", str(err.value)
+        ).groups()
+        assert int(coordinate) == expected[0]
+        assert float(eigenvalue) == pytest.approx(expected[1], rel=1e-2)
+    assert (failures > 0) == (kind in ("concave", "non-convex"))
+
+
+def test_a_spot_check_makes_one_spectral_call(monkeypatch):
+    rng = rng_for(17, "spot-calls", 0)
+    laws = tuple(
+        FiniteLaw(np.array([0.5, 0.5]), (_contraction(rng, 2), _contraction(rng, 2)))
+        for _ in range(3)
+    )
+    model = MatrixInputModel(laws, SPOT_CHECK_EVALUATORS["square-sum"], lambda xs, i: 1.0)
+    calls = []
+
+    def counting(name, real):
+        def wrapper(a):
+            calls.append(name)
+            return real(a)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    assert check_poincare(model, spot_check_probes=10, seed=3).passed
+    assert calls == ["eigvalsh"]  # the per-probe loop made 10 eigh calls
 
 
 def test_poincare_commuting_linear_bound():

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from matphi import holevo
+from matphi import holevo, suites
 
 from matphi.entropy import _phi_entropies, phi_entropy
 from matphi.errors import DimensionMismatch, InvalidC, MatPhiError, NotAdmissible
@@ -33,6 +33,7 @@ from matphi.sampling import (
     random_psd,
     rng_for,
 )
+from matphi.suites import RunConfig
 from support import average_state, law_from_pairs
 
 XLOGX = PhiFunction.xlogx()
@@ -125,14 +126,19 @@ def test_holevo_dual_path_identity():
 
 
 def test_relative_entropy_support_error():
-    from matphi.errors import SupportError
-
-    rho = np.diag([0.5, 0.5]).astype(complex)
-    sigma = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(SupportError):
-        holevo._relative_entropy(rho[None], sigma)
     # a state inside the reference support has finite entropy, 0 against itself
+    sigma = np.diag([1.0, 0.0]).astype(complex)
     assert holevo._relative_entropy(sigma[None], sigma)[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_holevo_chi_takes_a_label_of_tiny_weight():
+    # the average holds each state's support; a state whose weight falls
+    # under the support cutoff is no support error (it raised one before)
+    ens = CQEnsemble(np.array([1.0 - 1e-14, 1e-14]),
+                     np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+    chi = holevo_chi(ens)
+    assert chi == pytest.approx(0.0, abs=1e-12)
+    assert chi == pytest.approx(ens.d * phi_entropy(XLOGX, ens.as_law()), abs=1e-12)
 
 
 def test_data_processing_identity_and_constant():
@@ -328,19 +334,44 @@ def test_eta_phi_pinned(mu, rows, kwargs, eta_hat, witness_sha):
     assert hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest() == witness_sha
 
 
+def _count_calls(monkeypatch, names):
+    """Record each call of the named holevo functions, in call order."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(holevo, name, counting(name, getattr(holevo, name)))
+    return calls
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_eta_phi_derives_the_backward_channel_once(monkeypatch, d):
-    calls = []
-    real = holevo.backward_channel
-
-    def counting(mu, kernel):
-        calls.append(1)
-        return real(mu, kernel)
-
-    monkeypatch.setattr(holevo, "backward_channel", counting)
+    calls = _count_calls(monkeypatch, ["_bayes_inverse", "require_admissible"])
     eta_phi(np.array([0.5, 0.5]), MarkovKernel.binary_symmetric(0.1), d=d,
             grid_resolution=0.25, restarts=2, hill_steps=10, seed=0)
-    assert len(calls) == 1
+    assert calls == ["_bayes_inverse", "require_admissible"]
+
+
+@pytest.mark.parametrize("caller", ["evolve", "functional-sdpi", "average-state"])
+def test_the_bayes_inverse_is_validated_once(monkeypatch, caller):
+    mu, kernel = np.array([0.3, 0.7]), MarkovKernel.binary_symmetric(0.1)
+    ens = CQEnsemble(mu, np.stack([np.diag([1.0, 0.0]), np.eye(2) / 2]))
+    calls = _count_calls(monkeypatch, ["require_admissible"])
+    if caller == "evolve":
+        evolve_ensemble(ens, kernel)
+    elif caller == "functional-sdpi":
+        check_functional_sdpi(mu, kernel, ens.states, 0.5)
+    else:
+        suites._average_state(rng_for(0, "average-state", 0), 0, RunConfig(d=2))
+    assert calls == ["require_admissible"]
+    pushed, rows = holevo._bayes_inverse(mu, kernel)
+    assert pushed.tobytes() == kernel_push(mu, kernel).tobytes()
+    assert rows.tobytes() == backward_channel(mu, kernel).rows.tobytes()
 
 
 def _stacked_ensembles(d, k, count, index):

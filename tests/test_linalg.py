@@ -1,4 +1,4 @@
-"""Spectral decomposition, standard functions, norms, order predicates."""
+"""Standard functions, norms, spectral intervals and input validation."""
 
 import numpy as np
 import pytest
@@ -7,60 +7,36 @@ from hypothesis import strategies as st
 
 from matphi.errors import (
     ConfigError,
-    DimensionMismatch,
     InvalidExponent,
     NotHermitian,
     SpectrumOutOfDomain,
 )
 from matphi.formats import kernel_from_obj
 from matphi.fourier import MatrixBooleanFunction, check_log_sobolev, check_phi_sobolev
+from matphi.frechet import frechet_derivative
 from matphi.holevo import CQEnsemble, MarkovKernel, eta_phi, kernel_push
 from matphi.linalg import (
     NONNEGATIVE,
+    REALS,
+    UNIT_INTERVAL,
     SpectralInterval,
     apply_standard_function,
     eigenvalues,
     hermitian_part,
-    loewner_leq,
     negative_part,
     normalized_trace,
     positive_part,
     psd_power,
     require_hermitian,
     schatten_norm,
-    spectral_decompose,
     spectral_map,
 )
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel
-from matphi.phifun import ScalarFunction
+from matphi.phifun import PhiFunction, ScalarFunction
 from matphi.sampling import random_hermitian, random_psd, rng_for
 from support import constant_function, random_unitary
 
 SQRT = ScalarFunction("sqrt", np.sqrt, domain=NONNEGATIVE)
-
-
-def test_spectral_identity():
-    w, u = spectral_decompose(np.eye(2))
-    assert np.allclose(w, [1.0, 1.0])
-    assert np.allclose((u * w) @ u.conj().T, np.eye(2))
-
-
-def test_spectral_diagonal_sorted():
-    w, _ = spectral_decompose(np.diag([3.0, -1.0]))
-    assert np.allclose(w, [-1.0, 3.0])
-
-
-def test_spectral_reconstruction_random():
-    rng = rng_for(11, "linalg", 0)
-    a = random_hermitian(rng, 4)
-    w, u = spectral_decompose(a)
-    assert np.max(np.abs((u * w) @ u.conj().T - a)) < 1e-10
-    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-
-
-def test_spectral_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def _slightly_skew_unit_and_big():
@@ -239,18 +215,6 @@ def test_positive_part_scaling_and_idempotence():
     assert np.allclose(positive_part(positive_part(a)), positive_part(a), atol=1e-10)
 
 
-def test_loewner_basics():
-    a = np.diag([1.0, 2.0])
-    assert loewner_leq(a, a).holds
-    assert loewner_leq(np.zeros((2, 2)), a).holds
-    first = loewner_leq(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    second = loewner_leq(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
-    assert not first.holds and not second.holds
-    assert first.witness is not None
-    with pytest.raises(DimensionMismatch):
-        loewner_leq(np.eye(2), np.eye(3))
-
-
 def test_trace_convexity_jensen():
     # normalized-trace Jensen for convex f over many random matrices
     rng = rng_for(11, "linalg", 8)
@@ -274,6 +238,33 @@ def test_spectral_interval_validation():
         SpectralInterval(2.0, 1.0)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_non_finite_entries_are_not_hermitian(entry, where):
+    # NaN and inf entries passed every deviation comparison
+    bad = np.eye(2, dtype=complex)
+    if where == "diagonal":
+        bad[0, 0] = entry
+    else:
+        bad[0, 1] = bad[1, 0] = entry
+    for build in (
+        lambda: DiscreteRandomMatrix(np.array([0.5, 0.5]), np.stack([np.eye(2), bad])),
+        lambda: require_hermitian(bad),
+        lambda: frechet_derivative(PhiFunction.xlogx().scalar(), bad, np.eye(2)),
+    ):
+        with pytest.raises(NotHermitian) as err:
+            build()
+        assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("interval", [REALS, NONNEGATIVE, UNIT_INTERVAL])
+def test_spectral_interval_refuses_non_finite_eigenvalues(value, interval):
+    with pytest.raises(SpectrumOutOfDomain) as err:
+        interval.admit(np.array([[0.5, 0.5], [0.5, value]]))
+    assert "\n" not in str(err.value)
+    assert len(err.value.offending) == 1 and not np.isfinite(err.value.offending[0])
+
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stacked_helpers_match_per_matrix(d):
@@ -288,10 +279,6 @@ def test_stacked_helpers_match_per_matrix(d):
     assert np.array_equal(eigenvalues(herm), np.stack([np.linalg.eigvalsh(m) for m in herm]))
     assert np.array_equal(spectral_map(np.exp, herm), np.stack([spectral_map(np.exp, m) for m in herm]))
     assert np.array_equal(psd_power(psd, 1.5), np.stack([psd_power(m, 1.5) for m in psd]))
-    # several spectra from one decomposition
-    both = spectral_map(lambda w: np.stack([w, w**2]), herm)
-    assert np.array_equal(both[0], spectral_map(lambda w: w, herm))
-    assert np.array_equal(both[1], spectral_map(lambda w: w**2, herm))
     # the stack-capable entry points validate and act matrix by matrix
     assert np.array_equal(positive_part(herm), np.stack([positive_part(m) for m in herm]))
     assert np.array_equal(negative_part(herm), np.stack([negative_part(m) for m in herm]))

@@ -33,7 +33,7 @@ from matphi.holevo import (
 )
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from matphi.phifun import PhiFunction
-from matphi.report import relative_tol, verdict
+from matphi.report import relative_tol, sweep, verdict
 from matphi.sampling import (
     random_boolean_function,
     random_density,
@@ -150,6 +150,15 @@ def test_verdict_passes_exactly_at_or_below_tol():
     for gap, passed in ((tol, True), (np.nextafter(tol, 1.0), False), (-1.0, True)):
         rep = verdict("rule", gap, tol, d=2)
         assert (rep.passed, rep.max_gap, rep.tol, rep.d) == (passed, gap, tol, 2)
+
+
+def test_a_nan_gap_fails_a_sweep_as_it_fails_a_verdict():
+    assert not verdict("y", np.nan, 1e-9).passed
+    rep = sweep("x", lambda rng, t: (np.nan if t == 1 else 0.0, 1e-9, None), 3, 0)
+    assert not rep.passed and np.isnan(rep.max_gap)
+    assert [v["trial"] for v in rep.violations] == [1]
+    # a NaN tolerance is no pass either
+    assert not sweep("x", lambda rng, t: (0.0, np.nan, None), 1, 0).passed
 
 
 # Near-equality instances: each check passes its tight instance, and a
