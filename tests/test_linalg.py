@@ -279,6 +279,10 @@ def test_stacked_helpers_match_per_matrix(d):
     assert np.array_equal(eigenvalues(herm), np.stack([np.linalg.eigvalsh(m) for m in herm]))
     assert np.array_equal(spectral_map(np.exp, herm), np.stack([spectral_map(np.exp, m) for m in herm]))
     assert np.array_equal(psd_power(psd, 1.5), np.stack([psd_power(m, 1.5) for m in psd]))
+    # several spectra from one decomposition
+    both = spectral_map(lambda w: np.stack([w, w**2]), herm)
+    assert np.array_equal(both[0], spectral_map(lambda w: w, herm))
+    assert np.array_equal(both[1], spectral_map(lambda w: w**2, herm))
     # the stack-capable entry points validate and act matrix by matrix
     assert np.array_equal(positive_part(herm), np.stack([positive_part(m) for m in herm]))
     assert np.array_equal(negative_part(herm), np.stack([negative_part(m) for m in herm]))
