@@ -60,7 +60,6 @@ from .frechet import (
 from .holevo import (
     CQEnsemble,
     MarkovKernel,
-    backward_channel,
     check_data_processing,
     check_functional_sdpi,
     check_law_total_variance,

@@ -8,6 +8,7 @@ checks are statistical and carry their standard errors in the report.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,14 +82,17 @@ def forms_gap(forms) -> tuple[float, float]:
     """How far equivalent computed forms of one quantity stray from the
     first, and the tolerance FORM_AGREEMENT_TOL relative to the first."""
     first, *rest = forms
-    return max(abs(first - form) for form in rest), relative_tol(FORM_AGREEMENT_TOL, first)
+    gaps = [abs(first - form) for form in rest]
+    # max passes over a NaN that follows a number; a NaN form is no agreement
+    gap = math.nan if any(map(math.isnan, gaps)) else max(gaps)
+    return gap, relative_tol(FORM_AGREEMENT_TOL, first)
 
 
 def agreed_form(forms, what: str) -> float:
     """The first of equivalent forms; their disagreement raises, because it
     can only indicate a bug."""
     gap, tol = forms_gap(forms)
-    if gap > tol:
+    if not gap <= tol:
         raise MatPhiError(f"{what} disagree: " + " ".join(repr(form) for form in forms))
     return forms[0]
 

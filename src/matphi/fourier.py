@@ -10,6 +10,8 @@ normalized trace and natural logarithms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,7 @@ P_VARIANCE_PS = (1.9, 1.99, 1.999)  # exponents extrapolated toward p = 2
 P_VARIANCE_TOL = 1e-4
 LSI_STEP0 = 0.1  # largest hill-climbing step of the LSI search
 LSI_THRESHOLD = 1e-6  # objective above which a table is a counterexample
+PROPOSAL_CHUNK = 32  # steps of proposals each LSI restart draws at once
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -294,60 +297,87 @@ def _table_of(g: np.ndarray) -> np.ndarray:
     return ms / np.maximum(norm, 1e-30)[..., None, None, None]
 
 
-# The LSI search climbs a (restarts, 2^n) stack of records, one per point:
-# the factor g and caches of the unscaled table ms = G†G + 1e-12 I (ms, its
-# square, tr phi(ms^2) for phi = x log x, and the n flip-pair terms
-# tr (ms_x - ms_{x^i})^2, each pair stored at both ends). A step re-sums its
-# value from the caches, carrying no running total, and scales it to
-# tr E f^2 = 1 by homogeneity: Ent(c f^2) = c Ent(f^2), E(sqrt(c) f) = c E(f).
+# The LSI search climbs plain (restarts, 2^n, ...) arrays: the factor g and
+# caches of the unscaled table ms = G†G + 1e-12 I (ms, its square sq, the
+# trace ent = tr phi(ms^2) for phi = x log x, and the n flip-pair terms
+# flip = tr (ms_x - ms_{x^i})^2, each pair stored at both ends). A move
+# changes one point per restart; its score re-sums the caches with that
+# point's terms swapped in, carrying no running total, and scales the value
+# to tr E f^2 = 1 by homogeneity: Ent(c f^2) = c Ent(f^2), E(sqrt(c) f) = c E(f).
 
-def _lsi_stack(g: np.ndarray, n: int) -> np.ndarray:
-    """The (restarts, 2^n) climbed stack of a (restarts, 2^n, d, d) stack
-    of factors, every cache computed from the whole table."""
-    k, d = g.shape[-3:-1]
-    s = np.empty(g.shape[:-2], [("g", complex, (d, d)), ("ms", complex, (d, d)),
-                                ("sq", complex, (d, d)), ("ent", float), ("flip", float, (n,))])
-    s["g"] = g
-    s["ms"] = ms = _gram(g)
-    s["sq"] = sq = ms @ ms
-    s["ent"] = _phi_traces(XLOGX, sq, sq.sum(axis=-3) / k)[..., :k]
+class _LsiState(NamedTuple):
+    g: np.ndarray
+    ms: np.ndarray
+    sq: np.ndarray
+    ent: np.ndarray
+    flip: np.ndarray
+
+
+class _LsiMove(NamedTuple):
+    """The moved point ks[j] of live restart j and its new factor and
+    caches; ent is filled in by _lsi_score."""
+
+    ks: np.ndarray
+    g: np.ndarray
+    ms: np.ndarray
+    sq: np.ndarray
+    flip: np.ndarray
+    ent: np.ndarray
+
+
+def _lsi_state(g: np.ndarray, n: int) -> _LsiState:
+    """The climbed state of a (restarts, 2^n, d, d) stack of factors, which
+    it keeps as its g; every cache computed from the whole table."""
+    k = g.shape[-3]
+    ms = _gram(g)
+    sq = ms @ ms
+    ent = _phi_traces(XLOGX, sq, sq.sum(axis=-3) / k)[..., :k].copy()
+    flip = np.empty((*g.shape[:-2], n))
     for i in range(n):
         diff = ms - ms[..., np.arange(k) ^ (1 << i), :, :]
-        s["flip"][..., i] = np.einsum("...ij,...ji->...", diff, diff).real
-    return s
+        flip[..., i] = np.einsum("...ij,...ji->...", diff, diff).real
+    return _LsiState(g, ms, sq, ent, flip)
 
 
-def _lsi_move(s: np.ndarray, ks: np.ndarray, dg: np.ndarray, n: int) -> None:
-    """Add dg[r] to the factor at point ks[r] of restart r, in place, and
-    refresh that point's ms, square and flip pairs (tr phi waits for the
-    rescore's spectral call)."""
-    rows = np.arange(len(s))
-    g = s["g"][rows, ks] + dg
-    s["g"][rows, ks] = g
+def _lsi_move(s: _LsiState, live: np.ndarray, ks: np.ndarray, dg: np.ndarray) -> _LsiMove:
+    """Live restart j's factor at point ks[j] plus dg[j], with that point's
+    new ms, square and flip pairs; s is only read."""
+    n = s.flip.shape[-1]
+    g = s.g[live, ks] + dg
     ms = _gram(g)
-    s["ms"][rows, ks] = ms
-    s["sq"][rows, ks] = ms @ ms
-    bits = np.arange(n)
-    across = ks[:, None] ^ (1 << bits)
-    diff = ms[:, None] - s["ms"][rows[:, None], across]
-    flips = np.einsum("...ij,...ji->...", diff, diff).real
-    s["flip"][rows, ks] = flips
-    s["flip"][rows[:, None], across, bits] = flips
+    diff = ms[:, None] - s.ms[live[:, None], ks[:, None] ^ (1 << np.arange(n))]
+    flip = np.einsum("...ij,...ji->...", diff, diff).real
+    return _LsiMove(ks, g, ms, ms @ ms, flip, np.empty(len(ks)))
 
 
-def _lsi_rescore(s: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Ent(f^2) - 2 E(f) of each restart of s after its point ks[r] moved:
-    one spectral call on that point's square and the new mean square, the
-    rest re-summed from the caches."""
-    k, d = s.shape[-1], s["sq"].shape[-1]
-    rows = np.arange(len(s))
-    sq = s["sq"]
-    mean = sq.sum(axis=-3) / k
-    traces = _phi_traces(XLOGX, sq[rows, ks][:, None], mean)
-    s["ent"][rows, ks] = traces[:, 0]
-    entropy = s["ent"].sum(axis=-1) / k - traces[:, 1]
-    energy = 0.25 * (s["flip"].sum(axis=(-2, -1)) / k) / d
+def _lsi_score(s: _LsiState, live: np.ndarray, move: _LsiMove) -> np.ndarray:
+    """Ent(f^2) - 2 E(f) of each live restart with its move made: one
+    spectral call on the moved point's square and the new mean square, the
+    rest re-summed from the caches of s, which is only read."""
+    k, d = s.sq.shape[-3:-1]
+    ks = move.ks
+    mean = (s.sq.sum(axis=-3)[live] - s.sq[live, ks] + move.sq) / k
+    traces = _phi_traces(XLOGX, move.sq[:, None], mean)
+    move.ent[:] = traces[:, 0]
+    entropy = (s.ent.sum(axis=-1)[live] - s.ent[live, ks] + move.ent) / k - traces[:, 1]
+    flips = s.flip.sum(axis=(-2, -1))[live] + 2.0 * (move.flip - s.flip[live, ks]).sum(axis=-1)
+    energy = 0.25 * (flips / k) / d
     return (entropy - 2.0 * energy) / (np.einsum("...ii->...", mean).real / d)
+
+
+def _lsi_accept(s: _LsiState, won: np.ndarray, kept: np.ndarray, move: _LsiMove) -> None:
+    """Write the kept rows of the move into the restarts won of s."""
+    if not won.size:
+        return
+    ks = move.ks[kept]
+    s.g[won, ks] = move.g[kept]
+    s.ms[won, ks] = move.ms[kept]
+    s.sq[won, ks] = move.sq[kept]
+    s.ent[won, ks] = move.ent[kept]
+    flip = move.flip[kept]
+    s.flip[won, ks] = flip
+    bits = np.arange(flip.shape[-1])
+    s.flip[won[:, None], ks[:, None] ^ (1 << bits), bits] = flip
 
 
 def search_lsi_counterexample(
@@ -361,13 +391,16 @@ def search_lsi_counterexample(
     tables parameterized as G†G per point.
 
     Restart r draws from its own generator rng_for(seed, "lsi-search", r)
-    and keeps its own step size and early stop. The restarts climb in
-    lock-step (sampling.climb), in blocks of at most BLOCK_ENTRIES table
-    entries, bit-identical to running the restarts one after another. A
-    block's start tables are scored whole; a proposal moves one point, so a
-    step rescores each live restart from its per-point caches with one
-    spectral call on two matrices: the moved point's square and the mean
-    square.
+    and keeps its own step size and early stop. It draws its proposals
+    PROPOSAL_CHUNK steps at a time: at step t with t % PROPOSAL_CHUNK == 0,
+    PROPOSAL_CHUNK points, then PROPOSAL_CHUNK (2, d, d) normal blocks, and
+    step t reads row t % PROPOSAL_CHUNK. The restarts climb in lock-step
+    (sampling.climb), in blocks of at most BLOCK_ENTRIES table entries,
+    bit-identical to running the restarts one after another. A block's
+    start tables are scored whole; a move changes one point, so a step
+    scores each live restart from its per-point caches with one spectral
+    call on two matrices, the moved point's square and the mean square,
+    and writes only the moves it keeps.
 
     The tight scalar bound makes the objective nonpositive at d = 1; for
     d >= 2 nearly-aligned low-rank tables violate it, and every candidate
@@ -408,34 +441,35 @@ def search_lsi_counterexample(
     block = max(1, BLOCK_ENTRIES // (points * d * d))
     for first in range(0, restarts, block):
         rngs = [rng_for(seed, "lsi-search", r) for r in range(first, min(first + block, restarts))]
-        ks = np.empty(len(rngs), dtype=np.intp)
-        z = np.empty((len(rngs), 2, d, d))
-        moved = None  # the point each live restart's last proposal moved
+        ks = np.empty((len(rngs), PROPOSAL_CHUNK), dtype=np.intp)
+        z = np.empty((len(rngs), PROPOSAL_CHUNK, 2, d, d))
+        steps_taken = 0
 
-        def propose(live, s, step):
-            # each restart's stream: the point, then one (2, d, d) normal
-            # draw, which reads the same values as random_complex_gaussian's
-            # real and imaginary (d, d) draws
-            nonlocal moved
-            for j, r in enumerate(live.tolist()):
-                ks[j] = rngs[r].integers(points)
-                rngs[r].standard_normal(out=z[j])
-            moved, dz = ks[:live.size], z[:live.size]
-            _lsi_move(s, moved, step[:, None, None] * (dz[:, 0] + 1j * dz[:, 1]), n)
-            return s
-
-        def score(s):
-            if moved is None:  # the block's start tables, scored whole
-                return _lsi_objective(_table_of(s["g"]), n)
-            return _lsi_rescore(s, moved)
+        def propose(live, step):
+            # each restart's stream, chunk by chunk: PROPOSAL_CHUNK points,
+            # then PROPOSAL_CHUNK (2, d, d) normal draws, each the real and
+            # imaginary parts of one step's complex Gaussian (d, d) delta
+            nonlocal steps_taken
+            row = steps_taken % PROPOSAL_CHUNK
+            steps_taken += 1
+            if row == 0:
+                for r in live.tolist():
+                    ks[r] = rngs[r].integers(points, size=PROPOSAL_CHUNK)
+                    rngs[r].standard_normal(out=z[r])
+            dz = z[live, row]
+            return _lsi_move(s, live, ks[live, row],
+                             step[:, None, None] * (dz[:, 0] + 1j * dz[:, 1]))
 
         starts = np.stack([start_table(rng, r % 3) for r, rng in enumerate(rngs, first)])
-        s, values = climb(score, propose, _lsi_stack(starts, n),
-                          LSI_STEP0, 1e-7, steps, 0.5, grow=2.0)
+        # the block's start tables, scored whole
+        start_values = _lsi_objective(_table_of(starts), n)
+        s = _lsi_state(starts, n)
+        values = climb(start_values, propose, partial(_lsi_score, s), partial(_lsi_accept, s),
+                       LSI_STEP0, 1e-7, steps, 0.5, grow=2.0)
         # the first maximum, as a strict > scan in restart order keeps
         i = int(np.argmax(values))
         if values[i] > best_obj:
-            best_obj, best_table = values[i], _table_of(s["g"][i])
+            best_obj, best_table = values[i], _table_of(s.g[i])
 
     f = MatrixBooleanFunction(n, best_table)
     ent = entropy_of_square(f)

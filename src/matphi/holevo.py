@@ -142,11 +142,6 @@ def _bayes_inverse(mu: np.ndarray, kernel: MarkovKernel) -> tuple[np.ndarray, np
     return pushed, rows / rows.sum(axis=1, keepdims=True)
 
 
-def backward_channel(mu: np.ndarray, kernel: MarkovKernel) -> MarkovKernel:
-    """Bayes inverse K*(x|y) = K(y|x) mu(x) / (mu K)(y), rows indexed by y."""
-    return MarkovKernel(_bayes_inverse(mu, kernel)[1])
-
-
 def _average_state(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
     """sum_x p(x) rho_x for (..., k) weights and (..., k, d, d) states, by a
     matmul on flat states: it rounds each sum as tensordot rounds it alone."""
@@ -166,7 +161,7 @@ def _evolution_drift(probs, states, pushed, back_rows):
 def _evolve(probs, states, pushed, back_rows) -> np.ndarray:
     """_evolution_drift's states; raises when an average state drifts."""
     out, drift, tol = _evolution_drift(probs, states, pushed, back_rows)
-    if np.any(drift > tol):
+    if not np.all(drift <= tol):
         raise MatPhiError(f"average state drifted by {np.max(drift):.3e} under evolution")
     return out
 
@@ -219,7 +214,7 @@ def holevo_chi(ens: CQEnsemble) -> float:
     d * H_{x log x} of the ensemble as a random matrix."""
     chi = float(_chi(ens.probs, ens.states))
     gap, tol = _dual_path_gap(ens, chi)
-    if gap > tol:
+    if not gap <= tol:
         raise MatPhiError(f"Holevo dual paths disagree by {gap:.3e} at chi = {chi!r}")
     return chi
 
@@ -251,8 +246,9 @@ class EtaResult:
 
 
 def _contraction_ratios(chi_in: np.ndarray, chi_out: np.ndarray) -> np.ndarray:
-    """chi_out / chi_in, -inf where chi_in vanishes, 0 where chi_out does; raises on increase."""
-    up = chi_out > chi_in + relative_tol(1e-9, chi_in)
+    """chi_out / chi_in, -inf where chi_in vanishes, 0 where chi_out does; raises on an
+    increase or a NaN."""
+    up = ~(chi_out <= chi_in + relative_tol(1e-9, chi_in))
     if np.any(up):
         raise MatPhiError(f"entropy contraction violated: {chi_out[up]} > {chi_in[up]}")
     with np.errstate(divide="ignore", invalid="ignore"):  # quotients masked out below
@@ -264,6 +260,16 @@ def _blockwise(score, xs: np.ndarray, entries: int) -> np.ndarray:
     """score on a stack of candidates in blocks of at most BLOCK_ENTRIES entries."""
     size = max(1, BLOCK_ENTRIES // entries)
     return np.concatenate([np.empty(0), *(score(xs[i:i + size]) for i in range(0, len(xs), size))])
+
+
+def _keep_into(x: np.ndarray):
+    """climb's accept for moves that are whole candidates: the kept rows
+    overwrite the winning restarts of the (restarts, ...) stack x."""
+
+    def accept(won, kept, cand):
+        x[won] = cand[kept]
+
+    return accept
 
 
 def _simplex_grid(k: int, resolution: float):
@@ -323,14 +329,15 @@ def eta_phi(
             grid = np.stack([q, 1.0 - q], axis=-1)[..., None]
         values = _blockwise(lambda w: ratios(w * np.eye(2, dtype=complex)), grid, mu.size * d * d)
         rngs = [rng_for(seed, "eta-states", r) for r in range(restarts)]
+        g = np.array([rng.standard_normal((mu.size, 2, d, d)) for rng in rngs]).reshape(
+            restarts, mu.size, 2, d, d)
 
-        def propose(live, g, step):
+        def propose(live, step):
             noise = np.array([rngs[r].standard_normal(g.shape[1:]) for r in live.tolist()])
-            return g + step[:, None, None, None, None] * noise
+            return g[live] + step[:, None, None, None, None] * noise
 
-        starts = np.array([rng.standard_normal((mu.size, 2, d, d)) for rng in rngs])
-        g, climbed = climb(lambda g: ratios(_states_of(g)), propose,
-                           starts.reshape(restarts, mu.size, 2, d, d), 0.2, 1e-5, hill_steps, 0.7)
+        climbed = climb(ratios(_states_of(g)), propose, lambda live, cand: ratios(_states_of(cand)),
+                        _keep_into(g), 0.2, 1e-5, hill_steps, 0.7)
         values = np.concatenate([values, climbed])
 
     i = int(np.argmax(np.concatenate([[0.0], values]))) - 1  # the first strict maximum above 0
@@ -338,12 +345,14 @@ def eta_phi(
     if i >= 0 and d == 1:  # local refinement around the best candidate
         rng = rng_for(seed, "eta-scalar-refine", 0)
 
-        def propose(live, nus, step):
+        nus = candidates[i:i + 1].copy()  # one restart: live is [0] while it climbs
+
+        def propose(live, step):
             prop = np.clip(nus + step[:, None] * rng.standard_normal(nus.shape), 1e-9, None)
             return prop / prop.sum(axis=-1, keepdims=True)
 
-        nus, refined = climb(ratios, propose, candidates[i:i + 1].copy(), grid_resolution, 1e-6,
-                             hill_steps, 0.7)
+        refined = climb(ratios(nus), propose, lambda live, cand: ratios(cand), _keep_into(nus),
+                        grid_resolution, 1e-6, hill_steps, 0.7)
         best, witness = refined[0], nus[0]
     elif i >= 0:
         states = (grid[i] * np.eye(2, dtype=complex) if i < len(grid)

@@ -24,28 +24,32 @@ def rng_for(seed: int, label: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), key, int(index)]))
 
 
-def climb(objective, propose, x, step, floor, steps, shrink, grow=1.0):
-    """Lock-step hill climbs of a (restarts, ...) stack x, in place; returns x
-    and its values. objective maps a stack to values, -inf meaning none.
-    propose(live, x_live, step_live) draws each live restart's proposal from
-    its own generator (x_live is a copy), so a restart climbs alike alone or
-    stacked. A kept proposal grows the step by grow, capped at the starting
-    step; a rejected one shrinks it by shrink. Restarts stop below floor."""
-    value = objective(x)
-    start, step = float(step), np.full(len(x), float(step))
-    live = np.arange(len(x))
+def climb(value, propose, score, accept, step, floor, steps, shrink, grow=1.0):
+    """Lock-step hill climbs of restarts whose states the callbacks own;
+    takes the start values, -inf meaning none, and returns the final ones.
+    At every step, propose(live, step_live) draws a move for each live
+    restart from that restart's own generator, so a restart climbs alike
+    alone or stacked; score(live, move) values the moved states without
+    writing them, and accept(won, kept, move) writes the rows kept of the
+    move into the restarts won, and nothing else. A kept move grows the
+    step by grow, capped at the starting step; a rejected one shrinks it
+    by shrink. Restarts stop below floor."""
+    value = np.array(value, dtype=float)
+    start, step = float(step), np.full(len(value), float(step))
+    live = np.arange(len(value))
     for _ in range(steps):
         if not live.size:
             break
-        cand = propose(live, x[live], step[live])
-        cand_value = objective(cand)
+        move = propose(live, step[live])
+        cand_value = score(live, move)
         up = cand_value > value[live]
         won = live[up]
-        x[won], value[won] = cand[up], cand_value[up]
+        accept(won, up, move)
+        value[won] = cand_value[up]
         step[won] = np.minimum(grow * step[won], start)
         step[live[~up]] *= shrink
         live = live[step[live] >= floor]
-    return x, value
+    return value
 
 
 def random_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

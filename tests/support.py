@@ -3,7 +3,7 @@
 import numpy as np
 
 from matphi.fourier import MatrixBooleanFunction
-from matphi.holevo import CQEnsemble, _average_state
+from matphi.holevo import CQEnsemble, MarkovKernel, _average_state, _bayes_inverse
 from matphi.models import DiscreteRandomMatrix
 from matphi.phifun import PhiFunction
 from matphi.sampling import random_complex_gaussian
@@ -39,3 +39,8 @@ def constant_function(n: int, value) -> MatrixBooleanFunction:
 def average_state(ens: CQEnsemble) -> np.ndarray:
     """sum_x mu(x) rho_x of an ensemble."""
     return _average_state(ens.probs, ens.states)
+
+
+def backward_channel(mu: np.ndarray, kernel: MarkovKernel) -> MarkovKernel:
+    """Bayes inverse K*(x|y) = K(y|x) mu(x) / (mu K)(y), rows indexed by y."""
+    return MarkovKernel(_bayes_inverse(mu, kernel)[1])

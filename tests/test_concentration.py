@@ -160,6 +160,16 @@ def test_efron_stein_forms_disagreement_raises_and_fails_the_suite(monkeypatch, 
             efron_stein_quantity(model)
 
 
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_nan_form_raises(position):
+    forms = [1.0, 1.0, 1.0]
+    forms[position] = math.nan
+    with pytest.raises(MatPhiError, match="forms disagree"):
+        concentration.agreed_form(tuple(forms), "forms")
+    gap, _ = concentration.forms_gap(tuple(forms))
+    assert math.isnan(gap)
+
+
 def test_efron_stein_sweep():
     for trial in range(200):
         rng = rng_for(41, "efron-sweep", trial)

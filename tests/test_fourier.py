@@ -26,10 +26,11 @@ from matphi.fourier import (
     noise_operator,
     p_variance,
     parseval_check,
+    _lsi_accept,
     _lsi_move,
     _lsi_objective,
-    _lsi_rescore,
-    _lsi_stack,
+    _lsi_score,
+    _lsi_state,
     _table_of,
     search_lsi_counterexample,
     uniform_cube_model,
@@ -313,27 +314,27 @@ def test_lsi_search_scalar_stays_tight():
 
 
 # (d, n, restarts, steps, seed) -> objective, entropy, energy and the
-# sha256 of the witness table bytes, as the restart-by-restart search
-# reported them; the lock-step search must reproduce them bit for bit.
-# At d = 1 the objective is rounding noise, so the climber keeps whichever
-# proposal rounds highest; that pin is the incremental search's, taken in
-# blocks of one restart.
+# sha256 of the witness table bytes, as the search reported them in blocks
+# of one restart, each restart climbing alone on its chunked proposal
+# stream; the lock-step search must reproduce them bit for bit. At d = 1
+# the objective is rounding noise, so the climber keeps whichever proposal
+# rounds highest.
 LSI_SEARCH_PINS = {
     (2, 1, 20, 300, 0): (
-        "0.021210315729113402", "0.1165494979760231", "0.04766959112345485",
-        "19077fa1186e0e5ebf78bd84c08a5e245ba79f4533bf00d898616bccab113480",
+        "0.021143283081476144", "0.11418228365666361", "0.04651950028759373",
+        "ae1a441cd945bac5e1dcf252c499ec51265ade0b0038a9ea57fac16e490613cd",
     ),
     (2, 3, 20, 300, 1): (
-        "0.018698924466243966", "0.11676452058874454", "0.049032798061250285",
-        "f290f16302fff023a7bf0184e723b39f82ff6cb00446a0c948081ba0844683f6",
+        "0.0184697977554886", "0.07671054649704012", "0.029120374370775762",
+        "5c41bf41b274a97a404185bee730d2796644f72ea25b931b4331159dc9acddd5",
     ),
     (3, 2, 10, 300, 2): (
-        "0.03734035184127005", "0.17310976424131674", "0.06788470620002335",
-        "80a9cc135813bb166ff3462854ea09eecb4b62c599957e5963e69c697dcc26f8",
+        "0.03616372736231813", "0.16560973688453906", "0.06472300476111047",
+        "bf3b412046bbf30d184cf9344c7b3d0326e72c9009bb5a63fcf932adfa9503f2",
     ),
     (1, 1, 300, 200, 0): (
-        "-9.781680404319245e-17", "1.593466187569271e-08", "7.967330986754756e-09",
-        "082c87a9ba759595c009053625a3798b295e99e621d59aa53bca60008e45d8da",
+        "4.8487001062385677e-23", "7.264917521427152e-12", "3.6324587606893325e-12",
+        "aba1163f260f5e1dd0df5d98caf78a3c34c0a15683081310d9178ad4cee0eac4",
     ),
     (2, 0, 5, 50, 0): (
         "0.0", "0.0", "0.0",
@@ -358,10 +359,12 @@ def test_lsi_search_is_bit_identical(config):
 
 @pytest.mark.parametrize("config", [(2, 1, 20, 300, 0), (1, 1, 300, 200, 0)])
 def test_lsi_search_blocks_are_bit_identical(monkeypatch, config):
-    # a budget of 3 restarts' tables splits the restarts over many blocks
+    # a budget of 3 restarts' tables splits the restarts over many blocks;
+    # a budget of 1 climbs each restart alone
     d, n = config[:2]
-    monkeypatch.setattr(matphi.fourier, "BLOCK_ENTRIES", 3 * 2**n * d * d)
-    assert _search_pin(config) == LSI_SEARCH_PINS[config]
+    for per_block in (3, 1):
+        monkeypatch.setattr(matphi.fourier, "BLOCK_ENTRIES", per_block * 2**n * d * d)
+        assert _search_pin(config) == LSI_SEARCH_PINS[config]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -373,24 +376,60 @@ def test_lsi_objective_equals_reported_objective(d, n):
         assert _lsi_objective(f.table, n) == entropy_of_square(f) - 2.0 * dirichlet_energy_flip(f)
 
 
+def _state_bytes(s):
+    return [field.tobytes() for field in s]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_lsi_rescore_tracks_the_whole_table_objective(d, n):
-    # one-point moves as the climber makes them, each restart keeping or
-    # dropping its proposal at random: a dropped one is a discarded copy
+    # one-point moves as the climber makes them, on a random set of live
+    # restarts, each keeping or dropping its move at random: a dropped one
+    # writes nothing
     rng = rng_for(23, "lsi-rescore", 10 * d + n)
     restarts, k = 3, 2**n
-    s = _lsi_stack(random_complex_gaussian(rng, (restarts, k, d, d)), n)
-    assert np.max(np.abs(_lsi_rescore(s.copy(), np.zeros(restarts, dtype=int))
-                         - _lsi_objective(_table_of(s["g"]), n))) <= 1e-13
+    s = _lsi_state(random_complex_gaussian(rng, (restarts, k, d, d)), n)
+    every = np.arange(restarts)
+    still = _lsi_move(s, every, np.zeros(restarts, dtype=int), np.zeros((restarts, d, d)))
+    assert np.max(np.abs(_lsi_score(s, every, still)
+                         - _lsi_objective(_table_of(s.g), n))) <= 1e-13
     for _ in range(40):
-        ks = rng.integers(k, size=restarts)
-        cand = s.copy()
-        _lsi_move(cand, ks, 0.3 * random_complex_gaussian(rng, (restarts, d, d)), n)
-        value = _lsi_rescore(cand, ks)
-        assert np.max(np.abs(value - _lsi_objective(_table_of(cand["g"]), n))) <= 1e-13
-        kept = rng.random(restarts) < 0.5
-        s[kept] = cand[kept]
+        live = np.flatnonzero(rng.random(restarts) < 0.7)
+        ks = rng.integers(k, size=live.size)
+        before = _state_bytes(s)
+        move = _lsi_move(s, live, ks, 0.3 * random_complex_gaussian(rng, (live.size, d, d)))
+        value = _lsi_score(s, live, move)
+        assert _state_bytes(s) == before  # scoring a move reads the state only
+        moved = s.g[live].copy()
+        moved[np.arange(live.size), ks] = move.g
+        assert np.max(np.abs(value - _lsi_objective(_table_of(moved), n)), initial=0.0) <= 1e-13
+        kept = rng.random(live.size) < 0.5
+        _lsi_accept(s, live[kept], kept, move)
+        assert s.g[live[kept]].tobytes() == moved[kept].tobytes()
+    # the caches the moves wrote are the ones the whole table gives
+    fresh = _lsi_state(s.g.copy(), n)
+    for field, cached in zip(fresh, s):
+        scale = 1.0 + np.max(np.abs(field), initial=0.0)
+        assert np.max(np.abs(field - cached), initial=0.0) <= 1e-9 * scale
+
+
+def test_lsi_rejected_move_writes_nothing():
+    rng = rng_for(23, "lsi-reject", 0)
+    n, d, restarts = 3, 2, 4
+    s = _lsi_state(random_complex_gaussian(rng, (restarts, 2**n, d, d)), n)
+    live = np.array([0, 2, 3])
+    move = _lsi_move(s, live, np.array([1, 1, 5]), random_complex_gaussian(rng, (3, d, d)))
+    _lsi_score(s, live, move)
+    before = _state_bytes(s)
+    _lsi_accept(s, live[:0], np.zeros(3, dtype=bool), move)
+    assert _state_bytes(s) == before
+    kept = np.array([False, True, False])
+    _lsi_accept(s, live[kept], kept, move)
+    # only restart 2's point 1 and its flip partners changed
+    for field, old in zip(s, before):
+        changed = np.frombuffer(old, dtype=field.dtype).reshape(field.shape) != field
+        assert not changed[[0, 1, 3]].any()
+    assert s.g[2, 1].tobytes() == move.g[1].tobytes()
 
 
 def test_lsi_step_sends_two_matrices_per_restart_to_the_spectrum(monkeypatch):
@@ -411,6 +450,36 @@ def test_lsi_step_sends_two_matrices_per_restart_to_the_spectrum(monkeypatch):
     assert whole == [(restarts, 2**n)] * 2 + [(2**n,)]
     assert 1 <= len(step_calls) <= steps
     assert all(len(shape) == 2 and shape[0] <= restarts and shape[1] == 1 for shape in step_calls)
+
+
+def test_lsi_search_memory_stays_near_one_state(monkeypatch):
+    # the climb works on moves: its steps allocate a small fraction of one
+    # state, and the whole search stays within a few states
+    import tracemalloc
+
+    d, n, restarts = 2, 12, 2
+    state = sum(field.nbytes for field in _lsi_state(np.zeros((restarts, 2**n, d, d), complex), n))
+    search_lsi_counterexample(d=d, n=3, restarts=restarts, steps=5)  # imports and caches
+    climbs = []
+    real = matphi.fourier.climb
+
+    def measured(*args, **kwargs):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        values = real(*args, **kwargs)
+        climbs.append(tracemalloc.get_traced_memory()[1] - held)
+        return values
+
+    tracemalloc.start()
+    try:
+        search_lsi_counterexample(d=d, n=n, restarts=restarts, steps=20, seed=0)
+        search_peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(matphi.fourier, "climb", measured)
+        search_lsi_counterexample(d=d, n=n, restarts=restarts, steps=20, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert search_peak <= 2.5 * state
+    assert len(climbs) == 1 and climbs[0] <= state / 8
 
 
 def test_lsi_search_constant_start_objective_zero():

@@ -12,7 +12,6 @@ from matphi.errors import DimensionMismatch, InvalidC, MatPhiError, NotAdmissibl
 from matphi.holevo import (
     CQEnsemble,
     MarkovKernel,
-    backward_channel,
     check_data_processing,
     check_functional_sdpi,
     check_law_total_variance,
@@ -34,7 +33,7 @@ from matphi.sampling import (
     rng_for,
 )
 from matphi.suites import RunConfig
-from support import average_state, law_from_pairs
+from support import average_state, backward_channel, law_from_pairs
 
 XLOGX = PhiFunction.xlogx()
 
@@ -443,6 +442,13 @@ def test_contraction_ratios_follow_the_scalar_rule():
     assert holevo._contraction_ratios(a, b).tobytes() == expected.tobytes()
 
 
+def test_contraction_ratios_raise_on_nan():
+    # a NaN chi is no contraction: it must not reach eta_hat through argmax
+    for chi_in, chi_out in [(0.5, np.nan), (np.nan, 0.25), (np.nan, np.nan)]:
+        with pytest.raises(MatPhiError, match="contraction violated"):
+            holevo._contraction_ratios(np.array([0.5, chi_in]), np.array([0.25, chi_out]))
+
+
 def test_eta_phi_raises_when_the_search_sees_chi_grow(monkeypatch):
     # a kernel from 2 letters to 3: only the evolved side has 3 labels
     kernel = MarkovKernel(np.array([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]]))
@@ -464,6 +470,22 @@ def test_evolve_raises_on_a_drifting_ensemble_of_a_stack():
     with pytest.raises(MatPhiError, match="drifted"):
         holevo._evolve(probs, states, pushed, back)
     holevo._evolve(probs, states[:3], pushed, back)
+
+
+def test_evolve_raises_on_a_nan_drift():
+    probs, states, pushed, back = _stacked_ensembles(2, 3, 4, 0)
+    states[2, 1, 0, 0] = np.nan
+    _, drift, tol = holevo._evolution_drift(probs, states, pushed, back)
+    assert np.isnan(drift[2]) and np.all(drift[[0, 1, 3]] <= tol)
+    with pytest.raises(MatPhiError, match="drifted"):
+        holevo._evolve(probs, states, pushed, back)
+
+
+def test_holevo_chi_raises_on_a_nan_dual_path(monkeypatch):
+    ens = random_ensemble(rng_for(51, "holevo-nan", 0), 3, 2)
+    monkeypatch.setattr(holevo, "phi_entropy", lambda phi, law: np.nan)
+    with pytest.raises(MatPhiError, match="dual paths disagree"):
+        holevo_chi(ens)
 
 
 @pytest.mark.parametrize(

@@ -20,15 +20,22 @@ def _objective(x):
 
 
 def _climb(starts, rngs, rule, drawn=None):
+    # the move is the whole candidate, as in eta_phi's climbs
     step, floor, steps, shrink, grow = rule
+    x = starts.copy()
 
-    def propose(live, x, step):
+    def propose(live, step):
         if drawn is not None:
             drawn.append(live.copy())
         noise = np.array([rngs[r].standard_normal(x.shape[1:]) for r in live.tolist()])
-        return x + step[:, None] * noise
+        return x[live] + step[:, None] * noise
 
-    return climb(_objective, propose, starts.copy(), step, floor, steps, shrink, grow)
+    def accept(won, kept, cand):
+        x[won] = cand[kept]
+
+    values = climb(_objective(x), propose, lambda live, cand: _objective(cand), accept,
+                   step, floor, steps, shrink, grow)
+    return x, values
 
 
 def _starts(count):
@@ -61,12 +68,38 @@ def test_stacked_climb_equals_each_restart_alone(rule, count):
 
 
 def test_no_value_start_accepts_any_finite_proposal():
+    x = np.array([[-0.5], [-2.0]])
+
     def objective(x):
         return np.where(x[:, 0] < 0.0, -np.inf, -1e300)
 
-    def propose(live, x, step):
-        return x + 1.0
+    def accept(won, kept, cand):
+        x[won] = cand[kept]
 
-    x, values = climb(objective, propose, np.array([[-0.5], [-2.0]]), 1.0, 0.1, 1, 0.5)
+    values = climb(objective(x), lambda live, step: x[live] + 1.0,
+                   lambda live, cand: objective(cand), accept, 1.0, 0.1, 1, 0.5)
     assert x.tolist() == [[0.5], [-2.0]]  # the second proposal has no value either
     assert values.tolist() == [-1e300, -np.inf]
+
+
+def test_a_rejected_move_writes_nothing():
+    # restart 0 proposes only worse states, restart 1 only better ones; the
+    # moves are deltas, so accept is the only writer of the state
+    x = _starts(2)
+    start = x.copy()
+    accepted = []
+
+    def propose(live, step):
+        return step[:, None] * np.where(live[:, None] == 0, -1.0, 1.0) * np.ones((1, 3))
+
+    def score(live, move):
+        return (x[live] + move).sum(axis=-1)
+
+    def accept(won, kept, move):
+        accepted.extend(won.tolist())
+        x[won] += move[kept]
+
+    climb(x.sum(axis=-1), propose, score, accept, 0.5, 0.1, 20, 0.5, grow=2.0)
+    assert 0 not in accepted and 1 in accepted
+    assert x[0].tobytes() == start[0].tobytes()
+    assert x[1].tobytes() != start[1].tobytes()
