@@ -17,14 +17,14 @@ from .errors import DomainError, NotHermitian
 from .frechet import (
     _in_turn,
     _inverse_table,
-    _same_shape,
+    _operands,
     _schur,
     _second,
     dd1_table,
     dd2_table,
     inverse_derivative_superoperator,
 )
-from .linalg import _require_hermitian_stack, eigenvalues, hermitian_part, require_hermitian
+from .linalg import _require_hermitian_stack, eigenvalues, hermitian_part
 from .models import DiscreteRandomMatrix, ProductModel
 from .phifun import PhiFunction, ScalarFunction
 from .report import CheckReport, matrix_to_obj, relative_tol, sweep, verdict
@@ -201,8 +201,7 @@ def check_char_e(phi: PhiFunction, a, h, k) -> CharEResult:
     if phi.is_affine:
         return CharEResult(0.0, 0.0, relative_tol(1e-6))
     psi = phi.psi()
-    a, h, k = require_hermitian(a), require_hermitian(h), require_hermitian(k)
-    _same_shape(a, h, k)
+    a, h, k = _operands(a, h, k)
     fd_step = 1e-4 * (1.0 + float(np.linalg.norm(a)))
     # one eigensystem each for A and A +- fd_step k; A is admitted and its
     # derivative tested for singularity before the shifted spectra

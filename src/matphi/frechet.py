@@ -7,14 +7,22 @@ F; second derivatives use the second-order table.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MatPhiError, NotCommuting, SingularSuperoperator
-from .linalg import _require_hermitian_stack, hermitian_part, require_hermitian
+from .errors import (
+    DimensionMismatch,
+    MatPhiError,
+    NotCommuting,
+    NotHermitian,
+    SingularSuperoperator,
+)
+from .linalg import _require_hermitian_stack, hermitian_part
 from .phifun import ScalarFunction
 
 COND_MAX = 1e12
@@ -83,11 +91,25 @@ def _eigensystem(a: np.ndarray, step: Callable[[np.ndarray], np.ndarray]):
     return _in_turn(step, w), u
 
 
-def _same_shape(a: np.ndarray, *directions: np.ndarray) -> None:
-    """Refuse a direction, or a stack of them, whose matrices are not A's shape."""
+def _operands(a, *directions, stacks: bool = False) -> list[np.ndarray]:
+    """A and its directions, hermitized by one validation of their stack,
+    each matrix against its own tolerance. A must be one square matrix and
+    each direction A's shape, or with ``stacks`` a (..., d, d) stack of
+    A-shaped matrices; shapes are refused before entries."""
+    a = np.asarray(a, dtype=complex)
+    directions = [np.asarray(e, dtype=complex) for e in directions]
+    operands = (a, *directions)
+    for m in operands:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or (m.ndim > 2 and (m is a or not stacks)):
+            raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
     for e in directions:
         if e.shape[-2:] != a.shape:
             raise DimensionMismatch(f"direction of shape {e.shape} for a matrix of shape {a.shape}")
+    counts = [math.prod(m.shape[:-2]) for m in operands]
+    stack = np.concatenate([m.reshape((n,) + a.shape) for m, n in zip(operands, counts)])
+    flat = _require_hermitian_stack(stack)
+    ends = itertools.accumulate(counts)
+    return [flat[end - n : end].reshape(m.shape) for m, n, end in zip(operands, counts, ends)]
 
 
 def _schur(u: np.ndarray, table: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -130,16 +152,14 @@ def _inverse_table(sf: ScalarFunction, w: np.ndarray) -> np.ndarray:
 
 def frechet_derivative(sf: ScalarFunction, a, e) -> np.ndarray:
     """Df[A](E) as the divided-difference Schur multiplier in A's eigenbasis."""
-    a, e = require_hermitian(a), require_hermitian(e)
-    _same_shape(a, e)
+    a, e = _operands(a, e)
     w, u = _eigensystem(a, sf.admit)
     return _schur(u, dd1_table(sf, w), e)
 
 
 def frechet_second(sf: ScalarFunction, a, e1, e2) -> np.ndarray:
     """D^2 f[A](E1, E2), symmetric and bilinear in the directions."""
-    a, e1, e2 = require_hermitian(a), require_hermitian(e1), require_hermitian(e2)
-    _same_shape(a, e1, e2)
+    a, e1, e2 = _operands(a, e1, e2)
     w, u = _eigensystem(a, sf.admit)
     return _second(u, dd2_table(sf, w), e1, e2)
 
@@ -147,8 +167,7 @@ def frechet_second(sf: ScalarFunction, a, e1, e2) -> np.ndarray:
 def inverse_frechet_derivative(sf: ScalarFunction, a, x) -> np.ndarray:
     """(Df[A])^{-1}(X) by Schur division in A's eigenbasis; X may be a
     (..., d, d) stack."""
-    a, x = require_hermitian(a), _require_hermitian_stack(x)
-    _same_shape(a, x)
+    a, x = _operands(a, x, stacks=True)
     inv, u = _eigensystem(a, partial(_inverse_table, sf))
     return _schur(u, inv, x)
 
@@ -180,8 +199,16 @@ def commuting_eigensystem(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
     xs[i]. Commutators above 1e-8 d in norm raise; degeneracies are split
     by diagonalizing a random-coefficient combination of the tuple.
     """
-    xs = [require_hermitian(x) for x in xs]
-    d = xs[0].shape[0]
+    if not len(xs):
+        raise ValueError("a commuting tuple needs at least one matrix")
+    shape = np.shape(xs[0])
+    for x in xs[1:]:
+        if np.shape(x) != shape:
+            raise DimensionMismatch(f"commuting tuple mixes shapes {shape} and {np.shape(x)}")
+    if len(shape) != 2:
+        raise NotHermitian(f"expected a square matrix, got shape {shape}")
+    xs = _require_hermitian_stack(np.stack(xs))
+    d = xs.shape[-1]
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
             comm = xs[i] @ xs[j] - xs[j] @ xs[i]
@@ -249,11 +276,13 @@ def _fd_scale(a: np.ndarray) -> float:
 
 def fd_frechet(apply_fn: Callable[[np.ndarray], np.ndarray], a, e) -> np.ndarray:
     """Central finite-difference directional derivative of a matrix map,
-    with step 1e-5 (1 + ||A||_2)."""
+    with step h = 1e-5 (1 + ||A||_2). ``apply_fn`` maps each matrix of a
+    (k, d, d) stack; it is called once, on [A + hE, A - hE]."""
     a = np.asarray(a, dtype=complex)
     e = np.asarray(e, dtype=complex)
     h = 1e-5 * _fd_scale(a)
-    return (apply_fn(a + h * e) - apply_fn(a - h * e)) / (2.0 * h)
+    plus, minus = apply_fn(np.stack([a + h * e, a - h * e]))
+    return (plus - minus) / (2.0 * h)
 
 
 def fd_frechet_second(
@@ -265,21 +294,28 @@ def fd_frechet_second(
 ) -> np.ndarray:
     """Second directional derivative by central differences at steps h and
     h/2, Richardson-extrapolated; mixed directions via polarization. The
-    default h = 1e-3 (1 + ||A||_2) balances O(h^4) truncation and eps/h^2 rounding."""
+    default h = 1e-3 (1 + ||A||_2) balances O(h^4) truncation and eps/h^2
+    rounding; a given h must be finite and positive.
+
+    ``apply_fn`` maps each matrix of a (k, d, d) stack; it is called once,
+    on A and then, for each step s in (h/2, h) and each direction E, the
+    pair A + sE, A - sE. The direction is E1 when E2 equals it (5
+    matrices), else E1 + E2 and then E1 - E2 (9 matrices)."""
     a = np.asarray(a, dtype=complex)
     e1 = np.asarray(e1, dtype=complex)
     e2 = np.asarray(e2, dtype=complex)
     if h is None:
         h = 1e-3 * _fd_scale(a)
-
-    def second_along(e, step):
-        return (apply_fn(a + step * e) - 2.0 * apply_fn(a) + apply_fn(a - step * e)) / step**2
-
-    def mixed(step):
-        if e1 is e2 or np.array_equal(e1, e2):
-            return second_along(e1, step)
-        plus = second_along(e1 + e2, step)
-        minus = second_along(e1 - e2, step)
-        return 0.25 * (plus - minus)
-
-    return (4.0 * mixed(h / 2.0) - mixed(h)) / 3.0
+    elif not 0.0 < h < math.inf:
+        raise ValueError(f"finite-difference step must be finite and positive, got {h}")
+    equal = e1 is e2 or np.array_equal(e1, e2)
+    directions = [e1] if equal else [e1 + e2, e1 - e2]
+    steps = (h / 2.0, h)
+    points = [a] + [m for s in steps for e in directions for m in (a + s * e, a - s * e)]
+    f = apply_fn(np.stack(points))
+    mixed = []
+    for s, pairs in zip(steps, f[1:].reshape(len(steps), len(directions), 2, *f.shape[1:])):
+        # the central second difference along each direction, then polarization
+        seconds = [(plus - 2.0 * f[0] + minus) / s**2 for plus, minus in pairs]
+        mixed.append(seconds[0] if equal else 0.25 * (seconds[0] - seconds[1]))
+    return (4.0 * mixed[0] - mixed[1]) / 3.0

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matphi.concentration import check_poincare_commuting
+from matphi.entropy import check_char_e
 from matphi.errors import (
     ConfigError,
     DimensionMismatch,
     DomainError,
     NotCommuting,
+    NotHermitian,
     SingularSuperoperator,
     SpectrumOutOfDomain,
 )
@@ -31,6 +34,7 @@ from matphi.frechet import (
     inverse_frechet_derivative,
     multivariate_dd_table,
 )
+from matphi.models import FiniteLaw
 from matphi.phifun import PhiFunction
 from matphi.sampling import random_hermitian, random_pd, random_unit_hermitian, rng_for
 from support import SQUARE, random_unitary
@@ -224,8 +228,10 @@ def test_stacked_dd_tables_equal_each_spectrum(d):
         lambda: frechet_second(SQUARE, np.eye(2), np.eye(3), np.eye(2)),
         lambda: inverse_frechet_derivative(SQUARE, np.eye(2), np.eye(3)),
         lambda: inverse_frechet_derivative(SQUARE, np.eye(2), np.stack([np.eye(3)] * 2)),
+        lambda: check_char_e(XLOGX, np.eye(2), np.eye(3), np.eye(2)),
+        lambda: check_char_e(XLOGX, np.eye(2), np.eye(2), np.eye(3)),
     ],
-    ids=["first", "second-e2", "second-e1", "inverse", "inverse-stack"],
+    ids=["first", "second-e2", "second-e1", "inverse", "inverse-stack", "char-e-h", "char-e-k"],
 )
 def test_direction_shape_mismatch_is_dimension_mismatch(call):
     shape = r"^direction of shape \(.*\) for a matrix of shape \(2, 2\)$"
@@ -632,3 +638,176 @@ def test_fd_frechet_second_default_step():
         1.0 + np.linalg.norm(exact)
     )
     assert rel < 1e-6
+
+
+def _fd_first_per_point(apply_fn, a, e):
+    """fd_frechet as one ``apply_fn`` call per point."""
+    h = 1e-5 * (1.0 + float(np.linalg.norm(a)))
+    return (apply_fn(a + h * e) - apply_fn(a - h * e)) / (2.0 * h)
+
+
+def _fd_second_per_point(apply_fn, a, e1, e2, h=None):
+    """fd_frechet_second as one ``apply_fn`` call per point, f(A) again in
+    each central difference."""
+    if h is None:
+        h = 1e-3 * (1.0 + float(np.linalg.norm(a)))
+
+    def second_along(e, step):
+        return (apply_fn(a + step * e) - 2.0 * apply_fn(a) + apply_fn(a - step * e)) / step**2
+
+    def mixed(step):
+        if e1 is e2 or np.array_equal(e1, e2):
+            return second_along(e1, step)
+        return 0.25 * (second_along(e1 + e2, step) - second_along(e1 - e2, step))
+
+    return (4.0 * mixed(h / 2.0) - mixed(h)) / 3.0
+
+
+FD_LABELS = ("xlogx", "power:1.2", "power:1.5", "power:2")
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_oracles_equal_the_per_point_formulas(d):
+    # 4 generators x 63 draws at each of the 8 sizes: 2,016 cases, each
+    # judged on the first oracle and on the second along equal directions
+    # at an explicit step and along distinct ones at the default step
+    for label in FD_LABELS:
+        sf = PhiFunction.parse(label).scalar()
+        for draw in range(63):
+            rng = rng_for(31, f"fd-stack-{label}", 64 * d + draw)
+            a = random_pd(rng, d, floor=0.4).astype(complex)
+            e1, e2 = (random_unit_hermitian(rng, d).astype(complex) for _ in range(2))
+            pairs = (
+                (fd_frechet(sf.apply, a, e1), _fd_first_per_point(sf.apply, a, e1)),
+                (
+                    fd_frechet_second(sf.apply, a, e1, e1.copy(), h=1e-3),
+                    _fd_second_per_point(sf.apply, a, e1, e1.copy(), h=1e-3),
+                ),
+                (
+                    fd_frechet_second(sf.apply, a, e1, e2),
+                    _fd_second_per_point(sf.apply, a, e1, e2),
+                ),
+            )
+            for got, want in pairs:
+                assert got.tobytes() == want.tobytes(), (label, d, draw)
+
+
+def test_each_oracle_makes_one_stacked_call():
+    for d in (1, 3, 8):
+        rng = rng_for(31, "fd-stack-calls", d)
+        a = random_pd(rng, d, floor=0.4)
+        e1, e2 = random_unit_hermitian(rng, d), random_unit_hermitian(rng, d)
+        shapes = []
+
+        def apply(m):
+            shapes.append(m.shape)
+            return XLOGX.scalar().apply(m)
+
+        for call, points in (
+            (lambda: fd_frechet(apply, a, e1), 2),
+            (lambda: fd_frechet_second(apply, a, e1, e1), 5),
+            (lambda: fd_frechet_second(apply, a, e1, e1.copy(), h=1e-3), 5),
+            (lambda: fd_frechet_second(apply, a, e1, e2), 9),
+        ):
+            shapes.clear()
+            call()
+            assert shapes == [(points, d, d)]
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf])
+def test_fd_frechet_second_refuses_a_bad_step(h):
+    calls = []
+    a, e = np.eye(2), np.diag([1.0, -1.0])
+    with pytest.raises(ValueError, match=r"^finite-difference step must be finite and positive"):
+        fd_frechet_second(lambda m: calls.append(m) or m, a, e, e, h=h)
+    assert calls == []
+
+
+def test_fd_frechet_second_polarization_matches_frechet_second():
+    worst = 0.0
+    for label in ("xlogx", "power:1.2", "power:1.5"):
+        sf = PhiFunction.parse(label).scalar()
+        for d in range(1, 9):
+            for draw in range(5):
+                rng = rng_for(0, f"fd-polarization-{label}", 8 * draw + d)
+                a = random_pd(rng, d, floor=0.4)
+                e1, e2 = random_unit_hermitian(rng, d), random_unit_hermitian(rng, d)
+                exact = frechet_second(sf, a, e1, e2)
+                approx = fd_frechet_second(sf.apply, a, e1, e2)
+                rel = np.linalg.norm(exact - approx) / (1.0 + np.linalg.norm(exact))
+                worst = max(worst, rel)
+    assert worst < 1e-6
+
+
+# each public entry that validates an instance's operands as one stack, with
+# the number of directions it takes
+INSTANCE_ENTRIES = {
+    "first": (lambda a, e: frechet_derivative(SQUARE, a, e), 1),
+    "second": (lambda a, e1, e2: frechet_second(SQUARE, a, e1, e2), 2),
+    "inverse": (lambda a, x: inverse_frechet_derivative(SQUARE, a, x), 1),
+    "char-e": (lambda a, h, k: check_char_e(XLOGX, a, h, k), 2),
+}
+
+
+@pytest.mark.parametrize("entry", INSTANCE_ENTRIES)
+def test_instance_operands_are_validated_as_one_stack(entry):
+    call, count = INSTANCE_ENTRIES[entry]
+    eye = np.eye(2, dtype=complex)
+    nan = eye.copy()
+    nan[0, 1] = nan[1, 0] = np.nan
+    for slot in range(count + 1):
+        operands = [eye] * (count + 1)
+        operands[slot] = nan
+        with pytest.raises(NotHermitian, match=r"^matrix entries must be finite$"):
+            call(*operands)
+        operands[slot] = np.stack([eye, eye])
+        if slot == 0 or entry != "inverse":  # X may be a stack, A may not
+            with pytest.raises(NotHermitian, match=r"^expected a square matrix"):
+                call(*operands)
+    # a stack-wide sup would scale the unit matrix's tolerance by 1e3 and excuse it
+    skew, big = np.array([[0.5, 1e-9], [0.0, 0.5]], dtype=complex), 1e3 * eye
+    for slot in range(count + 1):
+        operands = [big] * (count + 1)
+        operands[slot] = skew
+        with pytest.raises(NotHermitian, match=r"^hermiticity deviation 1\.000e-09"):
+            call(*operands)
+
+
+def test_operand_shapes_are_refused_before_their_entries():
+    # a wrong-shape direction is named even beside a non-Hermitian A
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        frechet_derivative(SQUARE, skew, np.eye(3))
+    with pytest.raises(NotHermitian):
+        frechet_derivative(SQUARE, skew, np.eye(2))
+
+
+def test_commuting_tuple_of_unequal_shapes_is_dimension_mismatch():
+    mixed = r"^commuting tuple mixes shapes \(2, 2\) and \(3, 3\)$"
+    with pytest.raises(DimensionMismatch, match=mixed):
+        commuting_eigensystem([np.eye(2), np.eye(3)])
+    laws = (
+        FiniteLaw(np.array([0.5, 0.5]), (np.eye(2), 0.5 * np.eye(2))),
+        FiniteLaw(np.array([0.5, 0.5]), (np.eye(3), 0.5 * np.eye(3))),
+    )
+    squares = MultivariateScalarFunction(
+        n=2, fn=lambda x: float(np.sum(x**2)), partial=lambda i, x: float(2 * x[i])
+    )
+    with pytest.raises(DimensionMismatch) as err:
+        check_poincare_commuting(laws, squares)
+    assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match="at least one matrix"):
+        commuting_eigensystem([])
+
+
+def test_commuting_tuple_is_validated_as_one_stack():
+    eye = np.eye(2, dtype=complex)
+    nan = eye.copy()
+    nan[0, 0] = np.nan
+    with pytest.raises(NotHermitian, match=r"^matrix entries must be finite$"):
+        commuting_eigensystem([eye, nan])
+    with pytest.raises(NotHermitian, match=r"^expected a square matrix"):
+        commuting_eigensystem([np.ones(2), np.ones(2)])
+    skew, big = np.array([[0.5, 1e-9], [0.0, 0.5]], dtype=complex), 1e3 * eye
+    with pytest.raises(NotHermitian):
+        commuting_eigensystem([big, skew])
