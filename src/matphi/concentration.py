@@ -24,15 +24,15 @@ from .fourier import (
     uniform_cube_model,
 )
 from .frechet import MultivariateScalarFunction, commuting_eigensystem, multivariate_dd_table, multivariate_apply
-from .linalg import (
-    eigenvalues,
-    hermitian_part,
-    negative_part,
-    normalized_trace,
-    positive_part,
-    spectral_map,
+from .linalg import eigenvalues, hermitian_part, normalized_trace, spectral_map
+from .models import (
+    DiscreteRandomMatrix,
+    FiniteLaw,
+    MatrixInputModel,
+    ProductModel,
+    resampling_plan,
+    weighted_sum,
 )
-from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from .report import CheckReport, relative_tol, verdict
 from .sampling import rng_for
 
@@ -50,24 +50,21 @@ def variance(law: DiscreteRandomMatrix) -> float:
 def efron_stein_forms(model: ProductModel) -> tuple[float, float, float]:
     """The three equivalent enumerated forms of the resampling quantity:
     half replacement square, conditional variance, and positive part.
-    The unordered pair differences D = Z_k - Z_l (k < l) of every input's
-    slices form one stack with one spectrum call; the ordered pairs (k, l)
-    and (l, k) read (D)_+ and (-D)_+ = (D)_- from it. Each input's
-    centered values form a second stack."""
-    d = model.values.shape[-1]
-    diffs, centered = [np.empty((0, d, d))], [np.empty((0, d, d))]
+    The model's resampling plan gathers the unordered pair differences
+    D = Z_k - Z_l (k < l) of every input's slices as one stack with one
+    spectrum call; the ordered pairs (k, l) and (l, k) read (D)_+ and
+    (-D)_+ = (D)_- from it. A second gather stacks every input's slices,
+    each then centered at its mean in place."""
+    plan = resampling_plan(model.sizes)
+    d, joint = model.values.shape[-1], model.joint_size
+    ends = model.values[plan.ends]
+    diff, centered = ends[0] - ends[1], model.values[plan.rows]
     pair_w, center_w = [np.empty(0)], [np.empty(0)]
-    for i in range(model.n):
-        weights, probs, values = model.slices(i)
-        r = np.arange(probs.size)
-        k, l = np.nonzero(r[:, None] < r)
-        diffs.append((values[:, k] - values[:, l]).reshape(-1, d, d))
-        pair_w.append((weights[:, None] * (probs[k] * probs[l])).ravel())
-        flat = values.reshape(*values.shape[:2], d * d)
-        mean = hermitian_part((probs @ flat).reshape(-1, 1, d, d))
-        centered.append((values - mean).reshape(-1, d, d))
-        center_w.append((weights[:, None] * probs).ravel())
-    diff, centered = np.concatenate(diffs), np.concatenate(centered)
+    for i, (law, weights, (k, l)) in enumerate(zip(model.laws, model.rest_weights, plan.pairs)):
+        pair_w.append((weights[:, None] * (law.probs[k] * law.probs[l])).ravel())
+        center_w.append((weights[:, None] * law.probs).ravel())
+        block = centered[i * joint:(i + 1) * joint].reshape(-1, law.size, d, d)
+        block -= hermitian_part(weighted_sum(law.probs, block, 2))[:, None]
     pair_w, center_w = np.concatenate(pair_w), np.concatenate(center_w)
     w = eigenvalues(diff)
     forms = (
@@ -124,29 +121,39 @@ def check_efron_stein(model: ProductModel) -> CheckReport:
 def check_plus_identities(law: DiscreteRandomMatrix, q: int) -> CheckReport:
     """Moment identities splitting |X - E X|^q and |X - Y|^q into their
     positive and negative spectral parts (Y an independent copy), plus the
-    halved-square identity; all verified entrywise by enumeration."""
+    halved-square identity; all verified entrywise by enumeration. Three
+    spectral decompositions serve them: those of X - E X, of E X - X and
+    of the (K, K) stack of pair differences."""
     if q not in (1, 2, 3):
         raise ValueError(f"q must be 1, 2 or 3, got {q}")
+    k, d = law.size, law.d
     centered = law.values - law.mean()
     diff = law.values[:, None] - law.values[None, :]
-    pair_w = np.outer(law.probs, law.probs)
+    pair_w = np.outer(law.probs, law.probs).ravel()
 
-    def abs_q(m):
+    def plus_q(spectra):
+        return np.linalg.matrix_power(hermitian_part(spectra), q)
+
+    def abs_and_plus(m):
         # |m|^q through the spectral absolute value, independent of the
-        # positive/negative split it is compared against
-        return spectral_map(lambda s: np.abs(s) ** q, m)
+        # positive/negative split it is compared against, and (m)_+^q
+        abs_q, plus = spectral_map(lambda s: np.stack([np.abs(s) ** q, np.clip(s, 0.0, None)]), m)
+        return abs_q, plus_q(plus)
 
-    def pow_q(part, m):
-        return np.linalg.matrix_power(part(m), q)
+    def paired(m):
+        return weighted_sum(pair_w, m.reshape(k * k, d, d), 2)
 
-    split = pow_q(positive_part, centered) + pow_q(negative_part, centered)
-    dev1 = float(np.max(np.abs(law.expect(abs_q(centered) - split))))
-    half_abs = 0.5 * np.tensordot(pair_w, abs_q(diff), axes=2)
+    abs_c, plus_c = abs_and_plus(centered)
+    minus_c = plus_q(spectral_map(lambda s: np.clip(s, 0.0, None), -centered))
+    dev1 = float(np.max(np.abs(law.expect(abs_c - (plus_c + minus_c)))))
+    # Z_l - Z_k is exactly -(Z_k - Z_l), so (diff)_- is (diff)_+ with its pair axes swapped
+    abs_d, plus_d = abs_and_plus(diff)
+    half_abs = 0.5 * paired(abs_d)
     dev2 = max(
-        float(np.max(np.abs(half_abs - np.tensordot(pair_w, pow_q(part, diff), axes=2))))
-        for part in (positive_part, negative_part)
+        float(np.max(np.abs(half_abs - paired(part))))
+        for part in (plus_d, plus_d.swapaxes(0, 1))
     )
-    sq = 0.5 * np.tensordot(pair_w, diff @ diff, axes=2)
+    sq = 0.5 * paired(diff @ diff)
     dev3 = float(np.max(np.abs(law.expect(centered @ centered) - sq)))
 
     return verdict(

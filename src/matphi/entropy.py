@@ -25,7 +25,7 @@ from .frechet import (
     inverse_derivative_superoperator,
 )
 from .linalg import _require_hermitian_stack, eigenvalues, hermitian_part
-from .models import DiscreteRandomMatrix, ProductModel
+from .models import DiscreteRandomMatrix, ProductModel, weighted_sum
 from .phifun import PhiFunction, ScalarFunction
 from .report import CheckReport, matrix_to_obj, relative_tol, sweep, verdict
 from .sampling import random_pd, random_psd
@@ -48,7 +48,8 @@ def _phi_entropies(phi: PhiFunction, probs, values, means) -> np.ndarray:
     """tr[E Phi(Z) - Phi(E Z)] of each law over the (..., s, d, d) values
     with probabilities (s,) and means (..., d, d), from one spectrum call."""
     traces = _phi_traces(phi, values, means)
-    return np.tensordot(traces[..., :-1], probs, axes=1) - traces[..., -1]
+    sums = weighted_sum(probs, np.moveaxis(traces[..., :-1], -1, 0), traces.ndim - 1)
+    return sums - traces[..., -1]
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def conditional_phi_entropy(
     phi: PhiFunction, model: ProductModel, i: int
 ) -> ConditionalEntropyTable:
     weights, probs, values = model.slices(i)
-    means = hermitian_part(np.tensordot(probs, values, axes=(0, 1)))
+    means = hermitian_part(weighted_sum(probs, np.moveaxis(values, 1, 0), 3))
     return ConditionalEntropyTable(weights, _phi_entropies(phi, probs, values, means))
 
 
@@ -238,7 +239,7 @@ def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
     # row x_1 of the table is the law of Z(x_1, .); rows weigh by the first input
     weights, probs, rows = model.slices(1)
     cond = conditional_phi_entropy(phi, model, 1).expectation
-    rhs = phi_entropy(phi, DiscreteRandomMatrix(probs, np.tensordot(weights, rows, axes=1)))
+    rhs = phi_entropy(phi, DiscreteRandomMatrix(probs, weighted_sum(weights, rows, 3)))
     return verdict(
         "char-g", rhs - cond, relative_tol(1e-9, cond, rhs), phi=phi.label, n=2,
         details={"lhs": cond, "rhs": rhs},

@@ -31,7 +31,7 @@ from .linalg import (
     spectral_map,
     spectral_tolerance,
 )
-from .models import DiscreteRandomMatrix, require_probabilities
+from .models import DiscreteRandomMatrix, require_probabilities, weighted_sum
 from .phifun import XLOGX, PhiFunction
 from .report import CheckReport, relative_tol, verdict
 from .sampling import BLOCK_ENTRIES, climb, random_density, rng_for
@@ -143,11 +143,8 @@ def _bayes_inverse(mu: np.ndarray, kernel: MarkovKernel) -> tuple[np.ndarray, np
 
 
 def _average_state(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """sum_x p(x) rho_x for (..., k) weights and (..., k, d, d) states, by a
-    matmul on flat states: it rounds each sum as tensordot rounds it alone."""
-    k, d = states.shape[-3:-1]
-    mixed = probs[..., None, :] @ states.reshape(*states.shape[:-3], k, d * d)
-    return hermitian_part(mixed.reshape(*mixed.shape[:-2], d, d))
+    """sum_x p(x) rho_x for (..., k) weights and (..., k, d, d) states."""
+    return hermitian_part(weighted_sum(probs, states, 2))
 
 
 def _evolution_drift(probs, states, pushed, back_rows):
@@ -225,7 +222,7 @@ def _scalar_chi(probs: np.ndarray, f: np.ndarray) -> np.ndarray:
     values = f[..., None, None].astype(complex)
     traces = _phi_traces(XLOGX, values, _average_state(probs, values))
     # one dot per family: tensordot over a stack rounds differently
-    return (traces[..., None, :-1] @ probs[:, None])[..., 0, 0] - traces[..., -1]
+    return weighted_sum(probs, traces[..., :-1], 0) - traces[..., -1]
 
 
 def check_data_processing(ens: CQEnsemble, kernel: MarkovKernel) -> CheckReport:
@@ -384,12 +381,12 @@ def _total_variance(phi: PhiFunction, law: DiscreteRandomMatrix, conditionals, m
     means and the law py of Y. One spectrum call takes the support values, the
     conditional means, the mean of E[Z | Y] and E Z; every term reads its
     traces from it."""
-    outer_mean = hermitian_part(np.tensordot(py, means, axes=1))
+    outer_mean = hermitian_part(weighted_sum(py, means, 2))
     traces = _phi_traces(phi, np.concatenate([law.values, means, outer_mean[None]]), law.mean())
-    total = float(np.tensordot(traces[:law.size], law.probs, axes=1) - traces[-1])
-    conditional = [float(np.tensordot(traces[idx], q, axes=1) - mean_trace)
+    total = float(weighted_sum(law.probs, traces[:law.size], 0) - traces[-1])
+    conditional = [float(weighted_sum(q, traces[idx], 0) - mean_trace)
                    for (idx, q), mean_trace in zip(conditionals, traces[law.size:])]
-    return total, conditional, float(np.tensordot(traces[law.size:-2], py, axes=1) - traces[-2])
+    return total, conditional, float(weighted_sum(py, traces[law.size:-2], 0) - traces[-2])
 
 
 def check_law_total_variance(
@@ -408,7 +405,7 @@ def check_law_total_variance(
     groups = [[k for k, lab in enumerate(labels) if lab == y] for y in uniq]
     py = [float(law.probs[idx].sum()) for idx in groups]
     conditionals = [(idx, law.probs[idx] / p) for idx, p in zip(groups, py)]
-    means = np.stack([hermitian_part(np.tensordot(q, law.values[idx], axes=1))
+    means = np.stack([hermitian_part(weighted_sum(q, law.values[idx], 2))
                       for idx, q in conditionals])
     total, entropies, outer = _total_variance(phi, law, conditionals, means, np.array(py))
     cond_term = sum(p * h for p, h in zip(py, entropies))

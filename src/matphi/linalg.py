@@ -53,7 +53,9 @@ def eigenvalues(a) -> np.ndarray:
 
 def spectral_map(fn: Callable[[np.ndarray], np.ndarray], a) -> np.ndarray:
     """U diag(fn(w)) U† for each matrix A = U diag(w) U† of a Hermitian
-    (..., d, d) stack; the result is not hermitized."""
+    (..., d, d) stack; the result is not hermitized. An fn that returns m
+    spectra stacked as (m, ..., d) gets all m maps, (m, ..., d, d), from
+    one decomposition."""
     w, u = np.linalg.eigh(a)
     fw = np.asarray(fn(w), dtype=float)
     return (u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2)
@@ -86,14 +88,6 @@ def _require_hermitian_stack(a) -> np.ndarray:
             f"hermiticity deviation {dev.flat[k]:.3e} exceeds tolerance {tol.flat[k]:.3e}"
         )
     return 0.5 * (a + ah)  # hermitian_part(a), from the transpose taken once
-
-
-def require_hermitian(a) -> np.ndarray:
-    """Validate and return the (exactly) hermitized copy of ``a``."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
-    return _require_hermitian_stack(a)
 
 
 @dataclass(frozen=True)
@@ -168,8 +162,3 @@ def positive_part(a) -> np.ndarray:
     """Spectral projection onto nonnegative eigenvalues, (A)_+, of a
     Hermitian matrix or of each matrix of a (..., d, d) stack."""
     return apply_standard_function(lambda w: np.clip(w, 0.0, None), a)
-
-
-def negative_part(a) -> np.ndarray:
-    """(A)_- = (-A)_+, so that A = (A)_+ - (A)_-, matrix by matrix."""
-    return positive_part(-np.asarray(a, dtype=complex))

@@ -6,6 +6,7 @@ model is guarded so nothing above desk scale is attempted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -17,6 +18,21 @@ from .errors import DimensionMismatch, EnumerationTooLarge
 from .linalg import UNIT_INTERVAL, _require_hermitian_stack, eigenvalues, hermitian_part
 
 MAX_ENUMERATION = 10**6
+PLAN_CACHE_BYTES = 2**18  # resampling plans above this are built per call, never kept
+PLAN_CACHE_SIZE = 32  # so the kept plans hold at most 8 MiB of indices
+
+
+def weighted_sum(weights: np.ndarray, stack: np.ndarray, item: int) -> np.ndarray:
+    """sum_k weights[..., k] stack[..., k, ...] for (..., K) weights and a
+    stack whose last ``item`` axes hold one summand and whose K axis comes
+    just before them; the leading axes broadcast. One matmul on the
+    flattened summands makes the BLAS call that np.tensordot(row, stack,
+    axes=1) makes for each row of weights, so on a stack of the same
+    memory layout it rounds each sum as tensordot does, without
+    tensordot's overhead."""
+    lead, shape = stack.shape[:stack.ndim - item], stack.shape[stack.ndim - item:]
+    mixed = weights[..., None, :] @ stack.reshape(lead + (math.prod(shape),))
+    return mixed.reshape(mixed.shape[:-2] + shape)
 
 
 def require_probabilities(probs, what: str, positive: bool = True) -> np.ndarray:
@@ -75,7 +91,8 @@ class DiscreteRandomMatrix:
 
     def expect(self, stack) -> np.ndarray:
         """sum_k p_k stack[k] over a (K, ...) stack of per-value quantities."""
-        return np.tensordot(self.probs, stack, axes=1)
+        stack = np.asarray(stack)
+        return weighted_sum(self.probs, stack, stack.ndim - 1)
 
 
 @dataclass(frozen=True)
@@ -110,6 +127,48 @@ def _require_enumerable(laws: Sequence[FiniteLaw]) -> tuple[FiniteLaw, ...]:
     if size > MAX_ENUMERATION:
         raise EnumerationTooLarge(f"joint support size {size} exceeds {MAX_ENUMERATION}")
     return laws
+
+
+@dataclass(frozen=True)
+class ResamplingPlan:
+    """Joint-table indices shared by every product model with one tuple of
+    input sizes (mixed radix, first input slowest). ``rows`` holds, input
+    after input, joint-size indices that list the input's (rest, s_i)
+    slices row-major, as ``slices`` lays them out; ``pairs[i]`` holds the
+    ends k < l of the i-th input's pairs within a slice, row-major; ``ends``
+    holds the (2, P) table indices of both ends of every slice's pairs,
+    input after input."""
+
+    rows: np.ndarray
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    ends: np.ndarray
+
+
+def _build_plan(sizes: tuple[int, ...]) -> ResamplingPlan:
+    table = np.arange(math.prod(sizes)).reshape(sizes)
+    cuts = [np.moveaxis(table, i, -1).reshape(-1, s) for i, s in enumerate(sizes)]
+    pairs = tuple(np.triu_indices(s, 1) for s in sizes)
+    rows = np.concatenate([np.empty(0, dtype=np.intp)] + [cut.ravel() for cut in cuts])
+    ends = np.concatenate(
+        [np.empty((2, 0), dtype=np.intp)]
+        + [np.stack([cut[:, k].ravel(), cut[:, l].ravel()]) for cut, (k, l) in zip(cuts, pairs)],
+        axis=1,
+    )
+    for a in (rows, ends, *(end for pair in pairs for end in pair)):
+        a.flags.writeable = False  # shared by every model of these sizes
+    return ResamplingPlan(rows, pairs, ends)
+
+
+_cached_plan = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(_build_plan)
+
+
+def resampling_plan(sizes: tuple[int, ...]) -> ResamplingPlan:
+    """The plan of these input sizes. It holds joint * sum(sizes) indices
+    (each input's rows and each pair's two ends); one of at most
+    PLAN_CACHE_BYTES is kept for the next model of the same sizes."""
+    if math.prod(sizes) * sum(sizes) * np.dtype(np.intp).itemsize > PLAN_CACHE_BYTES:
+        return _build_plan(sizes)
+    return _cached_plan(sizes)
 
 
 def _tabulate(laws: Sequence[FiniteLaw], evaluator: Callable[[tuple], np.ndarray]):
@@ -159,8 +218,29 @@ class ProductModel:
         return len(self.laws)
 
     @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(law.size for law in self.laws)
+
+    @property
     def joint_size(self) -> int:
-        return math.prod(law.size for law in self.laws)
+        return math.prod(self.sizes)
+
+    @functools.cached_property
+    def rest_weights(self) -> tuple[np.ndarray, ...]:
+        """For each input, the probabilities of the other inputs' joint
+        assignments (first input slowest), multiplied left to right: the
+        outer products of the earlier inputs are shared, then each goes on
+        over the later ones."""
+        weights, prefix = [], np.ones(())
+        for i, law in enumerate(self.laws):
+            w = prefix
+            for later in self.laws[i + 1:]:
+                w = np.multiply.outer(w, later.probs)
+            w = w.ravel()
+            w.flags.writeable = False
+            weights.append(w)
+            prefix = np.multiply.outer(prefix, law.probs)
+        return tuple(weights)
 
     def iter_joint(self) -> Iterator[tuple[float, tuple]]:
         """(probability, outcome tuple) of each joint outcome in table order;
@@ -176,12 +256,10 @@ class ProductModel:
         Z as the i-th input varies with the others pinned."""
         if not 0 <= i < self.n:
             raise IndexError(f"input index {i} out of range for n={self.n}")
-        weights = np.ones(())
-        for law in self.laws[:i] + self.laws[i + 1:]:
-            weights = np.multiply.outer(weights, law.probs)
-        table = self.values.reshape(*(law.size for law in self.laws), *self.values.shape[1:])
-        table = np.moveaxis(table, i, self.n - 1)
-        return weights.ravel(), self.laws[i].probs, table.reshape(-1, *table.shape[self.n - 1:])
+        # the moveaxis view, not a gather: BLAS rounds the callers' sums over
+        # these values by their memory layout
+        table = np.moveaxis(self.values.reshape(*self.sizes, *self.values.shape[1:]), i, self.n - 1)
+        return self.rest_weights[i], self.laws[i].probs, table.reshape(-1, *table.shape[self.n - 1:])
 
     def to_law(self) -> DiscreteRandomMatrix:
         return self._law

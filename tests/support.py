@@ -2,9 +2,11 @@
 
 import numpy as np
 
+from matphi.errors import NotHermitian
 from matphi.fourier import MatrixBooleanFunction
 from matphi.holevo import CQEnsemble, MarkovKernel, _average_state, _bayes_inverse
-from matphi.models import DiscreteRandomMatrix
+from matphi.linalg import _require_hermitian_stack, positive_part
+from matphi.models import DiscreteRandomMatrix, ProductModel
 from matphi.phifun import PhiFunction
 from matphi.sampling import random_complex_gaussian
 
@@ -44,3 +46,28 @@ def average_state(ens: CQEnsemble) -> np.ndarray:
 def backward_channel(mu: np.ndarray, kernel: MarkovKernel) -> MarkovKernel:
     """Bayes inverse K*(x|y) = K(y|x) mu(x) / (mu K)(y), rows indexed by y."""
     return MarkovKernel(_bayes_inverse(mu, kernel)[1])
+
+
+def require_hermitian(a) -> np.ndarray:
+    """Validate and return the (exactly) hermitized copy of one matrix ``a``."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
+    return _require_hermitian_stack(a)
+
+
+def negative_part(a) -> np.ndarray:
+    """(A)_- = (-A)_+, so that A = (A)_+ - (A)_-, matrix by matrix."""
+    return positive_part(-np.asarray(a, dtype=complex))
+
+
+def moveaxis_slices(model: ProductModel, i: int):
+    """ProductModel.slices computed afresh: the other inputs' weights
+    multiplied one input at a time, and the table's own moveaxis view or
+    copy."""
+    weights = np.ones(())
+    for law in model.laws[:i] + model.laws[i + 1:]:
+        weights = np.multiply.outer(weights, law.probs)
+    table = model.values.reshape(*model.sizes, *model.values.shape[1:])
+    table = np.moveaxis(table, i, model.n - 1)
+    return weights.ravel(), model.laws[i].probs, table.reshape(-1, *table.shape[model.n - 1:])

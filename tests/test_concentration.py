@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.linalg import matrix_power
 
-from matphi import concentration, frechet, suites
+from matphi import concentration, frechet, linalg, suites
 from matphi.concentration import (
     FD_STEP,
     MC_BATCHES,
@@ -31,7 +31,7 @@ from matphi.entropy import check_subadditivity, phi_entropy
 from matphi.errors import DomainError, MatPhiError, SeparateConvexityViolated
 from matphi.fourier import check_log_sobolev, check_phi_sobolev
 from matphi.frechet import MultivariateScalarFunction, multivariate_dd_table
-from matphi.linalg import hermitian_part, normalized_trace, positive_part
+from matphi.linalg import eigenvalues, hermitian_part, normalized_trace, positive_part, spectral_map
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from matphi.phifun import PhiFunction
 from matphi.report import relative_tol
@@ -47,7 +47,7 @@ from matphi.sampling import (
     rng_for,
 )
 from matphi.suites import _ks_statistic
-from support import SQUARE, constant_function, law_from_scalars
+from support import SQUARE, constant_function, law_from_scalars, moveaxis_slices, negative_part
 
 
 def _rademacher_model(n, fn):
@@ -207,6 +207,116 @@ def test_plus_identities_random_all_q():
         law = random_law(rng, 3, 2, psd=False)
         for q in (1, 2, 3):
             assert check_plus_identities(law, q).passed
+
+
+def _plus_identities_six_spectra(law, q):
+    """check_plus_identities' deviations with one validated decomposition
+    per part: |M|^q, (M)_+ and (M)_- = (-M)_+ of the centered values and
+    of the (K, K) pair differences, summed by np.tensordot."""
+    centered = law.values - law.mean()
+    diff = law.values[:, None] - law.values[None, :]
+    pair_w = np.outer(law.probs, law.probs)
+
+    def abs_q(m):
+        return spectral_map(lambda s: np.abs(s) ** q, m)
+
+    def pow_q(part, m):
+        return matrix_power(part(m), q)
+
+    split = pow_q(positive_part, centered) + pow_q(negative_part, centered)
+    dev1 = float(np.max(np.abs(np.tensordot(law.probs, abs_q(centered) - split, axes=1))))
+    half_abs = 0.5 * np.tensordot(pair_w, abs_q(diff), axes=2)
+    dev2 = max(
+        float(np.max(np.abs(half_abs - np.tensordot(pair_w, pow_q(part, diff), axes=2))))
+        for part in (positive_part, negative_part)
+    )
+    sq = 0.5 * np.tensordot(pair_w, diff @ diff, axes=2)
+    dev3 = float(np.max(np.abs(np.tensordot(law.probs, centered @ centered, axes=1) - sq)))
+    return {"centered": dev1, "paired": dev2, "halved_square": dev3}
+
+
+def _plus_law(trial):
+    """PSD and indefinite laws of 1 to 5 values at d = 1 to 4; every
+    seventh repeats a value and has zero off-diagonal entries."""
+    rng = rng_for(32, "plus-reference", trial)
+    k, d = 1 + trial % 5, 1 + (trial // 5) % 4
+    values = (random_psd if trial % 2 else random_hermitian)(rng, d, (k,))
+    if trial % 7 == 0:
+        values = np.stack([np.diag(np.diag(v).real) for v in values]).astype(complex)
+        values[-1] = values[0]
+    return DiscreteRandomMatrix(random_probability_vector(rng, k), values)
+
+
+def test_plus_identities_equal_the_six_spectrum_reference():
+    # 1,200 seeded laws, q = 1, 2, 3 in turn: three decompositions give
+    # the bits of six
+    for trial in range(1200):
+        law, q = _plus_law(trial), 1 + trial % 3
+        rep = check_plus_identities(law, q)
+        want = _plus_identities_six_spectra(law, q)
+        got = {key: rep.details[key] for key in want}
+        assert repr(got) == repr(want), (trial, got, want)
+
+
+def test_plus_identities_make_three_decompositions_and_no_validation(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def refused(a):
+        raise AssertionError("the law's values were validated at construction")
+
+    law = _plus_law(3)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(linalg, "_require_hermitian_stack", refused)
+    check_plus_identities(law, 2)
+    k, d = law.size, law.d
+    assert calls == [(k, d, d), (k, d, d), (k, k, d, d)]
+
+
+def _efron_stein_forms_by_slices(model):
+    """efron_stein_forms from each input's slices as they were computed
+    per call, one input after another into the pair-difference and
+    centered stacks."""
+    d = model.values.shape[-1]
+    diffs, centered = [np.empty((0, d, d))], [np.empty((0, d, d))]
+    pair_w, center_w = [np.empty(0)], [np.empty(0)]
+    for i in range(model.n):
+        weights, probs, values = moveaxis_slices(model, i)
+        r = np.arange(probs.size)
+        k, l = np.nonzero(r[:, None] < r)
+        diffs.append((values[:, k] - values[:, l]).reshape(-1, d, d))
+        pair_w.append((weights[:, None] * (probs[k] * probs[l])).ravel())
+        flat = values.reshape(*values.shape[:2], d * d)
+        mean = hermitian_part((probs @ flat).reshape(-1, 1, d, d))
+        centered.append((values - mean).reshape(-1, d, d))
+        center_w.append((weights[:, None] * probs).ravel())
+    diff, centered = np.concatenate(diffs), np.concatenate(centered)
+    pair_w, center_w = np.concatenate(pair_w), np.concatenate(center_w)
+    w = eigenvalues(diff)
+    forms = (
+        pair_w @ np.einsum("rij,rji->r", diff, diff).real,
+        center_w @ np.einsum("rij,rji->r", centered, centered).real,
+        pair_w @ np.sum(np.maximum(w, 0.0) ** 2 + np.minimum(w, 0.0) ** 2, axis=-1),
+    )
+    return tuple(float(x) / d for x in forms)
+
+
+def test_efron_stein_forms_equal_the_slices_reference():
+    # 1,200 seeded models: n = 0 to 5 inputs of mixed arities 1 to 4 (size-1
+    # inputs included), PSD and indefinite tables at d = 1 to 4
+    for trial in range(1200):
+        rng = rng_for(32, "efron-plan-reference", trial)
+        arities = tuple(int(a) for a in rng.integers(1, 5, trial % 6))
+        d = 1 + (trial // 6) % 4
+        laws = [FiniteLaw(random_probability_vector(rng, a), tuple(range(a))) for a in arities]
+        values = (random_psd if trial % 2 else random_hermitian)(rng, d, (math.prod(arities),))
+        model = ProductModel(laws, values)
+        got, want = efron_stein_forms(model), _efron_stein_forms_by_slices(model)
+        assert repr(got) == repr(want), (trial, arities, d)
 
 
 def _contraction(rng, d):

@@ -23,18 +23,16 @@ from matphi.linalg import (
     apply_standard_function,
     eigenvalues,
     hermitian_part,
-    negative_part,
     normalized_trace,
     positive_part,
     psd_power,
-    require_hermitian,
     schatten_norm,
     spectral_map,
 )
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel
 from matphi.phifun import PhiFunction, ScalarFunction
 from matphi.sampling import random_hermitian, random_psd, rng_for
-from support import constant_function, random_unitary
+from support import constant_function, negative_part, random_unitary, require_hermitian
 
 SQRT = ScalarFunction("sqrt", np.sqrt, domain=NONNEGATIVE)
 

@@ -1,6 +1,7 @@
 """Product models: the joint table of Z, guarded and validated once when
 the model is built."""
 
+import functools
 import itertools
 import math
 
@@ -9,8 +10,24 @@ import pytest
 
 from matphi.errors import DimensionMismatch, EnumerationTooLarge, NotHermitian
 from matphi.fourier import MatrixBooleanFunction, uniform_cube_model
-from matphi.models import MAX_ENUMERATION, FiniteLaw, MatrixInputModel, ProductModel
-from matphi.sampling import random_boolean_function, random_product_model, rng_for
+from matphi import models
+from matphi.models import (
+    MAX_ENUMERATION,
+    PLAN_CACHE_BYTES,
+    FiniteLaw,
+    MatrixInputModel,
+    ProductModel,
+    resampling_plan,
+    weighted_sum,
+)
+from matphi.sampling import (
+    random_boolean_function,
+    random_hermitian,
+    random_probability_vector,
+    random_product_model,
+    rng_for,
+)
+from support import moveaxis_slices
 
 BITS = FiniteLaw.uniform((0, 1))
 
@@ -77,3 +94,109 @@ def test_uniform_cube_model_is_the_bit_reversed_table(n):
     f = MatrixBooleanFunction(n, table)
     reversed_index = [int(format(k, f"0{n}b")[::-1], 2) if n else 0 for k in range(2**n)]
     assert uniform_cube_model(f).to_law().values.tobytes() == f.table[reversed_index].tobytes()
+
+
+def _draws(rng, shape):
+    """A real and a complex stack of the given shape."""
+    real = rng.standard_normal(shape)
+    return real, real + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_weighted_sum_is_byte_equal_to_tensordot(d):
+    # every layout a converted call site hands the kernel, real weights over
+    # real and over complex stacks: expect and the average states (K, d, d),
+    # the pair sums (K, K, d, d), the conditional means and char-g's row mix
+    # (rest, s, d, d) over the slice axis and the rest axis, and the trace
+    # sums with the weights on the right of one (s,) or (rest, s) table
+    for k in range(1, 71):
+        rng = rng_for(32, "weighted-sum", 100 * d + k)
+        probs = random_probability_vector(rng, k)
+        pair_w = np.outer(probs, probs)
+        rest = 1 + k % 7
+        cases = []
+        for stack in _draws(rng, (k, d, d)):
+            cases.append((weighted_sum(probs, stack, 2), np.tensordot(probs, stack, axes=1)))
+        for stack in _draws(rng, (k, k, d, d)):
+            cases.append((
+                weighted_sum(pair_w.ravel(), stack.reshape(k * k, d, d), 2),
+                np.tensordot(pair_w, stack, axes=2),
+            ))
+            swapped = stack.swapaxes(0, 1)
+            cases.append((
+                weighted_sum(pair_w.ravel(), swapped.reshape(k * k, d, d), 2),
+                np.tensordot(pair_w, swapped, axes=2),
+            ))
+        for stack in _draws(rng, (rest, k, d, d)):
+            cases.append((
+                weighted_sum(probs, np.moveaxis(stack, 1, 0), 3),
+                np.tensordot(probs, stack, axes=(0, 1)),
+            ))
+            weights = random_probability_vector(rng, rest)
+            cases.append((weighted_sum(weights, stack, 3), np.tensordot(weights, stack, axes=1)))
+        for traces in (rng.standard_normal(k + 1), rng.standard_normal((rest * d, k + 1))):
+            cases.append((
+                weighted_sum(probs, np.moveaxis(traces[..., :-1], -1, 0), traces.ndim - 1),
+                np.tensordot(traces[..., :-1], probs, axes=1),
+            ))
+        for got, want in cases:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (k, d, got.shape)
+
+
+def test_weighted_sum_broadcasts_rows_of_weights():
+    # a (rows, K) weight table over a (batch, 1, K, d, d) stack: each row
+    # of each batch is its own one-row sum, as the evolved states take it
+    rng = rng_for(32, "weighted-sum-rows", 0)
+    rows = np.stack([random_probability_vector(rng, 4) for _ in range(3)])
+    states = random_hermitian(rng, 2, (5, 4))
+    mixed = weighted_sum(rows, states[:, None], 2)
+    assert mixed.shape == (5, 3, 2, 2)
+    for b in range(5):
+        for r in range(3):
+            assert mixed[b, r].tobytes() == weighted_sum(rows[r], states[b], 2).tobytes()
+
+
+def _mixed_arity_models():
+    for trial in range(60):
+        rng = rng_for(32, "plan-models", trial)
+        arities = tuple(int(a) for a in rng.integers(1, 5, trial % 6))
+        laws = [FiniteLaw(random_probability_vector(rng, a), tuple(range(a))) for a in arities]
+        yield ProductModel(laws, random_hermitian(rng, 1 + trial % 3, (math.prod(arities),)))
+
+
+def test_slices_and_the_plan_keep_the_moveaxis_layout():
+    # the cached weights are the per-call products, the values the moveaxis
+    # view itself (its strides too), and the plan gathers the same slices
+    for model in _mixed_arity_models():
+        plan = resampling_plan(model.sizes)
+        assert plan.rows.size == model.n * model.joint_size
+        ends = []
+        for i, law in enumerate(model.laws):
+            want = moveaxis_slices(model, i)
+            got = model.slices(i)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes() and a.strides == b.strides
+            cut = plan.rows[i * model.joint_size:(i + 1) * model.joint_size].reshape(-1, law.size)
+            assert model.values[cut].tobytes() == want[2].tobytes()
+            k, l = plan.pairs[i]
+            assert [(int(a), int(b)) for a, b in zip(k, l)] == list(
+                itertools.combinations(range(law.size), 2)
+            )
+            ends.append(np.stack([cut[:, k].ravel(), cut[:, l].ravel()]))
+        assert np.array_equal(plan.ends, np.concatenate([np.empty((2, 0), int)] + ends, axis=1))
+
+
+def test_plans_are_kept_per_sizes_up_to_the_byte_bound(monkeypatch):
+    monkeypatch.setattr(models, "_cached_plan", functools.lru_cache(maxsize=4)(models._build_plan))
+    small = resampling_plan((2, 3, 1))
+    assert resampling_plan((2, 3, 1)) is small
+    assert not small.rows.flags.writeable and not small.ends.flags.writeable
+    # 2^13 fair bits hold 2^13 * 26 indices, more than the bound: built per call
+    bits = (2,) * 13
+    assert 2**13 * 26 * np.dtype(np.intp).itemsize > PLAN_CACHE_BYTES
+    assert resampling_plan(bits) is not resampling_plan(bits)
+    assert models._cached_plan.cache_info().currsize == 1
+    for arity in range(2, 8):
+        resampling_plan((arity,))
+    assert models._cached_plan.cache_info().currsize == 4
