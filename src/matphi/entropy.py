@@ -9,6 +9,7 @@ witnesses for the out-of-class cube control.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -16,37 +17,56 @@ import numpy as np
 from .errors import DomainError, NotHermitian
 from .frechet import (
     _in_turn,
+    _inverse_superoperator,
     _inverse_table,
     _operands,
     _schur,
     _second,
     dd1_table,
     dd2_table,
-    inverse_derivative_superoperator,
 )
-from .linalg import _require_hermitian_stack, eigenvalues, hermitian_part
+from .linalg import (
+    _require_hermitian_stack,
+    eigenvalues,
+    frobenius_norm,
+    hermitian_part,
+    spectral_map,
+)
 from .models import DiscreteRandomMatrix, ProductModel, weighted_sum
 from .phifun import PhiFunction, ScalarFunction
-from .report import CheckReport, matrix_to_obj, relative_tol, sweep, verdict
+from .report import CheckReport, matrix_to_obj, relative_tol, stacked_sweep, sweep, verdict
 from .sampling import random_pd, random_psd
 
 
 def phi_entropy(phi: PhiFunction, law: DiscreteRandomMatrix) -> float:
     """tr[E Phi(Z) - Phi(E Z)]; nonnegative for convex Phi, zero on
     single-point laws."""
-    return float(_phi_entropies(phi, law.probs, law.values, law.mean()))
+    return float(_law_entropies(phi, law.probs, law.values))
 
 
 def _phi_traces(phi: PhiFunction, values, means) -> np.ndarray:
-    """tr Phi of each (..., s, d, d) value, then of the (..., d, d) mean: (..., s + 1)."""
+    """tr Phi of each (..., s, d, d) value, then of the (..., d, d) mean:
+    (..., s + 1). Each law, its values and mean, is admitted in turn."""
     scalar = phi.scalar()
-    w = scalar.admit(eigenvalues(np.concatenate([values, means[..., None, :, :]], axis=-3)))
+    spectra = eigenvalues(np.concatenate([values, means[..., None, :, :]], axis=-3))
+    w = _in_turn(scalar.admit, spectra, 2)
     return scalar.fn(w).sum(axis=-1) / w.shape[-1]  # np.mean's arithmetic, without its overhead
+
+
+def _law_entropies(phi: PhiFunction, probs, values) -> np.ndarray:
+    """phi_entropy of each law of a stack, with probabilities (..., s) and
+    values (..., s, d, d): one weighted sum per law, so each rounds as it
+    does alone."""
+    means = hermitian_part(weighted_sum(probs, values, 2))
+    traces = _phi_traces(phi, values, means)
+    return weighted_sum(probs, traces[..., :-1], 0) - traces[..., -1]
 
 
 def _phi_entropies(phi: PhiFunction, probs, values, means) -> np.ndarray:
     """tr[E Phi(Z) - Phi(E Z)] of each law over the (..., s, d, d) values
-    with probabilities (s,) and means (..., d, d), from one spectrum call."""
+    with probabilities (s,) and means (..., d, d), from one spectrum call;
+    one weighted sum over the moved law axis serves all laws (unlike
+    ``_law_entropies``, one per law)."""
     traces = _phi_traces(phi, values, means)
     sums = weighted_sum(probs, np.moveaxis(traces[..., :-1], -1, 0), traces.ndim - 1)
     return sums - traces[..., -1]
@@ -97,15 +117,40 @@ def bregman_maps(phi: PhiFunction, u, v) -> tuple[float, float, float]:
     pair = np.stack([u, v])
     if pair.ndim != 3:
         raise NotHermitian(f"expected two square matrices, got shape {pair.shape[1:]}")
-    u, v = _require_hermitian_stack(pair)
+    return tuple(map(float, _bregman_values(phi, *_require_hermitian_stack(pair))))
+
+
+def _bregman_values(phi: PhiFunction, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C) of ``bregman_maps`` for each pair of two validated
+    (..., d, d) stacks u, v, three (...) arrays; the pairs are refused in
+    turn."""
     scalar, psi = phi.scalar(), phi.psi()
-    w, q = np.linalg.eigh(np.stack([u, u + v]))
-    phi_w, w = scalar.fn(scalar.admit(w)), psi.admit(w)
-    rotated = q.conj().swapaxes(-1, -2) @ v @ q
+    w, q = np.linalg.eigh(np.stack([u, u + v], axis=-3))
+    phi_w, w = _in_turn(lambda w: (scalar.fn(scalar.admit(w)), psi.admit(w)), w, 2)
+    rotated = q.conj().swapaxes(-1, -2) @ v[..., None, :, :] @ q
     first = (psi.fn(w) * rotated.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
-    a_val = phi_w[1].sum() - phi_w[0].sum() - first[0]
-    c_val = (dd1_table(psi, w[0]) * np.abs(rotated[0]) ** 2).sum()
-    return float(a_val), float(first[1] - first[0]), float(c_val)
+    traces = phi_w.sum(axis=-1)
+    c_val = (dd1_table(psi, w[..., 0, :]) * np.abs(rotated[..., 0, :, :]) ** 2).sum(axis=(-2, -1))
+    return traces[..., 1] - traces[..., 0] - first[..., 0], first[..., 1] - first[..., 0], c_val
+
+
+def _mix(t, x, y):
+    """t x + (1 - t) y, of floats or of broadcasting arrays."""
+    return t * x + (1.0 - t) * y
+
+
+def _convexity_gap(t, ends, mixed):
+    """(gap, tol) of joint-convexity probes at weights t: the map at the
+    mixed arguments against its two end values mixed, of floats or of
+    broadcasting arrays."""
+    lhs = _mix(t, *ends)
+    return mixed - lhs, relative_tol(1e-8, lhs, mixed)
+
+
+def _pair_witness(t, pairs) -> dict:
+    (u1, v1), (u2, v2) = pairs
+    return {"t": float(t), "u1": matrix_to_obj(u1), "v1": matrix_to_obj(v1),
+            "u2": matrix_to_obj(u2), "v2": matrix_to_obj(v2)}
 
 
 def joint_convexity_probes(
@@ -120,15 +165,39 @@ def joint_convexity_probes(
     ends = map_fn(u1, v1), map_fn(u2, v2)
     probes = []
     for t in (0.5, float(rng.uniform(0.05, 0.95))):
-        lhs = t * ends[0] + (1.0 - t) * ends[1]
-        rhs = map_fn(t * u1 + (1 - t) * u2, t * v1 + (1 - t) * v2)
-        gap, probe_tol = rhs - lhs, relative_tol(1e-8, lhs, rhs)
-        witness = None
-        if gap > probe_tol:
-            witness = {"t": t, "u1": matrix_to_obj(u1), "v1": matrix_to_obj(v1),
-                       "u2": matrix_to_obj(u2), "v2": matrix_to_obj(v2)}
-        probes.append((gap, probe_tol, witness))
+        gap, probe_tol = _convexity_gap(t, ends, map_fn(_mix(t, u1, u2), _mix(t, v1, v2)))
+        probes.append((gap, probe_tol, _pair_witness(t, pairs) if gap > probe_tol else None))
     return probes
+
+
+def convexity_draw(pairs, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """A trial of ``convexity_judge``: the argument pairs as one (2, 2, d,
+    d) array and the mixing weight that joint_convexity_probes draws."""
+    return np.asarray(pairs), float(rng.uniform(0.05, 0.95))
+
+
+def convexity_judge(map_values: Callable, pairs: np.ndarray, weight: np.ndarray):
+    """joint_convexity_probes of T trials at once, as a stacked sweep's
+    judge: pairs (T, 2, 2, d, d) and weights (T,) are the trials'
+    ``convexity_draw``s, and map_values maps (T, 4, d, d) stacks u, v to
+    the (T, 4) values of the map at both ends, then at both mixes, the
+    order the probes call it in."""
+    t = np.stack([np.full(len(weight), 0.5), weight], axis=-1)
+    mixed = _mix(t[..., None, None, None], pairs[:, :1], pairs[:, 1:])
+    args = np.concatenate([pairs, mixed], axis=1)
+    values = map_values(args[:, :, 0], args[:, :, 1])
+    gap, tol = _convexity_gap(t, (values[:, :1], values[:, 1:2]), values[:, 2:])
+
+    def witness(trial, probe):
+        if gap[trial, probe] > tol[trial, probe]:
+            return _pair_witness(t[trial, probe], pairs[trial])
+        return None
+
+    return gap, tol, witness
+
+
+def _no_witness(trial, probe):
+    return None
 
 
 def check_joint_convexity(
@@ -147,21 +216,45 @@ def check_joint_convexity(
     )
 
 
+def char_a_draw(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positive-definite pair (a, b) of one midpoint-concavity probe."""
+    return random_pd(rng, d), random_pd(rng, d)
+
+
+def char_a_judge(psi: ScalarFunction, a: np.ndarray, b: np.ndarray):
+    """Midpoint-concavity probes of X -> (D Psi[X])^{-1} at T pairs, the
+    (T, d, d) stacks a and b, as a stacked sweep's judge: the least
+    eigenvalue of the superoperator at the midpoint minus the mean of
+    those at the ends, against 1e-8 relative to the largest of their
+    norms. The matrices a, b, (a + b) / 2 of each pair are refused in
+    turn."""
+    d = a.shape[-1]
+    stack = np.stack([a, b, 0.5 * (a + b)], axis=1).reshape(-1, d, d)
+    inv = _inverse_superoperator(psi, stack).reshape(len(a), 3, d * d, d * d)
+    lam = eigenvalues(hermitian_part(inv[:, 2] - 0.5 * (inv[:, 0] + inv[:, 1])))[:, :1]
+    probe_tol = relative_tol(1e-8, frobenius_norm(inv).max(axis=-1, keepdims=True))
+
+    def witness(trial, probe):
+        if -lam[trial, 0] > probe_tol[trial, 0]:
+            return {"min_eigenvalue": float(lam[trial, 0]), "a": matrix_to_obj(a[trial]),
+                    "b": matrix_to_obj(b[trial])}
+        return None
+
+    return -lam, probe_tol, witness
+
+
+def char_a_entries(d: int) -> int:
+    """Complex entries of one char-a trial's superoperators."""
+    return 3 * d**4
+
+
 def char_a_probe(
     psi: ScalarFunction, d: int, rng: np.random.Generator
 ) -> tuple[float, float, dict | None]:
     """One midpoint-concavity probe of X -> (D Psi[X])^{-1} at a sampled
     positive-definite pair, as a ``(gap, tol, witness)`` triple."""
-    a = random_pd(rng, d)
-    b = random_pd(rng, d)
-    inv = inverse_derivative_superoperator(psi, np.stack([a, b, 0.5 * (a + b)]))
-    diff = hermitian_part(inv[2] - 0.5 * (inv[0] + inv[1]))
-    lam = float(eigenvalues(diff)[0])
-    probe_tol = relative_tol(1e-8, max(float(np.linalg.norm(m)) for m in inv))
-    witness = None
-    if -lam > probe_tol:
-        witness = {"min_eigenvalue": lam, "a": matrix_to_obj(a), "b": matrix_to_obj(b)}
-    return -lam, probe_tol, witness
+    gap, probe_tol, witness = char_a_judge(psi, *(m[None] for m in char_a_draw(rng, d)))
+    return float(gap[0, 0]), float(probe_tol[0, 0]), witness(0, 0)
 
 
 def check_char_a(phi: PhiFunction, trials: int, d: int, seed: int = 0) -> CheckReport:
@@ -170,9 +263,9 @@ def check_char_a(phi: PhiFunction, trials: int, d: int, seed: int = 0) -> CheckR
     if phi.is_affine:
         raise DomainError("the concavity characterization needs a non-affine generator")
     psi = phi.psi()
-    return sweep(
-        "char-a", lambda rng, trial: char_a_probe(psi, d, rng), trials, seed,
-        phi=phi.label, d=d,
+    return stacked_sweep(
+        "char-a", lambda rng, trial: char_a_draw(rng, d), partial(char_a_judge, psi), trials,
+        seed, entries=char_a_entries(d), phi=phi.label, d=d,
     )
 
 
@@ -201,22 +294,53 @@ def check_char_e(phi: PhiFunction, a, h, k) -> CharEResult:
     """
     if phi.is_affine:
         return CharEResult(0.0, 0.0, relative_tol(1e-6))
-    psi = phi.psi()
-    a, h, k = _operands(a, h, k)
-    fd_step = 1e-4 * (1.0 + float(np.linalg.norm(a)))
+    lhs, rhs = (float(side) for side in _char_e_sides(phi.psi(), *_operands(a, h, k)))
+    return CharEResult(lhs, rhs, relative_tol(1e-6, lhs, rhs))
+
+
+def _char_e_sides(psi: ScalarFunction, a, h, k) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of ``check_char_e`` for each instance of validated
+    (..., d, d) stacks a, h and k. One instance is refused as
+    ``check_char_e`` refuses it; a stack of several is refused by one of
+    its instances, not necessarily the first."""
+    fd_step = 1e-4 * (1.0 + frobenius_norm(a))
+    step = fd_step[..., None, None]
     # one eigensystem each for A and A +- fd_step k; A is admitted and its
     # derivative tested for singularity before the shifted spectra
-    w, u = np.linalg.eigh(np.stack([a, a + fd_step * k, a - fd_step * k]))
-    inv = _inverse_table(psi, w[0])
+    w, u = np.linalg.eigh(np.stack([a, a + step * k, a - step * k], axis=-3))
+    inv = _inverse_table(psi, w[..., 0, :])
     t2 = dd2_table(psi, _in_turn(psi.admit, w))
-    tinv_h = _schur(u[0], inv, h)
-    second, plus, minus = _second(u, t2, k, tinv_h)
-    d3_psi = (plus - minus) / (2.0 * fd_step)
-    lhs_mat, inner = _schur(u[0], inv, np.stack([d3_psi, second]))
-    lhs = float(np.trace(h @ lhs_mat).real)
-    rhs_mat = _schur(u[0], inv, _second(u[0], t2[0], k, inner))
-    rhs = 2.0 * float(np.trace(h @ rhs_mat).real)
-    return CharEResult(lhs, rhs, relative_tol(1e-6, lhs, rhs))
+    u0 = u[..., 0, :, :]
+    tinv_h = _schur(u0, inv, h)
+    # D^2 Psi(k, T^{-1} h) at A, A + fd_step k and A - fd_step k
+    second = _second(u, t2, k[..., None, :, :], tinv_h[..., None, :, :])
+    d3_psi = (second[..., 1, :, :] - second[..., 2, :, :]) / (2.0 * step)
+    both = _schur(
+        u[..., :1, :, :], inv[..., None, :, :], np.stack([d3_psi, second[..., 0, :, :]], axis=-3)
+    )
+    lhs = np.trace(h @ both[..., 0, :, :], axis1=-2, axis2=-1).real
+    rhs_mat = _schur(u0, inv, _second(u0, t2[..., 0, :, :, :], k, both[..., 1, :, :]))
+    rhs = 2.0 * np.trace(h @ rhs_mat, axis1=-2, axis2=-1).real
+    return lhs, rhs
+
+
+def char_e_judge(phi: PhiFunction, a: np.ndarray, h: np.ndarray, k: np.ndarray):
+    """``check_char_e`` at T instances, the (T, d, d) stacks a, h and k,
+    as a stacked sweep's judge: gap rhs - lhs against its tol, and a
+    witness where the result does not hold."""
+    if phi.is_affine:
+        zero = np.zeros((len(a), 1))
+        return zero, zero + relative_tol(1e-6), _no_witness
+    lhs, rhs = _char_e_sides(phi.psi(), a, h, k)
+    result = CharEResult(lhs, rhs, relative_tol(1e-6, lhs, rhs))
+
+    def witness(trial, probe):
+        if result.holds[trial]:
+            return None
+        return {"lhs": float(lhs[trial]), "rhs": float(rhs[trial]), "a": matrix_to_obj(a[trial]),
+                "h": matrix_to_obj(h[trial]), "k": matrix_to_obj(k[trial])}
+
+    return (rhs - lhs)[:, None], result.tol[:, None], witness
 
 
 def duality_lower_bound(
@@ -226,9 +350,31 @@ def duality_lower_bound(
     over couplings sharing the support index; exact equality at T = Z."""
     if z_law.size != t_law.size or not np.allclose(z_law.probs, t_law.probs, atol=1e-12):
         raise DomainError("duality bound needs Z and T coupled on the same index law")
-    psi_t = phi.psi().apply(np.concatenate([t_law.values, t_law.mean()[None]]))
-    terms = np.einsum("kij,kji->k", psi_t[:-1] - psi_t[-1], z_law.values - t_law.values)
-    return float(z_law.expect(terms.real)) / z_law.d + phi_entropy(phi, t_law)
+    terms = _duality_terms(phi, z_law.probs, z_law.values, t_law.values)
+    return float(terms) + phi_entropy(phi, t_law)
+
+
+def _duality_terms(phi: PhiFunction, probs, z, t) -> np.ndarray:
+    """tr E[(Phi'(T) - Phi'(E T))(Z - T)] of each pair of laws coupled on
+    probabilities (..., s), with values z and t (..., s, d, d); each T,
+    its values and mean, is admitted in turn."""
+    psi = phi.psi()
+    stack = np.concatenate([t, hermitian_part(weighted_sum(probs, t, 2))[..., None, :, :]], axis=-3)
+    psi_t = hermitian_part(spectral_map(lambda w: psi.fn(_in_turn(psi.admit, w, 2)), stack))
+    terms = np.einsum("...kij,...kji->...k", psi_t[..., :-1, :, :] - psi_t[..., -1:, :, :], z - t)
+    return weighted_sum(probs, terms.real, 0) / z.shape[-1]
+
+
+def char_i_judge(phi: PhiFunction, probs: np.ndarray, z: np.ndarray, t: np.ndarray):
+    """The duality lower bound of H(Z) against H(Z) at T coupled pairs of
+    laws, probabilities (T, s) and values z, t (T, s, d, d), as a stacked
+    sweep's judge. One trial is refused as ``duality_lower_bound`` and
+    then ``phi_entropy`` of Z refuse it: T's Psi spectra, then H(T),
+    then H(Z)."""
+    terms = _duality_terms(phi, probs, z, t)
+    entropies = _law_entropies(phi, probs[:, None, :], np.stack([t, z], axis=1))
+    bound, h = terms + entropies[:, 0], entropies[:, 1]
+    return (bound - h)[:, None], relative_tol(1e-9, bound, h)[:, None], _no_witness
 
 
 def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
@@ -257,13 +403,29 @@ def check_char_h(
         raise DomainError(f"mixing weight must lie in [0, 1], got {t}")
     if z1.size != z2.size or not np.allclose(z1.probs, z2.probs, atol=1e-12):
         raise DomainError("convexity check needs laws coupled on the same index")
-    mixed = DiscreteRandomMatrix(z1.probs, t * z1.values + (1 - t) * z2.values)
-    lhs = phi_entropy(phi, mixed)
-    rhs = t * phi_entropy(phi, z1) + (1 - t) * phi_entropy(phi, z2)
+    lhs, rhs = (float(side) for side in _char_h_sides(phi, z1.probs, z1.values, z2.values, t))
     return verdict(
         "char-h", lhs - rhs, relative_tol(1e-9, lhs, rhs), phi=phi.label, d=z1.d,
         details={"lhs": lhs, "rhs": rhs, "t": t},
     )
+
+
+def _char_h_sides(phi: PhiFunction, probs, z1, z2, t) -> tuple[np.ndarray, np.ndarray]:
+    """(H of the mix, the mix of the Hs) of ``check_char_h`` for each pair
+    of laws coupled on probabilities (..., s), with values z1, z2 (..., s,
+    d, d) and mixing weights t (...); the mix, then z1, then z2 is
+    admitted in turn."""
+    t = np.asarray(t)
+    mixed = _mix(t[..., None, None, None], z1, z2)
+    h = _law_entropies(phi, probs[..., None, :], np.stack([mixed, z1, z2], axis=-4))
+    return h[..., 0], _mix(t, h[..., 1], h[..., 2])
+
+
+def char_h_judge(phi: PhiFunction, probs: np.ndarray, z: np.ndarray, t: np.ndarray):
+    """``check_char_h`` at T pairs of laws, probabilities (T, s), values z
+    (T, 2, s, d, d) and weights t (T,), as a stacked sweep's judge."""
+    lhs, rhs = _char_h_sides(phi, probs, z[:, 0], z[:, 1], t)
+    return (lhs - rhs)[:, None], relative_tol(1e-9, lhs, rhs)[:, None], _no_witness
 
 
 def bregman_pair_sampler(d: int):

@@ -72,15 +72,16 @@ def dd2_table(sf: ScalarFunction, w: np.ndarray) -> np.ndarray:
     return table.reshape(w.shape + (d, d))
 
 
-def _in_turn(step: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:
-    """``step`` of a (..., d) stack of spectra at once. A stack it refuses
-    raises what its first refused spectrum raises alone, so a stack is
-    refused as its matrices would be one at a time."""
+def _in_turn(step: Callable[[np.ndarray], object], w: np.ndarray, item: int = 1):
+    """``step`` of a stack of spectra at once, each item of the stack its
+    last ``item`` axes (one spectrum by default). A stack it refuses
+    raises what its first refused item raises alone, so a stack is
+    refused as its items would be one at a time."""
     try:
         return step(w)
     except MatPhiError:
-        for row in w.reshape(-1, w.shape[-1]):
-            step(row)
+        for one in w.reshape(-1, *w.shape[w.ndim - item:]):
+            step(one)
         raise
 
 
@@ -176,7 +177,12 @@ def inverse_derivative_superoperator(sf: ScalarFunction, a) -> np.ndarray:
     """(Df[A])^{-1} as the d^2 x d^2 Hermitian matrix W diag(1/vec F) W†
     acting on column-stacked matrices, W = conj(U) (x) U; for each matrix
     of a (..., d, d) stack, refused as they would be one at a time."""
-    inv, u = _eigensystem(_require_hermitian_stack(a), partial(_inverse_table, sf))
+    return _inverse_superoperator(sf, _require_hermitian_stack(a))
+
+
+def _inverse_superoperator(sf: ScalarFunction, a: np.ndarray) -> np.ndarray:
+    """inverse_derivative_superoperator of a validated (..., d, d) stack."""
+    inv, u = _eigensystem(a, partial(_inverse_table, sf))
     *lead, d, _ = u.shape
     w = (u.conj()[..., :, None, :, None] * u[..., None, :, None, :]).reshape(*lead, d * d, d * d)
     vec = inv.swapaxes(-1, -2).reshape(*lead, 1, d * d)

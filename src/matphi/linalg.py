@@ -61,6 +61,17 @@ def spectral_map(fn: Callable[[np.ndarray], np.ndarray], a) -> np.ndarray:
     return (u * fw[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
+def frobenius_norm(a) -> np.ndarray:
+    """np.linalg.norm of each matrix of a (..., m, n) stack, with the bits
+    of that call on the matrix alone: the square root of the dot products
+    of its real and its imaginary entries with themselves, added."""
+    a = np.asarray(a)
+    flat = a.reshape(a.shape[:-2] + (1, -1))
+    parts = (flat.real, flat.imag) if np.iscomplexobj(a) else (flat,)
+    squares = [x @ x.swapaxes(-1, -2) for x in parts]  # one BLAS dot per matrix
+    return np.sqrt(sum(squares[1:], squares[0]))[..., 0, 0]
+
+
 def psd_power(a, expo: float) -> np.ndarray:
     """A^expo for each matrix of a (..., d, d) stack, eigenvalues clamped
     at zero; the result is not hermitized."""

@@ -16,7 +16,7 @@ from .models import DiscreteRandomMatrix, FiniteLaw, ProductModel
 
 PSD_EIGEN_FLOOR = 1e-3
 PSD_NORM_CAP = 10.0
-BLOCK_ENTRIES = 2**16  # complex entries in one stacked evaluation of a search
+BLOCK_ENTRIES = 2**16  # complex entries in one stacked evaluation of a search or sweep
 
 
 def rng_for(seed: int, label: str, index: int = 0) -> np.random.Generator:

@@ -1,8 +1,9 @@
 """Named check suites over seeded random instances.
 
 Every registry value is a callable ``(name, config) -> CheckReport``:
-a ``Sweep`` spec, whose per-trial body one runner turns into a seeded
-sweep, or one of the few one-shot checks. The check's name is written
+a ``Sweep`` spec, whose per-trial body (or per-trial draw and stacked
+judge) one runner turns into a seeded sweep, or one of the few one-shot
+checks. The check's name is written
 once, as its registry key. Checks are looked up by name so suite
 execution can fan out to worker processes; randomness is always derived
 from (config.seed, check name, trial index), which makes reports
@@ -15,17 +16,25 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import concentration, entropy, fourier, holevo
 from .errors import ConfigError, DomainError
-from .frechet import MultivariateScalarFunction
+from .frechet import MultivariateScalarFunction, _in_turn
 from .linalg import eigenvalues, hermitian_part, spectral_map
-from .models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel
+from .models import FiniteLaw, MatrixInputModel
 from .phifun import PhiFunction
-from .report import ARTIFACT_VERSION, CheckReport, SuiteReport, matrix_to_obj, relative_tol, sweep
+from .report import (
+    ARTIFACT_VERSION,
+    CheckReport,
+    SuiteReport,
+    relative_tol,
+    stacked_sweep,
+    sweep,
+)
 from .sampling import (
     random_boolean_function,
     random_kernel,
@@ -111,7 +120,11 @@ def _in_class(phi: PhiFunction) -> PhiFunction:
 class Sweep:
     """A seeded sweep check. ``body(rng, trial, run)`` returns a
     CheckReport, a ``(gap, tol, witness)`` triple or a list of triples,
-    as ``report.sweep`` reads them.
+    as ``report.sweep`` reads them. With a ``judge``, the body only draws
+    the trial's instance and ``judge(phi, *stacks)`` judges blocks of
+    trials at once with the check's generator, as
+    ``report.stacked_sweep`` runs them; ``entries(d)`` is the number of
+    complex entries one trial's judge holds.
 
     ``d`` and ``n`` are the clamps of config.d and config.n (``n=None``:
     the check has no n). ``generator`` picks the check's Phi from
@@ -123,6 +136,8 @@ class Sweep:
     n: tuple[int, int] | None = None
     d: tuple[int, int] = (1, 3)
     generator: Callable[[PhiFunction], PhiFunction | None] | None = None
+    judge: Callable | None = None
+    entries: Callable[[int], int] = lambda d: d * d
 
     def applies(self, phi: PhiFunction) -> bool:
         return self.generator is None or self.generator(phi) is not None
@@ -133,72 +148,78 @@ class Sweep:
             raise DomainError(f"{name} does not apply to the generator {config.phi}")
         n = None if self.n is None else _clamp(config.n, self.n)
         run = Run(phi, _clamp(config.d, self.d), n, config.seed)
-        return sweep(
-            name, lambda rng, trial: self.body(rng, trial, run), config.trials,
-            config.seed, tol=config.tol, phi=None if phi is None else phi.label,
-            d=run.d, n=run.n,
+        fields = {"phi": None if phi is None else phi.label, "d": run.d, "n": run.n}
+        body = partial(self.body, run=run)
+        if self.judge is None:
+            return sweep(name, body, config.trials, config.seed, tol=config.tol, **fields)
+        return stacked_sweep(
+            name, body, partial(self.judge, phi), config.trials, config.seed, tol=config.tol,
+            entries=self.entries(run.d), **fields,
         )
 
 
 # ---------------------------------------------------------------- entropy
+# Stacked sweeps: each body draws its trial's instance, in the order the
+# per-trial checks of ``entropy`` read the stream, and the judge evaluates
+# a block of trials at once.
+
+def _bregman_draw(rng, trial, run):
+    return entropy.convexity_draw(entropy.bregman_pair_sampler(run.d)(rng), rng)
+
 
 def _bregman(index: int):
-    """Joint-convexity body of the index-th trace map of ``bregman_maps``."""
+    """Joint-convexity judge of the index-th trace map of ``bregman_maps``."""
 
-    def body(rng, trial, run):
-        pairs = entropy.bregman_pair_sampler(run.d)(rng)
-        return entropy.joint_convexity_probes(
-            lambda u, v: entropy.bregman_maps(run.phi, u, v)[index], pairs, rng
+    def judge(phi, pairs, weight):
+        return entropy.convexity_judge(
+            lambda u, v: entropy._bregman_values(phi, u, v)[index], pairs, weight
         )
 
-    return body
+    return Sweep(_bregman_draw, generator=_given, judge=judge, entries=lambda d: 8 * d * d)
 
 
-def _char_e(rng, trial, run):
+def _char_e_draw(rng, trial, run):
     a = random_pd(rng, run.d, floor=0.3)
-    h = random_unit_hermitian(rng, run.d)
-    k = random_unit_hermitian(rng, run.d)
-    result = entropy.check_char_e(run.phi, a, h, k)
-    witness = None
-    if not result.holds:
-        witness = {"lhs": result.lhs, "rhs": result.rhs, "a": matrix_to_obj(a),
-                   "h": matrix_to_obj(h), "k": matrix_to_obj(k)}
-    return result.rhs - result.lhs, result.tol, witness
+    return a, random_unit_hermitian(rng, run.d), random_unit_hermitian(rng, run.d)
 
 
-def _char_f(rng, trial, run):
-    d, scalar = run.d, run.phi.scalar()
+def _char_f_draw(rng, trial, run):
+    # the f_t weight, then (u1, v1), (u2, v2) as four random_pd(rng, d, 0.05) read them
     t = float(rng.uniform(0.05, 0.95))
+    pairs = random_psd(rng, run.d, (2, 2)) + 0.05 * np.eye(run.d)
+    return (t, *entropy.convexity_draw(pairs, rng))
+
+
+def _char_f_judge(phi, f_weight, pairs, weight):
+    """Joint convexity of f_t(u, v) = t tr Phi(u) + (1 - t) tr Phi(v) -
+    tr Phi(t u + (1 - t) v), with each trial's own t."""
+    scalar, t = phi.scalar(), f_weight[:, None]
 
     def f_t(u, v):
-        w = scalar.admit(eigenvalues(np.stack([u, v, t * u + (1 - t) * v])))
+        mixed = entropy._mix(t[..., None, None], u, v)
+        w = _in_turn(scalar.admit, eigenvalues(np.stack([u, v, mixed], axis=-3)), 2)
         traces = scalar.fn(w).sum(axis=-1)
-        return float(t * traces[0] + (1 - t) * traces[1] - traces[2])
+        return entropy._mix(t, traces[..., 0], traces[..., 1]) - traces[..., 2]
 
-    pairs = tuple((random_pd(rng, d, 0.05), random_pd(rng, d, 0.05)) for _ in range(2))
-    return [
-        (gap, tol, witness and {**witness, "f_t": t})
-        for gap, tol, witness in entropy.joint_convexity_probes(f_t, pairs, rng)
-    ]
+    gap, tol, witness = entropy.convexity_judge(f_t, pairs, weight)
 
+    def with_t(trial, probe):
+        found = witness(trial, probe)
+        return found and {**found, "f_t": float(f_weight[trial])}
 
-def _drawn_law(rng, probs, d, floor=0.0):
-    return DiscreteRandomMatrix(probs, random_psd(rng, d, (len(probs),)) + floor * np.eye(d))
+    return gap, tol, with_t
 
 
-def _char_h(rng, trial, run):
+def _char_h_draw(rng, trial, run):
+    # the coupling, then z1 and z2 as two draws of three values read them
     probs = random_probability_vector(rng, 3)
-    z1, z2 = _drawn_law(rng, probs, run.d), _drawn_law(rng, probs, run.d)
-    return entropy.check_char_h(run.phi, z1, z2, float(rng.uniform()))
+    return probs, random_psd(rng, run.d, (2, 3)), float(rng.uniform())
 
 
-def _char_i(rng, trial, run):
+def _char_i_draw(rng, trial, run):
     probs = random_probability_vector(rng, 3)
-    z = _drawn_law(rng, probs, run.d)
-    t = _drawn_law(rng, probs, run.d, floor=0.05)
-    bound = entropy.duality_lower_bound(run.phi, z, t)
-    h = entropy.phi_entropy(run.phi, z)
-    return bound - h, relative_tol(1e-9, bound, h), None
+    z, t = random_psd(rng, run.d, (2, 3))
+    return probs, z, t + 0.05 * np.eye(run.d)
 
 
 def _product_model(rng, run, psd=True):
@@ -505,20 +526,29 @@ def _functional_sdpi(name: str, config: RunConfig) -> CheckReport:
 SUITES = {
     "characterizations": {
         "char-a": Sweep(
-            lambda rng, trial, run: entropy.char_a_probe(run.phi.psi(), run.d, rng),
-            generator=_non_affine,
+            lambda rng, trial, run: entropy.char_a_draw(rng, run.d), generator=_non_affine,
+            judge=lambda phi, a, b: entropy.char_a_judge(phi.psi(), a, b),
+            entries=entropy.char_a_entries,
         ),
-        "char-b": Sweep(_bregman(0), generator=_given),
-        "char-c": Sweep(_bregman(1), generator=_given),
-        "char-d": Sweep(_bregman(2), generator=_given),
-        "char-e": Sweep(_char_e, generator=_given),
-        "char-f": Sweep(_char_f, generator=_given),
+        "char-b": _bregman(0),
+        "char-c": _bregman(1),
+        "char-d": _bregman(2),
+        "char-e": Sweep(
+            _char_e_draw, generator=_given, judge=entropy.char_e_judge, entries=lambda d: 3 * d**3
+        ),
+        "char-f": Sweep(
+            _char_f_draw, generator=_given, judge=_char_f_judge, entries=lambda d: 12 * d * d
+        ),
         "char-g": Sweep(
             lambda rng, trial, run: entropy.check_char_g(run.phi, _product_model(rng, run)),
             n=(2, 2), generator=_given,
         ),
-        "char-h": Sweep(_char_h, generator=_given),
-        "char-i": Sweep(_char_i, generator=_given),
+        "char-h": Sweep(
+            _char_h_draw, generator=_given, judge=entropy.char_h_judge, entries=lambda d: 12 * d * d
+        ),
+        "char-i": Sweep(
+            _char_i_draw, generator=_given, judge=entropy.char_i_judge, entries=lambda d: 8 * d * d
+        ),
         "char-j": Sweep(
             lambda rng, trial, run: entropy.check_subadditivity(
                 run.phi, _product_model(rng, run)

@@ -4,11 +4,29 @@ import numpy as np
 
 from matphi.errors import NotHermitian
 from matphi.fourier import MatrixBooleanFunction
+from matphi.frechet import (
+    _in_turn,
+    _inverse_table,
+    _operands,
+    _schur,
+    _second,
+    dd1_table,
+    dd2_table,
+    inverse_derivative_superoperator,
+)
 from matphi.holevo import CQEnsemble, MarkovKernel, _average_state, _bayes_inverse
-from matphi.linalg import _require_hermitian_stack, positive_part
-from matphi.models import DiscreteRandomMatrix, ProductModel
+from matphi.linalg import _require_hermitian_stack, eigenvalues, hermitian_part, positive_part
+from matphi.models import DiscreteRandomMatrix, ProductModel, weighted_sum
 from matphi.phifun import PhiFunction
-from matphi.sampling import random_complex_gaussian
+from matphi.report import MAX_WITNESSES, CheckReport, matrix_to_obj, relative_tol, verdict
+from matphi.sampling import (
+    random_complex_gaussian,
+    random_pd,
+    random_probability_vector,
+    random_psd,
+    random_unit_hermitian,
+    rng_for,
+)
 
 SQUARE = PhiFunction.power(2.0).scalar()
 
@@ -71,3 +89,203 @@ def moveaxis_slices(model: ProductModel, i: int):
     table = model.values.reshape(*model.sizes, *model.values.shape[1:])
     table = np.moveaxis(table, i, model.n - 1)
     return weights.ravel(), model.laws[i].probs, table.reshape(-1, *table.shape[model.n - 1:])
+
+
+# The per-trial characterization sweeps as they ran before their trials were
+# judged in stacks: the sweep loop, the single-instance kernels and the
+# bodies, each trial judged alone. The stacked sweeps must report the same
+# bytes.
+
+def reference_sweep(label, body, trials, seed, tol=None, **fields) -> CheckReport:
+    """``report.sweep`` as a per-probe fold."""
+    violations = []
+    max_gap = -np.inf
+    for trial in range(trials):
+        outcomes = body(rng_for(seed, label, trial), trial)
+        if isinstance(outcomes, CheckReport):
+            outcomes = (outcomes.max_gap, outcomes.tol, None)
+        if isinstance(outcomes, tuple):
+            outcomes = [outcomes]
+        for gap, probe_tol, witness in outcomes:
+            max_gap = np.maximum(max_gap, gap)  # NaN stays
+            if not gap <= (probe_tol if tol is None else tol) and len(violations) < MAX_WITNESSES:
+                violations.append({**(witness or {}), "gap": float(gap), "trial": trial})
+    return CheckReport(
+        check=label, passed=not violations, max_gap=float(max_gap), trials=trials, seed=seed,
+        violations=violations, **fields,
+    )
+
+
+def reference_phi_entropy(phi, law) -> float:
+    scalar = phi.scalar()
+    values, mean = law.values, law.mean()
+    w = scalar.admit(eigenvalues(np.concatenate([values, mean[None]])))
+    traces = scalar.fn(w).sum(axis=-1) / w.shape[-1]
+    return float(weighted_sum(law.probs, traces[:-1], 0) - traces[-1])
+
+
+def reference_bregman_maps(phi, u, v):
+    pair = np.stack([u, v])
+    if pair.ndim != 3:
+        raise NotHermitian(f"expected two square matrices, got shape {pair.shape[1:]}")
+    u, v = _require_hermitian_stack(pair)
+    scalar, psi = phi.scalar(), phi.psi()
+    w, q = np.linalg.eigh(np.stack([u, u + v]))
+    phi_w, w = scalar.fn(scalar.admit(w)), psi.admit(w)
+    rotated = q.conj().swapaxes(-1, -2) @ v @ q
+    first = (psi.fn(w) * rotated.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
+    a_val = phi_w[1].sum() - phi_w[0].sum() - first[0]
+    c_val = (dd1_table(psi, w[0]) * np.abs(rotated[0]) ** 2).sum()
+    return float(a_val), float(first[1] - first[0]), float(c_val)
+
+
+def reference_joint_convexity_probes(map_fn, pairs, rng):
+    (u1, v1), (u2, v2) = pairs
+    ends = map_fn(u1, v1), map_fn(u2, v2)
+    probes = []
+    for t in (0.5, float(rng.uniform(0.05, 0.95))):
+        lhs = t * ends[0] + (1.0 - t) * ends[1]
+        rhs = map_fn(t * u1 + (1 - t) * u2, t * v1 + (1 - t) * v2)
+        gap, probe_tol = rhs - lhs, relative_tol(1e-8, lhs, rhs)
+        witness = None
+        if gap > probe_tol:
+            witness = {"t": t, "u1": matrix_to_obj(u1), "v1": matrix_to_obj(v1),
+                       "u2": matrix_to_obj(u2), "v2": matrix_to_obj(v2)}
+        probes.append((gap, probe_tol, witness))
+    return probes
+
+
+def reference_char_a_probe(psi, d, rng):
+    a = random_pd(rng, d)
+    b = random_pd(rng, d)
+    inv = inverse_derivative_superoperator(psi, np.stack([a, b, 0.5 * (a + b)]))
+    diff = hermitian_part(inv[2] - 0.5 * (inv[0] + inv[1]))
+    lam = float(eigenvalues(diff)[0])
+    probe_tol = relative_tol(1e-8, max(float(np.linalg.norm(m)) for m in inv))
+    witness = None
+    if -lam > probe_tol:
+        witness = {"min_eigenvalue": lam, "a": matrix_to_obj(a), "b": matrix_to_obj(b)}
+    return -lam, probe_tol, witness
+
+
+def reference_char_e(phi, a, h, k):
+    """(lhs, rhs, tol) of ``entropy.check_char_e``."""
+    if phi.is_affine:
+        return 0.0, 0.0, relative_tol(1e-6)
+    psi = phi.psi()
+    a, h, k = _operands(a, h, k)
+    fd_step = 1e-4 * (1.0 + float(np.linalg.norm(a)))
+    w, u = np.linalg.eigh(np.stack([a, a + fd_step * k, a - fd_step * k]))
+    inv = _inverse_table(psi, w[0])
+    t2 = dd2_table(psi, _in_turn(psi.admit, w))
+    tinv_h = _schur(u[0], inv, h)
+    second, plus, minus = _second(u, t2, k, tinv_h)
+    d3_psi = (plus - minus) / (2.0 * fd_step)
+    lhs_mat, inner = _schur(u[0], inv, np.stack([d3_psi, second]))
+    lhs = float(np.trace(h @ lhs_mat).real)
+    rhs_mat = _schur(u[0], inv, _second(u[0], t2[0], k, inner))
+    rhs = 2.0 * float(np.trace(h @ rhs_mat).real)
+    return lhs, rhs, relative_tol(1e-6, lhs, rhs)
+
+
+def reference_char_h(phi, z1, z2, t) -> CheckReport:
+    mixed = DiscreteRandomMatrix(z1.probs, t * z1.values + (1 - t) * z2.values)
+    lhs = reference_phi_entropy(phi, mixed)
+    rhs = t * reference_phi_entropy(phi, z1) + (1 - t) * reference_phi_entropy(phi, z2)
+    return verdict(
+        "char-h", lhs - rhs, relative_tol(1e-9, lhs, rhs), phi=phi.label, d=z1.d,
+        details={"lhs": lhs, "rhs": rhs, "t": t},
+    )
+
+
+def reference_duality_lower_bound(phi, z_law, t_law) -> float:
+    psi_t = phi.psi().apply(np.concatenate([t_law.values, t_law.mean()[None]]))
+    terms = np.einsum("kij,kji->k", psi_t[:-1] - psi_t[-1], z_law.values - t_law.values)
+    return float(z_law.expect(terms.real)) / z_law.d + reference_phi_entropy(phi, t_law)
+
+
+def _reference_bregman(index):
+    def body(rng, trial, phi, d):
+        u1, v1, u2, v2 = random_psd(rng, d, (4,))
+        pairs = (u1 + 0.05 * np.eye(d), v1), (u2 + 0.05 * np.eye(d), v2)
+        return reference_joint_convexity_probes(
+            lambda u, v: reference_bregman_maps(phi, u, v)[index], pairs, rng
+        )
+
+    return body
+
+
+def _reference_char_e(rng, trial, phi, d):
+    a = random_pd(rng, d, floor=0.3)
+    h = random_unit_hermitian(rng, d)
+    k = random_unit_hermitian(rng, d)
+    lhs, rhs, tol = reference_char_e(phi, a, h, k)
+    witness = None
+    if not lhs >= rhs - tol:
+        witness = {"lhs": lhs, "rhs": rhs, "a": matrix_to_obj(a),
+                   "h": matrix_to_obj(h), "k": matrix_to_obj(k)}
+    return rhs - lhs, tol, witness
+
+
+def _reference_char_f(rng, trial, phi, d):
+    scalar = phi.scalar()
+    t = float(rng.uniform(0.05, 0.95))
+
+    def f_t(u, v):
+        w = scalar.admit(eigenvalues(np.stack([u, v, t * u + (1 - t) * v])))
+        traces = scalar.fn(w).sum(axis=-1)
+        return float(t * traces[0] + (1 - t) * traces[1] - traces[2])
+
+    pairs = tuple((random_pd(rng, d, 0.05), random_pd(rng, d, 0.05)) for _ in range(2))
+    return [
+        (gap, tol, witness and {**witness, "f_t": t})
+        for gap, tol, witness in reference_joint_convexity_probes(f_t, pairs, rng)
+    ]
+
+
+def _reference_law(rng, probs, d, floor=0.0):
+    return DiscreteRandomMatrix(probs, random_psd(rng, d, (len(probs),)) + floor * np.eye(d))
+
+
+def _reference_char_h(rng, trial, phi, d):
+    probs = random_probability_vector(rng, 3)
+    z1, z2 = _reference_law(rng, probs, d), _reference_law(rng, probs, d)
+    return reference_char_h(phi, z1, z2, float(rng.uniform()))
+
+
+def _reference_char_i(rng, trial, phi, d):
+    probs = random_probability_vector(rng, 3)
+    z = _reference_law(rng, probs, d)
+    t = _reference_law(rng, probs, d, floor=0.05)
+    bound = reference_duality_lower_bound(phi, z, t)
+    h = reference_phi_entropy(phi, z)
+    return bound - h, relative_tol(1e-9, bound, h), None
+
+
+REFERENCE_BODIES = {
+    "char-a": lambda rng, trial, phi, d: reference_char_a_probe(phi.psi(), d, rng),
+    "char-b": _reference_bregman(0),
+    "char-c": _reference_bregman(1),
+    "char-d": _reference_bregman(2),
+    "char-e": _reference_char_e,
+    "char-f": _reference_char_f,
+    "char-h": _reference_char_h,
+    "char-i": _reference_char_i,
+}
+
+
+def reference_characterizations(name, phi, d, seed, trial_counts, tol=None) -> list:
+    """The per-trial reports of a stacked characterization sweep at phi
+    and an already clamped d, one per trial count; each trial is judged
+    once, for all counts."""
+    body, outcomes = REFERENCE_BODIES[name], {}
+
+    def cached(rng, trial):
+        if trial not in outcomes:
+            outcomes[trial] = body(rng, trial, phi, d)
+        return outcomes[trial]
+
+    return [
+        reference_sweep(name, cached, trials, seed, tol=tol, phi=phi.label, d=d, n=None)
+        for trials in trial_counts
+    ]
