@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NotHermitian
+from .errors import DimensionMismatch, DomainError, NotHermitian
 from .frechet import (
     _in_turn,
     _inverse_superoperator,
@@ -34,8 +34,8 @@ from .linalg import (
 )
 from .models import DiscreteRandomMatrix, ProductModel, weighted_sum
 from .phifun import PhiFunction, ScalarFunction
-from .report import CheckReport, matrix_to_obj, relative_tol, stacked_sweep, sweep, verdict
-from .sampling import random_pd, random_psd
+from .report import CheckReport, matrix_to_obj, relative_tol, sweep, verdict
+from .sampling import BLOCK_ENTRIES, random_pd, random_psd
 
 
 def phi_entropy(phi: PhiFunction, law: DiscreteRandomMatrix) -> float:
@@ -114,6 +114,10 @@ def bregman_maps(phi: PhiFunction, u, v) -> tuple[float, float, float]:
     Tr DPhi[X](v) = sum_i Psi(x_i) v~_ii with v~ = v in X's eigenbasis, and
     C = sum_ij Psi[lam_i, lam_j] |v~_ij|^2 at u's spectrum lam, Psi = Phi'.
     """
+    if np.shape(u) != np.shape(v):
+        raise DimensionMismatch(
+            f"direction of shape {np.shape(v)} for a matrix of shape {np.shape(u)}"
+        )
     pair = np.stack([u, v])
     if pair.ndim != 3:
         raise NotHermitian(f"expected two square matrices, got shape {pair.shape[1:]}")
@@ -153,35 +157,18 @@ def _pair_witness(t, pairs) -> dict:
             "u2": matrix_to_obj(u2), "v2": matrix_to_obj(v2)}
 
 
-def joint_convexity_probes(
-    map_fn: Callable[[np.ndarray, np.ndarray], float],
-    pairs: tuple,
-    rng: np.random.Generator,
-) -> list[tuple[float, float, dict | None]]:
-    """Joint-convexity probes of a bivariate matrix map at the argument
-    pairs ((u1, v1), (u2, v2)), mixed at 1/2 and at a weight drawn from
-    ``rng``: one ``(gap, tol, witness)`` triple per mixing weight."""
-    (u1, v1), (u2, v2) = pairs
-    ends = map_fn(u1, v1), map_fn(u2, v2)
-    probes = []
-    for t in (0.5, float(rng.uniform(0.05, 0.95))):
-        gap, probe_tol = _convexity_gap(t, ends, map_fn(_mix(t, u1, u2), _mix(t, v1, v2)))
-        probes.append((gap, probe_tol, _pair_witness(t, pairs) if gap > probe_tol else None))
-    return probes
-
-
 def convexity_draw(pairs, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """A trial of ``convexity_judge``: the argument pairs as one (2, 2, d,
-    d) array and the mixing weight that joint_convexity_probes draws."""
+    """A trial of ``convexity_judge``: the argument pairs ((u1, v1), (u2,
+    v2)) as one (2, 2, d, d) array and a mixing weight drawn from rng."""
     return np.asarray(pairs), float(rng.uniform(0.05, 0.95))
 
 
 def convexity_judge(map_values: Callable, pairs: np.ndarray, weight: np.ndarray):
-    """joint_convexity_probes of T trials at once, as a stacked sweep's
-    judge: pairs (T, 2, 2, d, d) and weights (T,) are the trials'
-    ``convexity_draw``s, and map_values maps (T, 4, d, d) stacks u, v to
-    the (T, 4) values of the map at both ends, then at both mixes, the
-    order the probes call it in."""
+    """Joint-convexity probes of a bivariate matrix map at T trials, as a
+    sweep's judge: pairs (T, 2, 2, d, d) and weights (T,) are the trials'
+    ``convexity_draw``s, and each trial's pairs are mixed at 1/2 and at
+    its weight, two probes. map_values maps (T, 4, d, d) stacks u, v to
+    the (T, 4) values of the map at both ends, then at both mixes."""
     t = np.stack([np.full(len(weight), 0.5), weight], axis=-1)
     mixed = _mix(t[..., None, None, None], pairs[:, :1], pairs[:, 1:])
     args = np.concatenate([pairs, mixed], axis=1)
@@ -209,10 +196,21 @@ def check_joint_convexity(
 ) -> CheckReport:
     """Falsifier for joint convexity of a bivariate matrix map: samples
     argument pairs and two mixing weights per trial, reports any violating
-    witnesses."""
+    witnesses.
+
+    A sweep of one trial per block: ``convexity_draw`` draws the trial's
+    pairs ``sampler(rng)`` and its weight, and ``convexity_judge`` mixes
+    them and judges the trial's two probes. ``map_fn`` is called on one
+    pair (u, v) at a time, at both ends and then at both mixes, so a
+    user's sampler and map run trial by trial and memory does not grow
+    with the trials."""
+
+    def map_values(u, v):
+        return np.array([[map_fn(*pair) for pair in zip(*trial)] for trial in zip(u, v)])
+
     return sweep(
-        label, lambda rng, trial: joint_convexity_probes(map_fn, sampler(rng), rng),
-        trials, seed,
+        label, lambda rng, trial: convexity_draw(sampler(rng), rng),
+        partial(convexity_judge, map_values), trials, seed, entries=BLOCK_ENTRIES,
     )
 
 
@@ -223,7 +221,7 @@ def char_a_draw(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarra
 
 def char_a_judge(psi: ScalarFunction, a: np.ndarray, b: np.ndarray):
     """Midpoint-concavity probes of X -> (D Psi[X])^{-1} at T pairs, the
-    (T, d, d) stacks a and b, as a stacked sweep's judge: the least
+    (T, d, d) stacks a and b, as a sweep's judge: the least
     eigenvalue of the superoperator at the midpoint minus the mean of
     those at the ends, against 1e-8 relative to the largest of their
     norms. The matrices a, b, (a + b) / 2 of each pair are refused in
@@ -248,22 +246,13 @@ def char_a_entries(d: int) -> int:
     return 3 * d**4
 
 
-def char_a_probe(
-    psi: ScalarFunction, d: int, rng: np.random.Generator
-) -> tuple[float, float, dict | None]:
-    """One midpoint-concavity probe of X -> (D Psi[X])^{-1} at a sampled
-    positive-definite pair, as a ``(gap, tol, witness)`` triple."""
-    gap, probe_tol, witness = char_a_judge(psi, *(m[None] for m in char_a_draw(rng, d)))
-    return float(gap[0, 0]), float(probe_tol[0, 0]), witness(0, 0)
-
-
 def check_char_a(phi: PhiFunction, trials: int, d: int, seed: int = 0) -> CheckReport:
     """Midpoint operator concavity of X -> (D Psi[X])^{-1} on sampled
     positive-definite pairs."""
     if phi.is_affine:
         raise DomainError("the concavity characterization needs a non-affine generator")
     psi = phi.psi()
-    return stacked_sweep(
+    return sweep(
         "char-a", lambda rng, trial: char_a_draw(rng, d), partial(char_a_judge, psi), trials,
         seed, entries=char_a_entries(d), phi=phi.label, d=d,
     )
@@ -326,7 +315,7 @@ def _char_e_sides(psi: ScalarFunction, a, h, k) -> tuple[np.ndarray, np.ndarray]
 
 def char_e_judge(phi: PhiFunction, a: np.ndarray, h: np.ndarray, k: np.ndarray):
     """``check_char_e`` at T instances, the (T, d, d) stacks a, h and k,
-    as a stacked sweep's judge: gap rhs - lhs against its tol, and a
+    as a sweep's judge: gap rhs - lhs against its tol, and a
     witness where the result does not hold."""
     if phi.is_affine:
         zero = np.zeros((len(a), 1))
@@ -367,7 +356,7 @@ def _duality_terms(phi: PhiFunction, probs, z, t) -> np.ndarray:
 
 def char_i_judge(phi: PhiFunction, probs: np.ndarray, z: np.ndarray, t: np.ndarray):
     """The duality lower bound of H(Z) against H(Z) at T coupled pairs of
-    laws, probabilities (T, s) and values z, t (T, s, d, d), as a stacked
+    laws, probabilities (T, s) and values z, t (T, s, d, d), as a
     sweep's judge. One trial is refused as ``duality_lower_bound`` and
     then ``phi_entropy`` of Z refuse it: T's Psi spectra, then H(T),
     then H(Z)."""
@@ -423,7 +412,7 @@ def _char_h_sides(phi: PhiFunction, probs, z1, z2, t) -> tuple[np.ndarray, np.nd
 
 def char_h_judge(phi: PhiFunction, probs: np.ndarray, z: np.ndarray, t: np.ndarray):
     """``check_char_h`` at T pairs of laws, probabilities (T, s), values z
-    (T, 2, s, d, d) and weights t (T,), as a stacked sweep's judge."""
+    (T, 2, s, d, d) and weights t (T,), as a sweep's judge."""
     lhs, rhs = _char_h_sides(phi, probs, z[:, 0], z[:, 1], t)
     return (lhs - rhs)[:, None], relative_tol(1e-9, lhs, rhs)[:, None], _no_witness
 

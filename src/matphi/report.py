@@ -124,63 +124,13 @@ def verdict(check: str, gap: float, tol: float, **fields) -> CheckReport:
     )
 
 
-def _fold(violations: list, max_gap, gaps, tols, locate, tol):
-    """Fold probes, in trial/probe order, into the violations and max_gap
-    so far: gaps and tols are their gaps and tolerances, and locate(i) is
-    the i-th probe's trial index and witness dict or None. Returns the new
-    max_gap."""
-    for i, (gap, probe_tol) in enumerate(zip(gaps, tols)):
-        # np.maximum's rule: the later of two equal gaps, and NaN stays
-        max_gap = max_gap if max_gap > gap or max_gap != max_gap else gap
-        if not gap <= (probe_tol if tol is None else tol) and len(violations) < MAX_WITNESSES:
-            trial, witness = locate(i)
-            violations.append({**(witness or {}), "gap": float(gap), "trial": int(trial)})
-    return max_gap
-
-
-def _swept(label, violations, max_gap, trials, seed, fields) -> CheckReport:
-    return CheckReport(
-        check=label, passed=not violations, max_gap=float(max_gap), trials=trials, seed=seed,
-        violations=violations, **fields,
-    )
+def judged(gap, tol, witness):
+    """The judge of draws that judge their own trial: each trial's drawn
+    ``(gap, tol, witness)`` is its one probe."""
+    return gap[:, None], tol[:, None], lambda trial, probe: witness[trial]
 
 
 def sweep(
-    label: str,
-    body: Callable,
-    trials: int,
-    seed: int,
-    tol: float | None = None,
-    **fields,
-) -> CheckReport:
-    """Run ``body(rng, trial)`` once per trial with ``rng = rng_for(seed,
-    label, trial)``.
-
-    The body returns a ``(gap, tol, witness_dict | None)`` triple, a
-    list of triples when it probes several instances per trial, or a
-    CheckReport, read as ``(max_gap, tol, None)``. A gap not within its
-    tolerance (a NaN gap included) is a violation, recorded with its gap
-    and trial index, the first ``MAX_WITNESSES`` in trial/probe order;
-    ``max_gap`` is the largest gap, NaN when any is. ``tol``, when given,
-    replaces every body tolerance. Further keyword arguments become
-    fields of the report. ``stacked_sweep`` is the form that judges all
-    trials at once.
-    """
-    probes = []
-    for trial in range(trials):
-        outcomes = body(rng_for(seed, label, trial), trial)
-        if isinstance(outcomes, CheckReport):
-            outcomes = (outcomes.max_gap, outcomes.tol, None)
-        if isinstance(outcomes, tuple):
-            outcomes = [outcomes]
-        probes.extend((trial, *outcome) for outcome in outcomes)
-    trial_of, gaps, tols, witnesses = zip(*probes) if probes else ((),) * 4
-    violations: list = []
-    max_gap = _fold(violations, -np.inf, gaps, tols, lambda i: (trial_of[i], witnesses[i]), tol)
-    return _swept(label, violations, max_gap, trials, seed, fields)
-
-
-def stacked_sweep(
     label: str,
     draw: Callable,
     judge: Callable,
@@ -190,21 +140,28 @@ def stacked_sweep(
     entries: int = 1,
     **fields,
 ) -> CheckReport:
-    """``sweep`` with each trial split into a draw and a stacked judge.
+    """The seeded sweep: every trial is a draw, and blocks of trials are
+    judged at once.
 
     ``draw(rng, trial)`` returns the trial's instance, a tuple of arrays
     (or floats) of fixed shapes, from ``rng = rng_for(seed, label,
-    trial)`` in trial order, as ``sweep`` gives its body. Blocks of at
-    most ``BLOCK_ENTRIES // entries`` trials (at least one; ``entries``
-    is the number of complex entries one trial's judge holds) are then
-    judged at once: ``judge(*stacks)`` takes each part of the instance
-    stacked over the block's trials and returns ``(gap, tol, witness)``:
-    two (trials, probes) arrays and ``witness(b, probe)``, the dict or
-    None that the per-trial body pairs with that probe of the block's
-    b-th trial. The report is the one ``sweep`` makes of the same
-    triples. A block the judge refuses is judged again trial by trial,
-    each trial a stack of one, so the first refused trial raises what it
-    raises alone (``frechet._in_turn``'s rule, for trials).
+    trial)`` in trial order. Blocks of at most ``BLOCK_ENTRIES //
+    entries`` trials (at least one; ``entries`` is the number of complex
+    entries one trial's judge holds) are then judged at once:
+    ``judge(*stacks)`` takes each part of the instance stacked over the
+    block's trials and returns ``(gap, tol, witness)``: two (trials,
+    probes) arrays and ``witness(b, probe)``, the dict or None that goes
+    with that probe of the block's b-th trial. A draw that judges its own
+    trial returns its ``(gap, tol, witness)``, which ``judged`` reads.
+
+    A gap not within its tolerance (a NaN gap included) is a violation,
+    recorded with its gap and trial index, the first ``MAX_WITNESSES`` in
+    trial/probe order; ``max_gap`` is the largest gap, NaN when any is.
+    ``tol``, when given, replaces every probe tolerance. Further keyword
+    arguments become fields of the report. A block of several trials that
+    the judge refuses is judged again trial by trial, each trial a stack
+    of one, so the first refused trial raises what it raises alone
+    (``frechet._in_turn``'s rule, for trials).
     """
     size = max(1, BLOCK_ENTRIES // entries)
     violations: list = []
@@ -216,15 +173,19 @@ def stacked_sweep(
         try:
             gap, probe_tol, witness = judge(*stacks)
         except MatPhiError:
-            for trial in range(len(drawn)):
+            for trial in range(len(drawn) if len(drawn) > 1 else 0):
                 judge(*(stack[trial:trial + 1] for stack in stacks))
             raise
         probes = np.shape(gap)[-1]
-
-        def locate(i):
-            trial, probe = divmod(i, probes)
-            return start + trial, witness(trial, probe)
-
-        gaps, tols = np.ravel(gap).tolist(), np.ravel(probe_tol).tolist()
-        max_gap = _fold(violations, max_gap, gaps, tols, locate, tol)
-    return _swept(label, violations, max_gap, trials, seed, fields)
+        for i, (g, g_tol) in enumerate(zip(np.ravel(gap).tolist(), np.ravel(probe_tol).tolist())):
+            # np.maximum's rule: the later of two equal gaps, and NaN stays
+            max_gap = max_gap if max_gap > g or max_gap != max_gap else g
+            if not g <= (g_tol if tol is None else tol) and len(violations) < MAX_WITNESSES:
+                trial, probe = divmod(i, probes)
+                violations.append(
+                    {**(witness(trial, probe) or {}), "gap": float(g), "trial": start + trial}
+                )
+    return CheckReport(
+        check=label, passed=not violations, max_gap=float(max_gap), trials=trials, seed=seed,
+        violations=violations, **fields,
+    )

@@ -1,10 +1,9 @@
 """Named check suites over seeded random instances.
 
 Every registry value is a callable ``(name, config) -> CheckReport``:
-a ``Sweep`` spec, whose per-trial body (or per-trial draw and stacked
-judge) one runner turns into a seeded sweep, or one of the few one-shot
-checks. The check's name is written
-once, as its registry key. Checks are looked up by name so suite
+a ``Sweep`` spec, whose per-trial draw and judge one runner turns into a
+seeded sweep, or one of the few one-shot checks. The check's name is
+written once, as its registry key. Checks are looked up by name so suite
 execution can fan out to worker processes; randomness is always derived
 from (config.seed, check name, trial index), which makes reports
 independent of the parallelism degree.
@@ -31,8 +30,8 @@ from .report import (
     ARTIFACT_VERSION,
     CheckReport,
     SuiteReport,
+    judged,
     relative_tol,
-    stacked_sweep,
     sweep,
 )
 from .sampling import (
@@ -118,13 +117,13 @@ def _in_class(phi: PhiFunction) -> PhiFunction:
 
 @dataclass(frozen=True)
 class Sweep:
-    """A seeded sweep check. ``body(rng, trial, run)`` returns a
-    CheckReport, a ``(gap, tol, witness)`` triple or a list of triples,
-    as ``report.sweep`` reads them. With a ``judge``, the body only draws
-    the trial's instance and ``judge(phi, *stacks)`` judges blocks of
-    trials at once with the check's generator, as
-    ``report.stacked_sweep`` runs them; ``entries(d)`` is the number of
-    complex entries one trial's judge holds.
+    """A seeded sweep check, a draw and a judge that ``report.sweep``
+    runs. ``body(rng, trial, run)`` draws the trial's instance, and
+    ``judge(phi, *stacks)`` judges blocks of trials at once with the
+    check's generator; ``entries(d)`` is the number of complex entries one
+    trial's judge holds. Without a ``judge`` the body judges its own
+    trial: it returns a ``(gap, tol, witness)`` triple or a CheckReport,
+    read as ``(max_gap, tol, None)``, and ``report.judged`` reads it.
 
     ``d`` and ``n`` are the clamps of config.d and config.n (``n=None``:
     the check has no n). ``generator`` picks the check's Phi from
@@ -149,13 +148,23 @@ class Sweep:
         n = None if self.n is None else _clamp(config.n, self.n)
         run = Run(phi, _clamp(config.d, self.d), n, config.seed)
         fields = {"phi": None if phi is None else phi.label, "d": run.d, "n": run.n}
-        body = partial(self.body, run=run)
+        draw = partial(self.body, run=run)
         if self.judge is None:
-            return sweep(name, body, config.trials, config.seed, tol=config.tol, **fields)
-        return stacked_sweep(
-            name, body, partial(self.judge, phi), config.trials, config.seed, tol=config.tol,
+            draw, judge = partial(_outcome, draw), judged
+        else:
+            judge = partial(self.judge, phi)
+        return sweep(
+            name, draw, judge, config.trials, config.seed, tol=config.tol,
             entries=self.entries(run.d), **fields,
         )
+
+
+def _outcome(body, rng, trial) -> tuple:
+    """The (gap, tol, witness) of a body that judges its own trial."""
+    outcome = body(rng, trial)
+    if isinstance(outcome, CheckReport):
+        return outcome.max_gap, outcome.tol, None
+    return outcome
 
 
 # ---------------------------------------------------------------- entropy

@@ -436,6 +436,19 @@ def test_run_suite_determinism_across_jobs():
     assert serial.comparable_dict() == parallel.comparable_dict()
 
 
+# SHA-256 of the matphi all --seed 42 report as CI prints it: sorted keys,
+# with the timing and the execution-only config fields dropped
+SEED_42_DIGEST = "11ee7e999dbda9de948dfc1861489b841bd0d5d216d414a914af48fa40d42ee5"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_seed_42_report_keeps_its_digest(jobs):
+    report = run_suite(RunConfig(seed=42, jobs=jobs), "all").to_dict()
+    del report["wall_clock"], report["config"]["jobs"], report["config"]["out"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == SEED_42_DIGEST
+
+
 def test_run_suite_repeat_identical():
     config = RunConfig(seed=11, trials=2, samples=1000)
     first = run_suite(config, "sobolev")

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from matphi.entropy import (
     bregman_maps,
     bregman_pair_sampler,
-    char_a_probe,
+    char_a_draw,
+    char_a_judge,
     check_char_a,
     check_char_e,
     check_char_g,
@@ -466,8 +467,14 @@ def _char_e_reference(phi, a, h, k):
     return float(np.trace(h @ lhs_mat).real), 2.0 * float(np.trace(h @ rhs_mat).real)
 
 
+def _char_a_probe(psi, d, rng):
+    """One char-a trial drawn and judged alone, as its (gap, tol, witness)."""
+    gap, tol, witness = char_a_judge(psi, *(m[None] for m in char_a_draw(rng, d)))
+    return float(gap[0, 0]), float(tol[0, 0]), witness(0, 0)
+
+
 def _char_a_reference(psi, d, rng):
-    """char_a_probe composed from one inverse superoperator per matrix."""
+    """_char_a_probe composed from one inverse superoperator per matrix."""
     a, b = random_pd(rng, d), random_pd(rng, d)
     inv = [inverse_derivative_superoperator(psi, m) for m in (a, b, 0.5 * (a + b))]
     lam = float(eigenvalues(hermitian_part(inv[2] - 0.5 * (inv[0] + inv[1])))[0])
@@ -503,7 +510,7 @@ def test_char_a_and_e_equal_the_per_call_composition(d):
             assert repr((res.lhs, res.rhs)) == repr(_char_e_reference(phi, a, h, k))
             got, want = (
                 probe(phi.psi(), d, rng_for(31, f"char-a-reference-{phi.label}", 8 * trial + d))
-                for probe in (char_a_probe, _char_a_reference)
+                for probe in (_char_a_probe, _char_a_reference)
             )
             assert repr(got) == repr(want)
 
@@ -526,7 +533,7 @@ def test_char_a_and_e_decompose_each_operand_once(monkeypatch):
         check_char_e(XLOGX, a, h, k)
         assert shapes == [(3, d, d)]
         shapes.clear()
-        char_a_probe(XLOGX.psi(), d, rng)
+        _char_a_probe(XLOGX.psi(), d, rng)
         assert shapes == [(3, d, d)]
 
 
@@ -563,7 +570,7 @@ def test_char_a_refuses_a_before_b_before_the_midpoint(monkeypatch):
                         (fine, worse, worse), (fine, singular, singular)):
         pairs = [a.astype(complex), b.astype(complex)]
         monkeypatch.setattr("matphi.entropy.random_pd", lambda rng, d: pairs.pop(0))
-        got = _error(lambda: char_a_probe(XLOGX.psi(), 2, None))
+        got = _error(lambda: _char_a_probe(XLOGX.psi(), 2, None))
         assert got == _error(lambda: inverse_derivative_superoperator(XLOGX.psi(), first))
 
 

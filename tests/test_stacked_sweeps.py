@@ -1,21 +1,27 @@
-"""The stacked characterization sweeps: each draws its trials one at a
-time and judges them in one kernel call. Their reports must be the bytes
-of the per-trial loop kept in ``support`` (the old bodies, kernels and
-sweep fold), they must refuse as that loop refuses, and their number of
-spectral calls must not grow with the trials."""
+"""The one sweep loop. The stacked characterization sweeps draw their
+trials one at a time and judge them in one kernel call; the other sweeps
+and ``check_joint_convexity`` judge each trial alone. Every report must be
+the bytes of the per-trial loop kept in ``support`` (the old bodies,
+kernels and sweep fold), the stacked sweeps must refuse as that loop
+refuses, and their number of spectral calls must not grow with the
+trials."""
 
 import json
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import matphi.entropy
+import matphi.fourier
 import matphi.report
 import matphi.sampling
 import matphi.suites
 import support
 from matphi import PhiFunction, bregman_maps, check_char_a, check_char_e, check_char_h
-from matphi.errors import MatPhiError
+from matphi.entropy import bregman_pair_sampler, check_joint_convexity
+from matphi.errors import DomainError, MatPhiError
 from matphi.linalg import frobenius_norm
 from matphi.models import DiscreteRandomMatrix
 from matphi.sampling import (
@@ -25,7 +31,8 @@ from matphi.sampling import (
     random_unit_hermitian,
     rng_for,
 )
-from matphi.suites import CHECKS, RunConfig, run_suite
+from matphi.report import BLOCK_ENTRIES, MAX_WITNESSES, judged, sweep
+from matphi.suites import CHECKS, Run, RunConfig, Sweep, _clamp, run_suite
 from support import reference_characterizations
 
 STACKED = ["char-a", "char-b", "char-c", "char-d", "char-e", "char-f", "char-h", "char-i"]
@@ -78,7 +85,7 @@ def test_a_zero_tolerance_keeps_the_per_trial_witnesses(name):
 @pytest.mark.parametrize("name", ["char-a", "char-b", "char-c", "char-d", "char-e"])
 def test_the_cube_fills_the_witness_cap_as_the_per_trial_loop_does(name):
     (report,) = _assert_reference_bytes(name, "cube", 2, 7, (50,))
-    assert len(report.violations) == matphi.report.MAX_WITNESSES
+    assert len(report.violations) == MAX_WITNESSES
 
 
 @pytest.mark.parametrize("name", STACKED)
@@ -96,8 +103,10 @@ SPECIAL_GAPS = [0.0, -0.0, np.nan, 1.0, -1.0, np.inf, -np.inf, 1e-300]
 
 
 def test_both_sweeps_fold_as_the_per_probe_maximum():
-    # signed zeros, NaN and infinities, in blocks of two trials: the same
-    # max_gap bits and the same first five violations as the np.maximum fold
+    # signed zeros, NaN and infinities: the same max_gap bits and the same
+    # first five violations as the np.maximum fold, with the probes judged
+    # two to a trial in blocks of two trials, and drawn one to a trial and
+    # read by the judge of self-judged draws in blocks of three
     rng = np.random.default_rng(0)
     for _ in range(300):
         gaps = rng.choice(SPECIAL_GAPS, size=(int(rng.integers(1, 8)), 2))
@@ -111,12 +120,174 @@ def test_both_sweeps_fold_as_the_per_probe_maximum():
             return gaps[trial], tols[trial], lambda b, p: {"p": p} if p else None
 
         want = _bytes(support.reference_sweep("x", body, trials, 0))
-        assert _bytes(matphi.report.sweep("x", body, trials, 0)) == want
-        stacked = matphi.report.stacked_sweep(
-            "x", lambda rng, trial: (trial,), judge, trials, 0,
-            entries=matphi.report.BLOCK_ENTRIES // 2,
+        stacked = sweep(
+            "x", lambda rng, trial: (trial,), judge, trials, 0, entries=BLOCK_ENTRIES // 2
         )
         assert _bytes(stacked) == want
+
+        def own(rng, trial):
+            return gaps.flat[trial], tols.flat[trial], {"p": 1} if trial % 2 else None
+
+        want = _bytes(support.reference_sweep("x", own, 2 * trials, 0))
+        assert _bytes(sweep("x", own, judged, 2 * trials, 0, entries=BLOCK_ENTRIES // 3)) == want
+
+
+# The sweeps that judge each trial alone: the suites' other sweeps, whose
+# bodies return a (gap, tol, witness) triple or a CheckReport, and
+# functional-sdpi's inner sweep, against the per-trial loop of ``support``.
+PER_TRIAL = [name for name, spec in CHECKS.items() if isinstance(spec, Sweep) and not spec.judge]
+
+
+def _reference_per_trial(name, spec, config, tol, outcomes=None):
+    """The per-trial loop over the body of ``spec`` as ``Sweep`` runs it
+    at config, judged against tol; trial outcomes are cached in
+    ``outcomes``, if given."""
+    phi = None if spec.generator is None else spec.generator(config.phi_fn)
+    n = None if spec.n is None else _clamp(config.n, spec.n)
+    run = Run(phi, _clamp(config.d, spec.d), n, config.seed)
+    body = partial(spec.body, run=run)
+    if outcomes is not None:
+        def body(rng, trial, body=body):
+            if trial not in outcomes:
+                outcomes[trial] = body(rng, trial)
+            return outcomes[trial]
+    return support.reference_sweep(
+        name, body, config.trials, config.seed, tol=tol,
+        phi=None if phi is None else phi.label, d=run.d, n=run.n,
+    )
+
+
+PER_TRIAL_CONFIGS = [
+    RunConfig(seed=seed, trials=trials, tol=tol)
+    for seed in (0, 42) for trials, tol in ((1, None), (50, None), (50, 0.0))
+]
+
+
+def test_twenty_sweeps_judge_their_trials_alone():
+    assert len(PER_TRIAL) == 20
+
+
+@pytest.mark.parametrize("name", PER_TRIAL)
+def test_per_trial_sweeps_run_through_the_one_loop_unchanged(name):
+    spec = CHECKS[name]
+    for seed in (0, 42):
+        outcomes = {}
+        for config in (c for c in PER_TRIAL_CONFIGS if c.seed == seed):
+            want = _reference_per_trial(name, spec, config, config.tol, outcomes)
+            assert _bytes(spec(name, config)) == _bytes(want), config
+
+
+def _violating_everywhere(monkeypatch):
+    """Make every gap of the suite sweeps a violation: ``Sweep`` calls the
+    loop with a tolerance below every gap."""
+    real = matphi.suites.sweep
+    monkeypatch.setattr(
+        matphi.suites, "sweep", lambda *args, **kwargs: real(*args, **{**kwargs, "tol": -np.inf})
+    )
+
+
+@pytest.mark.parametrize("name, key", [
+    ("bonami-beckner", "p"), ("phi-sobolev", "p"), ("p-variance-limit", "residuals"),
+])
+def test_per_trial_witnesses_come_through_unchanged(monkeypatch, name, key):
+    # p-variance-limit gives its residuals only when a trial fails
+    real = matphi.fourier.check_p_variance_limit
+    monkeypatch.setattr(
+        matphi.fourier, "check_p_variance_limit", lambda law: replace(real(law), passed=False)
+    )
+    _violating_everywhere(monkeypatch)
+    spec, config = CHECKS[name], RunConfig(seed=3, trials=12)
+    report = spec(name, config)
+    assert _bytes(report) == _bytes(_reference_per_trial(name, spec, config, -np.inf))
+    assert len(report.violations) == MAX_WITNESSES
+    assert all(key in violation for violation in report.violations)
+
+
+def test_functional_sdpi_runs_its_inner_sweep_through_the_one_loop(monkeypatch):
+    inner = []
+
+    class Recording(Sweep):
+        def __call__(self, name, config):
+            report = super().__call__(name, config)
+            inner.append((self, _bytes(report)))
+            return report
+
+    monkeypatch.setattr(matphi.suites, "Sweep", Recording)
+    for config in PER_TRIAL_CONFIGS:
+        inner.clear()
+        CHECKS["functional-sdpi"]("functional-sdpi", config)
+        ((spec, got),) = inner
+        want = _reference_per_trial("functional-sdpi", spec, config, config.tol)
+        assert got == _bytes(want), config
+
+
+# check_joint_convexity: a sweep of one trial a block over a user's map,
+# against the per-trial probes of ``support``.
+
+def _reference_joint_convexity(map_fn, sampler, trials, seed):
+    def body(rng, trial):
+        return support.reference_joint_convexity_probes(map_fn, sampler(rng), rng)
+
+    return support.reference_sweep("joint-convexity", body, trials, seed)
+
+
+@pytest.mark.parametrize("phi", ["xlogx", "power:1.5"])
+def test_check_joint_convexity_reports_the_per_trial_bytes(phi):
+    phi = PhiFunction.parse(phi)
+    for d in (1, 2, 3):
+        for index in range(3):
+            def map_fn(u, v):
+                return bregman_maps(phi, u, v)[index]
+
+            sampler = bregman_pair_sampler(d)
+            for seed in (0, 1):
+                got = check_joint_convexity(map_fn, sampler, 20, seed)
+                assert _bytes(got) == _bytes(_reference_joint_convexity(map_fn, sampler, 20, seed))
+
+
+def test_check_joint_convexity_fills_the_witness_cap_as_the_per_trial_loop_does():
+    cube = PhiFunction.parse("cube")
+
+    def map_fn(u, v):
+        return bregman_maps(cube, u, v)[2]
+
+    sampler = bregman_pair_sampler(1)
+    got = check_joint_convexity(map_fn, sampler, 50, 7)
+    assert _bytes(got) == _bytes(_reference_joint_convexity(map_fn, sampler, 50, 7))
+    assert len(got.violations) == MAX_WITNESSES
+
+
+def test_check_joint_convexity_refuses_after_the_per_trial_map_calls():
+    # the map refuses the mix at 1/2 of trial 2, its 11th call
+    def refusing(calls):
+        def map_fn(u, v):
+            calls.append(np.concatenate([u, v]).tobytes())
+            if len(calls) == 11:
+                raise DomainError(f"refused call {len(calls)}")
+            return bregman_maps(PhiFunction.xlogx(), u, v)[0]
+
+        return map_fn
+
+    sampler = bregman_pair_sampler(2)
+    want_calls, got_calls = [], []
+    want = _error(lambda: _reference_joint_convexity(refusing(want_calls), sampler, 5, 4))
+    assert _error(lambda: check_joint_convexity(refusing(got_calls), sampler, 5, 4)) == want
+    assert got_calls == want_calls and len(got_calls) == 11
+
+
+def test_check_joint_convexity_judges_one_trial_a_call(monkeypatch):
+    blocks = []
+    real = matphi.entropy.convexity_judge
+
+    def counted(map_values, pairs, weight):
+        blocks.append(len(pairs))
+        return real(map_values, pairs, weight)
+
+    monkeypatch.setattr(matphi.entropy, "convexity_judge", counted)
+    report = check_joint_convexity(
+        lambda u, v: bregman_maps(PhiFunction.xlogx(), u, v)[1], bregman_pair_sampler(2), 7, 0
+    )
+    assert report.passed and blocks == [1] * 7
 
 
 def _corrupting(monkeypatch, bad):
@@ -304,6 +475,8 @@ POINT = DiscreteRandomMatrix([1.0], [EYE2])
 SINGLE_REFUSALS = [
     (lambda: bregman_maps(XLOGX, np.ones((2, 3)), np.ones((2, 3))),
      "NotHermitian", "expected square matrices, got shape (2, 2, 3)"),
+    (lambda: bregman_maps(XLOGX, EYE3, EYE2),
+     "DimensionMismatch", "direction of shape (2, 2) for a matrix of shape (3, 3)"),
     (lambda: bregman_maps(XLOGX, SKEW, EYE2),
      "NotHermitian", "hermiticity deviation 1.000e+00 exceeds tolerance 2.000e-10"),
     (lambda: bregman_maps(XLOGX, EYE2, NAN), "NotHermitian", "matrix entries must be finite"),

@@ -33,7 +33,7 @@ from matphi.holevo import (
 )
 from matphi.models import DiscreteRandomMatrix, FiniteLaw, MatrixInputModel, ProductModel
 from matphi.phifun import PhiFunction
-from matphi.report import relative_tol, sweep, verdict
+from matphi.report import judged, relative_tol, sweep, verdict
 from matphi.sampling import (
     random_boolean_function,
     random_density,
@@ -154,11 +154,11 @@ def test_verdict_passes_exactly_at_or_below_tol():
 
 def test_a_nan_gap_fails_a_sweep_as_it_fails_a_verdict():
     assert not verdict("y", np.nan, 1e-9).passed
-    rep = sweep("x", lambda rng, t: (np.nan if t == 1 else 0.0, 1e-9, None), 3, 0)
+    rep = sweep("x", lambda rng, t: (np.nan if t == 1 else 0.0, 1e-9, None), judged, 3, 0)
     assert not rep.passed and np.isnan(rep.max_gap)
     assert [v["trial"] for v in rep.violations] == [1]
     # a NaN tolerance is no pass either
-    assert not sweep("x", lambda rng, t: (0.0, np.nan, None), 1, 0).passed
+    assert not sweep("x", lambda rng, t: (0.0, np.nan, None), judged, 1, 0).passed
 
 
 # Near-equality instances: each check passes its tight instance, and a
