@@ -55,21 +55,15 @@ def _phi_traces(phi: PhiFunction, values, means) -> np.ndarray:
 
 def _law_entropies(phi: PhiFunction, probs, values) -> np.ndarray:
     """phi_entropy of each law of a stack, with probabilities (..., s) and
-    values (..., s, d, d): one weighted sum per law, so each rounds as it
-    does alone."""
+    values (..., s, d, d), taken C-contiguous: one weighted sum per law, so
+    each rounds as it does alone, whatever the stack's layout. Apart from
+    it stay holevo._total_variance (one spectrum call serves its total,
+    conditional and outer entropies) and fourier._square_entropy with the
+    LSI caches (they share the sum / k mean, pinned by LSI_SEARCH_PINS)."""
+    values = np.ascontiguousarray(values)
     means = hermitian_part(weighted_sum(probs, values, 2))
     traces = _phi_traces(phi, values, means)
     return weighted_sum(probs, traces[..., :-1], 0) - traces[..., -1]
-
-
-def _phi_entropies(phi: PhiFunction, probs, values, means) -> np.ndarray:
-    """tr[E Phi(Z) - Phi(E Z)] of each law over the (..., s, d, d) values
-    with probabilities (s,) and means (..., d, d), from one spectrum call;
-    one weighted sum over the moved law axis serves all laws (unlike
-    ``_law_entropies``, one per law)."""
-    traces = _phi_traces(phi, values, means)
-    sums = weighted_sum(probs, np.moveaxis(traces[..., :-1], -1, 0), traces.ndim - 1)
-    return sums - traces[..., -1]
 
 
 @dataclass(frozen=True)
@@ -88,8 +82,7 @@ def conditional_phi_entropy(
     phi: PhiFunction, model: ProductModel, i: int
 ) -> ConditionalEntropyTable:
     weights, probs, values = model.slices(i)
-    means = hermitian_part(weighted_sum(probs, np.moveaxis(values, 1, 0), 3))
-    return ConditionalEntropyTable(weights, _phi_entropies(phi, probs, values, means))
+    return ConditionalEntropyTable(weights, _law_entropies(phi, probs, values))
 
 
 def check_subadditivity(phi: PhiFunction, model: ProductModel) -> CheckReport:

@@ -22,7 +22,7 @@ from .errors import (
     MatPhiError,
     NotAdmissible,
 )
-from .entropy import _phi_traces, phi_entropy
+from .entropy import _law_entropies, _phi_traces, phi_entropy
 from .linalg import (
     NONNEGATIVE,
     _require_hermitian_stack,
@@ -219,10 +219,7 @@ def holevo_chi(ens: CQEnsemble) -> float:
 def _scalar_chi(probs: np.ndarray, f: np.ndarray) -> np.ndarray:
     """H_{x log x} of each (..., k) family of nonnegative scalars (1x1 PSD
     matrices), unchecked; the Kullback-Leibler divergence when f = d nu/d mu."""
-    values = f[..., None, None].astype(complex)
-    traces = _phi_traces(XLOGX, values, _average_state(probs, values))
-    # one dot per family: tensordot over a stack rounds differently
-    return weighted_sum(probs, traces[..., :-1], 0) - traces[..., -1]
+    return _law_entropies(XLOGX, probs, f[..., None, None].astype(complex))
 
 
 def check_data_processing(ens: CQEnsemble, kernel: MarkovKernel) -> CheckReport:

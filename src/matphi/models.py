@@ -256,8 +256,6 @@ class ProductModel:
         Z as the i-th input varies with the others pinned."""
         if not 0 <= i < self.n:
             raise IndexError(f"input index {i} out of range for n={self.n}")
-        # the moveaxis view, not a gather: BLAS rounds the callers' sums over
-        # these values by their memory layout
         table = np.moveaxis(self.values.reshape(*self.sizes, *self.values.shape[1:]), i, self.n - 1)
         return self.rest_weights[i], self.laws[i].probs, table.reshape(-1, *table.shape[self.n - 1:])
 

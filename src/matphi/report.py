@@ -161,8 +161,11 @@ def sweep(
     arguments become fields of the report. A block of several trials that
     the judge refuses is judged again trial by trial, each trial a stack
     of one, so the first refused trial raises what it raises alone
-    (``frechet._in_turn``'s rule, for trials).
+    (``frechet._in_turn``'s rule, for trials). Fewer than one trial is a
+    ValueError, before any draw.
     """
+    if trials < 1:
+        raise ValueError(f"{label}: trials must be at least 1, got {trials}")
     size = max(1, BLOCK_ENTRIES // entries)
     violations: list = []
     max_gap = -np.inf

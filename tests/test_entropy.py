@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matphi.entropy import (
+    _law_entropies,
     bregman_maps,
     bregman_pair_sampler,
     char_a_draw,
@@ -170,6 +171,58 @@ def test_conditional_entropy_matches_per_slice_reference(arities, phi):
             table = conditional_phi_entropy(phi, model, i)
             assert np.array_equal(table.probs, ref_probs)
             assert np.allclose(table.entropies, ref_entropies, rtol=1e-12, atol=0.0)
+
+
+def _slice_models():
+    # 300 product models of 1-4 inputs with arities 1-4 at d 1-3
+    for trial in range(300):
+        rng = rng_for(31, "entropy-slice-bits", trial)
+        arities = tuple(int(a) for a in rng.integers(1, 5, size=int(rng.integers(1, 5))))
+        yield _mixed_model(rng, 1 + trial % 3, arities)
+
+
+def test_conditional_entropies_are_the_slice_laws_entropies_bit_for_bit():
+    # each entry is phi_entropy of its slice law, whatever the slice's layout
+    for model in _slice_models():
+        for phi in (XLOGX, PhiFunction.power(1.5)):
+            for i in range(model.n):
+                _, probs, values = model.slices(i)
+                got = conditional_phi_entropy(phi, model, i).entropies
+                want = [phi_entropy(phi, DiscreteRandomMatrix(probs, v)) for v in values]
+                assert got.tolist() == want, (model.sizes, phi.label, i)
+
+
+def test_conditional_tables_do_not_depend_on_the_slices_layout(monkeypatch):
+    models = list(_slice_models())
+    phis = (XLOGX, PhiFunction.power(1.5))
+
+    def tables():
+        return [conditional_phi_entropy(phi, model, i).entropies.tobytes()
+                for model in models for phi in phis for i in range(model.n)]
+
+    views = tables()
+    slices = ProductModel.slices
+    monkeypatch.setattr(
+        ProductModel, "slices",
+        lambda self, i: tuple(np.ascontiguousarray(part) for part in slices(self, i)),
+    )
+    assert tables() == views
+
+
+@pytest.mark.parametrize("phi", [XLOGX, PhiFunction.power(1.5)], ids=lambda phi: phi.label)
+def test_law_entropies_of_a_stack_are_each_laws_entropy_bit_for_bit(phi):
+    # T laws of s values at d, stacked contiguously or as a moveaxis view,
+    # with one probability row per law or one row for all
+    for s, d, count in itertools.product(range(1, 7), range(1, 5), range(1, 9)):
+        rng = rng_for(31, "law-entropies-stack", s * 100 + d * 10 + count)
+        rows = np.stack([random_probability_vector(rng, s) for _ in range(count)])
+        values = np.stack([random_psd(rng, d) for _ in range(s * count)]).reshape(s, count, d, d)
+        view = np.moveaxis(values, 0, 1)
+        for probs in (rows, rows[0]):
+            per_law = np.broadcast_to(probs, rows.shape)
+            want = [phi_entropy(phi, DiscreteRandomMatrix(p, v)) for p, v in zip(per_law, view)]
+            for stack in (view, np.ascontiguousarray(view)):
+                assert _law_entropies(phi, probs, stack).tolist() == want, (s, d, count)
 
 
 def test_subadditivity_constant():

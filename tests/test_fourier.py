@@ -275,6 +275,27 @@ def test_p_variance_limit_random_sweep():
         assert rep.details["linear_shrink"]
 
 
+@pytest.mark.parametrize("seed, trial", [(477, 14), (504, 16)])
+def test_p_variance_limit_judges_shrinkage_on_the_finest_pair(seed, trial):
+    # the coarse pair of these laws is not yet linear in 2 - p; the pair the
+    # extrapolation uses is, and the extrapolated error is within 1e-4
+    law = random_law(rng_for(seed, "p-variance-limit", trial), 2, 2, psd=True, pd_floor=0.2)
+    rep = check_p_variance_limit(law)
+    assert rep.passed and rep.details["linear_shrink"] and rep.max_gap < 1e-4
+
+
+@pytest.mark.parametrize("fault", [
+    lambda v, law, p: v(law, p) + 1e-3 * np.eye(law.d),
+    lambda v, law, p: v(law, p) * (1.0 + 1e-3),
+], ids=["plus-identity", "relative"])
+def test_p_variance_limit_catches_a_p_variance_fault(monkeypatch, fault):
+    real = matphi.fourier.p_variance
+    monkeypatch.setattr(matphi.fourier, "p_variance", lambda law, p: fault(real, law, p))
+    for trial in range(50):
+        law = random_law(rng_for(18, "p-variance-fault", trial), 2, 2, psd=True, pd_floor=0.2)
+        assert not check_p_variance_limit(law).passed, trial
+
+
 def test_p_variance_limit_rejects_singular():
     law = DiscreteRandomMatrix(
         np.array([0.5, 0.5]),

@@ -290,6 +290,25 @@ def test_check_joint_convexity_judges_one_trial_a_call(monkeypatch):
     assert report.passed and blocks == [1] * 7
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_a_sweep_of_no_trials_is_refused_before_any_draw(monkeypatch, trials):
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for name in ("char_a_draw", "char_a_judge"):
+        monkeypatch.setattr(matphi.entropy, name, counted(name, getattr(matphi.entropy, name)))
+    xlogx = PhiFunction.xlogx()
+    with pytest.raises(ValueError, match=f"char-a: trials must be at least 1, got {trials}"):
+        check_char_a(xlogx, trials=trials, d=2)
+    sampler = counted("sampler", bregman_pair_sampler(2))
+    map_fn = counted("map", lambda u, v: bregman_maps(xlogx, u, v)[0])
+    with pytest.raises(ValueError, match="joint-convexity: trials must be at least 1"):
+        check_joint_convexity(map_fn, sampler, trials, 0)
+    assert calls == []
+
+
 def _corrupting(monkeypatch, bad):
     """Patch every random_psd the stacked and the reference draws call so
     that the j-th matrix trial t draws, for (t, j) in ``bad``, becomes
