@@ -33,7 +33,7 @@ from .models import (
     resampling_plan,
     weighted_sum,
 )
-from .report import CheckReport, relative_tol, verdict
+from .report import CheckReport, Inequality, relative_tol, verdict
 from .sampling import rng_for
 
 FORM_AGREEMENT_TOL = 1e-10
@@ -107,15 +107,14 @@ def dirichlet_energy_forms(f: MatrixBooleanFunction) -> tuple[float, float, floa
             efron_stein_quantity(uniform_cube_model(f)))
 
 
+def _efron_stein_sides(model: ProductModel) -> tuple[float, float]:
+    """Var(Z) and E(Z) by exact enumeration."""
+    return variance(model.to_law()), efron_stein_quantity(model)
+
+
 def check_efron_stein(model: ProductModel) -> CheckReport:
     """Var(Z) <= E(Z) by exact enumeration."""
-    law = model.to_law()
-    var = variance(law)
-    bound = efron_stein_quantity(model)
-    return verdict(
-        "efron-stein", var - bound, relative_tol(1e-9, var, bound), d=law.d, n=model.n,
-        details={"variance": var, "bound": bound},
-    )
+    return EFRON_STEIN.verdict(model, d=model.to_law().d, n=model.n)
 
 
 def check_plus_identities(law: DiscreteRandomMatrix, q: int) -> CheckReport:
@@ -239,19 +238,18 @@ def _spot_check_convexity(
         )
 
 
-def _poincare_report(
-    check: str, model: ProductModel, energy: np.ndarray, **fields
-) -> CheckReport:
-    """Var(Z) <= sum_i E ||D_i Z||_2^2 by exact enumeration of the model,
-    from the (K, n) squared derivative norms at its outcomes in table order."""
+def _enumerated_poincare_sides(model: ProductModel, energy: np.ndarray) -> tuple[float, float]:
+    """Both sides of Var(Z) <= sum_i E ||D_i Z||_2^2 by exact enumeration, from
+    the (K, n) squared derivative norms at the model's outcomes in table order."""
     law = model.to_law()
-    var = variance(law)
-    terms = law.probs[:, None] * energy
-    bound = float(np.cumsum(np.append(0.0, terms))[-1])  # in enumeration order; np.sum pairs
-    return verdict(
-        check, var - bound, relative_tol(1e-8, var, bound), d=law.d, n=model.n,
-        details={"variance": var, "bound": bound}, **fields,
-    )
+    terms = law.probs[:, None] * energy  # summed in table order; np.sum pairs
+    return variance(law), float(np.cumsum(np.append(0.0, terms))[-1])
+
+
+# the exact inequalities of this module, each judged by its record
+EFRON_STEIN = Inequality("efron-stein", 1e-9, _efron_stein_sides, names=("variance", "bound"))
+POINCARE = Inequality("poincare", 1e-8, _enumerated_poincare_sides, names=("variance", "bound"))
+POINCARE_COMMUTING = Inequality("poincare-commuting", 1e-8, POINCARE.sides, POINCARE.names)
 
 
 def check_poincare(
@@ -265,7 +263,7 @@ def check_poincare(
     _spot_check_convexity(model, spot_check_probes, rng_for(seed, "poincare-spot", 0))
     points = [tuple(np.asarray(x, dtype=complex) for x in xs) for _, xs in model.iter_joint()]
     energy = _energy(model.evaluator, points, model.n, model.partial_norm)
-    return _poincare_report("poincare", model, energy, seed=seed)
+    return POINCARE.verdict(model, energy, d=model.to_law().d, n=model.n, seed=seed)
 
 
 def check_poincare_commuting(
@@ -285,7 +283,8 @@ def check_poincare_commuting(
         return multivariate_apply(f, lambdas, u)
 
     model = ProductModel.tabulate(laws, evaluate)
-    return _poincare_report("poincare-commuting", model, np.array(sup_norms, dtype=float) ** 2)
+    energy = np.array(sup_norms, dtype=float) ** 2
+    return POINCARE_COMMUTING.verdict(model, energy, d=model.to_law().d, n=model.n)
 
 
 def sample_gue(d: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -34,7 +34,7 @@ from .linalg import (
 )
 from .models import DiscreteRandomMatrix, ProductModel, weighted_sum
 from .phifun import PhiFunction, ScalarFunction
-from .report import CheckReport, matrix_to_obj, relative_tol, sweep, verdict
+from .report import CheckReport, Inequality, matrix_to_obj, relative_tol, sweep
 from .sampling import BLOCK_ENTRIES, random_pd, random_psd
 
 
@@ -85,15 +85,15 @@ def conditional_phi_entropy(
     return ConditionalEntropyTable(weights, _law_entropies(phi, probs, values))
 
 
+def _subadditivity_sides(phi: PhiFunction, model: ProductModel) -> tuple[float, float]:
+    """H(Z) and the sum over the inputs of the expected conditional entropies."""
+    lhs = phi_entropy(phi, model.to_law())
+    return lhs, sum(conditional_phi_entropy(phi, model, i).expectation for i in range(model.n))
+
+
 def check_subadditivity(phi: PhiFunction, model: ProductModel) -> CheckReport:
     """Whole-entropy vs summed conditional entropies, by exact enumeration."""
-    law = model.to_law()
-    lhs = phi_entropy(phi, law)
-    rhs = sum(conditional_phi_entropy(phi, model, i).expectation for i in range(model.n))
-    return verdict(
-        "subadditivity", lhs - rhs, relative_tol(1e-9, lhs, rhs), phi=phi.label, d=law.d,
-        n=model.n, details={"lhs": lhs, "rhs": rhs},
-    )
+    return SUBADDITIVITY.verdict(phi, model, phi=phi.label, d=model.to_law().d, n=model.n)
 
 
 def bregman_maps(phi: PhiFunction, u, v) -> tuple[float, float, float]:
@@ -136,12 +136,11 @@ def _mix(t, x, y):
     return t * x + (1.0 - t) * y
 
 
-def _convexity_gap(t, ends, mixed):
-    """(gap, tol) of joint-convexity probes at weights t: the map at the
-    mixed arguments against its two end values mixed, of floats or of
-    broadcasting arrays."""
-    lhs = _mix(t, *ends)
-    return mixed - lhs, relative_tol(1e-8, lhs, mixed)
+def _convexity_sides(t, x_value, y_value, mixed):
+    """Both sides of a joint-convexity probe at weight t: the map's two
+    end values mixed, and its value at the mixed arguments, of floats or
+    of broadcasting arrays."""
+    return _mix(t, x_value, y_value), mixed
 
 
 def _pair_witness(t, pairs) -> dict:
@@ -166,7 +165,8 @@ def convexity_judge(map_values: Callable, pairs: np.ndarray, weight: np.ndarray)
     mixed = _mix(t[..., None, None, None], pairs[:, :1], pairs[:, 1:])
     args = np.concatenate([pairs, mixed], axis=1)
     values = map_values(args[:, :, 0], args[:, :, 1])
-    gap, tol = _convexity_gap(t, (values[:, :1], values[:, 1:2]), values[:, 2:])
+    sides = JOINT_CONVEXITY.sides(t, values[:, :1], values[:, 1:2], values[:, 2:])
+    gap, tol = JOINT_CONVEXITY.rule(*sides)
 
     def witness(trial, probe):
         if gap[trial, probe] > tol[trial, probe]:
@@ -174,10 +174,6 @@ def convexity_judge(map_values: Callable, pairs: np.ndarray, weight: np.ndarray)
         return None
 
     return gap, tol, witness
-
-
-def _no_witness(trial, probe):
-    return None
 
 
 def check_joint_convexity(
@@ -259,7 +255,7 @@ class CharEResult:
 
     @property
     def holds(self) -> bool:
-        return self.lhs >= self.rhs - self.tol
+        return CHAR_E.rule(self.lhs, self.rhs)[0] <= self.tol
 
 
 def check_char_e(phi: PhiFunction, a, h, k) -> CharEResult:
@@ -274,17 +270,19 @@ def check_char_e(phi: PhiFunction, a, h, k) -> CharEResult:
     d = 1 everything reduces to
     Phi'''' k^2 h^2 / Phi''^2 >= 2 Phi'''^2 k^2 h^2 / Phi''^3.
     """
-    if phi.is_affine:
-        return CharEResult(0.0, 0.0, relative_tol(1e-6))
-    lhs, rhs = (float(side) for side in _char_e_sides(phi.psi(), *_operands(a, h, k)))
-    return CharEResult(lhs, rhs, relative_tol(1e-6, lhs, rhs))
+    lhs, rhs = (float(side) for side in _char_e_sides(phi, *_operands(a, h, k)))
+    return CharEResult(lhs, rhs, CHAR_E.rule(lhs, rhs)[1])
 
 
-def _char_e_sides(psi: ScalarFunction, a, h, k) -> tuple[np.ndarray, np.ndarray]:
+def _char_e_sides(phi: PhiFunction, a, h, k) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of ``check_char_e`` for each instance of validated
-    (..., d, d) stacks a, h and k. One instance is refused as
-    ``check_char_e`` refuses it; a stack of several is refused by one of
-    its instances, not necessarily the first."""
+    (..., d, d) stacks a, h and k, both zero for an affine generator. One
+    instance is refused as ``check_char_e`` refuses it; a stack of several
+    is refused by one of its instances, not necessarily the first."""
+    if phi.is_affine:
+        zero = np.zeros(np.shape(a)[:-2])
+        return zero, zero
+    psi = phi.psi()
     fd_step = 1e-4 * (1.0 + frobenius_norm(a))
     step = fd_step[..., None, None]
     # one eigensystem each for A and A +- fd_step k; A is admitted and its
@@ -307,22 +305,18 @@ def _char_e_sides(psi: ScalarFunction, a, h, k) -> tuple[np.ndarray, np.ndarray]
 
 
 def char_e_judge(phi: PhiFunction, a: np.ndarray, h: np.ndarray, k: np.ndarray):
-    """``check_char_e`` at T instances, the (T, d, d) stacks a, h and k,
-    as a sweep's judge: gap rhs - lhs against its tol, and a
-    witness where the result does not hold."""
-    if phi.is_affine:
-        zero = np.zeros((len(a), 1))
-        return zero, zero + relative_tol(1e-6), _no_witness
-    lhs, rhs = _char_e_sides(phi.psi(), a, h, k)
-    result = CharEResult(lhs, rhs, relative_tol(1e-6, lhs, rhs))
+    """``CHAR_E.judge`` at T instances, the (T, d, d) stacks a, h and k,
+    with a witness where the gap exceeds its tol."""
+    lhs, rhs = _char_e_sides(phi, a, h, k)
+    gap, tol = CHAR_E.rule(lhs, rhs)
 
     def witness(trial, probe):
-        if result.holds[trial]:
+        if gap[trial] <= tol[trial]:
             return None
         return {"lhs": float(lhs[trial]), "rhs": float(rhs[trial]), "a": matrix_to_obj(a[trial]),
                 "h": matrix_to_obj(h[trial]), "k": matrix_to_obj(k[trial])}
 
-    return (rhs - lhs)[:, None], result.tol[:, None], witness
+    return gap[:, None], tol[:, None], witness
 
 
 def duality_lower_bound(
@@ -347,16 +341,22 @@ def _duality_terms(phi: PhiFunction, probs, z, t) -> np.ndarray:
     return weighted_sum(probs, terms.real, 0) / z.shape[-1]
 
 
-def char_i_judge(phi: PhiFunction, probs: np.ndarray, z: np.ndarray, t: np.ndarray):
-    """The duality lower bound of H(Z) against H(Z) at T coupled pairs of
-    laws, probabilities (T, s) and values z, t (T, s, d, d), as a
-    sweep's judge. One trial is refused as ``duality_lower_bound`` and
-    then ``phi_entropy`` of Z refuse it: T's Psi spectra, then H(T),
-    then H(Z)."""
+def _char_i_sides(phi: PhiFunction, probs, z, t) -> tuple[np.ndarray, np.ndarray]:
+    """The duality lower bound of H(Z) and H(Z) for each coupled pair of
+    laws, probabilities (..., s) and values z, t (..., s, d, d). One pair
+    is refused as ``duality_lower_bound`` and then ``phi_entropy`` of Z
+    refuse it: T's Psi spectra, then H(T), then H(Z)."""
     terms = _duality_terms(phi, probs, z, t)
-    entropies = _law_entropies(phi, probs[:, None, :], np.stack([t, z], axis=1))
-    bound, h = terms + entropies[:, 0], entropies[:, 1]
-    return (bound - h)[:, None], relative_tol(1e-9, bound, h)[:, None], _no_witness
+    entropies = _law_entropies(phi, probs[..., None, :], np.stack([t, z], axis=-4))
+    return terms + entropies[..., 0], entropies[..., 1]
+
+
+def _char_g_sides(phi: PhiFunction, model: ProductModel) -> tuple[float, float]:
+    """The averaged conditional entropy and the entropy of the partial average."""
+    # row x_1 of the table is the law of Z(x_1, .); rows weigh by the first input
+    weights, probs, rows = model.slices(1)
+    cond = conditional_phi_entropy(phi, model, 1).expectation
+    return cond, phi_entropy(phi, DiscreteRandomMatrix(probs, weighted_sum(weights, rows, 3)))
 
 
 def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
@@ -364,14 +364,7 @@ def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
     over the first input dominates the entropy of the partial average."""
     if model.n != 2:
         raise DomainError("the conditional-Jensen check uses two-input models")
-    # row x_1 of the table is the law of Z(x_1, .); rows weigh by the first input
-    weights, probs, rows = model.slices(1)
-    cond = conditional_phi_entropy(phi, model, 1).expectation
-    rhs = phi_entropy(phi, DiscreteRandomMatrix(probs, weighted_sum(weights, rows, 3)))
-    return verdict(
-        "char-g", rhs - cond, relative_tol(1e-9, cond, rhs), phi=phi.label, n=2,
-        details={"lhs": cond, "rhs": rhs},
-    )
+    return CHAR_G.verdict(phi, model, phi=phi.label, n=2)
 
 
 def check_char_h(
@@ -385,29 +378,19 @@ def check_char_h(
         raise DomainError(f"mixing weight must lie in [0, 1], got {t}")
     if z1.size != z2.size or not np.allclose(z1.probs, z2.probs, atol=1e-12):
         raise DomainError("convexity check needs laws coupled on the same index")
-    lhs, rhs = (float(side) for side in _char_h_sides(phi, z1.probs, z1.values, z2.values, t))
-    return verdict(
-        "char-h", lhs - rhs, relative_tol(1e-9, lhs, rhs), phi=phi.label, d=z1.d,
-        details={"lhs": lhs, "rhs": rhs, "t": t},
-    )
+    z = np.stack([z1.values, z2.values])
+    return CHAR_H.verdict(phi, z1.probs, z, t, details={"t": t}, phi=phi.label, d=z1.d)
 
 
-def _char_h_sides(phi: PhiFunction, probs, z1, z2, t) -> tuple[np.ndarray, np.ndarray]:
+def _char_h_sides(phi: PhiFunction, probs, z, t) -> tuple[np.ndarray, np.ndarray]:
     """(H of the mix, the mix of the Hs) of ``check_char_h`` for each pair
-    of laws coupled on probabilities (..., s), with values z1, z2 (..., s,
-    d, d) and mixing weights t (...); the mix, then z1, then z2 is
-    admitted in turn."""
-    t = np.asarray(t)
+    of laws coupled on probabilities (..., s), with values z (..., 2, s,
+    d, d), z1 then z2, and mixing weights t (...); the mix, then z1, then
+    z2 is admitted in turn."""
+    t, z1, z2 = np.asarray(t), z[..., 0, :, :, :], z[..., 1, :, :, :]
     mixed = _mix(t[..., None, None, None], z1, z2)
     h = _law_entropies(phi, probs[..., None, :], np.stack([mixed, z1, z2], axis=-4))
     return h[..., 0], _mix(t, h[..., 1], h[..., 2])
-
-
-def char_h_judge(phi: PhiFunction, probs: np.ndarray, z: np.ndarray, t: np.ndarray):
-    """``check_char_h`` at T pairs of laws, probabilities (T, s), values z
-    (T, 2, s, d, d) and weights t (T,), as a sweep's judge."""
-    lhs, rhs = _char_h_sides(phi, probs, z[:, 0], z[:, 1], t)
-    return (lhs - rhs)[:, None], relative_tol(1e-9, lhs, rhs)[:, None], _no_witness
 
 
 def bregman_pair_sampler(d: int):
@@ -419,3 +402,14 @@ def bregman_pair_sampler(d: int):
         return (u1 + 0.05 * np.eye(d), v1), (u2 + 0.05 * np.eye(d), v2)
 
     return sampler
+
+
+# The inequalities of this module, each judged by its record; the
+# convexity record serves the probes of char-b to char-d, char-f and
+# check_joint_convexity
+SUBADDITIVITY = Inequality("subadditivity", 1e-9, _subadditivity_sides)
+JOINT_CONVEXITY = Inequality("joint-convexity", 1e-8, _convexity_sides, sense=">=")
+CHAR_E = Inequality("char-e", 1e-6, _char_e_sides, sense=">=")
+CHAR_G = Inequality("char-g", 1e-9, _char_g_sides, sense=">=")
+CHAR_H = Inequality("char-h", 1e-9, _char_h_sides)
+CHAR_I = Inequality("char-i", 1e-9, _char_i_sides)

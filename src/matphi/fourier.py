@@ -29,7 +29,7 @@ from .linalg import (
 )
 from .models import DiscreteRandomMatrix, FiniteLaw, ProductModel
 from .phifun import XLOGX
-from .report import CheckReport, relative_tol, verdict
+from .report import CheckReport, Inequality, relative_tol, verdict
 from .sampling import BLOCK_ENTRIES, climb, random_complex_gaussian, rng_for
 
 P_VARIANCE_PS = (1.9, 1.99, 1.999)  # exponents extrapolated toward p = 2
@@ -156,20 +156,21 @@ def uniform_cube_model(f: MatrixBooleanFunction) -> ProductModel:
     return ProductModel(laws, table.reshape(f.table.shape))
 
 
+def _bonami_beckner_sides(f: MatrixBooleanFunction, p: float) -> tuple[float, float]:
+    """Both sides of ``check_bonami_beckner``'s bound."""
+    coeffs = fourier_transform(f).coeffs
+    weights = (p - 1.0) ** _popcounts(f.n)
+    lhs = float(np.sqrt(weights @ schatten_norm(coeffs, p, normalized=True) ** 2))
+    return lhs, float(np.mean(schatten_norm(f.table, p, normalized=True) ** p)) ** (1.0 / p)
+
+
 def check_bonami_beckner(f: MatrixBooleanFunction, p: float) -> CheckReport:
     """Hypercontractive coefficient bound
     (sum_S (p-1)^{|S|} ||coeffs(S)||_{*p}^2)^{1/2}
     <= (2^{-n} sum_x ||f(x)||_{*p}^p)^{1/p} for p in [1, 2]."""
     if not 1.0 <= p <= 2.0:
         raise DomainError(f"exponent must lie in [1, 2], got {p}")
-    coeffs = fourier_transform(f).coeffs
-    weights = (p - 1.0) ** _popcounts(f.n)
-    lhs = float(np.sqrt(weights @ schatten_norm(coeffs, p, normalized=True) ** 2))
-    rhs = float(np.mean(schatten_norm(f.table, p, normalized=True) ** p)) ** (1.0 / p)
-    return verdict(
-        "bonami-beckner", lhs - rhs, relative_tol(1e-10, lhs, rhs), d=f.d, n=f.n,
-        details={"lhs": lhs, "rhs": rhs, "p": p},
-    )
+    return BONAMI_BECKNER.verdict(f, p, details={"p": p}, d=f.d, n=f.n)
 
 
 def entropy_of_square(f: MatrixBooleanFunction) -> float:
@@ -207,13 +208,16 @@ def _log_sobolev_sides(values: np.ndarray, energy: float) -> tuple[float, float]
     return float(_square_entropy(values)), rhs
 
 
+BONAMI_BECKNER = Inequality("bonami-beckner", 1e-10, _bonami_beckner_sides)
+PHI_SOBOLEV = Inequality("phi-sobolev", 1e-10, _phi_sobolev_sides)
+LOG_SOBOLEV = Inequality("log-sobolev", 1e-10, _log_sobolev_sides, names=("entropy", "rhs"))
+
+
 def check_phi_sobolev(f: MatrixBooleanFunction, p: float) -> CheckReport:
     """Interpolation entropy bound with generator u^{2/p} on fair bits:
     H(f^p) <= (2-p) E(f) d^{1-2/p} + tr E[f^2] (1 - d^{1-2/p})."""
-    lhs, rhs = _phi_sobolev_sides(f.table, dirichlet_energy_spectral(f), p)
-    return verdict(
-        "phi-sobolev", lhs - rhs, relative_tol(1e-10, lhs, rhs), d=f.d, n=f.n,
-        details={"lhs": lhs, "rhs": rhs, "p": p},
+    return PHI_SOBOLEV.verdict(
+        f.table, dirichlet_energy_spectral(f), p, details={"p": p}, d=f.d, n=f.n
     )
 
 
@@ -221,11 +225,7 @@ def check_log_sobolev(f: MatrixBooleanFunction) -> CheckReport:
     """Defective log-Sobolev bound on fair bits:
     Ent(f^2) <= 2 E(f) + log(d) tr E[f^2]."""
     energy = dirichlet_energy_spectral(f)
-    ent, rhs = _log_sobolev_sides(f.table, energy)
-    return verdict(
-        "log-sobolev", ent - rhs, relative_tol(1e-10, ent, rhs), d=f.d, n=f.n,
-        details={"entropy": ent, "energy": energy, "rhs": rhs},
-    )
+    return LOG_SOBOLEV.verdict(f.table, energy, details={"energy": energy}, d=f.d, n=f.n)
 
 
 def p_variance(law: DiscreteRandomMatrix, p: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Structured results for individual checks and whole suite runs, the one
 verdict rule (gap <= tol) and tolerance scaling they are judged by, the
-seeded sweep that produces most of them, and the matrix JSON codec their
+record that judges each of the paper's inequalities by them, the seeded
+sweep that produces most of them, and the matrix JSON codec their
 witnesses use."""
 
 from __future__ import annotations
@@ -122,6 +123,40 @@ def verdict(check: str, gap: float, tol: float, **fields) -> CheckReport:
     return CheckReport(
         check=check, passed=bool(gap <= tol), max_gap=float(gap), tol=float(tol), **fields
     )
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One inequality, judged in one place. ``sides(*instance)`` returns
+    its two sides (lhs, rhs) in the order its statement writes them, for
+    one instance or for stacks of instances. ``sense`` says which way the
+    statement points: the gap is lhs - rhs for "<=" and rhs - lhs for
+    ">=". It passes within relative_tol(rel, lhs, rhs)."""
+
+    check: str
+    rel: float
+    sides: Callable
+    names: tuple[str, str] = ("lhs", "rhs")
+    sense: str = "<="
+
+    def rule(self, lhs, rhs):
+        """(gap, tol) of the sides, floats or arrays."""
+        gap = lhs - rhs if self.sense == "<=" else rhs - lhs
+        return gap, relative_tol(self.rel, lhs, rhs)
+
+    def verdict(self, *instance, details=(), **fields) -> CheckReport:
+        """The report of one instance, its sides under ``names`` ahead of
+        ``details`` in its details; further keyword arguments become fields."""
+        lhs, rhs = map(float, self.sides(*instance))
+        return verdict(
+            self.check, *self.rule(lhs, rhs),
+            details={self.names[0]: lhs, self.names[1]: rhs, **dict(details)}, **fields,
+        )
+
+    def judge(self, *stacks):
+        """A sweep's judge: one probe per trial of the block, no witness."""
+        gap, tol = self.rule(*self.sides(*stacks))
+        return gap[:, None], tol[:, None], lambda trial, probe: None
 
 
 def judged(gap, tol, witness):

@@ -553,10 +553,10 @@ SUITES = {
             n=(2, 2), generator=_given,
         ),
         "char-h": Sweep(
-            _char_h_draw, generator=_given, judge=entropy.char_h_judge, entries=lambda d: 12 * d * d
+            _char_h_draw, generator=_given, judge=entropy.CHAR_H.judge, entries=lambda d: 12 * d * d
         ),
         "char-i": Sweep(
-            _char_i_draw, generator=_given, judge=entropy.char_i_judge, entries=lambda d: 8 * d * d
+            _char_i_draw, generator=_given, judge=entropy.CHAR_I.judge, entries=lambda d: 8 * d * d
         ),
         "char-j": Sweep(
             lambda rng, trial, run: entropy.check_subadditivity(

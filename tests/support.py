@@ -221,7 +221,7 @@ def _reference_char_e(rng, trial, phi, d):
     k = random_unit_hermitian(rng, d)
     lhs, rhs, tol = reference_char_e(phi, a, h, k)
     witness = None
-    if not lhs >= rhs - tol:
+    if not rhs - lhs <= tol:
         witness = {"lhs": lhs, "rhs": rhs, "a": matrix_to_obj(a),
                    "h": matrix_to_obj(h), "k": matrix_to_obj(k)}
     return rhs - lhs, tol, witness

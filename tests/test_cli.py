@@ -449,6 +449,24 @@ def test_the_seed_42_report_keeps_its_digest(jobs):
     assert digest == SEED_42_DIGEST
 
 
+# The same recipe at two more configurations: the cube's characterizations
+# at d = 1, where char-e, char-g, char-h and char-i fail with witnesses, and
+# every suite at a small size
+REPORT_DIGESTS = [
+    ("characterizations", dict(phi="cube", d=1, trials=200, seed=7),
+     "d1334d0e8f3ffcf60ec17e843e6655b706e43658e98d6496610451f6f48ee601"),
+    ("all", dict(seed=7, d=3, trials=20, samples=2000),
+     "f39fcfc2a0fba9a2b10a8f2aeb92c80d64a828ba72216cec32321e6429942d00"),
+]
+
+
+@pytest.mark.parametrize("suite, options, want", REPORT_DIGESTS)
+def test_more_reports_keep_their_digests(suite, options, want):
+    report = run_suite(RunConfig(**options), suite).to_dict()
+    del report["wall_clock"], report["config"]["jobs"], report["config"]["out"]
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == want
+
+
 def test_run_suite_repeat_identical():
     config = RunConfig(seed=11, trials=2, samples=1000)
     first = run_suite(config, "sobolev")

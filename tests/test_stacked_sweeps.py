@@ -13,6 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import matphi.concentration
 import matphi.entropy
 import matphi.fourier
 import matphi.report
@@ -20,18 +21,27 @@ import matphi.sampling
 import matphi.suites
 import support
 from matphi import PhiFunction, bregman_maps, check_char_a, check_char_e, check_char_h
-from matphi.entropy import bregman_pair_sampler, check_joint_convexity
+from matphi.concentration import check_efron_stein
+from matphi.entropy import (
+    CharEResult,
+    bregman_pair_sampler,
+    check_char_g,
+    check_joint_convexity,
+    check_subadditivity,
+)
 from matphi.errors import DomainError, MatPhiError
+from matphi.fourier import check_bonami_beckner, check_log_sobolev, check_phi_sobolev
 from matphi.linalg import frobenius_norm
 from matphi.models import DiscreteRandomMatrix
 from matphi.sampling import (
     random_pd,
     random_probability_vector,
+    random_product_model,
     random_psd,
     random_unit_hermitian,
     rng_for,
 )
-from matphi.report import BLOCK_ENTRIES, MAX_WITNESSES, judged, sweep
+from matphi.report import BLOCK_ENTRIES, MAX_WITNESSES, Inequality, judged, sweep
 from matphi.suites import CHECKS, Run, RunConfig, Sweep, _clamp, run_suite
 from support import reference_characterizations
 
@@ -483,6 +493,238 @@ def _single_values(label, d):
 @pytest.mark.parametrize("key", sorted(SINGLE_PINS))
 def test_single_instance_entries_keep_their_bits(key):
     assert _single_values(*key) == SINGLE_PINS[key]
+
+
+# max_gap, tol and details (sorted, as floats) of the record-backed public
+# checks at two seeded instances each, from before their records formed
+# their verdicts; a slip in the order of the sides shows in the tol bits
+RECORD_PINS = {
+    ("subadditivity", 0): (
+        "-0.20974345060910893", "3.2715741632664664e-09",
+        "[('lhs', 1.0309153563286788), ('rhs', 1.2406588069377877)]",
+    ),
+    ("subadditivity", 1): (
+        "-1.6971249303528158", "7.86505620880408e-09",
+        "[('lhs', 2.5839656392256316), ('rhs', 4.281090569578447)]",
+    ),
+    ("char_g", 0): (
+        "-0.1111439648936049", "1.8937432155864405e-09",
+        "[('lhs', 0.5024435902400227), ('rhs', 0.3912996253464178)]",
+    ),
+    ("char_g", 1): (
+        "-0.35093463376351686", "3.4568416707481067e-09",
+        "[('lhs', 1.4038881522558118), ('rhs', 1.052953518492295)]",
+    ),
+    ("efron_stein", 0): (
+        "-0.2414041481134549", "3.1935002509200133e-09",
+        "[('bound', 1.2174521995167338), ('variance', 0.9760480514032789)]",
+    ),
+    ("efron_stein", 1): (
+        "-0.8996320943536722", "5.044493986094932e-09",
+        "[('bound', 2.4720630402243016), ('variance', 1.5724309458706294)]",
+    ),
+    ("poincare", 0): (
+        "-0.6819185903013052", "1.7616365818074166e-08",
+        "[('bound', 0.721777586054361), ('variance', 0.03985899575305585)]",
+    ),
+    ("poincare", 1): (
+        "-6.434157071298729", "7.835967223336821e-08",
+        "[('bound', 6.635062147317775), ('variance', 0.20090507601904634)]",
+    ),
+    ("poincare_commuting", 0): (
+        "-4.885721533145197", "6.303402825499627e-08",
+        "[('bound', 5.094562179322412), ('variance', 0.2088406461772148)]",
+    ),
+    ("poincare_commuting", 1): (
+        "-3.8909181793625645", "4.9856986927557845e-08",
+        "[('bound', 3.9383084360591747), ('variance', 0.04739025669661007)]",
+    ),
+    ("bonami_beckner", 0): (
+        "-0.145297482880673", "8.975283652564852e-10",
+        "[('lhs', 3.9149930848420893), ('p', 1.25), ('rhs', 4.060290567722762)]",
+    ),
+    ("bonami_beckner", 1): (
+        "0.0", "1.1042569320803762e-09",
+        "[('lhs', 5.021284660401881), ('p', 2.0), ('rhs', 5.021284660401881)]",
+    ),
+    ("phi_sobolev", 0): (
+        "-9.635716963346557", "2.5787893584144767e-09",
+        "[('lhs', 7.576088310399104), ('p', 1.1), ('rhs', 17.21180527374566)]",
+    ),
+    ("phi_sobolev", 1): (
+        "-8.256170461854106", "1.8283561489176243e-09",
+        "[('lhs', 4.5136955136610695), ('p', 1.5), ('rhs', 12.769865975515176)]",
+    ),
+    ("log_sobolev", 0): (
+        "-28.68931523658945", "5.967278763948001e-09",
+        "[('energy', 13.629749824482964), ('entropy', 14.991736201445278), "
+        "('rhs', 43.68105143803473)]",
+    ),
+    ("log_sobolev", 1): (
+        "-37.97720389550784", "7.42602962852653e-09",
+        "[('energy', 19.07111126588091), ('entropy', 17.641546194878728), "
+        "('rhs', 55.61875009038657)]",
+    ),
+}
+
+
+def _record_check(name, i):
+    rng = rng_for(9, "pin-record", i)
+    phi = PhiFunction.parse(("xlogx", "power:1.5")[i])
+    run = Run(phi, 2, 2, i)
+    if name == "subadditivity":
+        return check_subadditivity(phi, random_product_model(rng, 2, 3, arity=2))
+    if name == "char_g":
+        return check_char_g(phi, random_product_model(rng, 2, 2, arity=2))
+    if name == "efron_stein":
+        return check_efron_stein(random_product_model(rng, 2, 3, arity=2, psd=False))
+    if name == "poincare":  # check_poincare, at a linear and a square-sum model
+        return (matphi.suites._poincare_linear, matphi.suites._poincare_square_sum)[i](rng, i, run)
+    if name == "poincare_commuting":
+        return matphi.suites._poincare_commuting(rng, i, run)
+    f = matphi.suites._cube_function(rng, Run(None, 2, 3, i), psd=True)
+    if name == "bonami_beckner":
+        return check_bonami_beckner(f, (1.25, 2.0)[i])
+    if name == "phi_sobolev":
+        return check_phi_sobolev(f, (1.1, 1.5)[i])
+    return check_log_sobolev(f)
+
+
+@pytest.mark.parametrize("key", sorted(RECORD_PINS))
+def test_record_backed_checks_keep_their_bits(key):
+    rep = _record_check(*key)
+    details = repr(sorted((name, float(value)) for name, value in rep.details.items()))
+    assert (repr(rep.max_gap), repr(rep.tol), details) == RECORD_PINS[key]
+
+
+# The records: each inequality's sides, sense and tolerance in one place
+RECORDS = {
+    value.check: value
+    for module in (matphi.entropy, matphi.concentration, matphi.fourier)
+    for value in vars(module).values() if isinstance(value, Inequality)
+}
+
+
+def test_a_record_forms_its_gap_by_its_sense():
+    assert Inequality("x", 0.5, None).rule(1.0, 3.0) == (-2.0, 0.5 * (1.0 + 1.0 + 3.0))
+    assert Inequality("x", 0.5, None, sense=">=").rule(1.0, 3.0) == (2.0, 2.5)
+    assert sorted(name for name, record in RECORDS.items() if record.sense == ">=") == [
+        "char-e", "char-g", "joint-convexity"
+    ]
+
+
+def _convexity_instance(rng):
+    # (t, f(x), f(y), f(t x + (1 - t) y)) of the first Bregman map
+    (u1, v1), (u2, v2) = bregman_pair_sampler(2)(rng)
+    t = float(rng.uniform(0.05, 0.95))
+    mixed = (t * u1 + (1 - t) * u2, t * v1 + (1 - t) * v2)
+    args = ((u1, v1), (u2, v2), mixed)
+    return (t, *(bregman_maps(PhiFunction.xlogx(), u, v)[0] for u, v in args))
+
+
+def _cube_instance(rng, *p):
+    f = matphi.suites._cube_function(rng, Run(None, 2, 3, 0), psd=True)
+    return (f.table, matphi.fourier.dirichlet_energy_spectral(f), *p)
+
+
+# the stack-native records and the suite draws of their instances
+STACK_DRAWS = {
+    "char-e": matphi.suites._char_e_draw,
+    "char-h": matphi.suites._char_h_draw,
+    "char-i": matphi.suites._char_i_draw,
+}
+
+
+def _drawn(name, phi="xlogx"):
+    phi = PhiFunction.parse(phi)
+    return lambda rng: (phi, *map(np.asarray, STACK_DRAWS[name](rng, 0, Run(phi, 2, None, 0))))
+
+
+def _model_and_energy(rng):
+    return random_product_model(rng, 2, 2, arity=2), rng.uniform(0.0, 1.0, (4, 2))
+
+
+RECORD_INSTANCES = {
+    "joint-convexity": _convexity_instance,
+    "subadditivity": lambda rng: (PhiFunction.xlogx(), random_product_model(rng, 2, 3, arity=2)),
+    "char-e": _drawn("char-e"),
+    "char-g": lambda rng: (PhiFunction.xlogx(), random_product_model(rng, 2, 2, arity=2)),
+    "char-h": _drawn("char-h"),
+    "char-i": _drawn("char-i"),
+    "efron-stein": lambda rng: (random_product_model(rng, 2, 3, arity=2, psd=False),),
+    "poincare": _model_and_energy,
+    "poincare-commuting": _model_and_energy,
+    "bonami-beckner": lambda rng: (
+        matphi.suites._cube_function(rng, Run(None, 2, 3, 0), psd=True), 1.5
+    ),
+    "phi-sobolev": lambda rng: _cube_instance(rng, 1.5),
+    "log-sobolev": _cube_instance,
+}
+
+
+def test_every_record_has_an_instance():
+    assert sorted(RECORDS) == sorted(RECORD_INSTANCES)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_INSTANCES))
+def test_a_record_verdict_is_its_rule_on_its_sides(name):
+    record = RECORDS[name]
+    for trial in range(2):
+        instance = RECORD_INSTANCES[name](rng_for(4, name, trial))
+        lhs, rhs = (float(side) for side in record.sides(*instance))
+        gap, tol = record.rule(lhs, rhs)
+        report = record.verdict(*instance, details={"extra": 1}, seed=trial)
+        assert (report.check, report.seed) == (name, trial)
+        assert (repr(report.max_gap), repr(report.tol), report.passed) == (
+            repr(gap), repr(tol), gap <= tol
+        )
+        assert list(report.details.items()) == [
+            (record.names[0], lhs), (record.names[1], rhs), ("extra", 1)
+        ]
+
+
+@pytest.mark.parametrize("name", sorted(STACK_DRAWS))
+@pytest.mark.parametrize("phi", ["xlogx", "power:1.5", "affine:2,1", "cube"])
+def test_a_record_judges_a_stack_as_each_instance_alone(name, phi):
+    record, draw = RECORDS[name], _drawn(name, phi)
+    instances = [draw(rng_for(6, name, trial)) for trial in range(6)]
+    stacks = [np.array(part) for part in zip(*(instance[1:] for instance in instances))]
+    gap, tol, witness = record.judge(instances[0][0], *stacks)
+    assert gap.shape == tol.shape == (6, 1)
+    for trial, instance in enumerate(instances):
+        alone = record.rule(*record.sides(*instance))
+        assert (gap[trial, 0].tobytes(), tol[trial, 0].tobytes()) == tuple(
+            np.float64(x).tobytes() for x in alone
+        )
+        assert witness(trial, 0) is None
+
+
+# char-e's edge pair: tol = relative_tol(1e-6, lhs, rhs) = 2.152170434724459e-05
+# and rhs - lhs exceeds it, while lhs >= rhs - tol rounds to True
+EDGE_LHS, EDGE_RHS = 10.260841412770121, 10.260862934474469
+
+
+def test_char_e_holds_exactly_when_its_gap_is_within_its_tol():
+    gap, tol = matphi.entropy.CHAR_E.rule(EDGE_LHS, EDGE_RHS)
+    assert (gap, tol) == (EDGE_RHS - EDGE_LHS, 2.152170434724459e-05)
+    assert EDGE_LHS >= EDGE_RHS - tol and not gap <= tol
+    assert not CharEResult(EDGE_LHS, EDGE_RHS, tol).holds
+
+
+def test_a_char_e_violation_at_the_edge_carries_its_full_witness(monkeypatch):
+    real = matphi.entropy._char_e_sides
+
+    def edge_at_trial_2(phi, a, h, k):
+        lhs, rhs = (side.copy() for side in real(phi, a, h, k))
+        lhs[2], rhs[2] = EDGE_LHS, EDGE_RHS
+        return lhs, rhs
+
+    monkeypatch.setattr(matphi.entropy, "_char_e_sides", edge_at_trial_2)
+    report = _stacked("char-e", "xlogx", 2, 0, 5)
+    (violation,) = report.violations
+    assert not report.passed and violation["trial"] == 2
+    assert sorted(violation) == ["a", "gap", "h", "k", "lhs", "rhs", "trial"]
+    assert (violation["lhs"], violation["rhs"]) == (EDGE_LHS, EDGE_RHS)
 
 
 EYE2, EYE3 = np.eye(2), np.eye(3)
