@@ -32,7 +32,7 @@ from .linalg import (
     hermitian_part,
     spectral_map,
 )
-from .models import DiscreteRandomMatrix, ProductModel, weighted_sum
+from .models import DiscreteRandomMatrix, ProductModel, cut, weighted_sum
 from .phifun import PhiFunction, ScalarFunction
 from .report import CheckReport, Inequality, matrix_to_obj, relative_tol, sweep
 from .sampling import BLOCK_ENTRIES, random_pd, random_psd
@@ -85,15 +85,24 @@ def conditional_phi_entropy(
     return ConditionalEntropyTable(weights, _law_entropies(phi, probs, values))
 
 
-def _subadditivity_sides(phi: PhiFunction, model: ProductModel) -> tuple[float, float]:
-    """H(Z) and the sum over the inputs of the expected conditional entropies."""
-    lhs = phi_entropy(phi, model.to_law())
-    return lhs, sum(conditional_phi_entropy(phi, model, i).expectation for i in range(model.n))
+def _expected_entropy(phi: PhiFunction, rows, probs, weights) -> np.ndarray:
+    """The expected entropy of one input's conditional laws (cut rows (..., rest,
+    s, d, d), probabilities (..., s)) under rest weights (..., rest), rounded as np.dot."""
+    return weighted_sum(weights, _law_entropies(phi, probs[..., None, :], rows), 0)
+
+
+def _subadditivity_sides(phi: PhiFunction, probs, values, *parts) -> tuple:
+    """H(Z) and the sum over the inputs of the expected conditional
+    entropies, of one model's ``ProductModel.arrays`` or of their stacks."""
+    n = len(parts) // 2
+    sizes = tuple(np.shape(p)[-1] for p in parts[:n])
+    lhs = _law_entropies(phi, probs, values)
+    return lhs, sum(_expected_entropy(phi, cut(values, sizes, i), *parts[i::n]) for i in range(n))
 
 
 def check_subadditivity(phi: PhiFunction, model: ProductModel) -> CheckReport:
     """Whole-entropy vs summed conditional entropies, by exact enumeration."""
-    return SUBADDITIVITY.verdict(phi, model, phi=phi.label, d=model.to_law().d, n=model.n)
+    return SUBADDITIVITY.verdict(phi, *model.arrays, phi=phi.label, d=model.to_law().d, n=model.n)
 
 
 def bregman_maps(phi: PhiFunction, u, v) -> tuple[float, float, float]:
@@ -351,12 +360,13 @@ def _char_i_sides(phi: PhiFunction, probs, z, t) -> tuple[np.ndarray, np.ndarray
     return terms + entropies[..., 0], entropies[..., 1]
 
 
-def _char_g_sides(phi: PhiFunction, model: ProductModel) -> tuple[float, float]:
-    """The averaged conditional entropy and the entropy of the partial average."""
-    # row x_1 of the table is the law of Z(x_1, .); rows weigh by the first input
-    weights, probs, rows = model.slices(1)
-    cond = conditional_phi_entropy(phi, model, 1).expectation
-    return cond, phi_entropy(phi, DiscreteRandomMatrix(probs, weighted_sum(weights, rows, 3)))
+def _char_g_sides(phi: PhiFunction, probs, values, p1, p2, w1, w2) -> tuple:
+    """The averaged conditional entropy and the entropy of the partial
+    average, of one two-input model's ``ProductModel.arrays`` or of their stacks."""
+    rows = cut(values, (np.shape(p1)[-1], np.shape(p2)[-1]), 1)
+    # row x_1 of the cut is the law of Z(x_1, .); rows weigh by the first input
+    mixed = hermitian_part(weighted_sum(w2, rows, 3))
+    return _expected_entropy(phi, rows, p2, w2), _law_entropies(phi, p2, mixed)
 
 
 def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
@@ -364,7 +374,7 @@ def check_char_g(phi: PhiFunction, model: ProductModel) -> CheckReport:
     over the first input dominates the entropy of the partial average."""
     if model.n != 2:
         raise DomainError("the conditional-Jensen check uses two-input models")
-    return CHAR_G.verdict(phi, model, phi=phi.label, n=2)
+    return CHAR_G.verdict(phi, *model.arrays, phi=phi.label, n=2)
 
 
 def check_char_h(

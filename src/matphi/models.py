@@ -134,7 +134,7 @@ class ResamplingPlan:
     """Joint-table indices shared by every product model with one tuple of
     input sizes (mixed radix, first input slowest). ``rows`` holds, input
     after input, joint-size indices that list the input's (rest, s_i)
-    slices row-major, as ``slices`` lays them out; ``pairs[i]`` holds the
+    slices row-major, the one cut of the table (``cut``); ``pairs[i]`` holds the
     ends k < l of the i-th input's pairs within a slice, row-major; ``ends``
     holds the (2, P) table indices of both ends of every slice's pairs,
     input after input."""
@@ -146,7 +146,7 @@ class ResamplingPlan:
 
 def _build_plan(sizes: tuple[int, ...]) -> ResamplingPlan:
     table = np.arange(math.prod(sizes)).reshape(sizes)
-    cuts = [np.moveaxis(table, i, -1).reshape(-1, s) for i, s in enumerate(sizes)]
+    cuts = [np.stack([table.take(k, i).ravel() for k in range(s)], -1) for i, s in enumerate(sizes)]
     pairs = tuple(np.triu_indices(s, 1) for s in sizes)
     rows = np.concatenate([np.empty(0, dtype=np.intp)] + [cut.ravel() for cut in cuts])
     ends = np.concatenate(
@@ -169,6 +169,14 @@ def resampling_plan(sizes: tuple[int, ...]) -> ResamplingPlan:
     if math.prod(sizes) * sum(sizes) * np.dtype(np.intp).itemsize > PLAN_CACHE_BYTES:
         return _build_plan(sizes)
     return _cached_plan(sizes)
+
+
+def cut(values: np.ndarray, sizes: tuple[int, ...], i: int) -> np.ndarray:
+    """(..., joint, d, d) tables of these input sizes cut along input i by
+    the plan's rows, into C-contiguous (..., rest, s_i, d, d) values."""
+    joint = math.prod(sizes)
+    rows = resampling_plan(sizes).rows[i * joint:(i + 1) * joint]
+    return np.take(values, rows.reshape(-1, sizes[i]), axis=-3)
 
 
 def _tabulate(laws: Sequence[FiniteLaw], evaluator: Callable[[tuple], np.ndarray]):
@@ -253,11 +261,16 @@ class ProductModel:
         """The joint table cut along the i-th input: the weights (rest,)
         of the other inputs' assignments (first input slowest), the i-th
         input's probabilities (s_i,) and the values (rest, s_i, d, d) of
-        Z as the i-th input varies with the others pinned."""
+        Z as the i-th input varies with the others pinned (``cut``)."""
         if not 0 <= i < self.n:
             raise IndexError(f"input index {i} out of range for n={self.n}")
-        table = np.moveaxis(self.values.reshape(*self.sizes, *self.values.shape[1:]), i, self.n - 1)
-        return self.rest_weights[i], self.laws[i].probs, table.reshape(-1, *table.shape[self.n - 1:])
+        return self.rest_weights[i], self.laws[i].probs, cut(self.values, self.sizes, i)
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """Joint probabilities, values, each input's probabilities, then each
+        input's rest weights: the model's own arrays, stacking over models of one sizes."""
+        return (self._law.probs, self.values, *(law.probs for law in self.laws), *self.rest_weights)
 
     def to_law(self) -> DiscreteRandomMatrix:
         return self._law

@@ -235,6 +235,10 @@ def _product_model(rng, run, psd=True):
     return random_product_model(rng, run.d, run.n, arity=2, psd=psd)
 
 
+def _model_draw(rng, trial, run):
+    return _product_model(rng, run).arrays
+
+
 # ----------------------------------------------------------- efron-stein
 
 def _efron_stein_forms(rng, trial, run):
@@ -549,8 +553,8 @@ SUITES = {
             _char_f_draw, generator=_given, judge=_char_f_judge, entries=lambda d: 12 * d * d
         ),
         "char-g": Sweep(
-            lambda rng, trial, run: entropy.check_char_g(run.phi, _product_model(rng, run)),
-            n=(2, 2), generator=_given,
+            _model_draw, n=(2, 2), generator=_given, judge=entropy.CHAR_G.judge,
+            entries=lambda d: 6 * d * d,
         ),
         "char-h": Sweep(
             _char_h_draw, generator=_given, judge=entropy.CHAR_H.judge, entries=lambda d: 12 * d * d
@@ -559,10 +563,8 @@ SUITES = {
             _char_i_draw, generator=_given, judge=entropy.CHAR_I.judge, entries=lambda d: 8 * d * d
         ),
         "char-j": Sweep(
-            lambda rng, trial, run: entropy.check_subadditivity(
-                run.phi, _product_model(rng, run)
-            ),
-            n=(1, 3), generator=_given,
+            _model_draw, n=(1, 3), generator=_given, judge=entropy.SUBADDITIVITY.judge,
+            entries=lambda d: 12 * d * d,
         ),
     },
     "efron-stein": {

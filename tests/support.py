@@ -23,6 +23,7 @@ from matphi.sampling import (
     random_complex_gaussian,
     random_pd,
     random_probability_vector,
+    random_product_model,
     random_psd,
     random_unit_hermitian,
     rng_for,
@@ -204,6 +205,31 @@ def reference_duality_lower_bound(phi, z_law, t_law) -> float:
     return float(z_law.expect(terms.real)) / z_law.d + reference_phi_entropy(phi, t_law)
 
 
+def reference_expected_entropy(phi, model, i) -> float:
+    """The expected entropy of the i-th input's slice laws, one law at a
+    time over the moveaxis slices."""
+    weights, probs, values = moveaxis_slices(model, i)
+    entropies = [reference_phi_entropy(phi, DiscreteRandomMatrix(probs, v)) for v in values]
+    return float(np.dot(weights, entropies))
+
+
+def reference_subadditivity(phi, model):
+    """(lhs, rhs) of ``entropy.check_subadditivity``: H(Z), then the
+    inputs' expected conditional entropies summed in input order."""
+    lhs = reference_phi_entropy(phi, model.to_law())
+    return lhs, sum(reference_expected_entropy(phi, model, i) for i in range(model.n))
+
+
+def reference_char_g(phi, model):
+    """(lhs, rhs) of ``entropy.check_char_g``: the expected entropy of the
+    second input's slice laws, then the entropy of the slices averaged
+    over the first input."""
+    weights, probs, rows = moveaxis_slices(model, 1)
+    cond = reference_expected_entropy(phi, model, 1)
+    mixed = DiscreteRandomMatrix(probs, weighted_sum(weights, rows, 3))
+    return cond, reference_phi_entropy(phi, mixed)
+
+
 def _reference_bregman(index):
     def body(rng, trial, phi, d):
         u1, v1, u2, v2 = random_psd(rng, d, (4,))
@@ -262,6 +288,20 @@ def _reference_char_i(rng, trial, phi, d):
     return bound - h, relative_tol(1e-9, bound, h), None
 
 
+# the n of the model sweeps at the default config.n = 3, clamped
+REFERENCE_N = {"char-g": 2, "char-j": 3}
+
+
+def _reference_char_g(rng, trial, phi, d):
+    cond, avg = reference_char_g(phi, random_product_model(rng, d, REFERENCE_N["char-g"]))
+    return avg - cond, relative_tol(1e-9, cond, avg), None
+
+
+def _reference_char_j(rng, trial, phi, d):
+    lhs, rhs = reference_subadditivity(phi, random_product_model(rng, d, REFERENCE_N["char-j"]))
+    return lhs - rhs, relative_tol(1e-9, lhs, rhs), None
+
+
 REFERENCE_BODIES = {
     "char-a": lambda rng, trial, phi, d: reference_char_a_probe(phi.psi(), d, rng),
     "char-b": _reference_bregman(0),
@@ -269,8 +309,10 @@ REFERENCE_BODIES = {
     "char-d": _reference_bregman(2),
     "char-e": _reference_char_e,
     "char-f": _reference_char_f,
+    "char-g": _reference_char_g,
     "char-h": _reference_char_h,
     "char-i": _reference_char_i,
+    "char-j": _reference_char_j,
 }
 
 
@@ -286,6 +328,8 @@ def reference_characterizations(name, phi, d, seed, trial_counts, tol=None) -> l
         return outcomes[trial]
 
     return [
-        reference_sweep(name, cached, trials, seed, tol=tol, phi=phi.label, d=d, n=None)
+        reference_sweep(
+            name, cached, trials, seed, tol=tol, phi=phi.label, d=d, n=REFERENCE_N.get(name)
+        )
         for trials in trial_counts
     ]

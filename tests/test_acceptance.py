@@ -421,7 +421,7 @@ def test_criterion_6_p_variance_limit():
 
 
 def test_criterion_7_gaussian_statistical_checks():
-    """Monte Carlo 1e5-sample checks at three standard errors."""
+    """Monte Carlo 1e5-sample checks at six standard errors."""
     samples = 100000
     rep = check_gaussian_poincare(
         lambda x: float(np.sum(x)), n=3, samples=samples, seed=SEED,

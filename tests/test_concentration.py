@@ -884,6 +884,25 @@ def test_gaussian_checks_pinned(check, pinned):
     assert rep.passed and rep.samples == 200
 
 
+GAUSSIAN_SUITE_CHECKS = [
+    name for name in suites.SUITES["gaussian"] if name.startswith("gaussian-")
+]
+
+
+@pytest.mark.parametrize("name", GAUSSIAN_SUITE_CHECKS + ["pins", "constant"])
+def test_gaussian_checks_pass_within_six_standard_errors(name):
+    # tol = 6 se + 1e-12, se being the two sides' standard errors added;
+    # a constant evaluator has se = 0 and rhs = 0
+    if name == "pins":
+        reports = [check() for check, _ in GAUSSIAN_PINS]
+    elif name == "constant":
+        reports = [check_gaussian_poincare(lambda x: 1.0, n=2, samples=200, seed=1)]
+    else:
+        reports = [suites.CHECKS[name](name, suites.RunConfig(samples=200))]
+    for rep in reports:
+        assert rep.tol == 6.0 * rep.stderr + 1e-12, rep.check
+
+
 def test_gaussian_poincare_constant():
     rep = check_gaussian_poincare(lambda x: 1.0, n=2, samples=2000, seed=1)
     assert rep.passed

@@ -140,6 +140,14 @@ def test_conditional_entropy_rademacher_sum():
     assert np.allclose(table.entropies, 1.0)
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_an_input_index_out_of_range_is_refused(i):
+    # a cut of the plan's rows at i = -1 is an empty stack, not a refusal
+    model = _mixed_model(rng_for(31, "entropy-index", 0), 2, (2, 3, 2))
+    with pytest.raises(IndexError, match=f"input index {i} out of range for n=3"):
+        conditional_phi_entropy(XLOGX, model, i)
+
+
 def _mixed_model(rng, d, arities):
     laws = [FiniteLaw(random_probability_vector(rng, a), tuple(range(a))) for a in arities]
     table = np.stack([random_psd(rng, d) for _ in range(int(np.prod(arities)))])

@@ -6,9 +6,12 @@ kernels and sweep fold), the stacked sweeps must refuse as that loop
 refuses, and their number of spectral calls must not grow with the
 trials."""
 
+import itertools
 import json
+import re
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +48,10 @@ from matphi.report import BLOCK_ENTRIES, MAX_WITNESSES, Inequality, judged, swee
 from matphi.suites import CHECKS, Run, RunConfig, Sweep, _clamp, run_suite
 from support import reference_characterizations
 
-STACKED = ["char-a", "char-b", "char-c", "char-d", "char-e", "char-f", "char-h", "char-i"]
+STACKED = [
+    "char-a", "char-b", "char-c", "char-d", "char-e", "char-f", "char-g", "char-h", "char-i",
+    "char-j",
+]
 PHIS = ["xlogx", "power:1.2", "power:1.5", "power:2", "affine:2,1", "cube"]
 CASES = [
     (name, phi) for name in STACKED for phi in PHIS
@@ -173,8 +179,8 @@ PER_TRIAL_CONFIGS = [
 ]
 
 
-def test_twenty_sweeps_judge_their_trials_alone():
-    assert len(PER_TRIAL) == 20
+def test_eighteen_sweeps_judge_their_trials_alone():
+    assert len(PER_TRIAL) == 18
 
 
 @pytest.mark.parametrize("name", PER_TRIAL)
@@ -346,12 +352,15 @@ def _error(call):
 
 
 OUTSIDE = np.diag([-20.0, 1.0])  # out of x log x's domain, even after a floor
+BELOW = np.diag([-1.0, -2.0])  # out of it at both eigenvalues: another message
 SINGULAR = np.diag([3e-9 - 0.1, 1e4 - 0.1])  # derivative condition 3e12 after char-a's 0.1 floor
 NEAR_EDGE = np.diag([1e-6 - 0.3, 1.0 - 0.3])  # char-e: A admitted, A +- step k not
 CHAR_E_SINGULAR = np.diag([3e-9 - 0.3, 1e4 - 0.3])
 
 # trial 2 is refused late in its trial, trial 3 early in its own, so a judge
-# that refused stage by stage over the block would name trial 3
+# that refused stage by stage over the block would name trial 3; char-g and
+# char-j refuse at their first stage, which holds every value, so trial 2's
+# last matrix and trial 3's first give different messages
 REFUSALS = {
     "char-a": [{(2, 1): OUTSIDE, (3, 0): SINGULAR}, {(2, 0): SINGULAR, (3, 0): OUTSIDE}],
     "char-b": [{(2, 2): OUTSIDE, (3, 0): OUTSIDE}],
@@ -359,8 +368,10 @@ REFUSALS = {
     "char-d": [{(2, 2): OUTSIDE, (3, 0): OUTSIDE}],
     "char-e": [{(2, 0): NEAR_EDGE, (3, 0): CHAR_E_SINGULAR}, {(2, 0): CHAR_E_SINGULAR}],
     "char-f": [{(2, 2): OUTSIDE, (3, 0): OUTSIDE}],
+    "char-g": [{(2, 3): OUTSIDE, (3, 0): BELOW}],
     "char-h": [{(2, 4): OUTSIDE, (3, 0): OUTSIDE}],
     "char-i": [{(2, 1): OUTSIDE, (3, 4): OUTSIDE}, {(2, 3): OUTSIDE}],
+    "char-j": [{(2, 7): OUTSIDE, (3, 0): BELOW}],
 }
 
 
@@ -388,8 +399,10 @@ SPECTRAL_CALLS = {
     "char-d": {"eigh": 1},
     "char-e": {"eigh": 1},
     "char-f": {"eigvalsh": 1},
+    "char-g": {"eigvalsh": 2},
     "char-h": {"eigvalsh": 1},
     "char-i": {"eigh": 1, "eigvalsh": 1},
+    "char-j": {"eigvalsh": 4},
 }
 
 
@@ -597,12 +610,37 @@ def test_record_backed_checks_keep_their_bits(key):
     assert (repr(rep.max_gap), repr(rep.tol), details) == RECORD_PINS[key]
 
 
-# The records: each inequality's sides, sense and tolerance in one place
-RECORDS = {
-    value.check: value
+# The records: each inequality's sides, sense and tolerance in one place,
+# by the module.NAME that README's record table gives them
+RECORD_NAMES = {
+    f"{module.__name__.rsplit('.', 1)[-1]}.{name}": value
     for module in (matphi.entropy, matphi.concentration, matphi.fourier)
-    for value in vars(module).values() if isinstance(value, Inequality)
+    for name, value in vars(module).items() if isinstance(value, Inequality)
 }
+RECORDS = {record.check: record for record in RECORD_NAMES.values()}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_record_rows():
+    """The cells of each row of README's record table."""
+    text = README.read_text()
+    lines = text[text.index("Each of the paper's exact inequalities is one record"):].splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("|")) + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_the_readme_record_table_is_the_registry():
+    rows = _readme_record_rows()
+    assert sorted(row[0].strip("`") for row in rows) == sorted(RECORD_NAMES)
+    for name, checks, sense, rel, names in rows:
+        record = RECORD_NAMES[name.strip("`")]
+        assert (sense, float(rel), tuple(names.split(", "))) == (
+            record.sense, record.rel, record.names
+        ), name
+        # the checks it names, without the public entries in backquotes
+        named = [check.strip() for check in re.sub(r"\(?`[^`]*`\)?", "", checks).split(",")]
+        assert all(check in CHECKS for check in named if check), (name, named)
 
 
 def test_a_record_forms_its_gap_by_its_sense():
@@ -627,9 +665,16 @@ def _cube_instance(rng, *p):
     return (f.table, matphi.fourier.dirichlet_energy_spectral(f), *p)
 
 
+def _model_draw(n):
+    """The char-g and char-j draw of the arrays of an n-input model."""
+    return lambda rng, trial, run: matphi.suites._model_draw(rng, trial, run._replace(n=n))
+
+
 # the stack-native records and the suite draws of their instances
 STACK_DRAWS = {
+    "subadditivity": _model_draw(3),
     "char-e": matphi.suites._char_e_draw,
+    "char-g": _model_draw(2),
     "char-h": matphi.suites._char_h_draw,
     "char-i": matphi.suites._char_i_draw,
 }
@@ -646,9 +691,9 @@ def _model_and_energy(rng):
 
 RECORD_INSTANCES = {
     "joint-convexity": _convexity_instance,
-    "subadditivity": lambda rng: (PhiFunction.xlogx(), random_product_model(rng, 2, 3, arity=2)),
+    "subadditivity": _drawn("subadditivity"),
     "char-e": _drawn("char-e"),
-    "char-g": lambda rng: (PhiFunction.xlogx(), random_product_model(rng, 2, 2, arity=2)),
+    "char-g": _drawn("char-g"),
     "char-h": _drawn("char-h"),
     "char-i": _drawn("char-i"),
     "efron-stein": lambda rng: (random_product_model(rng, 2, 3, arity=2, psd=False),),
