@@ -92,8 +92,7 @@ def _expected_entropy(phi: PhiFunction, rows, probs, weights) -> np.ndarray:
 
 
 def _subadditivity_sides(phi: PhiFunction, probs, values, *parts) -> tuple:
-    """H(Z) and the sum over the inputs of the expected conditional
-    entropies, of one model's ``ProductModel.arrays`` or of their stacks."""
+    """H(Z) and the summed expected conditional entropies of ``ProductModel.arrays`` or stacks."""
     n = len(parts) // 2
     sizes = tuple(np.shape(p)[-1] for p in parts[:n])
     lhs = _law_entropies(phi, probs, values)

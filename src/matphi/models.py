@@ -131,22 +131,24 @@ def _require_enumerable(laws: Sequence[FiniteLaw]) -> tuple[FiniteLaw, ...]:
 
 @dataclass(frozen=True)
 class ResamplingPlan:
-    """Joint-table indices shared by every product model with one tuple of
-    input sizes (mixed radix, first input slowest). ``rows`` holds, input
-    after input, joint-size indices that list the input's (rest, s_i)
-    slices row-major, the one cut of the table (``cut``); ``pairs[i]`` holds the
-    ends k < l of the i-th input's pairs within a slice, row-major; ``ends``
-    holds the (2, P) table indices of both ends of every slice's pairs,
-    input after input."""
+    """Joint-table indices shared by every product model of one tuple of
+    input sizes: ``rows``, each input's ``_rows`` in turn; ``pairs[i]``, the
+    ends k < l of input i's pairs within a slice, row-major; ``ends``, the
+    (2, P) table indices of both ends of every slice's pairs, input after input."""
 
     rows: np.ndarray
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
     ends: np.ndarray
 
 
+def _rows(sizes: tuple[int, ...], i: int) -> np.ndarray:
+    """The (rest, s_i) joint-table indices of input i's slices, row-major."""
+    table = np.arange(math.prod(sizes)).reshape(-1, sizes[i], math.prod(sizes[i + 1:]))
+    return table.swapaxes(1, 2).reshape(-1, sizes[i])
+
+
 def _build_plan(sizes: tuple[int, ...]) -> ResamplingPlan:
-    table = np.arange(math.prod(sizes)).reshape(sizes)
-    cuts = [np.stack([table.take(k, i).ravel() for k in range(s)], -1) for i, s in enumerate(sizes)]
+    cuts = [_rows(sizes, i) for i in range(len(sizes))]
     pairs = tuple(np.triu_indices(s, 1) for s in sizes)
     rows = np.concatenate([np.empty(0, dtype=np.intp)] + [cut.ravel() for cut in cuts])
     ends = np.concatenate(
@@ -173,10 +175,8 @@ def resampling_plan(sizes: tuple[int, ...]) -> ResamplingPlan:
 
 def cut(values: np.ndarray, sizes: tuple[int, ...], i: int) -> np.ndarray:
     """(..., joint, d, d) tables of these input sizes cut along input i by
-    the plan's rows, into C-contiguous (..., rest, s_i, d, d) values."""
-    joint = math.prod(sizes)
-    rows = resampling_plan(sizes).rows[i * joint:(i + 1) * joint]
-    return np.take(values, rows.reshape(-1, sizes[i]), axis=-3)
+    its ``_rows`` alone, no plan built, into C-contiguous (..., rest, s_i, d, d)."""
+    return np.take(values, _rows(sizes, i), axis=-3)
 
 
 def _tabulate(laws: Sequence[FiniteLaw], evaluator: Callable[[tuple], np.ndarray]):

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from matphi.entropy import check_char_g, check_subadditivity, conditional_phi_entropy
 from matphi.errors import DimensionMismatch, EnumerationTooLarge, NotHermitian
 from matphi.fourier import MatrixBooleanFunction, uniform_cube_model
 from matphi import models
@@ -20,6 +21,7 @@ from matphi.models import (
     resampling_plan,
     weighted_sum,
 )
+from matphi.phifun import PhiFunction
 from matphi.sampling import (
     random_boolean_function,
     random_hermitian,
@@ -30,6 +32,7 @@ from matphi.sampling import (
 from support import moveaxis_slices
 
 BITS = FiniteLaw.uniform((0, 1))
+XLOGX = PhiFunction.xlogx()
 
 
 def test_non_hermitian_value_raises_at_construction():
@@ -185,6 +188,24 @@ def test_slices_and_the_plan_keep_the_moveaxis_layout():
             )
             ends.append(np.stack([cut[:, k].ravel(), cut[:, l].ravel()]))
         assert np.array_equal(plan.ends, np.concatenate([np.empty((2, 0), int)] + ends, axis=1))
+
+
+def test_the_cut_builds_no_plan(monkeypatch):
+    # a plan holds joint * sum(sizes) indices and every input's pair ends;
+    # the cut and everything above it take only the one input's rows
+    def refuse(sizes):
+        raise AssertionError(f"plan built for {sizes}")
+
+    monkeypatch.setattr(models, "_build_plan", refuse)
+    monkeypatch.setattr(models, "_cached_plan", refuse)
+    laws = [FiniteLaw.uniform(tuple(range(300)))] * 2
+    model = ProductModel(laws, np.arange(1.0, 90001.0).reshape(-1, 1, 1))
+    for i in range(2):
+        weights, probs, values = model.slices(i)
+        assert values.shape == (300, 300, 1, 1) and values.flags.c_contiguous
+        assert conditional_phi_entropy(XLOGX, model, i).entropies.shape == (300,)
+    assert check_subadditivity(XLOGX, model).passed
+    assert check_char_g(XLOGX, model).passed
 
 
 def test_plans_are_kept_per_sizes_up_to_the_byte_bound(monkeypatch):
