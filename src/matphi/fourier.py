@@ -27,7 +27,7 @@ from .linalg import (
     schatten_norm,
     spectral_map,
 )
-from .models import DiscreteRandomMatrix, FiniteLaw, ProductModel
+from .models import DiscreteRandomMatrix, FiniteLaw, ProductModel, weighted_sum
 from .phifun import XLOGX
 from .report import CheckReport, Inequality, relative_tol, verdict
 from .sampling import BLOCK_ENTRIES, climb, random_complex_gaussian, rng_for
@@ -39,8 +39,8 @@ LSI_THRESHOLD = 1e-6  # objective above which a table is a counterexample
 PROPOSAL_CHUNK = 32  # steps of proposals each LSI restart draws at once
 
 
-def _popcounts(n: int) -> np.ndarray:
-    return np.array([bin(s).count("1") for s in range(2**n)])
+def _popcounts(points: int) -> np.ndarray:
+    return np.array([bin(s).count("1") for s in range(points)])
 
 
 @dataclass(frozen=True)
@@ -71,21 +71,25 @@ class FourierTable:
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard butterflies along axis 0, one reshaped pass per level."""
-    a = a.copy()
-    h = 1
-    m = a.shape[0]
-    while h < m:
-        blocks = a.reshape(m // (2 * h), 2, h, *a.shape[1:])
-        a = np.stack([blocks[:, 0] + blocks[:, 1], blocks[:, 0] - blocks[:, 1]], axis=1)
-        a = a.reshape(m, *a.shape[3:])
-        h *= 2
-    return a
+    """Walsh-Hadamard butterflies along axis -3 of a (..., 2^n, d, d) stack:
+    the sums and differences of the halves of each block of 2h points."""
+    shape, width, a = a.shape, a.shape[-2] * a.shape[-1], a.copy()
+    while width < shape[-3] * shape[-2] * shape[-1]:
+        blocks = a.reshape(*shape[:-3], -1, 2 * width)
+        top, bottom = blocks[..., :width], blocks[..., width:]
+        a = np.concatenate([top + bottom, top - bottom], axis=-1)
+        width *= 2
+    return a.reshape(shape)
+
+
+def _transform(table: np.ndarray) -> np.ndarray:
+    """Coefficients 2^{-n} sum_x f(x) chi_S(x) of each (..., 2^n, d, d) table."""
+    return _fwht(table) / table.shape[-3]
 
 
 def fourier_transform(f: MatrixBooleanFunction) -> FourierTable:
     """Coefficient table: 2^{-n} sum_x f(x) chi_S(x)."""
-    return FourierTable(f.n, _fwht(f.table) / 2**f.n)
+    return FourierTable(f.n, _transform(f.table))
 
 
 def inverse_fourier(table: FourierTable) -> MatrixBooleanFunction:
@@ -94,28 +98,43 @@ def inverse_fourier(table: FourierTable) -> MatrixBooleanFunction:
     return MatrixBooleanFunction(table.n, _fwht(table.coeffs))
 
 
+def _noise(coeffs: np.ndarray, gamma) -> np.ndarray:
+    """coeffs(S) gamma^{|S|} of each (..., 2^n, d, d) table, at one rate or one per table."""
+    weights = np.asarray(gamma, dtype=float)[..., None] ** _popcounts(coeffs.shape[-3])
+    return coeffs * weights[..., None, None]
+
+
 def noise_operator(table: FourierTable, gamma: float) -> FourierTable:
     """Scale the S coefficient by gamma^{|S|}."""
-    weights = np.asarray(float(gamma) ** _popcounts(table.n), dtype=float)
-    return FourierTable(table.n, table.coeffs * weights[:, None, None])
+    return FourierTable(table.n, _noise(table.coeffs, gamma))
+
+
+def _parseval_gap(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gap, tol) of Parseval's identity, entrywise, of each (..., 2^n, d, d) table."""
+    coeffs = _transform(table)
+    rhs = np.einsum("...kij,...kjl->...il", coeffs, coeffs)
+    lhs = np.mean(np.einsum("...kij,...kjl->...kil", table, table), axis=-3)
+    gap = np.abs(lhs - rhs).max(axis=(-2, -1))
+    # np.float_power is libm pow, which the scalar float ** 2 calls
+    return gap, relative_tol(1e-10, np.float_power(np.abs(table).max(axis=(-3, -2, -1)), 2))
 
 
 def parseval_check(f: MatrixBooleanFunction) -> CheckReport:
     """E[f(X)^2] = sum_S coeffs(S)^2, entrywise."""
-    coeffs = fourier_transform(f).coeffs
-    lhs = np.mean(np.einsum("kij,kjl->kil", f.table, f.table), axis=0)
-    rhs = np.einsum("kij,kjl->il", coeffs, coeffs)
-    return verdict(
-        "parseval", float(np.max(np.abs(lhs - rhs))),
-        relative_tol(1e-10, float(np.max(np.abs(f.table))) ** 2), d=f.d, n=f.n,
-    )
+    return verdict("parseval", *_parseval_gap(f.table), d=f.d, n=f.n)
+
+
+def _spectral_energy(table: np.ndarray) -> np.ndarray:
+    """sum_S |S| tr coeffs(S)^2 / d of each (..., 2^n, d, d) table."""
+    coeffs = _transform(table)
+    traces = np.einsum("...kij,...kji->...k", coeffs, coeffs).real
+    return weighted_sum(_popcounts(table.shape[-3]), traces, 0) / table.shape[-1]
 
 
 def dirichlet_energy_spectral(f: MatrixBooleanFunction) -> float:
-    """sum_S |S| tr coeffs(S)^2."""
-    coeffs = fourier_transform(f).coeffs
-    traces = np.einsum("kij,kji->k", coeffs, coeffs).real
-    return float(_popcounts(f.n) @ traces) / f.d
+    """sum_S |S| tr coeffs(S)^2 / d: the Dirichlet energy in the
+    normalized trace, the units of ``dirichlet_energy_flip``."""
+    return float(_spectral_energy(f.table))
 
 
 # Table kernels shared by the public functions and the LSI search. They
@@ -156,12 +175,13 @@ def uniform_cube_model(f: MatrixBooleanFunction) -> ProductModel:
     return ProductModel(laws, table.reshape(f.table.shape))
 
 
-def _bonami_beckner_sides(f: MatrixBooleanFunction, p: float) -> tuple[float, float]:
-    """Both sides of ``check_bonami_beckner``'s bound."""
-    coeffs = fourier_transform(f).coeffs
-    weights = (p - 1.0) ** _popcounts(f.n)
-    lhs = float(np.sqrt(weights @ schatten_norm(coeffs, p, normalized=True) ** 2))
-    return lhs, float(np.mean(schatten_norm(f.table, p, normalized=True) ** p)) ** (1.0 / p)
+def _bonami_beckner_sides(table: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of ``check_bonami_beckner``'s bound for each (..., 2^n, d, d) table."""
+    norms = schatten_norm(_transform(table), p, normalized=True)
+    lhs = np.sqrt(weighted_sum((p - 1.0) ** _popcounts(table.shape[-3]), norms**2, 0))
+    mean = np.mean(schatten_norm(table, p, normalized=True) ** p, axis=-1)
+    # np.float_power is libm pow, which the scalar float ** (1 / p) calls
+    return lhs, np.float_power(mean, 1.0 / p)
 
 
 def check_bonami_beckner(f: MatrixBooleanFunction, p: float) -> CheckReport:
@@ -170,7 +190,7 @@ def check_bonami_beckner(f: MatrixBooleanFunction, p: float) -> CheckReport:
     <= (2^{-n} sum_x ||f(x)||_{*p}^p)^{1/p} for p in [1, 2]."""
     if not 1.0 <= p <= 2.0:
         raise DomainError(f"exponent must lie in [1, 2], got {p}")
-    return BONAMI_BECKNER.verdict(f, p, details={"p": p}, d=f.d, n=f.n)
+    return BONAMI_BECKNER.verdict(f.table, p, details={"p": p}, d=f.d, n=f.n)
 
 
 def entropy_of_square(f: MatrixBooleanFunction) -> float:
@@ -185,27 +205,27 @@ def _require_sobolev_exponent(p: float) -> None:
         raise DomainError(f"p must lie in (1, 2), got {p}")
 
 
-def _phi_sobolev_sides(values: np.ndarray, energy: float, p: float) -> tuple[float, float]:
+def _phi_sobolev_sides(values: np.ndarray, energy, p: float) -> tuple:
     """Both sides of H(f^p) <= (2-p) E(f) d^{1-2/p} + tr E[f^2] (1 - d^{1-2/p})
-    for a (k, d, d) stack of equally likely values and an energy; p outside
-    (1, 2) or a value that is not PSD is a DomainError. The PSD test reads
-    the spectra that f^p is taken from."""
+    for each (..., k, d, d) stack of k equally likely values and its
+    energy; p outside (1, 2) or a value that is not PSD is a DomainError.
+    The PSD test reads the spectra that f^p is taken from."""
     _require_sobolev_exponent(p)
-    f2_mean = np.mean(np.einsum("kij,kjl->kil", values, values), axis=0)
+    f2_mean = np.mean(np.einsum("...kij,...kjl->...kil", values, values), axis=-3)
     fp = spectral_map(lambda w: NONNEGATIVE.admit(w) ** p, hermitian_part(values))
-    lhs = normalized_trace(f2_mean) - normalized_trace(psd_power(fp.mean(axis=0), 2.0 / p))
+    lhs = normalized_trace(f2_mean) - normalized_trace(psd_power(fp.mean(axis=-3), 2.0 / p))
     dim_factor = values.shape[-1] ** (1.0 - 2.0 / p)
     return lhs, (2.0 - p) * energy * dim_factor + normalized_trace(f2_mean) * (1.0 - dim_factor)
 
 
-def _log_sobolev_sides(values: np.ndarray, energy: float) -> tuple[float, float]:
-    """Both sides of Ent(f^2) <= 2 E(f) + log(d) tr E[f^2] for a (k, d, d)
-    stack of equally likely values and an energy; a value that is not PSD
-    is a DomainError."""
+def _log_sobolev_sides(values: np.ndarray, energy) -> tuple:
+    """Both sides of Ent(f^2) <= 2 E(f) + log(d) tr E[f^2] for each
+    (..., k, d, d) stack of k equally likely values and its energy; a value
+    that is not PSD is a DomainError."""
     NONNEGATIVE.admit(eigenvalues(values))
-    f2_mean = np.mean(np.einsum("kij,kjl->kil", values, values), axis=0)
+    f2_mean = np.mean(np.einsum("...kij,...kjl->...kil", values, values), axis=-3)
     rhs = 2.0 * energy + np.log(values.shape[-1]) * normalized_trace(f2_mean)
-    return float(_square_entropy(values)), rhs
+    return _square_entropy(values), rhs
 
 
 BONAMI_BECKNER = Inequality("bonami-beckner", 1e-10, _bonami_beckner_sides)

@@ -147,12 +147,13 @@ def apply_standard_function(fn: Callable[[np.ndarray], np.ndarray], a) -> np.nda
     return hermitian_part(spectral_map(fn, _require_hermitian_stack(a)))
 
 
-def normalized_trace(a) -> float:
-    """(1/d) Tr a, imaginary round-off discarded."""
+def normalized_trace(a):
+    """(1/d) Tr a of a square matrix, or of each matrix of a (..., d, d)
+    stack, imaginary round-off discarded."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return float(np.trace(a).real) / a.shape[0]
+    return np.trace(a, axis1=-2, axis2=-1).real / a.shape[-1]
 
 
 def schatten_norm(a, p: float, normalized: bool = False) -> float | np.ndarray:

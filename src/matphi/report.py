@@ -155,14 +155,13 @@ class Inequality:
 
     def judge(self, *stacks):
         """A sweep's judge: one probe per trial of the block, no witness."""
-        gap, tol = self.rule(*self.sides(*stacks))
-        return gap[:, None], tol[:, None], lambda trial, probe: None
+        return judged(*self.rule(*self.sides(*stacks)))
 
 
-def judged(gap, tol, witness):
-    """The judge of draws that judge their own trial: each trial's drawn
-    ``(gap, tol, witness)`` is its one probe."""
-    return gap[:, None], tol[:, None], lambda trial, probe: witness[trial]
+def judged(gap, tol, witness=None):
+    """One probe per trial: each trial's ``(gap, tol, witness)`` as drawn by
+    draws that judge their own trial, or as a stacked judge forms them."""
+    return gap[:, None], tol[:, None], lambda b, probe: None if witness is None else witness[b]
 
 
 def sweep(

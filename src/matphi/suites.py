@@ -400,47 +400,54 @@ def _clipped_poly(x):
 
 
 # ---------------------------------------------------------------- fourier
+# Stacked sweeps: a trial draws its raw cube table, then any exponent or noise
+# rates; a judge holds some eight tables of the largest n its clamp admits.
 
-def _cube_function(rng, run, psd):
-    return fourier.MatrixBooleanFunction(
-        run.n, random_boolean_function(rng, run.n, run.d, psd=psd)
-    )
+def _cube(judge, n_max: int, psd: bool = False, extra=lambda rng, trial: ()) -> Sweep:
+    def draw(rng, trial, run):
+        return (random_boolean_function(rng, run.n, run.d, psd=psd), *extra(rng, trial))
+
+    return Sweep(draw, n=(0, n_max), judge=judge, entries=lambda d: 8 * 2**n_max * d * d)
 
 
-def _fourier_round_trip(rng, trial, run):
-    f = _cube_function(rng, run, psd=False)
-    back = fourier.inverse_fourier(fourier.fourier_transform(f))
-    dev = float(np.max(np.abs(back.table - f.table)))
-    return dev, relative_tol(1e-12, float(np.max(np.abs(f.table)))), None
+def _max_abs(tables):
+    return np.abs(tables).max(axis=(-3, -2, -1))
+
+
+def _round_trip(phi, tables):
+    back = hermitian_part(fourier._fwht(fourier._transform(tables)))  # as inverse_fourier's
+    return judged(_max_abs(back - tables), relative_tol(1e-12, _max_abs(tables)))
 
 
 def _dirichlet_identity(rng, trial, run):
-    forms = concentration.dirichlet_energy_forms(_cube_function(rng, run, psd=False))
-    return (*concentration.forms_gap(forms), None)
+    f = fourier.MatrixBooleanFunction(run.n, random_boolean_function(rng, run.n, run.d, psd=False))
+    return (*concentration.forms_gap(concentration.dirichlet_energy_forms(f)), None)
 
 
-def _noise_composition(rng, trial, run):
-    table = fourier.fourier_transform(_cube_function(rng, run, psd=False))
-    gamma, delta = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-    twice = fourier.noise_operator(fourier.noise_operator(table, gamma), delta)
-    once = fourier.noise_operator(table, gamma * delta)
-    dev = float(np.max(np.abs(twice.coeffs - once.coeffs)))
-    return dev, relative_tol(1e-12, float(np.max(np.abs(table.coeffs)))), None
+def _noise_composition(phi, tables, gamma, delta):
+    coeffs = fourier._transform(tables)
+    twice = fourier._noise(fourier._noise(coeffs, gamma), delta)
+    gap = _max_abs(twice - fourier._noise(coeffs, gamma * delta))
+    return judged(gap, relative_tol(1e-12, _max_abs(coeffs)))
 
 
 # ---------------------------------------------------------------- sobolev
 
-def _cycling_p(check, ps):
-    """Body of a hypercube inequality ``check(f, p)`` whose exponent
-    cycles through ps with the trial index."""
+def _exponent_sweep(record, n_max: int, ps: tuple, energy: bool = False) -> Sweep:
+    """Sweep of a cube record (given the tables' spectral energy if it takes
+    it) whose exponent cycles through ps with the trial index. A block is
+    judged one exponent at a time, so that numpy's power meets the scalar a
+    lone check gives it, and each witness holds its p."""
 
-    def body(rng, trial, run):
-        f = _cube_function(rng, run, psd=True)
-        p = ps[trial % len(ps)]
-        rep = check(f, p)
-        return rep.max_gap, rep.tol, {"p": p}
+    def judge(phi, tables, drawn):
+        extra = (fourier._spectral_energy(tables),) if energy else ()
+        gap, tol = np.empty(len(drawn)), np.empty(len(drawn))
+        for p in set(drawn.tolist()):
+            at = drawn == p
+            gap[at], tol[at] = record.rule(*record.sides(tables[at], *(x[at] for x in extra), p))
+        return judged(gap, tol, [{"p": p} for p in drawn.tolist()])
 
-    return body
+    return _cube(judge, n_max, True, lambda rng, trial: (ps[trial % len(ps)],))
 
 
 def _p_variance_limit(rng, trial, run):
@@ -605,22 +612,19 @@ SUITES = {
         ),
     },
     "fourier": {
-        "fourier-round-trip": Sweep(_fourier_round_trip, n=(0, 6)),
-        "parseval": Sweep(
-            lambda rng, trial, run: fourier.parseval_check(_cube_function(rng, run, psd=False)),
-            n=(0, 6),
-        ),
+        "fourier-round-trip": _cube(_round_trip, 6),
+        "parseval": _cube(lambda phi, tables: judged(*fourier._parseval_gap(tables)), 6),
         "dirichlet-identity": Sweep(_dirichlet_identity, n=(0, 5)),
-        "noise-composition": Sweep(_noise_composition, n=(0, 6)),
+        "noise-composition": _cube(
+            _noise_composition, 6, extra=lambda rng, trial: (rng.uniform(0, 1), rng.uniform(0, 1))
+        ),
     },
     "sobolev": {
-        "bonami-beckner": Sweep(
-            _cycling_p(fourier.check_bonami_beckner, (1.0, 1.25, 1.5, 1.75, 2.0)), n=(0, 5)
-        ),
-        "phi-sobolev": Sweep(_cycling_p(fourier.check_phi_sobolev, (1.1, 1.5, 1.9)), n=(0, 4)),
-        "log-sobolev": Sweep(
-            lambda rng, trial, run: fourier.check_log_sobolev(_cube_function(rng, run, psd=True)),
-            n=(0, 4),
+        "bonami-beckner": _exponent_sweep(fourier.BONAMI_BECKNER, 5, (1.0, 1.25, 1.5, 1.75, 2.0)),
+        "phi-sobolev": _exponent_sweep(fourier.PHI_SOBOLEV, 4, (1.1, 1.5, 1.9), energy=True),
+        "log-sobolev": _cube(
+            lambda phi, tables: fourier.LOG_SOBOLEV.judge(tables, fourier._spectral_energy(tables)),
+            4, True,
         ),
         "p-variance-limit": Sweep(_p_variance_limit),
     },

@@ -3,7 +3,16 @@
 import numpy as np
 
 from matphi.errors import NotHermitian
-from matphi.fourier import MatrixBooleanFunction
+from matphi.fourier import (
+    MatrixBooleanFunction,
+    check_bonami_beckner,
+    check_log_sobolev,
+    check_phi_sobolev,
+    fourier_transform,
+    inverse_fourier,
+    noise_operator,
+    parseval_check,
+)
 from matphi.frechet import (
     _in_turn,
     _inverse_table,
@@ -15,11 +24,22 @@ from matphi.frechet import (
     inverse_derivative_superoperator,
 )
 from matphi.holevo import CQEnsemble, MarkovKernel, _average_state, _bayes_inverse
-from matphi.linalg import _require_hermitian_stack, eigenvalues, hermitian_part, positive_part
+from matphi.fourier import _square_entropy
+from matphi.linalg import (
+    NONNEGATIVE,
+    _require_hermitian_stack,
+    eigenvalues,
+    hermitian_part,
+    positive_part,
+    psd_power,
+    schatten_norm,
+    spectral_map,
+)
 from matphi.models import DiscreteRandomMatrix, ProductModel, weighted_sum
 from matphi.phifun import PhiFunction
 from matphi.report import MAX_WITNESSES, CheckReport, matrix_to_obj, relative_tol, verdict
 from matphi.sampling import (
+    random_boolean_function,
     random_complex_gaussian,
     random_pd,
     random_probability_vector,
@@ -333,3 +353,119 @@ def reference_characterizations(name, phi, d, seed, trial_counts, tol=None) -> l
         )
         for trials in trial_counts
     ]
+
+
+# The hypercube sweeps as they ran before their trials were judged in
+# stacks: each trial's function built, transformed and checked alone by the
+# public entries. The stacked sweeps must report the same bytes.
+
+def cube_function(rng, n, d, psd) -> MatrixBooleanFunction:
+    """The cube function of the table that the suites draw from rng."""
+    return MatrixBooleanFunction(n, random_boolean_function(rng, n, d, psd=psd))
+
+
+def _reference_round_trip(rng, trial, run):
+    f = cube_function(rng, run.n, run.d, psd=False)
+    back = inverse_fourier(fourier_transform(f))
+    dev = float(np.max(np.abs(back.table - f.table)))
+    return dev, relative_tol(1e-12, float(np.max(np.abs(f.table)))), None
+
+
+def _reference_noise_composition(rng, trial, run):
+    table = fourier_transform(cube_function(rng, run.n, run.d, psd=False))
+    gamma, delta = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+    twice = noise_operator(noise_operator(table, gamma), delta)
+    once = noise_operator(table, gamma * delta)
+    dev = float(np.max(np.abs(twice.coeffs - once.coeffs)))
+    return dev, relative_tol(1e-12, float(np.max(np.abs(table.coeffs)))), None
+
+
+def _reference_cycling_p(check, ps):
+    """Body of a hypercube inequality ``check(f, p)`` whose exponent
+    cycles through ps with the trial index."""
+
+    def body(rng, trial, run):
+        f = cube_function(rng, run.n, run.d, psd=True)
+        p = ps[trial % len(ps)]
+        rep = check(f, p)
+        return rep.max_gap, rep.tol, {"p": p}
+
+    return body
+
+
+CUBE_BODIES = {
+    "fourier-round-trip": _reference_round_trip,
+    "parseval": lambda rng, trial, run: parseval_check(
+        cube_function(rng, run.n, run.d, psd=False)
+    ),
+    "noise-composition": _reference_noise_composition,
+    "bonami-beckner": _reference_cycling_p(check_bonami_beckner, (1.0, 1.25, 1.5, 1.75, 2.0)),
+    "phi-sobolev": _reference_cycling_p(check_phi_sobolev, (1.1, 1.5, 1.9)),
+    "log-sobolev": lambda rng, trial, run: check_log_sobolev(
+        cube_function(rng, run.n, run.d, psd=True)
+    ),
+}
+
+
+# The hypercube kernels as they computed one table before they took stacks.
+# The public entries must keep their bits, and through them, the sweeps.
+
+def parent_fwht(a):
+    """Walsh-Hadamard butterflies along axis 0, one reshaped pass per level."""
+    a, h, m = a.copy(), 1, a.shape[0]
+    while h < m:
+        blocks = a.reshape(m // (2 * h), 2, h, *a.shape[1:])
+        a = np.stack([blocks[:, 0] + blocks[:, 1], blocks[:, 0] - blocks[:, 1]], axis=1)
+        a = a.reshape(m, *a.shape[3:])
+        h *= 2
+    return a
+
+
+def _parent_popcounts(n):
+    return np.array([bin(s).count("1") for s in range(2**n)])
+
+
+def _parent_trace(a) -> float:
+    return float(np.trace(a).real) / a.shape[0]
+
+
+def parent_noise(coeffs, n, gamma):
+    weights = np.asarray(float(gamma) ** _parent_popcounts(n), dtype=float)
+    return coeffs * weights[:, None, None]
+
+
+def parent_parseval(f):
+    """(gap, tol) of ``parseval_check``."""
+    coeffs = parent_fwht(f.table) / 2**f.n
+    lhs = np.mean(np.einsum("kij,kjl->kil", f.table, f.table), axis=0)
+    rhs = np.einsum("kij,kjl->il", coeffs, coeffs)
+    tol = relative_tol(1e-10, float(np.max(np.abs(f.table))) ** 2)
+    return float(np.max(np.abs(lhs - rhs))), tol
+
+
+def parent_energy(f) -> float:
+    coeffs = parent_fwht(f.table) / 2**f.n
+    traces = np.einsum("kij,kji->k", coeffs, coeffs).real
+    return float(_parent_popcounts(f.n) @ traces) / f.d
+
+
+def parent_bonami_beckner(f, p):
+    coeffs = parent_fwht(f.table) / 2**f.n
+    weights = (p - 1.0) ** _parent_popcounts(f.n)
+    lhs = float(np.sqrt(weights @ schatten_norm(coeffs, p, normalized=True) ** 2))
+    return lhs, float(np.mean(schatten_norm(f.table, p, normalized=True) ** p)) ** (1.0 / p)
+
+
+def parent_phi_sobolev(values, energy, p):
+    f2_mean = np.mean(np.einsum("kij,kjl->kil", values, values), axis=0)
+    fp = spectral_map(lambda w: NONNEGATIVE.admit(w) ** p, hermitian_part(values))
+    lhs = _parent_trace(f2_mean) - _parent_trace(psd_power(fp.mean(axis=0), 2.0 / p))
+    dim_factor = values.shape[-1] ** (1.0 - 2.0 / p)
+    return lhs, (2.0 - p) * energy * dim_factor + _parent_trace(f2_mean) * (1.0 - dim_factor)
+
+
+def parent_log_sobolev(values, energy):
+    NONNEGATIVE.admit(eigenvalues(values))
+    f2_mean = np.mean(np.einsum("kij,kjl->kil", values, values), axis=0)
+    rhs = 2.0 * energy + np.log(values.shape[-1]) * _parent_trace(f2_mean)
+    return float(_square_entropy(values)), rhs

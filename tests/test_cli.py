@@ -449,14 +449,23 @@ def test_the_seed_42_report_keeps_its_digest(jobs):
     assert digest == SEED_42_DIGEST
 
 
-# The same recipe at two more configurations: the cube's characterizations
-# at d = 1, where char-e, char-g, char-h and char-i fail with witnesses, and
-# every suite at a small size
+# The same recipe at more configurations: the cube's characterizations at
+# d = 1, where char-e, char-g, char-h and char-i fail with witnesses; every
+# suite at a small size; and the hypercube suites at a zero tolerance and at
+# their largest tables, from before their sweeps were judged in stacks
 REPORT_DIGESTS = [
     ("characterizations", dict(phi="cube", d=1, trials=200, seed=7),
      "d1334d0e8f3ffcf60ec17e843e6655b706e43658e98d6496610451f6f48ee601"),
     ("all", dict(seed=7, d=3, trials=20, samples=2000),
      "f39fcfc2a0fba9a2b10a8f2aeb92c80d64a828ba72216cec32321e6429942d00"),
+    ("sobolev", dict(seed=42, d=2, tol=0.0),
+     "83b33f2b98610d7a894e65c01546f5cb8e3238cbf9f3850cf20c64edb1b74dc6"),
+    ("fourier", dict(seed=42, d=2, tol=0.0),
+     "bfc02bad99c95056221c637b68f267801ae74c728b629f752263833aa9926407"),
+    ("fourier", dict(seed=42, n=6, d=3, trials=300),
+     "f40b98be1d9e4a0a038bee5aa6c756bce40509c312334e47b9f3f8b3df1ccbd5"),
+    ("sobolev", dict(seed=42, n=5, d=3, trials=300),
+     "1de298a2cdedf60c2014b008d4ccb3b13e6778e9543e3d4fd35799fe97f37aec"),
 ]
 
 

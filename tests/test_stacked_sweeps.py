@@ -1,9 +1,9 @@
-"""The one sweep loop. The stacked characterization sweeps draw their
-trials one at a time and judge them in one kernel call; the other sweeps
-and ``check_joint_convexity`` judge each trial alone. Every report must be
-the bytes of the per-trial loop kept in ``support`` (the old bodies,
-kernels and sweep fold), the stacked sweeps must refuse as that loop
-refuses, and their number of spectral calls must not grow with the
+"""The one sweep loop. The stacked characterization and hypercube sweeps
+draw their trials one at a time and judge them in one kernel call; the
+other sweeps and ``check_joint_convexity`` judge each trial alone. Every
+report must be the bytes of the per-trial loop kept in ``support`` (the old
+bodies, kernels and sweep fold), the stacked sweeps must refuse as that
+loop refuses, and their number of spectral calls must not grow with the
 trials."""
 
 import itertools
@@ -46,7 +46,7 @@ from matphi.sampling import (
 )
 from matphi.report import BLOCK_ENTRIES, MAX_WITNESSES, Inequality, judged, sweep
 from matphi.suites import CHECKS, Run, RunConfig, Sweep, _clamp, run_suite
-from support import reference_characterizations
+from support import cube_function, reference_characterizations
 
 STACKED = [
     "char-a", "char-b", "char-c", "char-d", "char-e", "char-f", "char-g", "char-h", "char-i",
@@ -179,8 +179,8 @@ PER_TRIAL_CONFIGS = [
 ]
 
 
-def test_eighteen_sweeps_judge_their_trials_alone():
-    assert len(PER_TRIAL) == 18
+def test_twelve_sweeps_judge_their_trials_alone():
+    assert len(PER_TRIAL) == 12
 
 
 @pytest.mark.parametrize("name", PER_TRIAL)
@@ -202,9 +202,7 @@ def _violating_everywhere(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("name, key", [
-    ("bonami-beckner", "p"), ("phi-sobolev", "p"), ("p-variance-limit", "residuals"),
-])
+@pytest.mark.parametrize("name, key", [("p-variance-limit", "residuals")])
 def test_per_trial_witnesses_come_through_unchanged(monkeypatch, name, key):
     # p-variance-limit gives its residuals only when a trial fails
     real = matphi.fourier.check_p_variance_limit
@@ -235,6 +233,131 @@ def test_functional_sdpi_runs_its_inner_sweep_through_the_one_loop(monkeypatch):
         ((spec, got),) = inner
         want = _reference_per_trial("functional-sdpi", spec, config, config.tol)
         assert got == _bytes(want), config
+
+
+# The stacked hypercube sweeps: a trial draws its raw table (and its
+# exponent or noise rates), a judge takes a block of tables, against the
+# per-trial bodies of ``support`` that check each function alone.
+CUBE = ["fourier-round-trip", "parseval", "noise-composition", "bonami-beckner", "phi-sobolev",
+        "log-sobolev"]
+
+
+def _reference_cube(name, config, tol=None):
+    spec = CHECKS[name]
+    run = Run(None, _clamp(config.d, spec.d), _clamp(config.n, spec.n), config.seed)
+    return support.reference_sweep(
+        name, partial(support.CUBE_BODIES[name], run=run), config.trials, config.seed,
+        tol=config.tol if tol is None else tol, phi=None, d=run.d, n=run.n,
+    )
+
+
+def _assert_cube_bytes(name, **options):
+    config = RunConfig(**options)
+    report = CHECKS[name](name, config)
+    assert _bytes(report) == _bytes(_reference_cube(name, config)), options
+    return report
+
+
+@pytest.mark.parametrize("name", CUBE)
+def test_cube_sweeps_report_the_per_trial_bytes(name):
+    # 1, 50 and 200 trials at one seed; d 1 to 3 at several seeds and n
+    # from 0 to the clamp, where a zero tolerance records the rounding of
+    # every gap; and 40 trials at n = 6, d = 3, in several blocks
+    for trials in (1, 50, 200):
+        _assert_cube_bytes(name, seed=0, trials=trials)
+    for d in (1, 2, 3):
+        for seed in range(1, 4):
+            for n in (0, 1, 2, 3, 5, 6):
+                for tol in (None, 0.0):
+                    _assert_cube_bytes(name, seed=seed, d=d, n=n, trials=10, tol=tol)
+    _assert_cube_bytes(name, seed=5, d=3, n=6, trials=40)
+
+
+def test_the_cube_entries_keep_the_parent_arithmetic():
+    # the public entries that the sweeps' stack kernels serve, on one table
+    # each, against the kernels as they were before they took stacks
+    def same(got, want):
+        return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    for n, d, seed, psd in itertools.product(range(7), (1, 2, 3), range(3), (False, True)):
+        f = cube_function(rng_for(seed, "parent-cube", 8 * n + d), n, d, psd)
+        coeffs = matphi.fourier.fourier_transform(f).coeffs
+        assert same(coeffs, support.parent_fwht(f.table) / 2**n), (n, d, seed)
+        back = matphi.fourier.inverse_fourier(matphi.fourier.FourierTable(n, coeffs)).table
+        want = matphi.fourier.MatrixBooleanFunction(n, support.parent_fwht(coeffs)).table
+        assert same(back, want)
+        for gamma in (0.0, 0.37, 0.5, 1.0):
+            noised = matphi.fourier.noise_operator(matphi.fourier.FourierTable(n, coeffs), gamma)
+            assert same(noised.coeffs, support.parent_noise(coeffs, n, gamma)), gamma
+        rep = matphi.fourier.parseval_check(f)
+        assert same((rep.max_gap, rep.tol), support.parent_parseval(f))
+        energy = matphi.fourier.dirichlet_energy_spectral(f)
+        assert same(energy, support.parent_energy(f))
+        if not psd:
+            continue
+        for p in (1.0, 1.25, 1.5, 1.75, 2.0):
+            rep = check_bonami_beckner(f, p)
+            assert same((rep.details["lhs"], rep.details["rhs"]),
+                        support.parent_bonami_beckner(f, p)), p
+        for p in (1.1, 1.5, 1.9):
+            rep = check_phi_sobolev(f, p)
+            want = support.parent_phi_sobolev(f.table, energy, p)
+            assert same((rep.details["lhs"], rep.details["rhs"]), want), p
+        rep = check_log_sobolev(f)
+        want = support.parent_log_sobolev(f.table, energy)
+        assert same((rep.details["entropy"], rep.details["rhs"]), want)
+
+
+@pytest.mark.parametrize("name", CUBE)
+def test_a_zero_tolerance_keeps_the_cube_bytes(name):
+    # --tol 0 makes violations of the identities' rounding noise, and of
+    # Bonami-Beckner's at p = 2, where its two sides agree to rounding
+    reports = [_assert_cube_bytes(name, seed=seed, trials=20, tol=0.0) for seed in (3, 4)]
+    if name not in ("phi-sobolev", "log-sobolev"):
+        assert any(not report.passed for report in reports)
+
+
+@pytest.mark.parametrize("name", CUBE)
+def test_cube_blocks_are_bit_identical(monkeypatch, name):
+    # a budget of one trial judges each trial alone; of three, splits 7
+    # trials 3 + 3 + 1
+    spec = CHECKS[name]
+    for per_block in (1, 3):
+        monkeypatch.setattr(matphi.report, "BLOCK_ENTRIES", per_block * spec.entries(2))
+        for tol in (None, 0.0):
+            _assert_cube_bytes(name, seed=11, trials=7, tol=tol)
+
+
+def test_the_largest_cube_tables_split_into_several_blocks(monkeypatch):
+    # at n = 6 and d = 3, 300 trials of each clamp's largest table take
+    # several blocks, whose eight tables' worth fits in BLOCK_ENTRIES
+    blocks = {}
+    real = matphi.report.sweep
+
+    def counted(label, draw, judge, trials, seed, tol=None, entries=1, **fields):
+        def judging(*stacks):
+            blocks.setdefault(label, []).append(len(stacks[0]))
+            assert 8 * stacks[0].size <= BLOCK_ENTRIES
+            return judge(*stacks)
+
+        return real(label, draw, judging, trials, seed, tol=tol, entries=entries, **fields)
+
+    monkeypatch.setattr(matphi.suites, "sweep", counted)
+    for name in CUBE:
+        CHECKS[name](name, RunConfig(seed=42, d=3, n=6, trials=300))
+        assert len(blocks[name]) > 1 and sum(blocks[name]) == 300, (name, blocks[name])
+
+
+@pytest.mark.parametrize("name", CUBE)
+def test_cube_witnesses_where_every_gap_fails(monkeypatch, name):
+    # bonami-beckner's and phi-sobolev's witnesses hold their exponent
+    _violating_everywhere(monkeypatch)
+    config = RunConfig(seed=3, trials=12)
+    report = CHECKS[name](name, config)
+    assert _bytes(report) == _bytes(_reference_cube(name, config, tol=-np.inf))
+    assert len(report.violations) == MAX_WITNESSES
+    keys = ["gap", "p", "trial"] if name in ("bonami-beckner", "phi-sobolev") else ["gap", "trial"]
+    assert all(sorted(violation) == keys for violation in report.violations)
 
 
 # check_joint_convexity: a sweep of one trial a block over a user's map,
@@ -383,6 +506,22 @@ def test_a_stacked_sweep_refuses_as_the_per_trial_loop(monkeypatch, name):
         want = _error(lambda: reference_characterizations(name, phi, 2, 5, (6,)))
         reset()
         assert _error(lambda: _stacked(name, "xlogx", 2, 5, 6)) == want, bad
+
+
+# trial 2 holds a value that is not PSD late in its table, trial 3 at its
+# first point: for phi-sobolev another exponent's block, so a judge that
+# refused exponent by exponent could name trial 3
+CUBE_REFUSALS = [{(2, 7): OUTSIDE, (3, 0): BELOW}]
+
+
+@pytest.mark.parametrize("name", ["phi-sobolev", "log-sobolev"])
+def test_a_stacked_cube_sweep_refuses_as_the_per_trial_loop(monkeypatch, name):
+    config = RunConfig(seed=5, trials=6)
+    for bad in CUBE_REFUSALS:
+        reset = _corrupting(monkeypatch, bad)
+        want = _error(lambda: _reference_cube(name, config))
+        reset()
+        assert _error(lambda: CHECKS[name](name, config)) == want, bad
 
 
 def test_a_pooled_characterizations_run_equals_the_serial_one():
@@ -595,7 +734,7 @@ def _record_check(name, i):
         return (matphi.suites._poincare_linear, matphi.suites._poincare_square_sum)[i](rng, i, run)
     if name == "poincare_commuting":
         return matphi.suites._poincare_commuting(rng, i, run)
-    f = matphi.suites._cube_function(rng, Run(None, 2, 3, i), psd=True)
+    f = cube_function(rng, 3, 2, psd=True)
     if name == "bonami_beckner":
         return check_bonami_beckner(f, (1.25, 2.0)[i])
     if name == "phi_sobolev":
@@ -661,7 +800,7 @@ def _convexity_instance(rng):
 
 
 def _cube_instance(rng, *p):
-    f = matphi.suites._cube_function(rng, Run(None, 2, 3, 0), psd=True)
+    f = cube_function(rng, 3, 2, psd=True)
     return (f.table, matphi.fourier.dirichlet_energy_spectral(f), *p)
 
 
@@ -699,9 +838,7 @@ RECORD_INSTANCES = {
     "efron-stein": lambda rng: (random_product_model(rng, 2, 3, arity=2, psd=False),),
     "poincare": _model_and_energy,
     "poincare-commuting": _model_and_energy,
-    "bonami-beckner": lambda rng: (
-        matphi.suites._cube_function(rng, Run(None, 2, 3, 0), psd=True), 1.5
-    ),
+    "bonami-beckner": lambda rng: (cube_function(rng, 3, 2, psd=True).table, 1.5),
     "phi-sobolev": lambda rng: _cube_instance(rng, 1.5),
     "log-sobolev": _cube_instance,
 }
